@@ -9,11 +9,10 @@ never deviates from its day-ahead plan books exactly zero.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import MODES, MarketDay, PowerSystem, TimeGrid, FrozenDecision
+from .core import MODES, TRANSITIONS, MarketDay, PowerSystem, TimeGrid, FrozenDecision
 from .lac_models import (
     DaReference,
     LacInstance,
@@ -60,7 +59,9 @@ def full_day_resolve(
     da: DaReference | None = None,
     cfg: ModelConfig | None = None,
 ) -> tuple[MilpModel, MilpSolution]:
-    """Fix all binaries to the ledger and re-solve the day as an LP."""
+    """Fix all binaries to the ledger and re-solve the day as an LP.
+
+    The returned model carries the fixed binaries in its bounds."""
     cfg = cfg or ModelConfig()
     if da is None:
         da = da_reference_from_system(system)
@@ -86,25 +87,20 @@ def full_day_resolve(
             mode = by_hour[t].psh_mode[u.id]
             for m in MODES:
                 fixes[det.u[(u.id, m, t)]] = 1 if m == mode else 0
-            for (m, n) in _transition_pairs():
+            for (m, n) in TRANSITIONS:
                 fixes[det.v[(u.id, m, n, t)]] = 1 if (m, n) == (prev, mode) and m != n else 0
             prev = mode
 
+    for idx, val in fixes.items():
+        model.set_var_bounds(idx, float(val), float(val))
     sol = fix_and_resolve_lp(model, fixes, SolveOptions(time_limit=cfg.time_limit))
     if not sol.ok:
-        frozen = copy.deepcopy(model)
-        for idx, val in fixes.items():
-            frozen.set_var_bounds(idx, float(val), float(val))
-        rows = infeasibility_report(frozen)
+        rows = infeasibility_report(model)
         raise AccountingError(
             f"ledger {ledger.variant}/{ledger.day_label} infeasible on actual load; "
             f"conflicting rows: {'; '.join(rows) if rows else '<none identified>'}"
         )
     return model, sol
-
-
-def _transition_pairs():
-    return [(m, n) for m in MODES for n in MODES if m != n]
 
 
 def realized_lmp(model: MilpModel, sol: MilpSolution) -> tuple[float, ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -292,6 +293,8 @@ def validate_system(
             out.append(Violation(u.id, "cost_curve", "segment prices must be non-decreasing (convexity)"))
         if any(s.mw <= 0 for s in u.cost_curve):
             out.append(Violation(u.id, "cost_curve", "segment widths must be positive"))
+        if not math.isclose(sum(s.mw for s in u.cost_curve), u.p_max, rel_tol=1e-9):
+            out.append(Violation(u.id, "cost_curve", "segment widths must sum to p_max"))
         if u.da_commitment is not None and len(u.da_commitment) != T:
             out.append(Violation(u.id, "da_commitment", f"expected {T} hourly flags"))
         if u.min_up < 0 or u.min_down < 0:

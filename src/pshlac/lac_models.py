@@ -332,15 +332,10 @@ def build_deterministic(instance: LacInstance, cfg: ModelConfig | None = None) -
     return model
 
 
-def build_robust(
-    instance: LacInstance,
-    cfg: ModelConfig | None = None,
-    risk_aggregation: str = "worst_case",
-) -> MilpModel:
+def build_robust(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpModel:
     """Worst-case model: per reservoir, an epigraph variable bounds the
     revenue shortfall of deviating from the day-ahead position in every
-    scenario; ``risk_aggregation='expected'`` collapses the epigraph to
-    the probability-weighted single row (structural check helper)."""
+    scenario."""
     cfg = cfg or ModelConfig()
     _validate_instance(instance, need_scenarios=True)
     win = instance.window
@@ -363,37 +358,20 @@ def build_robust(
 
     for r in sys.reservoirs:
         members = [u for u in sys.psh_units if u.reservoir_id == r.id]
-        if risk_aggregation == "worst_case":
-            for blk in blocks:
-                s = blk.scenario
-                coeffs: dict[int, float] = {risk_vars[r.id]: 1.0}
-                rhs = 0.0
-                for u in members:
-                    ni = scn.nodes.index(u.node_id)
-                    for hi, t in enumerate(blk.hours):
-                        lmp = float(prices[s, ni, hi])
-                        coeffs[blk.q_gen[(u.id, t)]] = coeffs.get(blk.q_gen[(u.id, t)], 0.0) + lmp
-                        coeffs[blk.q_pump[(u.id, t)]] = coeffs.get(blk.q_pump[(u.id, t)], 0.0) - lmp
-                        rhs += lmp * da_net(u, t)
-                model.add_row(
-                    f"r_risk.{r.id}.s{s}", coeffs, GE, rhs, Tag("risk_cap", r.id, None, s)
-                )
-        elif risk_aggregation == "expected":
-            coeffs = {risk_vars[r.id]: 1.0}
+        for blk in blocks:
+            s = blk.scenario
+            coeffs: dict[int, float] = {risk_vars[r.id]: 1.0}
             rhs = 0.0
-            for blk in blocks:
-                s = blk.scenario
-                w = scn.weights[s]
-                for u in members:
-                    ni = scn.nodes.index(u.node_id)
-                    for hi, t in enumerate(blk.hours):
-                        lmp = w * float(prices[s, ni, hi])
-                        coeffs[blk.q_gen[(u.id, t)]] = coeffs.get(blk.q_gen[(u.id, t)], 0.0) + lmp
-                        coeffs[blk.q_pump[(u.id, t)]] = coeffs.get(blk.q_pump[(u.id, t)], 0.0) - lmp
-                        rhs += lmp * da_net(u, t)
-            model.add_row(f"r_risk.{r.id}.exp", coeffs, GE, rhs, Tag("risk_cap", r.id, None, None))
-        else:
-            raise ConfigurationError(f"unknown risk aggregation {risk_aggregation!r}")
+            for u in members:
+                ni = scn.nodes.index(u.node_id)
+                for hi, t in enumerate(blk.hours):
+                    lmp = float(prices[s, ni, hi])
+                    coeffs[blk.q_gen[(u.id, t)]] = coeffs.get(blk.q_gen[(u.id, t)], 0.0) + lmp
+                    coeffs[blk.q_pump[(u.id, t)]] = coeffs.get(blk.q_pump[(u.id, t)], 0.0) - lmp
+                    rhs += lmp * da_net(u, t)
+            model.add_row(
+                f"r_risk.{r.id}.s{s}", coeffs, GE, rhs, Tag("risk_cap", r.id, None, s)
+            )
     return model
 
 

@@ -6,19 +6,17 @@ objective weights plus sparse rows in one of the three senses
 (structural kind, entity, hour, scenario) so tests and reporting can
 find constraints without parsing names.
 
-Solving goes through a backend adapter chosen by the ``SOLVER_BACKEND``
-environment variable; the default (and only bundled) adapter drives
-HiGHS through scipy.  Duals are available from LP solves only, see
-:func:`fix_and_resolve_lp`.
+Solving drives HiGHS through scipy, and every solve takes its
+constraint matrix from :func:`_constraint_arrays`.  Duals are available
+from LP solves only, see :func:`fix_and_resolve_lp`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -260,7 +258,6 @@ class MilpModel:
 class SolveOptions:
     gap_tol: float = 1e-3  # relative MIP gap
     time_limit: float = 60.0  # seconds
-    presolve: bool = True
 
 
 @dataclass
@@ -308,7 +305,14 @@ def _constraint_arrays(model: MilpModel):
     return A, lo, hi
 
 
-def _solve_scipy_highs(model: MilpModel, options: SolveOptions) -> MilpSolution:
+def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
+    """Solve the model with HiGHS.
+
+    Status ``optimal`` implies the relative gap is within
+    ``options.gap_tol``; a time-limited run with an incumbent reports
+    ``feasible`` together with the reached gap.
+    """
+    options = options or SolveOptions()
     t_start = time.perf_counter()
     c = np.asarray(model._obj, dtype=float)
     integrality = np.array([1 if k == BINARY else 0 for k in model._vkind], dtype=np.uint8)
@@ -325,7 +329,6 @@ def _solve_scipy_highs(model: MilpModel, options: SolveOptions) -> MilpSolution:
         options={
             "mip_rel_gap": options.gap_tol,
             "time_limit": options.time_limit,
-            "presolve": options.presolve,
             "disp": False,
         },
     )
@@ -351,29 +354,6 @@ def _solve_scipy_highs(model: MilpModel, options: SolveOptions) -> MilpSolution:
         if status == TIME_LIMIT:
             status = FEASIBLE
     return MilpSolution(status, values, objective, gap, wall)
-
-
-_BACKENDS: dict[str, Callable[[MilpModel, SolveOptions], MilpSolution]] = {
-    "highs": _solve_scipy_highs,
-}
-
-
-def _backend() -> Callable[[MilpModel, SolveOptions], MilpSolution]:
-    name = os.environ.get("SOLVER_BACKEND", "highs").lower()
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise SolverError(f"unknown SOLVER_BACKEND {name!r}; available: {sorted(_BACKENDS)}") from None
-
-
-def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
-    """Solve the model with the configured backend.
-
-    Status ``optimal`` implies the relative gap is within
-    ``options.gap_tol``; a time-limited run with an incumbent reports
-    ``feasible`` together with the reached gap.
-    """
-    return _backend()(model, options or SolveOptions())
 
 
 def _check_primal(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> None:
@@ -416,31 +396,19 @@ def fix_and_resolve_lp(
         lb[i] = ub[i] = float(r)
 
     c = np.asarray(model._obj, dtype=float)
-    A_eq_rows, A_ub_rows = [], []
-    # GE rows are negated into <= form; their duals flip sign on the way back
-    for ri, (_, idxs, coefs, sense, rhs, _) in enumerate(model._rows):
-        if sense == EQ:
-            A_eq_rows.append(ri)
-        else:
-            A_ub_rows.append(ri)
-
-    def build(rows, negate_ge):
-        if not rows:
-            return None, None
-        ii, jj, vv, rhsv = [], [], [], []
-        for k, ri in enumerate(rows):
-            _, idxs, coefs, sense, rhs, _ = model._rows[ri]
-            sign = -1.0 if (negate_ge and sense == GE) else 1.0
-            for i, cf in zip(idxs, coefs):
-                ii.append(k)
-                jj.append(i)
-                vv.append(sign * cf)
-            rhsv.append(sign * rhs)
-        A = sp.csr_matrix((vv, (ii, jj)), shape=(len(rows), model.n_vars))
-        return A, np.asarray(rhsv)
-
-    A_eq, b_eq = build(A_eq_rows, negate_ge=False)
-    A_ub, b_ub = build(A_ub_rows, negate_ge=True)
+    A, lo, hi = _constraint_arrays(model)
+    eq = lo == hi
+    eq_rows, ub_rows = np.flatnonzero(eq), np.flatnonzero(~eq)
+    # GE rows (hi = +inf) are negated into <= form; their duals flip sign on the way back
+    sign = np.where(np.isposinf(hi[ub_rows]), -1.0, 1.0)
+    A_eq = b_eq = A_ub = b_ub = None
+    if eq_rows.size:
+        A_eq, b_eq = A[eq_rows], hi[eq_rows]
+    if ub_rows.size:
+        # diag(sign) @ A[ub_rows], scaled in place so explicit zeros stay
+        A_ub = A[ub_rows]
+        A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
+        b_ub = np.where(sign < 0, -lo[ub_rows], hi[ub_rows])
     res = linprog(
         c,
         A_ub=A_ub,
@@ -449,7 +417,7 @@ def fix_and_resolve_lp(
         b_eq=b_eq,
         bounds=np.column_stack([lb, ub]),
         method="highs",
-        options={"presolve": options.presolve, "time_limit": options.time_limit},
+        options={"time_limit": options.time_limit},
     )
     wall = time.perf_counter() - t_start
     if res.status == 2:
@@ -458,14 +426,8 @@ def fix_and_resolve_lp(
         return MilpSolution(UNBOUNDED, None, None, None, wall)
     if res.status != 0:
         raise SolverError(f"LP re-solve failed: {res.message}")
-    duals: dict[int, float] = {}
-    if A_eq is not None:
-        for k, ri in enumerate(A_eq_rows):
-            duals[ri] = float(res.eqlin.marginals[k])
-    if A_ub is not None:
-        for k, ri in enumerate(A_ub_rows):
-            m = float(res.ineqlin.marginals[k])
-            duals[ri] = -m if model._rows[ri][3] == GE else m
+    duals = {int(ri): float(m) for ri, m in zip(eq_rows, res.eqlin.marginals)}
+    duals.update((int(ri), float(g * m)) for ri, g, m in zip(ub_rows, sign, res.ineqlin.marginals))
     values = np.asarray(res.x, dtype=float)
     return MilpSolution(OPTIMAL, values, float(res.fun) + model.objective_constant, 0.0, wall, duals)
 

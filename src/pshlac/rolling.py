@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Mapping, Protocol, Sequence
 
 from .core import (
+    MODES,
     FrozenDecision,
     MarketDay,
     PowerSystem,
@@ -27,6 +28,7 @@ from .lac_models import (
     LacInstance,
     ModelConfig,
     Variant,
+    _clean,
     build_variant,
     da_reference_from_system,
 )
@@ -203,7 +205,7 @@ def _freeze_hour(
     system: PowerSystem,
     model: MilpModel,
     sol: MilpSolution,
-    t1: int,
+    t: int,
     soc_in: Mapping[str, float],
 ) -> FrozenDecision:
     det = model.meta["det_block"]
@@ -212,25 +214,25 @@ def _freeze_hour(
     psh_pump = {}
     for u in system.psh_units:
         mode = PshMode.OFF.value
-        for m in ("off", "gen", "pump"):
-            if sol.binary_value(det.u[(u.id, m, t1)]) == 1:
+        for m in MODES:
+            if sol.binary_value(det.u[(u.id, m, t)]) == 1:
                 mode = m
         psh_mode[u.id] = mode
-        psh_gen[u.id] = _clean(sol.value(det.q_gen[(u.id, t1)]))
-        psh_pump[u.id] = _clean(sol.value(det.q_pump[(u.id, t1)]))
+        psh_gen[u.id] = _clean(sol.value(det.q_gen[(u.id, t)]))
+        psh_pump[u.id] = _clean(sol.value(det.q_pump[(u.id, t)]))
     thermal_commit = {}
     thermal_p = {}
     for u in system.thermal_units:
-        thermal_commit[u.id] = sol.binary_value(model.meta["thermal_u"][(u.id, t1)])
-        thermal_p[u.id] = _clean(sol.value(model.meta["thermal_p"][(u.id, t1)]))
+        thermal_commit[u.id] = sol.binary_value(model.meta["thermal_u"][(u.id, t)])
+        thermal_p[u.id] = _clean(sol.value(model.meta["thermal_p"][(u.id, t)]))
     soc_after = {
         r.id: soc_step(system.psh_units, r, float(soc_in[r.id]), psh_gen, psh_pump,
                        system.grid.interval_hours)
         for r in system.reservoirs
     }
-    sh, su = model.meta["slack_vars"][t1]
+    sh, su = model.meta["slack_vars"][t]
     return FrozenDecision(
-        hour=t1,
+        hour=t,
         psh_mode=psh_mode,
         psh_gen=psh_gen,
         psh_pump=psh_pump,
@@ -240,10 +242,6 @@ def _freeze_hour(
         slack_short=_clean(sol.value(sh)),
         slack_surplus=_clean(sol.value(su)),
     )
-
-
-def _clean(v: float, tol: float = 1e-9) -> float:
-    return 0.0 if abs(v) < tol else float(v)
 
 
 def run_day(
@@ -315,19 +313,9 @@ def run_day(
     # tail hours of the final window stay frozen too: the last window
     # already covers them and nothing re-optimizes them afterwards
     if history:
-        final = ledger.details[-1] if control.keep_window_details else None
-        last_model, last_sol, last_t1 = (
-            (final.model, final.solution, final.t1) if final else (model, sol, t1)
-        )
-        for t in range(last_t1 + 1, T + 1):
-            frozen = _freeze_hour_at(system, last_model, last_sol, t, ledger.hours[-1].soc_after)
-            ledger.hours.append(frozen)
+        for t in range(t1 + 1, T + 1):
+            ledger.hours.append(_freeze_hour(system, model, sol, t, ledger.hours[-1].soc_after))
     return ledger
-
-
-def _freeze_hour_at(system, model, sol, t, soc_in):
-    # same extraction as _freeze_hour but for an arbitrary in-window hour
-    return _freeze_hour(system, model, sol, t, soc_in)
 
 
 def causality_check(ledger_a: SimulationLedger, ledger_b: SimulationLedger, through_hour: int) -> bool:

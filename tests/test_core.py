@@ -86,6 +86,7 @@ def test_thermal_rules():
         ThermalUnit("t_b", (CostSegment(-5.0, 30.0),), 0.0, 0.0, 0.0, 10.0,
                     da_commitment=(1, 1)),
         ThermalUnit("t_b", u.cost_curve, 0.0, 0.0, 0.0, 10.0),  # duplicate id
+        ThermalUnit("t_c", (CostSegment(4.0, 20.0), CostSegment(5.0, 30.0)), 0.0, 0.0, 0.0, 10.0),
     )
     got = _fields(validate_system(PowerSystem(sys0.grid, bad_units, sys0.psh_units, sys0.reservoirs)))
     assert ("t_a", "cost_curve") in got       # non-convex prices
@@ -94,6 +95,7 @@ def test_thermal_rules():
     assert ("t_b", "cost_curve") in got       # non-positive width
     assert ("t_b", "da_commitment") in got    # wrong length
     assert ("t_b", "id") in got
+    assert ("t_c", "cost_curve") in got       # widths sum to 9, not p_max = 10
 
 
 def test_psh_and_reservoir_rules():

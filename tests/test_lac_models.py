@@ -215,20 +215,6 @@ def test_risk_rows_per_scenario():
     }, GE, 400.0)
 
 
-def test_risk_expected_aggregation_collapses_to_one_row():
-    ws = window_setup(prices=((30.0,), (40.0,)), weights=(0.5, 0.5), da_gen=(0.0, 0.0, 10.0))
-    m = build_robust(ws.instance, ws.cfg, risk_aggregation="expected")
-    check_row(m, "r_risk.res1.exp", {
-        "w_risk.res1": 1.0,
-        "qg.ps1.t3.s0": 15.0, "qp.ps1.t3.s0": -15.0,
-        "qg.ps1.t3.s1": 20.0, "qp.ps1.t3.s1": -20.0,
-    }, GE, 350.0)
-    with pytest.raises(KeyError):
-        row_named(m, "r_risk.res1.s0")
-    with pytest.raises(ConfigurationError, match="unknown risk aggregation"):
-        build_robust(ws.instance, ws.cfg, risk_aggregation="cvar")
-
-
 # -- schedule-following and full-information variants ------------------------
 
 

@@ -151,6 +151,24 @@ def test_lp_dual_sign_on_binding_ge_row():
     assert sol.duals[r] == pytest.approx(5.0, abs=1e-8)
 
 
+def test_lp_duals_map_back_to_interleaved_rows():
+    # three generators at 10/30/50 $/MWh serve 50 MW; the cheap one is capped
+    # at 20, the dear one held at a 5 MW floor, so the middle one is marginal:
+    # 20*10 + 25*30 + 5*50 = 1200.  Each dual is d(objective)/d(rhs).
+    m = MilpModel()
+    g = [m.add_var(f"g{i}", obj=c, tag=T) for i, c in enumerate((10.0, 30.0, 50.0))]
+    rows = [
+        m.add_row("cap_cheap", {g[0]: 1.0}, LE, 20.0, T),           # 1 MW more replaces 30 by 10
+        m.add_row("balance", {x: 1.0 for x in g}, EQ, 50.0, T),     # served by the marginal unit
+        m.add_row("floor_dear", {g[2]: 1.0}, GE, 5.0, T),           # 1 MW more replaces 30 by 50
+        m.add_row("cap_middle", {g[1]: 1.0}, LE, 40.0, T),          # slack
+    ]
+    sol = fix_and_resolve_lp(m, {})
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(1200.0, abs=1e-8)
+    assert [sol.duals[r] for r in rows] == pytest.approx([-20.0, 30.0, 20.0, 0.0], abs=1e-8)
+
+
 def test_fix_and_resolve_requires_all_binaries():
     m = MilpModel()
     m.add_var("u", kind=BINARY, tag=T)
