@@ -36,7 +36,7 @@ def first_window_model(sd, S: int, variant: Variant, rng):
         system, win, tuple(sd.market_day.load[:win.window_length]), sd.da,
         {r.id: float(r.e_initial) for r in system.reservoirs},
         {u.id: u.initial_mode for u in system.psh_units},
-        scn, (),
+        scn,
     )
     return build_variant(variant, inst, ModelConfig())
 

@@ -43,8 +43,10 @@ def main() -> int:
     for k in range(args.days):
         t0 = time.time()
         sd = make_day(cfg, k, base_system=base)
+        # a sampler seed of its own per day, so days do not share their draws
+        day_seed = int(np.random.SeedSequence([args.seed, k]).generate_state(1)[0])
         provider = PipelineProvider(
-            pipe, sd.market_day.da_lmp, cfg.horizon, args.scenarios, args.seed
+            pipe, sd.market_day.da_lmp, cfg.horizon, args.scenarios, day_seed
         )
         ledgers = {}
         for variant in Variant:

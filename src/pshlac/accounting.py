@@ -67,14 +67,12 @@ def full_day_resolve(
         da = da_reference_from_system(system)
     T = system.grid.horizon_end
     by_hour = _ledger_by_hour(ledger, T)
-    win = TimeGrid(1, T, system.grid.window_length, system.grid.interval_hours)
     inst = LacInstance(
-        system, win, tuple(market_day.load), da,
+        system, TimeGrid(1, T, T, system.grid.interval_hours), tuple(market_day.load), da,
         {r.id: float(r.e_initial) for r in system.reservoirs},
         {u.id: u.initial_mode for u in system.psh_units},
-        None, (),
     )
-    model = build_perfect(inst, market_day.load, cfg)
+    model = build_perfect(inst, cfg)
     det = model.meta["det_block"]
 
     fixes: dict[int, int] = {}

@@ -35,7 +35,13 @@ from .core import (
     write_weights_csv,
 )
 from .forecast import EstimationError, ForecastConfig, ForecastPipeline
-from .lac_models import ConfigurationError, ModelConfig, Variant, da_reference_from_system
+from .lac_models import (
+    SCENARIO_VARIANTS,
+    ConfigurationError,
+    ModelConfig,
+    Variant,
+    da_reference_from_system,
+)
 from .milp import SolveOptions, SolverError
 from .rolling import FrozenSetProvider, RunControl, SimulationLedger, run_day
 from .synth import SynthConfig, read_history_csv, write_bundle
@@ -265,7 +271,7 @@ def cmd_simulate(args) -> int:
     except ConfigurationError as exc:
         raise CliError(f"{cfg.system}: {exc}")
 
-    needs = [v for v in variants if v in (Variant.STOCHASTIC, Variant.ROBUST, Variant.DETERMINISTIC)]
+    needs = [v for v in variants if v in SCENARIO_VARIANTS]
     provider = _load_forecast_dir(args.forecast_dir) if needs else None
 
     label = args.label or time.strftime("run_%Y%m%d_%H%M%S")
@@ -283,13 +289,8 @@ def cmd_simulate(args) -> int:
         return variant.value, led
 
     ledgers: dict[str, SimulationLedger] = {}
-    if args.jobs > 1 and len(variants) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for name, led in pool.map(_one, variants):
-                ledgers[name] = led
-    else:
-        for v in variants:
-            name, led = _one(v)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        for name, led in pool.map(_one, variants):
             ledgers[name] = led
             print(f"{name}: {len(led.windows)} windows solved")
 

@@ -8,8 +8,8 @@ window are valued:
 
 * ``current_practice``  PSH pinned to the day-ahead schedule, no view
   beyond the window
-* ``perfect``           the window is stretched to the end of the day
-  with realized load, no price proxy needed
+* ``perfect``           a window that reaches the end of the day, so
+  realized load covers every remaining hour and no price proxy is needed
 * ``deterministic``     a single point-forecast trajectory prices the
   post-window net sales of each PSH unit
 * ``stochastic``        the expectation of that revenue over a scenario
@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    FrozenDecision,
+    MODES,
     MarketDay,
     PowerSystem,
     PriceScenarioSet,
@@ -59,6 +59,10 @@ class Variant(str, Enum):
     DETERMINISTIC = "deterministic"
     STOCHASTIC = "stochastic"
     ROBUST = "robust"
+
+
+# variants that value the post-window hours through a scenario set
+SCENARIO_VARIANTS = (Variant.STOCHASTIC, Variant.ROBUST, Variant.DETERMINISTIC)
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,6 @@ class LacInstance:
     soc_state: Mapping[str, float]  # reservoir SOC entering t1
     prev_modes: Mapping[str, str]  # unit mode in hour t1-1
     scenario_set: PriceScenarioSet | None = None  # post-window hours only
-    fixed_history: tuple[FrozenDecision, ...] = ()
 
 
 def _validate_instance(instance: LacInstance, need_scenarios: bool) -> None:
@@ -103,10 +106,6 @@ def _validate_instance(instance: LacInstance, need_scenarios: bool) -> None:
     if len(instance.net_load) != len(list(win.window_hours())):
         raise ConfigurationError(
             f"net_load has {len(instance.net_load)} values for a {win.window_length}-hour window"
-        )
-    if len(instance.fixed_history) != win.start_index - 1:
-        raise ConfigurationError(
-            f"fixed_history covers {len(instance.fixed_history)} hours, expected {win.start_index - 1}"
         )
     for r in sys.reservoirs:
         if r.id not in instance.soc_state:
@@ -182,12 +181,11 @@ def _base_window_model(
     name: str,
     instance: LacInstance,
     cfg: ModelConfig,
-    hours: Sequence[int],
-    loads: Sequence[float],
     with_scenarios: bool,
 ) -> MilpModel:
     sys = instance.system
     model = MilpModel(name)
+    hours = instance.window.window_hours()
     te = hours[-1]
     T = sys.grid.horizon_end
 
@@ -216,7 +214,7 @@ def _base_window_model(
         for s in range(scn.count):
             blk = create_psh_block(model, sys.psh_units, post, s, charge_transitions=False)
             for u in sys.psh_units:
-                prev = {m: det.u[(u.id, m, te)] for m in ("off", "gen", "pump")}
+                prev = {m: det.u[(u.id, m, te)] for m in MODES}
                 add_mode_logic(model, blk, u, prev=prev)
                 add_dispatch_boxes(model, blk, u)
             scen_blocks.append(blk)
@@ -248,7 +246,7 @@ def _base_window_model(
             coeffs[det.q_gen[(u.id, t)]] = 1.0
             coeffs[det.q_pump[(u.id, t)]] = -1.0
         balance_rows[t] = model.add_row(
-            f"r_balance.t{t}", coeffs, EQ, float(loads[i]), Tag("power_balance", None, t)
+            f"r_balance.t{t}", coeffs, EQ, float(instance.net_load[i]), Tag("power_balance", None, t)
         )
         slack_vars[t] = (sh, su)
 
@@ -284,8 +282,7 @@ def build_stochastic(instance: LacInstance, cfg: ModelConfig | None = None) -> M
     """Two-stage window model maximizing expected post-window net sales."""
     cfg = cfg or ModelConfig()
     _validate_instance(instance, need_scenarios=True)
-    win = instance.window
-    model = _base_window_model("stochastic", instance, cfg, list(win.window_hours()), instance.net_load, True)
+    model = _base_window_model("stochastic", instance, cfg, True)
     scn = instance.scenario_set
     blocks: list[PshBlock] = model.meta["scen_blocks"]
     if blocks:
@@ -316,9 +313,7 @@ def build_deterministic(instance: LacInstance, cfg: ModelConfig | None = None) -
         if scn is None or scn.count != 1:
             raise ConfigurationError("deterministic variant expects exactly one scenario trajectory")
     _validate_instance(instance, need_scenarios=True)
-    model = _base_window_model(
-        "deterministic", instance, cfg, list(win.window_hours()), instance.net_load, True
-    )
+    model = _base_window_model("deterministic", instance, cfg, True)
     blocks: list[PshBlock] = model.meta["scen_blocks"]
     if blocks:
         prices = _scenario_prices(instance, cfg)
@@ -338,8 +333,7 @@ def build_robust(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpM
     scenario."""
     cfg = cfg or ModelConfig()
     _validate_instance(instance, need_scenarios=True)
-    win = instance.window
-    model = _base_window_model("robust", instance, cfg, list(win.window_hours()), instance.net_load, True)
+    model = _base_window_model("robust", instance, cfg, True)
     scn = instance.scenario_set
     blocks: list[PshBlock] = model.meta["scen_blocks"]
     if not blocks:
@@ -375,43 +369,29 @@ def build_robust(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpM
     return model
 
 
-def build_perfect(
-    instance: LacInstance,
-    full_day_load: Sequence[float],
-    cfg: ModelConfig | None = None,
-) -> MilpModel:
-    """Full-information model from t1 to the end of the day."""
+def build_perfect(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpModel:
+    """Full-information model: the instance's window must run from t1 to
+    the end of the day, with realized load over all of it."""
     cfg = cfg or ModelConfig()
     win = instance.window
-    T = win.horizon_end
-    stretched = replace(win, window_length=T - win.start_index + 1)
-    inst = LacInstance(
-        system=instance.system,
-        window=stretched,
-        net_load=tuple(float(v) for v in full_day_load[win.start_index - 1 : T]),
-        da=instance.da,
-        soc_state=instance.soc_state,
-        prev_modes=instance.prev_modes,
-        scenario_set=None,
-        fixed_history=instance.fixed_history,
-    )
-    _validate_instance(inst, need_scenarios=False)
-    model = _base_window_model("perfect", inst, cfg, list(stretched.window_hours()), inst.net_load, False)
-    return model
+    if win.window_end < win.horizon_end:
+        raise ConfigurationError(
+            f"perfect variant needs a window through hour {win.horizon_end}, "
+            f"not one ending at hour {win.window_end}"
+        )
+    _validate_instance(instance, need_scenarios=False)
+    return _base_window_model("perfect", instance, cfg, False)
 
 
 def build_current_practice(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpModel:
     """Schedule-following benchmark: PSH pinned to the day-ahead plan."""
     cfg = cfg or ModelConfig()
     _validate_instance(instance, need_scenarios=False)
-    win = instance.window
-    model = _base_window_model(
-        "current_practice", instance, cfg, list(win.window_hours()), instance.net_load, False
-    )
+    model = _base_window_model("current_practice", instance, cfg, False)
     det: PshBlock = model.meta["det_block"]
     for u in instance.system.psh_units:
-        gen = {t: instance.da.gen[u.id][t - 1] for t in win.window_hours()}
-        pump = {t: instance.da.pump[u.id][t - 1] for t in win.window_hours()}
+        gen = {t: instance.da.gen[u.id][t - 1] for t in instance.window.window_hours()}
+        pump = {t: instance.da.pump[u.id][t - 1] for t in instance.window.window_hours()}
         try:
             fix_block_to_schedule(model, det, u, gen, pump)
         except ValueError as exc:
@@ -423,14 +403,11 @@ def build_variant(
     variant: Variant,
     instance: LacInstance,
     cfg: ModelConfig | None = None,
-    full_day_load: Sequence[float] | None = None,
 ) -> MilpModel:
     if variant == Variant.CURRENT_PRACTICE:
         return build_current_practice(instance, cfg)
     if variant == Variant.PERFECT:
-        if full_day_load is None:
-            raise ConfigurationError("perfect variant needs the full-day load")
-        return build_perfect(instance, full_day_load, cfg)
+        return build_perfect(instance, cfg)
     if variant == Variant.DETERMINISTIC:
         return build_deterministic(instance, cfg)
     if variant == Variant.STOCHASTIC:

@@ -24,6 +24,7 @@ from .core import (
     TimeGrid,
 )
 from .lac_models import (
+    SCENARIO_VARIANTS,
     DaReference,
     LacInstance,
     ModelConfig,
@@ -96,22 +97,18 @@ class PipelineProvider:
 
 
 class FrozenSetProvider:
-    """Reuses one origin's trajectories for every window (speed knob) or
-    serves sets loaded from files, keyed by origin."""
+    """Serves scenario sets loaded from files, keyed by forecast origin."""
 
-    def __init__(self, sets: Mapping[int, PriceScenarioSet], points: Mapping[int, PriceScenarioSet] | None = None,
-                 reuse_origin: int | None = None):
+    def __init__(self, sets: Mapping[int, PriceScenarioSet], points: Mapping[int, PriceScenarioSet] | None = None):
         self._sets = dict(sets)
         self._points = dict(points or {})
-        self._reuse = reuse_origin
 
     def _lookup(self, table: dict[int, PriceScenarioSet], t0: int) -> PriceScenarioSet:
-        key = self._reuse if self._reuse is not None else t0
-        if key not in table:
-            raise KeyError(f"no scenario data for forecast origin {key}")
-        scn = table[key]
+        if t0 not in table:
+            raise KeyError(f"no scenario data for forecast origin {t0}")
+        scn = table[t0]
         if scn.start_hour > t0 + 1:
-            raise KeyError(f"scenario data at origin {key} starts after hour {t0 + 1}")
+            raise KeyError(f"scenario data at origin {t0} starts after hour {t0 + 1}")
         return scn.slice_hours(t0 + 1)
 
     def full_set(self, t0, observed_rt):
@@ -254,9 +251,11 @@ def run_day(
 ) -> SimulationLedger:
     """Simulate the day under one variant and return its ledger.
 
-    The perfect variant bypasses the reveal policy by design: it prices
-    nothing and sees the whole day's load.  Any infeasible window aborts
-    with the window index and the conflicting row names.
+    Every window sees what the reveal policy shows for its hours; the
+    perfect variant's windows run from t1 to the end of the day, so it
+    sees the realized load of every remaining hour and prices nothing.
+    Any infeasible window aborts with the window index and the
+    conflicting row names.
     """
     control = control or RunControl()
     if da is None:
@@ -264,18 +263,18 @@ def run_day(
     grid = system.grid
     T = grid.horizon_end
     L = grid.window_length
-    needs_scenarios = variant in (Variant.STOCHASTIC, Variant.ROBUST, Variant.DETERMINISTIC)
+    needs_scenarios = variant in SCENARIO_VARIANTS
     if needs_scenarios and provider is None:
         raise ValueError(f"variant {variant.value} needs a scenario provider")
 
     ledger = SimulationLedger(variant.value, market_day.label, control.seed)
     soc = {r.id: float(r.e_initial) for r in system.reservoirs}
     prev_modes = {u.id: u.initial_mode for u in system.psh_units}
-    history: list[FrozenDecision] = []
 
     last_start = max(1, T - L + 1)
     for w_index, t1 in enumerate(range(1, last_start + 1), start=1):
-        win = TimeGrid(t1, T, L, grid.interval_hours)
+        length = T - t1 + 1 if variant == Variant.PERFECT else L
+        win = TimeGrid(t1, T, length, grid.interval_hours)
         te = win.window_end
         view = reveal_policy(market_day, win)
         scn = None
@@ -286,18 +285,12 @@ def run_day(
             else:
                 full = provider.full_set(t0, view.observed_rt_lmp)
             scn = full.slice_hours(te + 1)
-        inst = LacInstance(
-            system, win, view.net_load, da, dict(soc), dict(prev_modes), scn, tuple(history)
-        )
-        model = build_variant(
-            variant, inst, control.model,
-            full_day_load=market_day.load if variant == Variant.PERFECT else None,
-        )
+        inst = LacInstance(system, win, view.net_load, da, dict(soc), dict(prev_modes), scn)
+        model = build_variant(variant, inst, control.model)
         sol = solve(model, control.solver)
         if not sol.ok:
             raise WindowInfeasibleError(w_index, t1, sol.status, infeasibility_report(model))
         frozen = _freeze_hour(system, model, sol, t1, soc)
-        history.append(frozen)
         ledger.hours.append(frozen)
         ledger.windows.append(
             WindowMetric(
@@ -312,9 +305,8 @@ def run_day(
 
     # tail hours of the final window stay frozen too: the last window
     # already covers them and nothing re-optimizes them afterwards
-    if history:
-        for t in range(t1 + 1, T + 1):
-            ledger.hours.append(_freeze_hour(system, model, sol, t, ledger.hours[-1].soc_after))
+    for t in range(t1 + 1, T + 1):
+        ledger.hours.append(_freeze_hour(system, model, sol, t, ledger.hours[-1].soc_after))
     return ledger
 
 

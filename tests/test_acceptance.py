@@ -182,7 +182,6 @@ def _first_window_instance(day, scenario_set):
         {r.id: float(r.e_initial) for r in system.reservoirs},
         {u.id: u.initial_mode for u in system.psh_units},
         scenario_set.slice_hours(te + 1),
-        (),
     )
 
 
@@ -332,10 +331,7 @@ def test_02_enumeration_matches_milp_optima():
             ws = window_setup(**kwargs)
             for name in variants:
                 reference = enumerate_objective(ws.toy, name)
-                model = build_variant(
-                    Variant(name), ws.instance, ws.cfg,
-                    full_day_load=ws.market_day.load if name == "perfect" else None,
-                )
+                model = build_variant(Variant(name), ws.instance, ws.cfg)
                 sol = solve_exact(model)
                 got = sol.objective  # already includes model.objective_constant
                 tol = max(1e-3 * abs(reference), quantization_bound(ws.toy))

@@ -31,7 +31,6 @@ def _provider():
     return FrozenSetProvider(
         {0: full_set_for_day(((30.0, 30.0, 30.0), (10.0, 10.0, 10.0)))},
         {0: full_set_for_day(((20.0, 20.0, 20.0),))},
-        reuse_origin=0,
     )
 
 

@@ -61,13 +61,6 @@ def test_rejects_wrong_net_load_length(basic_window):
         build_stochastic(inst, basic_window.cfg)
 
 
-def test_rejects_wrong_history_length():
-    late = window_setup(T=4, t1=2, L=2, loads=(50.0,) * 4)
-    inst = replace(late.instance, fixed_history=())
-    with pytest.raises(ConfigurationError, match="fixed_history covers 0 hours, expected 1"):
-        build_stochastic(inst, late.cfg)
-
-
 def test_rejects_missing_states(basic_window):
     ws = basic_window
     with pytest.raises(ConfigurationError, match="missing SOC state"):
@@ -239,14 +232,17 @@ def test_current_practice_rejects_contradictory_schedule():
 
 
 def test_perfect_stretches_to_the_day_end(basic_window):
-    m = build_perfect(basic_window.instance, (50.0, 50.0, 50.0), basic_window.cfg)
+    whole_day = window_setup(L=3)  # the window runs to the end of the day
+    m = build_perfect(whole_day.instance, whole_day.cfg)
     assert m.meta["window_hours"] == (1, 2, 3)
     assert m.meta["scen_blocks"] == []
     row_named(m, "r_balance.t3")
-    whole_day = window_setup(L=3)  # same problem posed with the window at full length
     assert solve_exact(m).objective == pytest.approx(
         enumerate_objective(whole_day.toy, "perfect"), abs=1e-6
     )
+    # a window that stops short of the day end is not a perfect window
+    with pytest.raises(ConfigurationError, match="window through hour 3"):
+        build_perfect(basic_window.instance, basic_window.cfg)
 
 
 def test_build_variant_dispatch(basic_window):
@@ -254,9 +250,7 @@ def test_build_variant_dispatch(basic_window):
     assert build_variant(Variant.STOCHASTIC, inst, cfg).name == "stochastic"
     assert build_variant("robust", inst, cfg).name == "robust"
     assert build_variant(Variant.CURRENT_PRACTICE, inst, cfg).name == "current_practice"
-    assert build_variant(Variant.PERFECT, inst, cfg, full_day_load=(50.0,) * 3).name == "perfect"
-    with pytest.raises(ConfigurationError, match="full-day load"):
-        build_variant(Variant.PERFECT, inst, cfg)
+    assert build_variant(Variant.PERFECT, window_setup(L=3).instance, cfg).name == "perfect"
     with pytest.raises(ConfigurationError, match="unknown variant"):
         build_variant("garbage", inst, cfg)
 

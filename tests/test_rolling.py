@@ -25,7 +25,7 @@ CONTROL = RunControl(solver=EXACT)
 def _provider():
     full = full_set_for_day(((30.0, 30.0, 30.0), (10.0, 10.0, 10.0)))
     point = full_set_for_day(((20.0, 20.0, 20.0),))
-    return FrozenSetProvider({0: full}, {0: point}, reuse_origin=0)
+    return FrozenSetProvider({0: full}, {0: point})
 
 
 # -- reveal policy -----------------------------------------------------------
@@ -54,10 +54,8 @@ def test_frozen_provider_slices_to_the_requested_origin():
     assert sliced.price(0, NODE, 2) == 31.0
 
 
-def test_frozen_provider_reuse_and_errors():
+def test_frozen_provider_errors():
     full = full_set_for_day(((30.0, 31.0, 32.0),))
-    prov = FrozenSetProvider({0: full}, reuse_origin=0)
-    assert prov.full_set(1, {}).start_hour == 2  # reused set, clipped forward
     strict = FrozenSetProvider({0: full})
     with pytest.raises(KeyError, match="no scenario data for forecast origin 1"):
         strict.full_set(1, {})
@@ -129,6 +127,18 @@ def test_keep_window_details(toy_day):
     assert ledger.details[1].solution.ok
     plain = run_day(system, day, Variant.STOCHASTIC, _provider(), CONTROL, da)
     assert plain.details == []
+
+
+def test_perfect_windows_reach_the_day_end(toy_day):
+    system, day, da = toy_day
+    T = system.grid.horizon_end
+    ledger = run_day(system, day, Variant.PERFECT, None,
+                     RunControl(solver=EXACT, keep_window_details=True), da)
+    assert [d.t1 for d in ledger.details] == [1, 2]
+    for d in ledger.details:
+        assert d.model.meta["window_hours"] == tuple(range(d.t1, T + 1))
+        assert d.instance.net_load == tuple(day.load[d.t1 - 1 :])
+    assert [h.hour for h in ledger.hours] == list(range(1, T + 1))
 
 
 def test_infeasible_window_reports_conflicts():

@@ -15,7 +15,6 @@ import numpy as np
 
 from pshlac.core import (
     CostSegment,
-    FrozenDecision,
     InitialStatus,
     MarketDay,
     PowerSystem,
@@ -110,16 +109,6 @@ def window_setup(
         arr = np.asarray(prices, dtype=float).reshape(len(weights), 1, len(post))
         scn = PriceScenarioSet((NODE,), te + 1, arr, tuple(float(w) for w in weights))
 
-    # hours before t1 are represented by idle placeholder records; only
-    # their count matters to instance validation
-    history = tuple(
-        FrozenDecision(
-            hour=t, psh_mode={"ps1": "off"}, psh_gen={"ps1": 0.0}, psh_pump={"ps1": 0.0},
-            thermal_commit={"th1": 1}, thermal_p={"th1": float(loads[t - 1])},
-            soc_after={"res1": e_init},
-        )
-        for t in range(1, t1)
-    )
     instance = LacInstance(
         system=system,
         window=grid,
@@ -128,7 +117,6 @@ def window_setup(
         soc_state={"res1": e_init},
         prev_modes={"ps1": init_mode},
         scenario_set=scn,
-        fixed_history=history,
     )
     cfg = ModelConfig(voll=voll, gap_tol=gap_tol, time_limit=30.0,
                       end_soc=end_soc, time_preference=0.0)
