@@ -272,17 +272,22 @@ class QuantileCurve:
         V = np.asarray(self.values)
         return float(np.interp(0.75, L, V) - np.interp(0.25, L, V))
 
-    def quantile(self, w: float) -> float:
+    def quantile(self, w: float | np.ndarray) -> float | np.ndarray:
+        """Inverse of the curve at level(s) ``w``, scalar or array.
+
+        An array is mapped element by element in one pass; a scalar
+        level gives a ``float``.
+        """
         L = self.levels
         V = self.values
         cap = TAIL_IQR_CAP * self.iqr()
-        if w <= L[0]:
-            slope = (V[1] - V[0]) / (L[1] - L[0])
-            return V[0] - min(slope * (L[0] - w), cap)
-        if w >= L[-1]:
-            slope = (V[-1] - V[-2]) / (L[-1] - L[-2])
-            return V[-1] + min(slope * (w - L[-1]), cap)
-        return float(np.interp(w, L, V))
+        w = np.asarray(w, dtype=float)
+        q = np.interp(w, L, V)
+        lo_slope = (V[1] - V[0]) / (L[1] - L[0])
+        hi_slope = (V[-1] - V[-2]) / (L[-1] - L[-2])
+        q = np.where(w <= L[0], V[0] - np.minimum(lo_slope * (L[0] - w), cap), q)
+        q = np.where(w >= L[-1], V[-1] + np.minimum(hi_slope * (w - L[-1]), cap), q)
+        return float(q) if q.ndim == 0 else q
 
     def cdf(self, x: float) -> float:
         L = self.levels
@@ -409,9 +414,12 @@ def generate_scenarios(
 
     Per scenario a Gaussian vector over the look-ahead hours is drawn
     from the tracked covariance (leading submatrix when the horizon is
-    shorter than the tracker), pushed through the inverse probit and the
-    hour's inverse PIT, and shifted by the point forecast.  Scenario
-    substreams derive deterministically from (seed, scenario index).
+    shorter than the tracker) and pushed through the inverse probit.
+    Then, per node and hour, the levels of all scenarios go through that
+    hour's inverse PIT in one quantile call and are shifted by the point
+    forecast.  Scenario substreams derive deterministically from (seed,
+    scenario index), so a scenario's trajectory does not depend on the
+    count it is drawn with.
     """
     if count < 1:
         raise ValueError("need at least one scenario")
@@ -427,16 +435,17 @@ def generate_scenarios(
             raise ValueError(f"tracker dim {trk.dim} smaller than horizon {H}")
         chol[node] = _cholesky_with_jitter(trk.sigma[:H, :H])
     seed_tuple = (seed,) if isinstance(seed, int) else tuple(seed)
-    prices = np.empty((count, len(nodes), H))
+    w = np.empty((count, len(nodes), H))
     for s in range(count):
         rng = np.random.default_rng(np.random.SeedSequence([*seed_tuple, s]))
         for ni, node in enumerate(nodes):
-            z = rng.standard_normal(H)
-            w = ndtr(chol[node] @ z)
-            pf = point_forecast[node]
-            cv = curves[node]
-            for h in range(H):
-                prices[s, ni, h] = pf[h] + cv[h].quantile(float(w[h]))
+            w[s, ni] = ndtr(chol[node] @ rng.standard_normal(H))
+    prices = np.empty_like(w)
+    for ni, node in enumerate(nodes):
+        pf = point_forecast[node]
+        cv = curves[node]
+        for h in range(H):
+            prices[:, ni, h] = pf[h] + cv[h].quantile(w[:, ni, h])
     weights = tuple([1.0 / count] * count)
     return PriceScenarioSet(nodes, start_hour, prices, weights)
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written without the package's model
 builders or solver: merit-order dispatch by sorting, window optima by
 exhaustive enumeration over mode strings and a coarse dispatch grid,
-and special functions by bisection.  Slow and obvious on purpose.
+special functions by bisection, and scenario sampling one draw at a
+time.  Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Sequence
+
+import numpy as np
+from scipy.special import ndtr
 
 MODES = ("off", "gen", "pump")
 EPS = 1e-6
@@ -237,3 +241,52 @@ def covariance_by_definition(samples: Sequence[Sequence[float]], lam: float) -> 
             for j in range(dim):
                 sigma[i][j] = lam * sigma[i][j] + (1.0 - lam) * x[i] * x[j]
     return sigma
+
+
+def quantile_by_branches(levels: Sequence[float], values: Sequence[float], w: float, cap_iqrs: float) -> float:
+    """Scalar inverse of a piecewise-linear quantile curve, one branch per case.
+
+    Linear interpolation inside the level grid; beyond it the outer
+    segment's slope, extended no further than ``cap_iqrs`` interquartile
+    ranges.
+    """
+    L, V = levels, values
+    cap = cap_iqrs * float(np.interp(0.75, L, V) - np.interp(0.25, L, V))
+    if w <= L[0]:
+        slope = (V[1] - V[0]) / (L[1] - L[0])
+        return V[0] - min(slope * (L[0] - w), cap)
+    if w >= L[-1]:
+        slope = (V[-1] - V[-2]) / (L[-1] - L[-2])
+        return V[-1] + min(slope * (w - L[-1]), cap)
+    return float(np.interp(w, L, V))
+
+
+def scenarios_by_element(
+    point: Mapping[str, Sequence[float]],
+    curves: Mapping[str, Sequence],
+    sigma: Mapping[str, np.ndarray],
+    count: int,
+    seed: tuple[int, ...],
+    cap_iqrs: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Copula trajectories priced one (scenario, node, hour) at a time.
+
+    Scenario s draws from its own ``SeedSequence([*seed, s])`` stream,
+    node by node in sorted order; each draw goes through the node's
+    Cholesky factor, the normal CDF and the hour's curve on its own.
+    Returns the prices and the levels ``w``, both (count, nodes, hours).
+    """
+    nodes = sorted(point)
+    H = len(point[nodes[0]])
+    levels = np.empty((count, len(nodes), H))
+    prices = np.empty((count, len(nodes), H))
+    for s in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence([*seed, s]))
+        for ni, node in enumerate(nodes):
+            w = ndtr(np.linalg.cholesky(sigma[node][:H, :H]) @ rng.standard_normal(H))
+            for h in range(H):
+                c = curves[node][h]
+                levels[s, ni, h] = w[h]
+                prices[s, ni, h] = point[node][h] + quantile_by_branches(
+                    c.levels, c.values, float(w[h]), cap_iqrs)
+    return prices, levels

@@ -28,7 +28,7 @@ from pshlac.forecast import (
     update_covariance,
 )
 
-from oracle_tools import covariance_by_definition, probit_bisect
+from oracle_tools import covariance_by_definition, probit_bisect, quantile_by_branches, scenarios_by_element
 
 
 # -- ARIMAX estimation -------------------------------------------------------
@@ -301,6 +301,9 @@ def test_generate_scenarios_shape_weights_and_determinism():
     # tuple seeds give their own stream
     d = generate_scenarios(point, curves, trk, 5, seed=(42, 1), start_hour=7)
     assert not np.array_equal(a.prices, d.prices)
+    # scenario s draws from its own (seed, s) substream, whatever the count
+    e = generate_scenarios(point, curves, trk, 3, seed=42, start_hour=7)
+    assert np.array_equal(e.prices, a.prices[:3])
 
 
 def test_generated_prices_stay_inside_curve_support():
@@ -313,6 +316,71 @@ def test_generated_prices_stay_inside_curve_support():
         base = point[node][0]
         assert scn.prices[:, ni, :].min() >= base + lo - 1e-9
         assert scn.prices[:, ni, :].max() <= base + hi + 1e-9
+
+
+def _correlated_trackers(H):
+    rng = np.random.default_rng(7)
+    trackers = {}
+    for node, scale in (("n1", 1.5), ("n2", 0.6)):
+        trk = CovarianceTracker.identity(H, lam=0.8)
+        for x in rng.normal(scale=scale, size=(12, H)) + np.linspace(0.0, 1.0, H):
+            trk = update_covariance(trk, x)
+        trackers[node] = trk
+    return trackers
+
+
+def test_generate_scenarios_matches_element_by_element_reference():
+    H, count, seed = 6, 200, (5, 3)
+    trackers = _correlated_trackers(H)
+    sigma = {n: t.sigma for n, t in trackers.items()}
+    point = {"n1": [10.0 + h for h in range(H)], "n2": [-3.0 * h for h in range(H)]}
+    # a gentle curve per node and hour: its tails stay under the cap
+    line = {n: [QuantileCurve(DEFAULT_LEVELS, tuple((10.0 + h + 30.0 * k) * a for a in DEFAULT_LEVELS))
+                for h in range(H)]
+            for k, n in enumerate(sorted(point))}
+    _, w = scenarios_by_element(point, line, sigma, count, seed, TAIL_IQR_CAP)
+    # hour 0 of each node gets a curve whose outer levels are drawn levels,
+    # so some draws sit exactly on levels[0] and levels[-1]; its edge
+    # slopes are steep enough that the tail cap binds
+    curves = {}
+    for ni, node in enumerate(sorted(point)):
+        col = np.sort(w[:, ni, 0])
+        assert col[1] < 0.25 and col[-2] > 0.75
+        steep = QuantileCurve((col[1], 0.25, 0.5, 0.75, col[-2]), (-1e6, -1.0, 0.0, 1.0, 1e6))
+        curves[node] = [steep] + line[node][1:]
+    expect, _ = scenarios_by_element(point, curves, sigma, count, seed, TAIL_IQR_CAP)
+    scn = generate_scenarios(point, curves, trackers, count, seed, start_hour=2)
+    assert np.array_equal(scn.prices, expect)
+
+    hit = set()
+    for ni, node in enumerate(scn.nodes):
+        for h in range(H):
+            c = curves[node][h]
+            L, V = c.levels, c.values
+            cap = TAIL_IQR_CAP * c.iqr()
+            lo_slope = (V[1] - V[0]) / (L[1] - L[0])
+            hi_slope = (V[-1] - V[-2]) / (L[-1] - L[-2])
+            for x in w[:, ni, h]:
+                if x == L[0] or x == L[-1]:
+                    hit.add("on levels[0]" if x == L[0] else "on levels[-1]")
+                elif x < L[0]:
+                    hit.add("low capped" if lo_slope * (L[0] - x) > cap else "low")
+                elif x > L[-1]:
+                    hit.add("high capped" if hi_slope * (x - L[-1]) > cap else "high")
+    assert hit == {"on levels[0]", "on levels[-1]", "low", "low capped", "high", "high capped"}
+
+
+def test_array_quantile_equals_scalar_calls():
+    w = np.random.default_rng(3).uniform(size=300)
+    steep = QuantileCurve((0.05, 0.25, 0.75, 0.95), (-1000.0, 0.0, 1.0, 1001.0))
+    for c in (_line_curve(), steep):
+        levels = np.concatenate([w, [c.levels[0], c.levels[-1], 0.5, 1e-12, 1.0 - 1e-12]])
+        scalar = [c.quantile(float(x)) for x in levels]
+        assert all(type(q) is float for q in scalar)
+        assert np.array_equal(c.quantile(levels), scalar)
+        assert scalar == [quantile_by_branches(c.levels, c.values, float(x), TAIL_IQR_CAP) for x in levels]
+        grid = levels.reshape(-1, 5)
+        assert c.quantile(grid).shape == grid.shape
 
 
 def test_generate_scenarios_guards():
