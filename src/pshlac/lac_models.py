@@ -29,7 +29,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    MODES,
     MarketDay,
     PowerSystem,
     PriceScenarioSet,
@@ -202,7 +201,7 @@ def _base_window_model(
             thermal_p[(u.id, t)] = _add_thermal_dispatch(model, u, t, ui)
     model.objective_constant += _startup_constant(sys, hours)
 
-    det = create_psh_block(model, sys.psh_units, hours, None, charge_transitions=True)
+    det = create_psh_block(model, sys.psh_units, hours)
     for u in sys.psh_units:
         add_mode_logic(model, det, u, prev=instance.prev_modes[u.id])
         add_dispatch_boxes(model, det, u)
@@ -212,10 +211,9 @@ def _base_window_model(
     if with_scenarios and scn is not None and scn.prices.shape[2] > 0:
         post = list(range(te + 1, T + 1))
         for s in range(scn.count):
-            blk = create_psh_block(model, sys.psh_units, post, s, charge_transitions=False)
+            blk = create_psh_block(model, sys.psh_units, post, s)
             for u in sys.psh_units:
-                prev = {m: det.u[(u.id, m, te)] for m in MODES}
-                add_mode_logic(model, blk, u, prev=prev)
+                add_mode_logic(model, blk, u)
                 add_dispatch_boxes(model, blk, u)
             scen_blocks.append(blk)
 
@@ -485,7 +483,7 @@ def build_da_model(
             for t in range(1, min(T, u.min_down - u.initial_status.hours) + 1):
                 model.set_var_bounds(thermal_u[(u.id, t)], 0.0, 0.0)
 
-    det = create_psh_block(model, system.psh_units, hours, None, charge_transitions=True)
+    det = create_psh_block(model, system.psh_units, hours)
     for u in system.psh_units:
         add_mode_logic(model, det, u, prev=u.initial_mode)
         add_dispatch_boxes(model, det, u)
@@ -599,16 +597,18 @@ def scenario_block_size(system: PowerSystem, n_post_hours: int, variant: Variant
     """(rows, cols, nonzeros) added per extra scenario.
 
     Derived from the builders' structure; used to check that model size
-    grows affinely in the scenario count.
+    grows affinely in the scenario count.  A scenario block holds per
+    unit-hour three mode binaries, two dispatch variables, one
+    exclusivity row and four dispatch boxes; it has no transitions.
     """
     U = len(system.psh_units)
     R = len(system.reservoirs)
     H = n_post_hours
-    cols = U * H * (3 + 6 + 2) + R * (H + 1)
-    rows = U * H * (1 + 3 + 1 + 4) + R * (3 * H + 2)
+    cols = U * H * (3 + 2) + R * (H + 1)
+    rows = U * H * (1 + 4) + R * (3 * H + 2)
     # zero dispatch floors drop the commitment coefficient from the lower box
     nnz = sum(
-        H * (3 + 18 + 6 + 8 - (u.gen_min == 0.0) - (u.pump_min == 0.0))
+        H * (3 + 8 - (u.gen_min == 0.0) - (u.pump_min == 0.0))
         for u in system.psh_units
     )
     nnz += sum(

@@ -1,11 +1,17 @@
 """Constraint builders for pumped-storage units.
 
 Each unit runs in exactly one of three modes per hour (off, generating,
-pumping) with explicit transition variables between modes; dispatch is
-boxed by the committed mode and reservoir energy follows a water-value
-free linear balance.  The builders only append variables and rows to a
-:class:`~pshlac.milp.MilpModel`; objective terms are the caller's job
-except for optional transition charges.
+pumping); dispatch is boxed by the committed mode and reservoir energy
+follows a water-value free linear balance.  The window block (scenario
+``None``) also carries explicit transition variables between modes,
+priced at the unit's start-up charges.  Scenario blocks carry none:
+transitions there would cost nothing, and with every direct switch
+allowed (``core.TRANSITIONS``) any mode sequence, integral or
+fractional, admits a transition flow within a one-switch cap, so they
+could not change the optimum.  The builders only
+append variables and rows to a :class:`~pshlac.milp.MilpModel`;
+objective terms are the caller's job except for the window block's
+transition charges.
 """
 
 from __future__ import annotations
@@ -44,13 +50,14 @@ def create_psh_block(
     units: Sequence[PshUnit],
     hours: Sequence[int],
     scenario: int | None = None,
-    charge_transitions: bool = False,
 ) -> PshBlock:
-    """Create commitment, transition and dispatch variables.
+    """Create commitment and dispatch variables, plus transition
+    variables in the window block.
 
-    ``charge_transitions`` adds the unit start-up charges to the
-    objective for transitions entering the gen or pump mode; scenario
-    blocks are revenue-only and leave it off.
+    Window-block transitions entering the gen or pump mode carry the
+    unit's start-up charge in the objective.  A scenario block is
+    revenue-only and gets no transition variables: its ``v`` stays
+    empty.
     """
     blk = PshBlock(tuple(hours), scenario)
     s = _sfx(scenario)
@@ -62,19 +69,19 @@ def create_psh_block(
                     kind=BINARY,
                     tag=Tag("psh_commit", f"{u.id}:{m}", t, scenario),
                 )
-            for m, n in TRANSITIONS:
-                cost = 0.0
-                if charge_transitions:
+            if scenario is None:
+                for m, n in TRANSITIONS:
+                    cost = 0.0
                     if n == PshMode.GEN.value:
                         cost = u.startup_cost_gen
                     elif n == PshMode.PUMP.value:
                         cost = u.startup_cost_pump
-                blk.v[(u.id, m, n, t)] = model.add_var(
-                    f"v_{m}_{n}.{u.id}.t{t}{s}",
-                    kind=BINARY,
-                    obj=cost,
-                    tag=Tag("psh_transition", f"{u.id}:{m}>{n}", t, scenario),
-                )
+                    blk.v[(u.id, m, n, t)] = model.add_var(
+                        f"v_{m}_{n}.{u.id}.t{t}",
+                        kind=BINARY,
+                        obj=cost,
+                        tag=Tag("psh_transition", f"{u.id}:{m}>{n}", t),
+                    )
             blk.q_gen[(u.id, t)] = model.add_var(
                 f"qg.{u.id}.t{t}{s}", ub=u.gen_max, tag=Tag("psh_gen", u.id, t, scenario)
             )
@@ -88,14 +95,19 @@ def add_mode_logic(
     model: MilpModel,
     blk: PshBlock,
     unit: PshUnit,
-    prev: str | Mapping[str, int],
+    prev: str | None = None,
 ) -> None:
-    """Mode exclusivity, transition flow balance and the one-switch cap.
+    """Mode exclusivity in every block hour; in the window block also
+    the transition flow balance and the one-switch cap.
 
-    ``prev`` links the first block hour backwards: either a fixed mode
-    name (history) or the previous hour's commitment variable ids when
-    the block continues another block.
+    ``prev`` is the unit's mode in the hour before the window block's
+    first hour.  A scenario block takes no ``prev``: it has no
+    transitions, so only exclusivity ties its modes, and its first hour
+    is free of the window-edge mode.
     """
+    window = blk.scenario is None
+    if window and prev is None:
+        raise ValueError(f"{unit.id}: the window block needs the mode before hour {blk.hours[0]}")
     s = _sfx(blk.scenario)
     first = blk.hours[0]
     for t in blk.hours:
@@ -106,14 +118,13 @@ def add_mode_logic(
             1.0,
             Tag("mode_exclusive", unit.id, t, blk.scenario),
         )
+        if not window:
+            continue
         for m in MODES:
             coeffs: dict[int, float] = {blk.u[(unit.id, m, t)]: 1.0}
             rhs = 0.0
             if t == first:
-                if isinstance(prev, str):
-                    rhs = 1.0 if prev == m else 0.0
-                else:
-                    coeffs[prev[m]] = coeffs.get(prev[m], 0.0) - 1.0
+                rhs = 1.0 if prev == m else 0.0
             else:
                 coeffs[blk.u[(unit.id, m, t - 1)]] = -1.0
             for n in MODES:
@@ -122,18 +133,18 @@ def add_mode_logic(
                 coeffs[blk.v[(unit.id, n, m, t)]] = coeffs.get(blk.v[(unit.id, n, m, t)], 0.0) - 1.0
                 coeffs[blk.v[(unit.id, m, n, t)]] = coeffs.get(blk.v[(unit.id, m, n, t)], 0.0) + 1.0
             model.add_row(
-                f"r_mode_flow_{m}.{unit.id}.t{t}{s}",
+                f"r_mode_flow_{m}.{unit.id}.t{t}",
                 coeffs,
                 EQ,
                 rhs,
-                Tag("mode_transition", f"{unit.id}:{m}", t, blk.scenario),
+                Tag("mode_transition", f"{unit.id}:{m}", t),
             )
         model.add_row(
-            f"r_one_switch.{unit.id}.t{t}{s}",
+            f"r_one_switch.{unit.id}.t{t}",
             {blk.v[(unit.id, m, n, t)]: 1.0 for m, n in TRANSITIONS},
             LE,
             1.0,
-            Tag("transition_limit", unit.id, t, blk.scenario),
+            Tag("transition_limit", unit.id, t),
         )
 
 

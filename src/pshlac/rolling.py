@@ -128,6 +128,7 @@ class WindowMetric:
     rows: int
     cols: int
     nonzeros: int
+    binaries: int
 
 
 @dataclass
@@ -163,11 +164,11 @@ class SimulationLedger:
 
     def write_metrics_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("window,t1,status,objective,walltime_s,rows,cols,nonzeros\n")
+            fh.write("window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries\n")
             for m in self.windows:
                 fh.write(
                     f"{m.window},{m.t1},{m.status},{m.objective!r},{m.walltime_s!r},"
-                    f"{m.rows},{m.cols},{m.nonzeros}\n"
+                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries}\n"
                 )
 
     @classmethod
@@ -295,7 +296,7 @@ def run_day(
         ledger.windows.append(
             WindowMetric(
                 w_index, t1, sol.status, float(sol.objective), float(sol.walltime_s),
-                model.n_rows, model.n_vars, model.n_nonzeros,
+                model.n_rows, model.n_vars, model.n_nonzeros, model.n_binaries,
             )
         )
         if control.keep_window_details:

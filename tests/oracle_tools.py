@@ -4,7 +4,10 @@ Everything here is deliberately written without the package's model
 builders or solver: merit-order dispatch by sorting, window optima by
 exhaustive enumeration over mode strings and a coarse dispatch grid,
 special functions by bisection, and scenario sampling one draw at a
-time.  Slow and obvious on purpose.
+time.  Slow and obvious on purpose.  The one helper that touches a built
+model, ``add_scenario_transitions``, only appends the scenario blocks'
+former transition rows to it, so the lean model can be checked against
+the structure it replaced.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr
+
+from pshlac.milp import BINARY, EQ, LE, MilpModel, Tag
 
 MODES = ("off", "gen", "pump")
 EPS = 1e-6
@@ -61,7 +66,9 @@ class ToyWindow:
     end_sense: str = "fix"                      # "fix" (equality) or "relax" (floor)
     eta_gen: float = 1.0
     eta_pump: float = 1.0
+    gen_min: float = 0.0
     gen_max: float = 20.0
+    pump_min: float = 0.0
     pump_max: float = 20.0
     trans_cost_gen: float = 0.0
     trans_cost_pump: float = 0.0
@@ -80,10 +87,10 @@ def _dispatch_options(toy: ToyWindow, mode: str) -> list[tuple[float, float]]:
     g = toy.grid_step
     if mode == "gen":
         n = int(round(toy.gen_max / g))
-        return [(k * g, 0.0) for k in range(n + 1)]
+        return [(k * g, 0.0) for k in range(n + 1) if k * g >= toy.gen_min - EPS]
     if mode == "pump":
         n = int(round(toy.pump_max / g))
-        return [(0.0, k * g) for k in range(n + 1)]
+        return [(0.0, k * g) for k in range(n + 1) if k * g >= toy.pump_min - EPS]
     return [(0.0, 0.0)]
 
 
@@ -290,3 +297,36 @@ def scenarios_by_element(
                 prices[s, ni, h] = point[node][h] + quantile_by_branches(
                     c.levels, c.values, float(w[h]), cap_iqrs)
     return prices, levels
+
+
+def add_scenario_transitions(model: MilpModel, unit_ids: Sequence[str]) -> None:
+    """Append to every scenario block the transition logic it once carried.
+
+    Per unit and post-window hour: six cost-free transition binaries, one
+    flow row per mode tying the hour's commitment to the previous hour's
+    (the window block's last hour for the first post-window hour), and a
+    cap of one switch.  The rows add no cost, so a model with them must
+    reach the optimum of the model without them.
+    """
+    det = model.meta["det_block"]
+    edge = det.hours[-1]
+    pairs = [(m, n) for m in MODES for n in MODES if m != n]
+    for blk in model.meta["scen_blocks"]:
+        s = blk.scenario
+        for uid in unit_ids:
+            for t in blk.hours:
+                v = {
+                    (m, n): model.add_var(f"v_{m}_{n}.{uid}.t{t}.s{s}", kind=BINARY,
+                                          tag=Tag("psh_transition", f"{uid}:{m}>{n}", t, s))
+                    for m, n in pairs
+                }
+                for m in MODES:
+                    before = det.u[(uid, m, edge)] if t == blk.hours[0] else blk.u[(uid, m, t - 1)]
+                    coeffs = [(blk.u[(uid, m, t)], 1.0), (before, -1.0)]
+                    for n in MODES:
+                        if n != m:
+                            coeffs += [(v[(n, m)], -1.0), (v[(m, n)], 1.0)]
+                    model.add_row(f"r_mode_flow_{m}.{uid}.t{t}.s{s}", coeffs, EQ, 0.0,
+                                  Tag("mode_transition", f"{uid}:{m}", t, s))
+                model.add_row(f"r_one_switch.{uid}.t{t}.s{s}", [(i, 1.0) for i in v.values()],
+                              LE, 1.0, Tag("transition_limit", uid, t, s))

@@ -39,7 +39,7 @@ from pshlac.rolling import PipelineProvider, RunControl, causality_check, run_da
 from pshlac.synth import NODE as BUS, SynthConfig, make_day, make_history, make_system
 
 from conftest import EXACT, solve_exact
-from oracle_tools import enumerate_objective, quantization_bound
+from oracle_tools import add_scenario_transitions, enumerate_objective, quantization_bound
 from toys import window_setup
 
 BENCH_DAYS = 10
@@ -282,12 +282,14 @@ def test_01_named_rows_match_hand_arithmetic():
         }, EQ, 0.0)
         check("r_soc_min.res1.t3.s0", {"e.res1.t3.s0": 1.0}, GE, 0.0)
         check("r_soc_end.res1.s0", {"e.res1.t4.s0": 1.0}, EQ, 10.0)
-        # scenario commitments chain back to the window edge
-        check("r_mode_flow_gen.ps1.t3.s0", {
-            "u_gen.ps1.t3.s0": 1.0, "u_gen.ps1.t2": -1.0,
-            "v_off_gen.ps1.t3.s0": -1.0, "v_pump_gen.ps1.t3.s0": -1.0,
-            "v_gen_off.ps1.t3.s0": 1.0, "v_gen_pump.ps1.t3.s0": 1.0,
-        }, EQ, 0.0)
+        # scenario commitments are exclusive and carry no transitions:
+        # those would cost nothing and constrain nothing
+        check("r_one_mode.ps1.t3.s0", {
+            "u_off.ps1.t3.s0": 1.0, "u_gen.ps1.t3.s0": 1.0, "u_pump.ps1.t3.s0": 1.0,
+        }, EQ, 1.0)
+        dropped = ("mode_transition", "transition_limit", "psh_transition")
+        tagged = [m.row(i) for i in range(m.n_rows)] + [m.var(j) for j in range(m.n_vars)]
+        assert not [x.name for x in tagged if x.tag.scenario is not None and x.tag.kind in dropped]
         # risk epigraph: price-weighted deviation from the 10 MW da position
         check("r_risk.res1.s0", {
             "w_risk.res1": 1.0, "qg.ps1.t3.s0": 30.0, "qp.ps1.t3.s0": -30.0,
@@ -320,8 +322,23 @@ ENUM_CASES = [
     ("planned_da", dict(da_gen=(0.0, 0.0, 10.0), prices=((30.0,), (25.0,)),
                         weights=(0.5, 0.5)), ("stochastic", "robust")),
     ("relaxed_end", dict(end_soc="relax"), ("stochastic", "robust", "deterministic")),
+    # cases where the scenario blocks' mode binaries bind: dispatch floors
+    # the optimum would otherwise undercut, and a negative price at which
+    # pumping and generating at once would burn water for money
+    ("dispatch_floors", dict(gen_min=10.0, pump_min=10.0, e_min=10.0, e_target=15.0,
+                             grid_step=5.0, prices=((10.0,), (12.0,)), weights=(0.5, 0.5)),
+     ("stochastic", "robust")),
+    ("three_hour_tail", dict(T=5, L=2, loads=(50.0,) * 5, gen_min=10.0, pump_min=10.0,
+                             e_min=10.0, e_target=15.0, grid_step=5.0,
+                             prices=((30.0, 10.0, 50.0), (45.0, 20.0, 15.0)),
+                             weights=(0.5, 0.5)), ("stochastic", "robust")),
+    ("charged_gen_start", dict(init_mode="gen", trans_gen=40.0, trans_pump=25.0,
+                               eta_gen=0.5, eta_pump=0.25, grid_step=2.5,
+                               prices=((-30.0,), (40.0,)), weights=(0.5, 0.5)),
+     ("stochastic", "robust")),
     ("full_horizon", dict(L=3), ("perfect",)),
 ]
+BINDING_CASES = ("dispatch_floors", "three_hour_tail", "charged_gen_start")
 
 
 def test_02_enumeration_matches_milp_optima():
@@ -405,6 +422,33 @@ def test_05_size_grows_affinely_with_scenarios(scaling):
                 ss_tot = sum((v - mean) ** 2 for v in measured)
                 ss_res = sum((v - p) ** 2 for v, p in zip(measured, predicted))
                 assert 1.0 - ss_res / ss_tot > 0.999
+
+
+def test_05b_scenario_blocks_need_no_transitions(synth_setup):
+    """Scenario blocks carry only their modes, exclusivity and dispatch
+    boxes.  Appending the cost-free transition logic they once had
+    (transition binaries, flow rows chained to the window edge, the
+    one-switch cap) must leave every optimum where it is."""
+    cfg, base, pipe = synth_setup
+    day = make_day(cfg, 0, base)
+    scn = pipe.scenario_set(
+        0, day.market_day.rt_lmp_actual, day.market_day.da_lmp, cfg.horizon, 10, seed=0,
+    )
+    first = _first_window_instance(day, scn)
+    cases = [("day 0 first window, S=10", v, first, ModelConfig())
+             for v in (Variant.STOCHASTIC, Variant.ROBUST)]
+    for label, kwargs, variants in ENUM_CASES:
+        if label in BINDING_CASES:
+            ws = window_setup(**kwargs)
+            cases += [(label, Variant(name), ws.instance, ws.cfg) for name in variants]
+    with verdict("5b"):
+        for label, variant, instance, mcfg in cases:
+            lean = build_variant(variant, instance, mcfg)
+            reference = build_variant(variant, instance, mcfg)
+            add_scenario_transitions(reference, [u.id for u in instance.system.psh_units])
+            assert reference.n_binaries > lean.n_binaries
+            got, want = solve_exact(lean).objective, solve_exact(reference).objective
+            assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (label, variant, got, want)
 
 
 def test_06_first_window_stays_tractable(scaling):

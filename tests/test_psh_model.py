@@ -59,24 +59,43 @@ def test_block_variable_counts():
     assert blk.scenario is None
     blk_s = create_psh_block(m, [_unit()], [4], scenario=2)
     assert m.var(blk_s.u[("ps1", "off", 4)]).name == "u_off.ps1.t4.s2"
+    # a scenario block has 3 commitments and 2 dispatch, no transitions
+    assert m.n_vars == 3 * (3 + 6 + 2) + 3 + 2
 
 
 def test_transition_charges_only_when_requested():
     m = MilpModel()
-    blk = create_psh_block(m, [_unit()], [1], charge_transitions=True)
+    blk = create_psh_block(m, [_unit()], [1])
     assert m.var(blk.v[("ps1", "off", "gen", 1)]).obj == 7.0
     assert m.var(blk.v[("ps1", "pump", "gen", 1)]).obj == 7.0
     assert m.var(blk.v[("ps1", "off", "pump", 1)]).obj == 3.0
     assert m.var(blk.v[("ps1", "gen", "off", 1)]).obj == 0.0
-    m2 = MilpModel()
-    blk2 = create_psh_block(m2, [_unit()], [1], charge_transitions=False)
-    assert m2.var(blk2.v[("ps1", "off", "gen", 1)]).obj == 0.0
+    # scenario blocks are revenue-only and have no transitions to charge
+    blk2 = create_psh_block(m, [_unit()], [2], scenario=0)
+    assert blk2.v == {}
+
+
+def test_scenario_mode_logic_is_exclusivity_only():
+    u = _unit()
+    m = MilpModel()
+    blk = create_psh_block(m, [u], [4, 5], scenario=1)
+    add_mode_logic(m, blk, u)
+    assert [m.row(i).name for i in range(m.n_rows)] == ["r_one_mode.ps1.t4.s1", "r_one_mode.ps1.t5.s1"]
+    # any mode may follow any other, with no edge mode to start from
+    _fix(m, blk.u[("ps1", "pump", 4)], 1)
+    _fix(m, blk.u[("ps1", "gen", 5)], 1)
+    sol = solve(m, OPTS)
+    assert sol.ok and sol.binary_value(blk.u[("ps1", "off", 5)]) == 0
+    # the window block cannot start without the mode before it
+    det = create_psh_block(m, [u], [1])
+    with pytest.raises(ValueError, match="mode before hour 1"):
+        add_mode_logic(m, det, u)
 
 
 def _mode_model(hours=(1, 2), prev="off"):
     m = MilpModel()
     u = _unit()
-    blk = create_psh_block(m, [u], list(hours), charge_transitions=True)
+    blk = create_psh_block(m, [u], list(hours))
     add_mode_logic(m, blk, u, prev=prev)
     add_dispatch_boxes(m, blk, u)
     return m, blk
@@ -163,8 +182,7 @@ def _soc_model(dispatch, e_init=20.0, e_final=None, end_soc="fix", scen=None,
     if scen is not None:
         for s, post_dispatch in enumerate(scen):
             blk = create_psh_block(m, [u], [4, 5], scenario=s)
-            prev = {mm: det.u[("ps1", mm, 3)] for mm in ("off", "gen", "pump")}
-            add_mode_logic(m, blk, u, prev=prev)
+            add_mode_logic(m, blk, u)
             add_dispatch_boxes(m, blk, u)
             for t, (qg, qp) in zip([4, 5], post_dispatch):
                 mode = "gen" if qg > 0 else "pump" if qp > 0 else "off"

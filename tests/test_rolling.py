@@ -189,11 +189,12 @@ def test_metrics_csv_shape(tmp_path, toy_day):
     p = tmp_path / "metrics.csv"
     ledger.write_metrics_csv(p)
     lines = p.read_text().splitlines()
-    assert lines[0] == "window,t1,status,objective,walltime_s,rows,cols,nonzeros"
+    assert lines[0] == "window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries"
     assert len(lines) == 1 + len(ledger.windows)
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "1"
     assert int(first[5]) > 0 and int(first[6]) > 0
+    assert int(first[8]) == ledger.windows[0].binaries > 0
 
 
 # -- causality ---------------------------------------------------------------

@@ -132,7 +132,7 @@ def window_setup(
         e_init=e_init, e_min=e_min, e_max=e_max, e_target=e_target,
         end_sense=end_soc if end_soc == "relax" else "fix",
         eta_gen=eta_gen, eta_pump=eta_pump,
-        gen_max=gen_max, pump_max=pump_max,
+        gen_min=gen_min, gen_max=gen_max, pump_min=pump_min, pump_max=pump_max,
         trans_cost_gen=trans_gen, trans_cost_pump=trans_pump,
         init_mode=init_mode,
         thermal_segments=tuple((float(mw), float(pr)) for mw, pr in thermal_segments),
