@@ -33,6 +33,7 @@ from .core import (
     PowerSystem,
     PriceScenarioSet,
     PshMode,
+    PshUnit,
     Reservoir,
     ThermalUnit,
     TimeGrid,
@@ -210,8 +211,19 @@ def _base_window_model(
     scn = instance.scenario_set
     if with_scenarios and scn is not None and scn.prices.shape[2] > 0:
         post = list(range(te + 1, T + 1))
+        prices = _scenario_prices(instance, cfg)
+        model.meta["scenario_prices"] = prices
+        node = {u.id: scn.nodes.index(u.node_id) for u in sys.psh_units}
         for s in range(scn.count):
-            blk = create_psh_block(model, sys.psh_units, post, s)
+            # mode binaries only where dropping them could change the
+            # optimum (psh_model's module docstring gives the argument)
+            mode_cells = {
+                (u.id, t)
+                for u in sys.psh_units
+                for hi, t in enumerate(post)
+                if _has_floor(u) or prices[s, node[u.id], hi] < 0.0
+            }
+            blk = create_psh_block(model, sys.psh_units, post, s, mode_cells)
             for u in sys.psh_units:
                 add_mode_logic(model, blk, u)
                 add_dispatch_boxes(model, blk, u)
@@ -261,6 +273,11 @@ def _base_window_model(
     return model
 
 
+def _has_floor(unit: PshUnit) -> bool:
+    """A dispatch floor keeps the unit's scenario mode binaries at any price."""
+    return unit.gen_min > 0.0 or unit.pump_min > 0.0
+
+
 def _scenario_prices(instance: LacInstance, cfg: ModelConfig) -> np.ndarray:
     """Post-window prices with the tiny time-preference ramp applied.
 
@@ -284,7 +301,7 @@ def build_stochastic(instance: LacInstance, cfg: ModelConfig | None = None) -> M
     scn = instance.scenario_set
     blocks: list[PshBlock] = model.meta["scen_blocks"]
     if blocks:
-        prices = _scenario_prices(instance, cfg)
+        prices = model.meta["scenario_prices"]
         for blk in blocks:
             s = blk.scenario
             w = scn.weights[s]
@@ -314,7 +331,7 @@ def build_deterministic(instance: LacInstance, cfg: ModelConfig | None = None) -
     model = _base_window_model("deterministic", instance, cfg, True)
     blocks: list[PshBlock] = model.meta["scen_blocks"]
     if blocks:
-        prices = _scenario_prices(instance, cfg)
+        prices = model.meta["scenario_prices"]
         blk = blocks[0]
         for u in instance.system.psh_units:
             ni = scn.nodes.index(u.node_id)
@@ -336,7 +353,7 @@ def build_robust(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpM
     blocks: list[PshBlock] = model.meta["scen_blocks"]
     if not blocks:
         return model
-    prices = _scenario_prices(instance, cfg)
+    prices = model.meta["scenario_prices"]
     sys = instance.system
     risk_vars = {}
     for r in sys.reservoirs:
@@ -594,23 +611,23 @@ def _clean(v: float, tol: float = 1e-9) -> float:
 
 
 def scenario_block_size(system: PowerSystem, n_post_hours: int, variant: Variant) -> tuple[int, int, int]:
-    """(rows, cols, nonzeros) added per extra scenario.
+    """(rows, cols, nonzeros) added per extra scenario at non-negative
+    prices.
 
     Derived from the builders' structure; used to check that model size
     grows affinely in the scenario count.  A scenario block holds per
-    unit-hour three mode binaries, two dispatch variables, one
-    exclusivity row and four dispatch boxes; it has no transitions.
+    unit-hour two dispatch variables; units with a dispatch floor also
+    get three mode binaries, one exclusivity row and four dispatch boxes
+    there.  It has no transitions.  A negative price adds the mode
+    binaries, exclusivity row and boxes of its cell on top.
     """
-    U = len(system.psh_units)
     R = len(system.reservoirs)
     H = n_post_hours
-    cols = U * H * (3 + 2) + R * (H + 1)
-    rows = U * H * (1 + 4) + R * (3 * H + 2)
+    floored = [u for u in system.psh_units if _has_floor(u)]
+    cols = len(system.psh_units) * H * 2 + len(floored) * H * 3 + R * (H + 1)
+    rows = len(floored) * H * (1 + 4) + R * (3 * H + 2)
     # zero dispatch floors drop the commitment coefficient from the lower box
-    nnz = sum(
-        H * (3 + 8 - (u.gen_min == 0.0) - (u.pump_min == 0.0))
-        for u in system.psh_units
-    )
+    nnz = sum(H * (3 + 8 - (u.gen_min == 0.0) - (u.pump_min == 0.0)) for u in floored)
     nnz += sum(
         (2 + 2 * len([u for u in system.psh_units if u.reservoir_id == r.id])) * (H + 1) + 2 * H + 1
         for r in system.reservoirs

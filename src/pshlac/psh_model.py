@@ -8,16 +8,34 @@ priced at the unit's start-up charges.  Scenario blocks carry none:
 transitions there would cost nothing, and with every direct switch
 allowed (``core.TRANSITIONS``) any mode sequence, integral or
 fractional, admits a transition flow within a one-switch cap, so they
-could not change the optimum.  The builders only
-append variables and rows to a :class:`~pshlac.milp.MilpModel`;
-objective terms are the caller's job except for the window block's
-transition charges.
+could not change the optimum.
+
+A scenario block also carries mode binaries only in the (unit, hour)
+cells its caller names; every other cell keeps just
+``qg in [0, gen_max]`` and ``qp in [0, pump_max]``.  That is exact where
+the unit has no dispatch floor (``gen_min = pump_min = 0``) and the
+cell's price is not negative.  Take a point that pumps and generates
+at once, and let ``d = qg/eta_gen - eta_pump*qp`` be its storage change.
+If ``d >= 0``, generating ``eta_gen*d <= qg`` alone gives the same
+change; otherwise pumping ``-d/eta_pump <= qp`` alone does.  Either
+point stays inside the same bounds, and since ``eta_gen*eta_pump <= 1``
+(``core.validate_system`` holds each efficiency to (0, 1]) its net sale
+is at least ``qg - qp``.  At a non-negative price that is
+no loss in an expected-revenue objective or in any worst-case revenue
+row, so the window's optimum is the same for every window decision.
+A floor would forbid the small single-mode point, and a negative price
+would pay for burning water by pumping and generating at once, so such
+cells keep their binaries.
+
+The builders only append variables and rows to a
+:class:`~pshlac.milp.MilpModel`; objective terms are the caller's job
+except for the window block's transition charges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .core import MODES, TRANSITIONS, PshMode, PshUnit, Reservoir
 from .milp import BINARY, EQ, GE, LE, MilpModel, Tag
@@ -50,6 +68,7 @@ def create_psh_block(
     units: Sequence[PshUnit],
     hours: Sequence[int],
     scenario: int | None = None,
+    mode_cells: Collection[tuple[str, int]] | None = None,
 ) -> PshBlock:
     """Create commitment and dispatch variables, plus transition
     variables in the window block.
@@ -57,18 +76,21 @@ def create_psh_block(
     Window-block transitions entering the gen or pump mode carry the
     unit's start-up charge in the objective.  A scenario block is
     revenue-only and gets no transition variables: its ``v`` stays
-    empty.
+    empty.  ``mode_cells`` names the ``(unit, hour)`` cells of a scenario
+    block that get mode binaries (see the module docstring); the window
+    block gets them in every cell.
     """
     blk = PshBlock(tuple(hours), scenario)
     s = _sfx(scenario)
     for u in units:
         for t in hours:
-            for m in MODES:
-                blk.u[(u.id, m, t)] = model.add_var(
-                    f"u_{m}.{u.id}.t{t}{s}",
-                    kind=BINARY,
-                    tag=Tag("psh_commit", f"{u.id}:{m}", t, scenario),
-                )
+            if mode_cells is None or (u.id, t) in mode_cells:
+                for m in MODES:
+                    blk.u[(u.id, m, t)] = model.add_var(
+                        f"u_{m}.{u.id}.t{t}{s}",
+                        kind=BINARY,
+                        tag=Tag("psh_commit", f"{u.id}:{m}", t, scenario),
+                    )
             if scenario is None:
                 for m, n in TRANSITIONS:
                     cost = 0.0
@@ -97,8 +119,9 @@ def add_mode_logic(
     unit: PshUnit,
     prev: str | None = None,
 ) -> None:
-    """Mode exclusivity in every block hour; in the window block also
-    the transition flow balance and the one-switch cap.
+    """Mode exclusivity in every block hour that has mode binaries; in
+    the window block also the transition flow balance and the one-switch
+    cap.
 
     ``prev`` is the unit's mode in the hour before the window block's
     first hour.  A scenario block takes no ``prev``: it has no
@@ -111,6 +134,8 @@ def add_mode_logic(
     s = _sfx(blk.scenario)
     first = blk.hours[0]
     for t in blk.hours:
+        if (unit.id, MODES[0], t) not in blk.u:
+            continue
         model.add_row(
             f"r_one_mode.{unit.id}.t{t}{s}",
             {blk.u[(unit.id, m, t)]: 1.0 for m in MODES},
@@ -149,9 +174,12 @@ def add_mode_logic(
 
 
 def add_dispatch_boxes(model: MilpModel, blk: PshBlock, unit: PshUnit) -> None:
-    """Dispatch bounded by the committed mode: u*min <= q <= u*max."""
+    """Dispatch bounded by the committed mode: u*min <= q <= u*max, in
+    every block hour that has mode binaries."""
     s = _sfx(blk.scenario)
     for t in blk.hours:
+        if (unit.id, PshMode.GEN.value, t) not in blk.u:
+            continue
         ug = blk.u[(unit.id, PshMode.GEN.value, t)]
         up = blk.u[(unit.id, PshMode.PUMP.value, t)]
         qg = blk.q_gen[(unit.id, t)]

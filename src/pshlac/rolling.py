@@ -129,6 +129,7 @@ class WindowMetric:
     cols: int
     nonzeros: int
     binaries: int
+    gap: float | None  # relative MIP gap HiGHS reports, None when it reports none
 
 
 @dataclass
@@ -164,11 +165,12 @@ class SimulationLedger:
 
     def write_metrics_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries\n")
+            fh.write("window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries,gap\n")
             for m in self.windows:
+                gap = "" if m.gap is None else repr(m.gap)
                 fh.write(
                     f"{m.window},{m.t1},{m.status},{m.objective!r},{m.walltime_s!r},"
-                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries}\n"
+                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries},{gap}\n"
                 )
 
     @classmethod
@@ -296,7 +298,7 @@ def run_day(
         ledger.windows.append(
             WindowMetric(
                 w_index, t1, sol.status, float(sol.objective), float(sol.walltime_s),
-                model.n_rows, model.n_vars, model.n_nonzeros, model.n_binaries,
+                model.n_rows, model.n_vars, model.n_nonzeros, model.n_binaries, sol.gap,
             )
         )
         if control.keep_window_details:

@@ -5,9 +5,9 @@ builders or solver: merit-order dispatch by sorting, window optima by
 exhaustive enumeration over mode strings and a coarse dispatch grid,
 special functions by bisection, and scenario sampling one draw at a
 time.  Slow and obvious on purpose.  The one helper that touches a built
-model, ``add_scenario_transitions``, only appends the scenario blocks'
-former transition rows to it, so the lean model can be checked against
-the structure it replaced.
+model, ``add_full_scenario_tails``, only appends the scenario blocks'
+former mode and transition rows to it, so the lean model can be checked
+against the structure it replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from pshlac.milp import BINARY, EQ, LE, MilpModel, Tag
+from pshlac.milp import BINARY, EQ, GE, LE, MilpModel, Tag
 
 MODES = ("off", "gen", "pump")
 EPS = 1e-6
@@ -212,15 +212,6 @@ def enumerate_objective(toy: ToyWindow, variant: str) -> float:
     return best
 
 
-def quantization_bound(toy: ToyWindow) -> float:
-    """Crude upper bound on the cost of rounding dispatch to the grid."""
-    top_price = max(
-        [p for _, p in toy.thermal_segments] + [abs(v) for v in toy.prices.values()]
-    )
-    n_dec = len(toy.hours_in) + len(toy.hours_post) * len(toy.weights)
-    return toy.grid_step * top_price * n_dec
-
-
 def probit_bisect(u: float, tol: float = 1e-12) -> float:
     """Inverse standard normal CDF by bisection on the erf form."""
     if not 0.0 < u < 1.0:
@@ -299,21 +290,45 @@ def scenarios_by_element(
     return prices, levels
 
 
-def add_scenario_transitions(model: MilpModel, unit_ids: Sequence[str]) -> None:
-    """Append to every scenario block the transition logic it once carried.
+def add_full_scenario_tails(model: MilpModel, units: Sequence) -> None:
+    """Give every scenario block the full mode logic it once carried.
 
-    Per unit and post-window hour: six cost-free transition binaries, one
-    flow row per mode tying the hour's commitment to the previous hour's
-    (the window block's last hour for the first post-window hour), and a
-    cap of one switch.  The rows add no cost, so a model with them must
-    reach the optimum of the model without them.
+    Per unit and post-window hour that lacks them: three mode binaries,
+    the one-mode row and the four dispatch boxes.  Then, in every cell:
+    six cost-free transition binaries, one flow row per mode tying the
+    hour's commitment to the previous hour's (the window block's last
+    hour for the first post-window hour), and a cap of one switch.  The
+    model built without them must reach the optimum of the model with
+    them.
     """
     det = model.meta["det_block"]
     edge = det.hours[-1]
     pairs = [(m, n) for m in MODES for n in MODES if m != n]
     for blk in model.meta["scen_blocks"]:
         s = blk.scenario
-        for uid in unit_ids:
+        for unit in units:
+            uid = unit.id
+            mode = {}
+            for t in blk.hours:
+                if (uid, "off", t) in blk.u:
+                    mode.update({(m, t): blk.u[(uid, m, t)] for m in MODES})
+                    continue
+                for m in MODES:
+                    mode[(m, t)] = model.add_var(f"u_{m}.{uid}.t{t}.s{s}", kind=BINARY,
+                                                 tag=Tag("psh_commit", f"{uid}:{m}", t, s))
+                model.add_row(f"r_one_mode.{uid}.t{t}.s{s}",
+                              [(mode[(m, t)], 1.0) for m in MODES], EQ, 1.0,
+                              Tag("mode_exclusive", uid, t, s))
+                qg, qp = blk.q_gen[(uid, t)], blk.q_pump[(uid, t)]
+                ug, up = mode[("gen", t)], mode[("pump", t)]
+                model.add_row(f"r_gen_hi.{uid}.t{t}.s{s}", [(qg, 1.0), (ug, -unit.gen_max)], LE, 0.0,
+                              Tag("gen_box_hi", uid, t, s))
+                model.add_row(f"r_gen_lo.{uid}.t{t}.s{s}", [(qg, 1.0), (ug, -unit.gen_min)], GE, 0.0,
+                              Tag("gen_box_lo", uid, t, s))
+                model.add_row(f"r_pump_hi.{uid}.t{t}.s{s}", [(qp, 1.0), (up, -unit.pump_max)], LE, 0.0,
+                              Tag("pump_box_hi", uid, t, s))
+                model.add_row(f"r_pump_lo.{uid}.t{t}.s{s}", [(qp, 1.0), (up, -unit.pump_min)], GE, 0.0,
+                              Tag("pump_box_lo", uid, t, s))
             for t in blk.hours:
                 v = {
                     (m, n): model.add_var(f"v_{m}_{n}.{uid}.t{t}.s{s}", kind=BINARY,
@@ -321,8 +336,8 @@ def add_scenario_transitions(model: MilpModel, unit_ids: Sequence[str]) -> None:
                     for m, n in pairs
                 }
                 for m in MODES:
-                    before = det.u[(uid, m, edge)] if t == blk.hours[0] else blk.u[(uid, m, t - 1)]
-                    coeffs = [(blk.u[(uid, m, t)], 1.0), (before, -1.0)]
+                    before = det.u[(uid, m, edge)] if t == blk.hours[0] else mode[(m, t - 1)]
+                    coeffs = [(mode[(m, t)], 1.0), (before, -1.0)]
                     for n in MODES:
                         if n != m:
                             coeffs += [(v[(n, m)], -1.0), (v[(m, n)], 1.0)]

@@ -39,7 +39,7 @@ from pshlac.rolling import PipelineProvider, RunControl, causality_check, run_da
 from pshlac.synth import NODE as BUS, SynthConfig, make_day, make_history, make_system
 
 from conftest import EXACT, solve_exact
-from oracle_tools import add_scenario_transitions, enumerate_objective, quantization_bound
+from oracle_tools import add_full_scenario_tails, enumerate_objective
 from toys import window_setup
 
 BENCH_DAYS = 10
@@ -218,14 +218,18 @@ def test_01_named_rows_match_hand_arithmetic():
     )
     m = build_robust(ws.instance, ws.cfg)
 
-    def check(name, coeffs, sense, rhs):
-        for i in range(m.n_rows):
-            r = m.row(i)
+    def check(name, coeffs, sense, rhs, model=m):
+        for i in range(model.n_rows):
+            r = model.row(i)
             if r.name == name:
-                named = {m.var(j).name: c for j, c in r.coeffs.items()}
+                named = {model.var(j).name: c for j, c in r.coeffs.items()}
                 assert (named, r.sense, r.rhs) == (coeffs, sense, rhs), name
                 return
         raise AssertionError(f"row {name} missing")
+
+    def scenario_tagged(model, kinds):
+        tagged = [model.row(i) for i in range(model.n_rows)] + [model.var(j) for j in range(model.n_vars)]
+        return sorted(x.name for x in tagged if x.tag.scenario is not None and x.tag.kind in kinds)
 
     with verdict(1):
         # power balance with slacks, 50 MW residual load
@@ -282,14 +286,14 @@ def test_01_named_rows_match_hand_arithmetic():
         }, EQ, 0.0)
         check("r_soc_min.res1.t3.s0", {"e.res1.t3.s0": 1.0}, GE, 0.0)
         check("r_soc_end.res1.s0", {"e.res1.t4.s0": 1.0}, EQ, 10.0)
-        # scenario commitments are exclusive and carry no transitions:
-        # those would cost nothing and constrain nothing
-        check("r_one_mode.ps1.t3.s0", {
-            "u_off.ps1.t3.s0": 1.0, "u_gen.ps1.t3.s0": 1.0, "u_pump.ps1.t3.s0": 1.0,
-        }, EQ, 1.0)
-        dropped = ("mode_transition", "transition_limit", "psh_transition")
-        tagged = [m.row(i) for i in range(m.n_rows)] + [m.var(j) for j in range(m.n_vars)]
-        assert not [x.name for x in tagged if x.tag.scenario is not None and x.tag.kind in dropped]
+        # scenario cells carry no transitions (they would cost nothing and
+        # constrain nothing), and with no dispatch floor and no negative
+        # price no modes either: dispatch is boxed by its bounds alone
+        qg, qp = m.var(m.var_index("qg.ps1.t3.s0")), m.var(m.var_index("qp.ps1.t3.s0"))
+        assert (qg.lb, qg.ub, qp.lb, qp.ub) == (0.0, 20.0, 0.0, 20.0)
+        modal = ("psh_commit", "psh_transition", "mode_exclusive", "mode_transition",
+                 "transition_limit", "gen_box_hi", "gen_box_lo", "pump_box_hi", "pump_box_lo")
+        assert scenario_tagged(m, modal) == []
         # risk epigraph: price-weighted deviation from the 10 MW da position
         check("r_risk.res1.s0", {
             "w_risk.res1": 1.0, "qg.ps1.t3.s0": 30.0, "qp.ps1.t3.s0": -30.0,
@@ -297,6 +301,21 @@ def test_01_named_rows_match_hand_arithmetic():
         check("r_risk.res1.s1", {
             "w_risk.res1": 1.0, "qg.ps1.t3.s1": 40.0, "qp.ps1.t3.s1": -40.0,
         }, GE, 400.0)
+
+        # a negative price brings back the cell's modes, exclusivity and
+        # boxes, where pumping and generating at once would earn money
+        neg = window_setup(
+            eta_gen=0.5, eta_pump=0.25,
+            prices=((-30.0,), (40.0,)), weights=(0.5, 0.5), da_gen=(0.0, 0.0, 10.0),
+        )
+        mn = build_robust(neg.instance, neg.cfg)
+        check("r_one_mode.ps1.t3.s0", {
+            "u_off.ps1.t3.s0": 1.0, "u_gen.ps1.t3.s0": 1.0, "u_pump.ps1.t3.s0": 1.0,
+        }, EQ, 1.0, mn)
+        check("r_gen_hi.ps1.t3.s0", {"qg.ps1.t3.s0": 1.0, "u_gen.ps1.t3.s0": -20.0}, LE, 0.0, mn)
+        check("r_pump_hi.ps1.t3.s0", {"qp.ps1.t3.s0": 1.0, "u_pump.ps1.t3.s0": -20.0}, LE, 0.0, mn)
+        assert scenario_tagged(mn, ("psh_commit",)) == [
+            "u_gen.ps1.t3.s0", "u_off.ps1.t3.s0", "u_pump.ps1.t3.s0"]
 
         relaxed = window_setup(end_soc="relax")
         mr = build_stochastic(relaxed.instance, relaxed.cfg)
@@ -338,7 +357,6 @@ ENUM_CASES = [
      ("stochastic", "robust")),
     ("full_horizon", dict(L=3), ("perfect",)),
 ]
-BINDING_CASES = ("dispatch_floors", "three_hour_tail", "charged_gen_start")
 
 
 def test_02_enumeration_matches_milp_optima():
@@ -349,13 +367,10 @@ def test_02_enumeration_matches_milp_optima():
             for name in variants:
                 reference = enumerate_objective(ws.toy, name)
                 model = build_variant(Variant(name), ws.instance, ws.cfg)
-                sol = solve_exact(model)
-                got = sol.objective  # already includes model.objective_constant
-                tol = max(1e-3 * abs(reference), quantization_bound(ws.toy))
-                # the grid restricts the model's feasible set, so the
-                # enumerated value can only sit above the solver optimum
-                assert got <= reference + 1e-6, (label, name, got, reference)
-                assert abs(got - reference) <= tol, (label, name, got, reference)
+                got = solve_exact(model).objective  # already includes model.objective_constant
+                # every case has an optimum on the enumeration's dispatch
+                # grid, so the grid optimum is the model optimum
+                assert abs(got - reference) <= 1e-6, (label, name, got, reference)
         assert time.perf_counter() - started < 60.0
 
 
@@ -424,11 +439,12 @@ def test_05_size_grows_affinely_with_scenarios(scaling):
                 assert 1.0 - ss_res / ss_tot > 0.999
 
 
-def test_05b_scenario_blocks_need_no_transitions(synth_setup):
-    """Scenario blocks carry only their modes, exclusivity and dispatch
-    boxes.  Appending the cost-free transition logic they once had
-    (transition binaries, flow rows chained to the window edge, the
-    one-switch cap) must leave every optimum where it is."""
+def test_05b_lean_scenario_tails_match_the_full_binary_tail(synth_setup):
+    """Scenario blocks carry mode binaries only in cells with a dispatch
+    floor or a negative price.  Putting back every cell's modes,
+    exclusivity row and dispatch boxes, plus the cost-free transition
+    logic (transition binaries, flow rows chained to the window edge,
+    the one-switch cap), must leave every optimum where it is."""
     cfg, base, pipe = synth_setup
     day = make_day(cfg, 0, base)
     scn = pipe.scenario_set(
@@ -438,14 +454,14 @@ def test_05b_scenario_blocks_need_no_transitions(synth_setup):
     cases = [("day 0 first window, S=10", v, first, ModelConfig())
              for v in (Variant.STOCHASTIC, Variant.ROBUST)]
     for label, kwargs, variants in ENUM_CASES:
-        if label in BINDING_CASES:
-            ws = window_setup(**kwargs)
-            cases += [(label, Variant(name), ws.instance, ws.cfg) for name in variants]
+        ws = window_setup(**kwargs)
+        cases += [(label, Variant(name), ws.instance, ws.cfg)
+                  for name in variants if name != "perfect"]
     with verdict("5b"):
         for label, variant, instance, mcfg in cases:
             lean = build_variant(variant, instance, mcfg)
             reference = build_variant(variant, instance, mcfg)
-            add_scenario_transitions(reference, [u.id for u in instance.system.psh_units])
+            add_full_scenario_tails(reference, instance.system.psh_units)
             assert reference.n_binaries > lean.n_binaries
             got, want = solve_exact(lean).objective, solve_exact(reference).objective
             assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (label, variant, got, want)

@@ -208,6 +208,25 @@ def test_risk_rows_per_scenario():
     }, GE, 400.0)
 
 
+def test_scenario_modes_follow_floors_and_negative_prices():
+    # ramped prices: s0 (-2e-5 + 1e-5, 5, -1 + 3e-5), s1 (5 + 1e-5, 5, -2e-5 + 3e-5)
+    ws = window_setup(T=5, L=2, loads=(50.0,) * 5, weights=(0.5, 0.5),
+                      prices=((-2e-5, 5.0, -1.0), (5.0, 5.0, -2e-5)))
+    cfg = replace(ws.cfg, time_preference=1e-5)
+    for builder in (build_stochastic, build_robust):
+        m = builder(ws.instance, cfg)
+        blocks = m.meta["scen_blocks"]
+        cells = [sorted({(b.scenario, t) for (_, _, t) in b.u}) for b in blocks]
+        assert cells == [[(0, 3), (0, 5)], []]
+        assert row_named(m, "r_one_mode.ps1.t5.s0").rhs == 1.0
+        with pytest.raises(KeyError):
+            row_named(m, "r_one_mode.ps1.t5.s1")
+    # a dispatch floor keeps every cell's modes at any price
+    ws = window_setup(T=5, L=2, loads=(50.0,) * 5, gen_min=5.0, prices=((30.0, 30.0, 30.0),))
+    blk = build_stochastic(ws.instance, ws.cfg).meta["scen_blocks"][0]
+    assert sorted({t for (_, _, t) in blk.u}) == [3, 4, 5]
+
+
 # -- schedule-following and full-information variants ------------------------
 
 

@@ -61,6 +61,12 @@ def test_block_variable_counts():
     assert m.var(blk_s.u[("ps1", "off", 4)]).name == "u_off.ps1.t4.s2"
     # a scenario block has 3 commitments and 2 dispatch, no transitions
     assert m.n_vars == 3 * (3 + 6 + 2) + 3 + 2
+    # and commitments only in the cells it names
+    before = (m.n_vars, m.n_binaries)
+    blk_m = create_psh_block(m, [_unit()], [5, 6, 7], scenario=3, mode_cells={("ps1", 6)})
+    assert (m.n_vars - before[0], m.n_binaries - before[1]) == (3 * 2 + 3, 3)
+    assert sorted(t for (_, _, t) in blk_m.u) == [6, 6, 6]
+    assert sorted(blk_m.q_gen) == sorted(blk_m.q_pump) == [("ps1", 5), ("ps1", 6), ("ps1", 7)]
 
 
 def test_transition_charges_only_when_requested():
@@ -86,6 +92,19 @@ def test_scenario_mode_logic_is_exclusivity_only():
     _fix(m, blk.u[("ps1", "gen", 5)], 1)
     sol = solve(m, OPTS)
     assert sol.ok and sol.binary_value(blk.u[("ps1", "off", 5)]) == 0
+    # mode logic and boxes skip the cells without commitments
+    m2 = MilpModel()
+    blk2 = create_psh_block(m2, [u], [4, 5], scenario=1, mode_cells={("ps1", 5)})
+    add_mode_logic(m2, blk2, u)
+    add_dispatch_boxes(m2, blk2, u)
+    assert [m2.row(i).name for i in range(m2.n_rows)] == [
+        "r_one_mode.ps1.t5.s1", "r_gen_hi.ps1.t5.s1", "r_gen_lo.ps1.t5.s1",
+        "r_pump_hi.ps1.t5.s1", "r_pump_lo.ps1.t5.s1",
+    ]
+    # a cell without commitments may pump and generate at once
+    _fix(m2, blk2.q_gen[("ps1", 4)], 20.0)
+    _fix(m2, blk2.q_pump[("ps1", 4)], 20.0)
+    assert solve(m2, OPTS).ok
     # the window block cannot start without the mode before it
     det = create_psh_block(m, [u], [1])
     with pytest.raises(ValueError, match="mode before hour 1"):

@@ -189,12 +189,18 @@ def test_metrics_csv_shape(tmp_path, toy_day):
     p = tmp_path / "metrics.csv"
     ledger.write_metrics_csv(p)
     lines = p.read_text().splitlines()
-    assert lines[0] == "window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries"
+    assert lines[0] == "window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries,gap"
     assert len(lines) == 1 + len(ledger.windows)
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "1"
     assert int(first[5]) > 0 and int(first[6]) > 0
     assert int(first[8]) == ledger.windows[0].binaries > 0
+    assert float(first[9]) == ledger.windows[0].gap
+    assert 0.0 <= ledger.windows[0].gap <= EXACT.gap_tol
+    # a solve that reports no gap leaves the column empty
+    ledger.windows[0] = replace(ledger.windows[0], gap=None)
+    ledger.write_metrics_csv(p)
+    assert p.read_text().splitlines()[1].endswith(f",{ledger.windows[0].binaries},")
 
 
 # -- causality ---------------------------------------------------------------

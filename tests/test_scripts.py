@@ -1,0 +1,39 @@
+"""Smoke runs of the study scripts: each exits cleanly and prints its summary."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from pshlac.lac_models import Variant
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(script, *args, timeout):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True, text=True, timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_scaling_study_block_size_matches_the_built_models():
+    out = _run("run_scaling_study.py", "--scenarios", "2", "3", "--variant", "robust", timeout=120)
+    sizes = {
+        int(m[1]): tuple(int(v) for v in m.groups()[1:])
+        for m in re.finditer(r"S=\s*(\d+): rows=\s*(\d+) cols=\s*(\d+) nnz=\s*(\d+)\s+optimal", out)
+    }
+    assert sorted(sizes) == [2, 3], out
+    block = re.search(r"per-scenario block: rows=(\d+) cols=(\d+) nnz=(\d+)", out)
+    assert block, out
+    assert tuple(int(v) for v in block.groups()) == tuple(b - a for a, b in zip(sizes[2], sizes[3]))
+
+
+def test_synthetic_study_reports_every_variant():
+    out = _run("run_synthetic_study.py", "--days", "1", "--scenarios", "2", timeout=300)
+    assert re.search(r"^day000: ", out, re.M), out
+    assert "mean realized objective over 1 days" in out
+    for v in Variant:
+        assert re.search(rf"^\s+{v.value}\s+-?\d+\.\d+\s+-?\d+\.\d+%$", out, re.M), (v, out)
