@@ -42,8 +42,15 @@ from .lac_models import (
     Variant,
     da_reference_from_system,
 )
-from .milp import SolveOptions, SolverError
-from .rolling import FrozenSetProvider, RunControl, SimulationLedger, run_day
+from .milp import FEASIBLE, SolveOptions, SolverError
+from .rolling import (
+    FrozenSetProvider,
+    RunControl,
+    SimulationLedger,
+    WindowError,
+    WindowInfeasibleError,
+    run_day,
+)
 from .synth import SynthConfig, read_history_csv, write_bundle
 
 
@@ -289,10 +296,17 @@ def cmd_simulate(args) -> int:
         return variant.value, led
 
     ledgers: dict[str, SimulationLedger] = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        for name, led in pool.map(_one, variants):
-            ledgers[name] = led
-            print(f"{name}: {len(led.windows)} windows solved")
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+            for name, led in pool.map(_one, variants):
+                ledgers[name] = led
+                limited = sum(w.status == FEASIBLE for w in led.windows)
+                print(f"{name}: {len(led.windows)} windows solved, {limited} time-limited")
+    except WindowInfeasibleError as exc:
+        path = os.path.join(outdir, f"failed_{exc.variant}_w{exc.window_index}.lp")
+        with open(path, "w") as fh:
+            fh.write(exc.lp_text)
+        raise CliError(f"{exc}; window model written to {path}") from exc
 
     for name, led in sorted(ledgers.items()):
         led.to_jsonl(os.path.join(outdir, f"ledger_{name}.jsonl"))
@@ -373,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CliError, ConfigurationError, EstimationError, AccountingError,
-            SolverError, ValueError, OSError) as exc:
+            SolverError, WindowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

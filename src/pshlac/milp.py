@@ -6,21 +6,22 @@ objective weights plus sparse rows in one of the three senses
 (structural kind, entity, hour, scenario) so tests and reporting can
 find constraints without parsing names.
 
-Solving drives HiGHS through scipy, and every solve takes its
-constraint matrix from :func:`_constraint_arrays`.  Duals are available
-from LP solves only, see :func:`fix_and_resolve_lp`.
+Every solve runs once through :func:`milp`, an adapter on the HiGHS
+bindings scipy ships, and takes its constraint matrix from
+:func:`_constraint_arrays`.  Duals are available from LP solves only,
+see :func:`fix_and_resolve_lp`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize._highspy import _core as _highs
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -170,6 +171,10 @@ class MilpModel:
     def n_binaries(self) -> int:
         return sum(1 for k in self._vkind if k == BINARY)
 
+    @property
+    def var_names(self) -> list[str]:
+        return self._vnames
+
     def var_index(self, name: str) -> int:
         return self._name_to_var[name]
 
@@ -267,7 +272,8 @@ class MilpSolution:
     objective: float | None
     gap: float | None
     walltime_s: float
-    duals: dict[int, float] | None = None  # row index -> marginal, LP solves only
+    duals: np.ndarray | None = None  # one marginal per row, LP solves only
+    nodes: int = 0  # branch-and-bound nodes HiGHS explored, 0 for an LP
 
     @property
     def ok(self) -> bool:
@@ -285,75 +291,125 @@ class MilpSolution:
         return int(r)
 
 
+# -- the HiGHS adapter ------------------------------------------------------
+#
+# ``_core`` is the private pybind module that scipy's own ``milp`` and
+# ``linprog`` drive.  The adapter uses it directly because only it takes a
+# start (``setSolution``), hands out the row duals as HiGHS computes them
+# and finds an irreducible infeasible subsystem (``getIis``).
+
+_VAR_TYPE = {
+    CONTINUOUS: _highs.HighsVarType.kContinuous,
+    BINARY: _highs.HighsVarType.kInteger,
+}
+
+_MODEL_STATUS = {
+    _highs.HighsModelStatus.kOptimal: OPTIMAL,
+    _highs.HighsModelStatus.kTimeLimit: TIME_LIMIT,
+    _highs.HighsModelStatus.kIterationLimit: TIME_LIMIT,
+    _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
+
 def _constraint_arrays(model: MilpModel):
-    n = model.n_vars
-    rows_i, cols, data = [], [], []
-    lo = np.empty(model.n_rows)
-    hi = np.empty(model.n_rows)
-    for ri, (_, idxs, coefs, sense, rhs, _) in enumerate(model._rows):
-        for i, c in zip(idxs, coefs):
-            rows_i.append(ri)
-            cols.append(i)
-            data.append(c)
-        if sense == LE:
-            lo[ri], hi[ri] = -np.inf, rhs
-        elif sense == GE:
-            lo[ri], hi[ri] = rhs, np.inf
-        else:
-            lo[ri], hi[ri] = rhs, rhs
-    A = sp.csr_matrix((data, (rows_i, cols)), shape=(model.n_rows, n))
-    return A, lo, hi
+    """Row-wise sparse matrix (start, index, value) and row bounds."""
+    rows = model._rows
+    m = len(rows)
+    start = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.fromiter((len(r[1]) for r in rows), np.int32, m), out=start[1:])
+    nnz = int(start[-1])
+    index = np.fromiter(itertools.chain.from_iterable(r[1] for r in rows), np.int32, nnz)
+    value = np.fromiter(itertools.chain.from_iterable(r[2] for r in rows), np.float64, nnz)
+    rhs = np.fromiter((r[4] for r in rows), np.float64, m)
+    lo = np.where(np.fromiter((r[3] == LE for r in rows), bool, m), -np.inf, rhs)
+    hi = np.where(np.fromiter((r[3] == GE for r in rows), bool, m), np.inf, rhs)
+    return start, index, value, lo, hi
 
 
-def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
+def _highs_lp(model: MilpModel, lb, ub, integral: bool) -> _highs.HighsLp:
+    start, index, value, lo, hi = _constraint_arrays(model)
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
+    lp.col_cost_ = np.asarray(model._obj, dtype=np.float64)
+    lp.col_lower_ = np.asarray(lb, dtype=np.float64)
+    lp.col_upper_ = np.asarray(ub, dtype=np.float64)
+    lp.row_lower_ = lo
+    lp.row_upper_ = hi
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
+    if integral and model.n_binaries:
+        lp.integrality_ = [_VAR_TYPE[k] for k in model._vkind]
+    return lp
+
+
+def milp(lp: _highs.HighsLp, options: Mapping[str, float | int], start: np.ndarray | None = None) -> _highs._Highs:
+    """Run HiGHS once on ``lp`` and return the finished session.
+
+    ``start`` is a complete column vector handed to HiGHS as a candidate
+    incumbent; HiGHS checks it and ignores it when it is infeasible.
+    """
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    for key, val in options.items():
+        if highs.setOptionValue(key, val) == _highs.HighsStatus.kError:
+            raise SolverError(f"HiGHS rejected option {key}={val!r}")
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    if start is not None:
+        candidate = _highs.HighsSolution()
+        candidate.col_value = start
+        candidate.value_valid = True
+        highs.setSolution(candidate)
+    highs.run()
+    return highs
+
+
+def _status(highs: _highs._Highs) -> str:
+    model_status = highs.getModelStatus()
+    if model_status not in _MODEL_STATUS:
+        raise SolverError(f"HiGHS ended with model status {highs.modelStatusToString(model_status)}")
+    return _MODEL_STATUS[model_status]
+
+
+def solve(
+    model: MilpModel, options: SolveOptions | None = None, start: np.ndarray | None = None
+) -> MilpSolution:
     """Solve the model with HiGHS.
 
     Status ``optimal`` implies the relative gap is within
     ``options.gap_tol``; a time-limited run with an incumbent reports
-    ``feasible`` together with the reached gap.
+    ``feasible`` together with the reached gap, one without reports
+    ``time_limit``.  ``start`` is an optional complete column vector
+    offered to HiGHS as a first incumbent.
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
-    c = np.asarray(model._obj, dtype=float)
-    integrality = np.array([1 if k == BINARY else 0 for k in model._vkind], dtype=np.uint8)
-    bounds = Bounds(np.asarray(model._lb), np.asarray(model._ub))
-    constraints = []
-    if model.n_rows:
-        A, lo, hi = _constraint_arrays(model)
-        constraints.append(LinearConstraint(A, lo, hi))
-    res = milp(
-        c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=bounds,
-        options={
-            "mip_rel_gap": options.gap_tol,
-            "time_limit": options.time_limit,
-            "disp": False,
-        },
-    )
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (model.n_vars,):
+            raise ValueError(f"start has shape {start.shape}, the model has {model.n_vars} columns")
+    lp = _highs_lp(model, model._lb, model._ub, integral=True)
+    highs = milp(lp, {"mip_rel_gap": float(options.gap_tol), "time_limit": float(options.time_limit)}, start)
     wall = time.perf_counter() - t_start
-    gap = getattr(res, "mip_gap", None)
-    gap = float(gap) if gap is not None else None
-    if res.status == 0:
-        status = OPTIMAL
-    elif res.status == 1:
-        status = TIME_LIMIT
-    elif res.status == 2:
-        status = INFEASIBLE
-    elif res.status == 3:
-        status = UNBOUNDED
-    else:
-        raise SolverError(f"backend failure: {res.message}")
-    values = None
-    objective = None
-    if res.x is not None:
-        values = np.asarray(res.x, dtype=float)
-        _check_primal(model, values)
-        objective = float(res.fun) + model.objective_constant
-        if status == TIME_LIMIT:
-            status = FEASIBLE
-    return MilpSolution(status, values, objective, gap, wall)
+    status = _status(highs)
+    info = highs.getInfo()
+    is_mip = model.n_binaries > 0
+    incumbent = status == OPTIMAL or (
+        is_mip and status == TIME_LIMIT and info.objective_function_value < _highs.kHighsInf
+    )
+    if not incumbent:
+        return MilpSolution(status, None, None, None, wall)
+    values = np.array(highs.getSolution().col_value)
+    _check_primal(model, values)
+    gap = float(info.mip_gap) if is_mip else None
+    nodes = int(info.mip_node_count) if is_mip else 0
+    objective = float(info.objective_function_value) + model.objective_constant
+    return MilpSolution(FEASIBLE if status == TIME_LIMIT else status, values, objective, gap, wall,
+                        nodes=nodes)
 
 
 def _check_primal(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> None:
@@ -373,9 +429,9 @@ def fix_and_resolve_lp(
 ) -> MilpSolution:
     """Freeze every binary at the given value and re-solve as a pure LP.
 
-    The LP marginals of equality rows follow the usual convention:
-    the dual of a balance row is the cost of serving one more MWh at
-    that hour, which is how locational prices are extracted.
+    The duals are HiGHS's row duals, d(objective)/d(row bound): the dual
+    of a balance row is the cost of serving one more MWh at that hour,
+    which is how locational prices are extracted.
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
@@ -395,73 +451,34 @@ def fix_and_resolve_lp(
             raise ValueError(f"binary {model._vnames[i]} fixed to non-integral {v}")
         lb[i] = ub[i] = float(r)
 
-    c = np.asarray(model._obj, dtype=float)
-    A, lo, hi = _constraint_arrays(model)
-    eq = lo == hi
-    eq_rows, ub_rows = np.flatnonzero(eq), np.flatnonzero(~eq)
-    # GE rows (hi = +inf) are negated into <= form; their duals flip sign on the way back
-    sign = np.where(np.isposinf(hi[ub_rows]), -1.0, 1.0)
-    A_eq = b_eq = A_ub = b_ub = None
-    if eq_rows.size:
-        A_eq, b_eq = A[eq_rows], hi[eq_rows]
-    if ub_rows.size:
-        # diag(sign) @ A[ub_rows], scaled in place so explicit zeros stay
-        A_ub = A[ub_rows]
-        A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
-        b_ub = np.where(sign < 0, -lo[ub_rows], hi[ub_rows])
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-        options={"time_limit": options.time_limit},
-    )
+    highs = milp(_highs_lp(model, lb, ub, integral=False), {"time_limit": float(options.time_limit)})
     wall = time.perf_counter() - t_start
-    if res.status == 2:
-        return MilpSolution(INFEASIBLE, None, None, None, wall)
-    if res.status == 3:
-        return MilpSolution(UNBOUNDED, None, None, None, wall)
-    if res.status != 0:
-        raise SolverError(f"LP re-solve failed: {res.message}")
-    duals = {int(ri): float(m) for ri, m in zip(eq_rows, res.eqlin.marginals)}
-    duals.update((int(ri), float(g * m)) for ri, g, m in zip(ub_rows, sign, res.ineqlin.marginals))
-    values = np.asarray(res.x, dtype=float)
-    return MilpSolution(OPTIMAL, values, float(res.fun) + model.objective_constant, 0.0, wall, duals)
+    status = _status(highs)
+    if status in (INFEASIBLE, UNBOUNDED):
+        return MilpSolution(status, None, None, None, wall)
+    if status != OPTIMAL:
+        raise SolverError(f"LP re-solve ended {status}")
+    solution = highs.getSolution()
+    objective = float(highs.getInfo().objective_function_value) + model.objective_constant
+    return MilpSolution(OPTIMAL, np.array(solution.col_value), objective, 0.0, wall,
+                        np.array(solution.row_dual))
 
 
-def infeasibility_report(model: MilpModel, top: int = 10) -> list[str]:
-    """Names of rows that cannot be satisfied, found by elastic relaxation.
+def infeasibility_report(model: MilpModel) -> list[str]:
+    """Names of the rows in an irreducible infeasible subsystem (IIS).
 
-    Binaries are relaxed to their boxes and every row receives a slack;
-    rows needing nonzero slack in the minimum-total-slack LP are the
-    conflict witnesses.  Approximate, but enough to point at the
-    offending constraints.
+    The binaries are relaxed to their boxes and HiGHS finds the IIS of
+    that LP (Chinneck, *Feasibility and Infeasibility in Optimization*,
+    2008): the named rows, with the variable bounds, admit no solution,
+    and dropping any one of them makes the rest feasible.  When HiGHS
+    finds none, say because only integrality is at fault, the report is
+    one ``<IIS unavailable: ...>`` line.
     """
     if model.n_rows == 0:
         return []
-    A, lo, hi = _constraint_arrays(model)
-    n = model.n_vars
-    m = model.n_rows
-    # x plus one slack pair per row; keep only finite-sided inequalities
-    S_pos = sp.identity(m, format="csr")
-    A_full = sp.hstack([A, S_pos, -S_pos], format="csr")
-    upper = np.isfinite(hi)
-    lower = np.isfinite(lo)
-    A_ub = sp.vstack([A_full[upper], -A_full[lower]], format="csr")
-    b_ub = np.concatenate([hi[upper], -lo[lower]])
-    c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    lb = np.concatenate([np.asarray(model._lb), np.zeros(2 * m)])
-    ub = np.concatenate([np.asarray(model._ub), np.full(2 * m, np.inf)])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=np.column_stack([lb, ub]), method="highs")
-    if res.status != 0 or res.x is None:
-        return ["<relaxation failed>"]
-    slack = res.x[n : n + m] + res.x[n + m :]
-    order = np.argsort(-slack)
-    out = []
-    for ri in order[:top]:
-        if slack[ri] > 1e-6:
-            out.append(f"{model._rows[ri][0]} (violation {slack[ri]:.4g})")
-    return out
+    highs = milp(_highs_lp(model, model._lb, model._ub, integral=False),
+                 {"iis_strategy": int(_highs.IisStrategy.kIisStrategyFromLpColPriority)})
+    iis = _highs.HighsIis()
+    if highs.getIis(iis) == _highs.HighsStatus.kError or not iis.valid or not len(iis.row_index):
+        return [f"<IIS unavailable: {highs.modelStatusToString(highs.getModelStatus())}>"]
+    return [model._rows[i][0] for i in iis.row_index]

@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field, asdict
 from typing import Mapping, Protocol, Sequence
 
+import numpy as np
+
 from .core import (
     MODES,
     FrozenDecision,
@@ -33,19 +35,37 @@ from .lac_models import (
     build_variant,
     da_reference_from_system,
 )
-from .milp import MilpModel, MilpSolution, SolveOptions, infeasibility_report, solve
+from .milp import TIME_LIMIT, MilpModel, MilpSolution, SolveOptions, infeasibility_report, solve
 from .psh_model import soc_step
 
 
-class WindowInfeasibleError(RuntimeError):
-    def __init__(self, window_index: int, t1: int, status: str, conflict_rows: list[str]):
+class WindowError(RuntimeError):
+    """A window that ended without a schedule; the rolled day stops there."""
+
+    def __init__(self, variant: str, window_index: int, t1: int, message: str):
+        self.variant = variant
         self.window_index = window_index
         self.t1 = t1
+        super().__init__(f"window {window_index} (t1={t1}) of {variant} {message}")
+
+
+class WindowTimeoutError(WindowError):
+    def __init__(self, variant: str, window_index: int, t1: int, time_limit: float):
+        self.time_limit = time_limit
+        super().__init__(variant, window_index, t1,
+                         f"hit the {time_limit:g} s time limit without an incumbent")
+
+
+class WindowInfeasibleError(WindowError):
+    """An infeasible or unbounded window, with the rows of its IIS and the
+    model in LP format for replay."""
+
+    def __init__(self, variant: str, window_index: int, t1: int, status: str,
+                 conflict_rows: list[str], lp_text: str):
         self.conflict_rows = conflict_rows
+        self.lp_text = lp_text
         rows = "; ".join(conflict_rows) if conflict_rows else "<none identified>"
-        super().__init__(
-            f"window {window_index} (t1={t1}) ended {status}; conflicting rows: {rows}"
-        )
+        super().__init__(variant, window_index, t1, f"ended {status}; conflicting rows: {rows}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +150,8 @@ class WindowMetric:
     nonzeros: int
     binaries: int
     gap: float | None  # relative MIP gap HiGHS reports, None when it reports none
+    nodes: int  # branch-and-bound nodes HiGHS explored
+    warm: int  # 1 when the window started from its predecessor's tail
 
 
 @dataclass
@@ -165,12 +187,12 @@ class SimulationLedger:
 
     def write_metrics_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries,gap\n")
+            fh.write("window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries,gap,nodes,warm\n")
             for m in self.windows:
                 gap = "" if m.gap is None else repr(m.gap)
                 fh.write(
                     f"{m.window},{m.t1},{m.status},{m.objective!r},{m.walltime_s!r},"
-                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries},{gap}\n"
+                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries},{gap},{m.nodes},{m.warm}\n"
                 )
 
     @classmethod
@@ -244,6 +266,16 @@ def _freeze_hour(
     )
 
 
+def _tail_start(prev: MilpModel, prev_sol: MilpSolution, model: MilpModel) -> np.ndarray:
+    """The predecessor's solution laid out on this window's columns.
+
+    Only a perfect window's tail is a complete feasible point of the
+    next window: same realized load, and the state its own first hour
+    leads to.  Every column of the next window is in it by name."""
+    idx = np.fromiter((prev.var_index(name) for name in model.var_names), np.intp, model.n_vars)
+    return prev_sol.values[idx]
+
+
 def run_day(
     system: PowerSystem,
     market_day: MarketDay,
@@ -256,9 +288,12 @@ def run_day(
 
     Every window sees what the reveal policy shows for its hours; the
     perfect variant's windows run from t1 to the end of the day, so it
-    sees the realized load of every remaining hour and prices nothing.
-    Any infeasible window aborts with the window index and the
-    conflicting row names.
+    sees the realized load of every remaining hour and prices nothing,
+    and each of its windows after the first starts from the tail of its
+    predecessor's solution.  A window that times out without an
+    incumbent raises :class:`WindowTimeoutError`; an infeasible or
+    unbounded one raises :class:`WindowInfeasibleError` with the rows of
+    its IIS.
     """
     control = control or RunControl()
     if da is None:
@@ -290,21 +325,28 @@ def run_day(
             scn = full.slice_hours(te + 1)
         inst = LacInstance(system, win, view.net_load, da, dict(soc), dict(prev_modes), scn)
         model = build_variant(variant, inst, control.model)
-        sol = solve(model, control.solver)
+        warm = variant == Variant.PERFECT and w_index > 1
+        start = _tail_start(prev_model, prev_sol, model) if warm else None
+        sol = solve(model, control.solver, start)
+        if sol.status == TIME_LIMIT:
+            raise WindowTimeoutError(variant.value, w_index, t1, control.solver.time_limit)
         if not sol.ok:
-            raise WindowInfeasibleError(w_index, t1, sol.status, infeasibility_report(model))
+            raise WindowInfeasibleError(variant.value, w_index, t1, sol.status,
+                                        infeasibility_report(model), model.to_lp_string())
         frozen = _freeze_hour(system, model, sol, t1, soc)
         ledger.hours.append(frozen)
         ledger.windows.append(
             WindowMetric(
                 w_index, t1, sol.status, float(sol.objective), float(sol.walltime_s),
                 model.n_rows, model.n_vars, model.n_nonzeros, model.n_binaries, sol.gap,
+                sol.nodes, int(warm),
             )
         )
         if control.keep_window_details:
             ledger.details.append(WindowDetail(w_index, t1, model, sol, inst))
         soc = dict(frozen.soc_after)
         prev_modes = dict(frozen.psh_mode)
+        prev_model, prev_sol = model, sol
 
     # tail hours of the final window stay frozen too: the last window
     # already covers them and nothing re-optimizes them afterwards

@@ -28,3 +28,25 @@ def test_tracer_targets_exist_and_restore():
     finally:
         tracer.restore()
     assert rolling.build_variant is original
+
+
+def test_highs_span_sits_inside_each_window_solve(toy_day):
+    # ``milp.highs`` times the one HiGHS call of each ``solve``; matrix
+    # assembly stays outside it, in the ``milp.solve`` span's own time
+    from pshlac.lac_models import Variant
+
+    system, day, da = toy_day
+    tracer = tracing.Tracer()
+    try:
+        run.install_tracing(tracer)
+        with tracer.operation("day"):
+            rolling.run_day(system, day, Variant.PERFECT, None, None, da)
+    finally:
+        tracer.restore()
+    solves = {s["id"]: s for s in tracer.spans if s["name"] == "milp.solve"}
+    highs = [s for s in tracer.spans if s["name"] == "milp.highs"]
+    assert len(solves) == 2  # T - L + 1 windows of the toy day
+    assert sorted(s["parent"] for s in highs) == sorted(solves)
+    for s in highs:
+        outer = solves[s["parent"]]
+        assert outer["start"] < s["start"] and s["end"] < outer["end"]

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from pshlac import cli
 from pshlac.cli import (
     CliError,
     RunConfig,
@@ -14,7 +15,7 @@ from pshlac.cli import (
 )
 from pshlac.core import read_system_json
 from pshlac.lac_models import Variant
-from pshlac.rolling import SimulationLedger
+from pshlac.rolling import SimulationLedger, WindowInfeasibleError
 from pshlac.synth import make_system
 
 
@@ -98,6 +99,47 @@ def test_parser_requires_a_command(capsys):
         build_parser().parse_args([])
 
 
+# -- window failures ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("failing") / "bundle"
+    assert main(["gen-instance", "--seed", "3", "--out", str(out), "--history-days", "1"]) == 0
+    return out
+
+
+def _simulate(bundle, tmp_path, variant, **overrides):
+    doc = json.loads((bundle / "run.json").read_text())
+    doc.update(overrides)
+    cfg = bundle / "run_fail.json"
+    cfg.write_text(json.dumps(doc))
+    return main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--variant", variant,
+                 "--label", "fail"])
+
+
+def test_simulate_reports_a_timed_out_window(bundle, tmp_path, capsys):
+    assert _simulate(bundle, tmp_path, "current_practice", time_limit=0.0) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window 1 (t1=1) of current_practice hit the 0 s time limit")
+    assert "Traceback" not in err
+
+
+def test_simulate_writes_the_infeasible_window_for_replay(bundle, tmp_path, capsys, monkeypatch):
+    def infeasible(system, day, variant, *rest):
+        raise WindowInfeasibleError(variant.value, 3, 3, "infeasible", ["r_soc.res1.t3"],
+                                    "\\ perfect\nEnd\n")
+
+    monkeypatch.setattr(cli, "run_day", infeasible)
+    assert _simulate(bundle, tmp_path, "perfect") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window 3 (t1=3) of perfect ended infeasible; "
+                          "conflicting rows: r_soc.res1.t3")
+    lp = tmp_path / "fail" / "failed_perfect_w3.lp"
+    assert str(lp) in err
+    assert lp.read_text() == "\\ perfect\nEnd\n"
+
+
 # -- the whole workflow ------------------------------------------------------
 
 
@@ -130,7 +172,7 @@ def test_full_workflow(tmp_path, capsys):
                "--label", "smoke"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "current_practice: 22 windows solved" in out
+    assert "current_practice: 22 windows solved, 0 time-limited" in out
     rdir = runs / "smoke"
     for name in ("ledger_current_practice.jsonl", "ledger_deterministic.jsonl",
                  "ledger_stochastic.jsonl", "metrics_stochastic.csv",

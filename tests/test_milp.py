@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from pshlac.milp import (
     BINARY,
     EQ,
+    FEASIBLE,
     GE,
     INFEASIBLE,
     LE,
     OPTIMAL,
+    TIME_LIMIT,
     UNBOUNDED,
     MilpModel,
     MilpSolution,
@@ -118,6 +120,83 @@ def test_infeasibility_report_names_the_conflict():
     assert any(r.startswith("impossible") for r in rows)
     assert not any(r.startswith("fine") for r in rows)
     assert infeasibility_report(MilpModel()) == []
+    # only integrality is at fault: the relaxed rows have no IIS to name
+    odd = MilpModel()
+    u = odd.add_var("u", kind=BINARY, tag=T)
+    odd.add_row("half", {u: 2.0}, EQ, 1.0, T)
+    assert solve(odd, OPTS).status == INFEASIBLE
+    assert infeasibility_report(odd) == ["<IIS unavailable: Optimal>"]
+
+
+def _knapsack(n=30, capacity=50.0):
+    # max sum (i+1) x_i with weights i+3: many binaries, so HiGHS cannot
+    # finish in presolve
+    m = MilpModel()
+    xs = [m.add_var(f"x{i}", obj=-(i + 1.0), kind=BINARY, tag=T) for i in range(n)]
+    m.add_row("cap", {x: i + 3.0 for i, x in enumerate(xs)}, LE, capacity, T)
+    return m
+
+
+def test_feasible_start_gives_the_cold_optimum():
+    m = _knapsack()
+    cold = solve(m, OPTS)
+    assert cold.status == OPTIMAL
+    for start in (cold.values, np.zeros(m.n_vars)):  # the optimum and a poor feasible point
+        warm = solve(m, OPTS, start)
+        assert warm.status == OPTIMAL
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_infeasible_start_is_ignored():
+    m = _knapsack()
+    cold = solve(m, OPTS)
+    warm = solve(m, OPTS, np.ones(m.n_vars))  # every item in: far over capacity
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_start_is_handed_to_highs_as_the_incumbent():
+    # with no time to search, the start is the only incumbent there is
+    m = _knapsack()
+    cold = solve(m, OPTS)
+    no_time = SolveOptions(gap_tol=1e-9, time_limit=0.0)
+    for start in (cold.values, np.zeros(m.n_vars)):
+        sol = solve(m, no_time, start)
+        assert sol.status == FEASIBLE
+        assert sol.objective == pytest.approx(sum(m.var(i).obj * v for i, v in enumerate(start)), abs=1e-9)
+    assert solve(m, no_time, np.ones(m.n_vars)).status == TIME_LIMIT
+
+
+def test_start_of_the_wrong_length_is_refused():
+    m = _knapsack()
+    with pytest.raises(ValueError, match="start"):
+        solve(m, OPTS, np.zeros(m.n_vars - 1))
+
+
+def test_time_limit_without_incumbent():
+    sol = solve(_knapsack(), SolveOptions(gap_tol=1e-9, time_limit=0.0))
+    assert sol.status == TIME_LIMIT
+    assert sol.values is None and sol.objective is None and sol.gap is None
+    assert not sol.ok
+
+
+def test_milp_solve_reports_nodes():
+    sol = solve(_knapsack(), OPTS)
+    assert sol.nodes >= 1
+    lp = MilpModel()
+    lp.add_var("x", obj=1.0, ub=1.0, tag=T)
+    assert solve(lp, OPTS).nodes == 0
+
+
+def test_highs_bindings_expose_what_the_adapter_uses():
+    # the adapter drives scipy's private HiGHS module; this pins its surface
+    from scipy.optimize._highspy import _core
+
+    for name in ("passModel", "setOptionValue", "setSolution", "run", "getModelStatus",
+                 "getInfo", "getSolution", "getIis"):
+        assert callable(getattr(_core._Highs, name)), name
+    for name in ("HighsLp", "HighsSolution", "HighsIis"):
+        assert isinstance(getattr(_core, name), type), name
 
 
 def test_binary_value_guards_integrality():

@@ -3,13 +3,17 @@ from dataclasses import replace
 
 import pytest
 
+from pshlac import rolling
+from pshlac.accounting import full_day_resolve
 from pshlac.core import MarketDay
 from pshlac.lac_models import Variant
+from pshlac.milp import INFEASIBLE, OPTIMAL, MilpModel, SolveOptions, infeasibility_report, solve
 from pshlac.rolling import (
     FrozenSetProvider,
     RunControl,
     SimulationLedger,
     WindowInfeasibleError,
+    WindowTimeoutError,
     causality_check,
     reveal_policy,
     run_day,
@@ -150,6 +154,65 @@ def test_infeasible_window_reports_conflicts():
     assert err.value.t1 == 2
     assert err.value.conflict_rows
     assert "conflicting rows" in str(err.value)
+    assert err.value.lp_text.startswith("\\ current_practice\n")
+
+
+def _rows_only(model, names):
+    """The model's variable bounds, relaxed to continuous, with only the
+    named rows and no objective."""
+    out = MilpModel()
+    for v in model.variables():
+        out.add_var(v.name, v.lb, v.ub, tag=v.tag)
+    for r in model.rows():
+        if r.name in names:
+            out.add_row(r.name, r.coeffs, r.sense, r.rhs, r.tag)
+    return out
+
+
+def test_infeasible_window_rows_are_an_irreducible_conflict(monkeypatch):
+    seen = []
+
+    def keep_model(model):
+        seen.append(model)
+        return infeasibility_report(model)
+
+    monkeypatch.setattr(rolling, "infeasibility_report", keep_model)
+    system, day, da = rolling_day_setup(da_gen=(20.0, 20.0, 20.0))
+    with pytest.raises(WindowInfeasibleError) as err:
+        run_day(system, day, Variant.CURRENT_PRACTICE, None, CONTROL, da)
+    rows = set(err.value.conflict_rows)
+    assert rows and not any(r.startswith("<") for r in rows)
+    (model,) = seen
+    assert solve(_rows_only(model, rows), EXACT).status == INFEASIBLE
+    for r in rows:
+        assert solve(_rows_only(model, rows - {r}), EXACT).status == OPTIMAL, r
+
+
+def test_time_out_is_reported_as_a_time_out(toy_day, monkeypatch):
+    def no_report(model):
+        raise AssertionError("a time-out runs no infeasibility report")
+
+    monkeypatch.setattr(rolling, "infeasibility_report", no_report)
+    system, day, da = toy_day
+    with pytest.raises(WindowTimeoutError) as err:
+        run_day(system, day, Variant.CURRENT_PRACTICE, None,
+                RunControl(solver=SolveOptions(time_limit=0.0)), da)
+    assert (err.value.window_index, err.value.t1, err.value.time_limit) == (1, 1, 0.0)
+    assert not isinstance(err.value, WindowInfeasibleError)
+    assert str(err.value).startswith("window 1 (t1=1) of current_practice hit the 0 s time limit")
+
+
+def test_perfect_windows_start_from_their_predecessor(toy_day):
+    system, day, da = toy_day
+    ledger = run_day(system, day, Variant.PERFECT, None, CONTROL, da)
+    assert [w.warm for w in ledger.windows] == [0] + [1] * (len(ledger.windows) - 1)
+    # Bellman: the settled day costs no more than the first window's plan
+    first = ledger.windows[0].objective
+    _, settled = full_day_resolve(system, day, ledger, da)
+    assert settled.objective <= first + EXACT.gap_tol * abs(first)
+    for variant in (Variant.CURRENT_PRACTICE, Variant.STOCHASTIC):
+        other = run_day(system, day, variant, _provider(), CONTROL, da)
+        assert all(w.warm == 0 for w in other.windows)
 
 
 def test_run_control_defaults():
@@ -189,7 +252,8 @@ def test_metrics_csv_shape(tmp_path, toy_day):
     p = tmp_path / "metrics.csv"
     ledger.write_metrics_csv(p)
     lines = p.read_text().splitlines()
-    assert lines[0] == "window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries,gap"
+    assert lines[0] == ("window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries,gap,"
+                        "nodes,warm")
     assert len(lines) == 1 + len(ledger.windows)
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "1"
@@ -197,10 +261,13 @@ def test_metrics_csv_shape(tmp_path, toy_day):
     assert int(first[8]) == ledger.windows[0].binaries > 0
     assert float(first[9]) == ledger.windows[0].gap
     assert 0.0 <= ledger.windows[0].gap <= EXACT.gap_tol
+    assert int(first[10]) == ledger.windows[0].nodes >= 1
+    assert first[11] == "0"
     # a solve that reports no gap leaves the column empty
     ledger.windows[0] = replace(ledger.windows[0], gap=None)
     ledger.write_metrics_csv(p)
-    assert p.read_text().splitlines()[1].endswith(f",{ledger.windows[0].binaries},")
+    w = ledger.windows[0]
+    assert p.read_text().splitlines()[1].endswith(f",{w.binaries},,{w.nodes},0")
 
 
 # -- causality ---------------------------------------------------------------
