@@ -30,7 +30,6 @@ from .lac_models import (
     LacInstance,
     ModelConfig,
     Variant,
-    build_da_reference,
     build_variant,
 )
 from .milp import MilpModel, MilpSolution, SolveOptions, solve
@@ -59,7 +58,6 @@ __all__ = [
     "ThermalUnit",
     "TimeGrid",
     "Variant",
-    "build_da_reference",
     "build_variant",
     "evaluate_day",
     "generate_scenarios",

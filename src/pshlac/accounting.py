@@ -21,7 +21,7 @@ from .lac_models import (
     build_perfect,
     da_reference_from_system,
 )
-from .milp import MilpModel, MilpSolution, SolveOptions, fix_and_resolve_lp, infeasibility_report
+from .milp import TIME_LIMIT, MilpModel, MilpSolution, SolveOptions, infeasibility_report, solve
 from .rolling import SimulationLedger
 
 VARIANT_ORDER = tuple(v.value for v in (
@@ -75,23 +75,27 @@ def full_day_resolve(
     model = build_perfect(inst, cfg)
     det = model.meta["det_block"]
 
-    fixes: dict[int, int] = {}
+    def fix(idx: int, val: int) -> None:
+        model.set_var_bounds(idx, float(val), float(val))
+
     for u in system.thermal_units:
         for t in range(1, T + 1):
-            fixes[model.meta["thermal_u"][(u.id, t)]] = by_hour[t].thermal_commit[u.id]
+            fix(model.meta["thermal_u"][(u.id, t)], by_hour[t].thermal_commit[u.id])
     for u in system.psh_units:
         prev = u.initial_mode
         for t in range(1, T + 1):
             mode = by_hour[t].psh_mode[u.id]
             for m in MODES:
-                fixes[det.u[(u.id, m, t)]] = 1 if m == mode else 0
+                fix(det.u[(u.id, m, t)], 1 if m == mode else 0)
             for (m, n) in TRANSITIONS:
-                fixes[det.v[(u.id, m, n, t)]] = 1 if (m, n) == (prev, mode) and m != n else 0
+                fix(det.v[(u.id, m, n, t)], 1 if (m, n) == (prev, mode) and m != n else 0)
             prev = mode
-
-    for idx, val in fixes.items():
-        model.set_var_bounds(idx, float(val), float(val))
-    sol = fix_and_resolve_lp(model, fixes, SolveOptions(time_limit=cfg.time_limit))
+    sol = solve(model, SolveOptions(time_limit=cfg.time_limit))
+    if sol.status == TIME_LIMIT:
+        raise AccountingError(
+            f"ledger {ledger.variant}/{ledger.day_label} settlement LP hit its "
+            f"{cfg.time_limit} s time limit"
+        )
     if not sol.ok:
         rows = infeasibility_report(model)
         raise AccountingError(

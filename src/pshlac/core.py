@@ -57,12 +57,6 @@ class TimeGrid:
     def window_hours(self) -> range:
         return range(self.start_index, self.window_end + 1)
 
-    def post_hours(self) -> range:
-        return range(self.window_end + 1, self.horizon_end + 1)
-
-    def day_hours(self) -> range:
-        return range(1, self.horizon_end + 1)
-
 
 @dataclass(frozen=True)
 class CostSegment:
@@ -141,12 +135,6 @@ class PowerSystem:
     psh_units: tuple[PshUnit, ...]
     reservoirs: tuple[Reservoir, ...]
 
-    def thermal(self, uid: str) -> ThermalUnit:
-        return _by_id(self.thermal_units, uid)
-
-    def psh(self, uid: str) -> PshUnit:
-        return _by_id(self.psh_units, uid)
-
     def reservoir(self, rid: str) -> Reservoir:
         return _by_id(self.reservoirs, rid)
 
@@ -187,10 +175,6 @@ class PriceScenarioSet:
     start_hour: int
     prices: np.ndarray
     weights: tuple[float, ...]
-
-    @property
-    def forecast_origin(self) -> int:
-        return self.start_hour - 1
 
     @property
     def count(self) -> int:

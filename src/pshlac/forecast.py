@@ -352,10 +352,6 @@ def probit(w: float) -> float:
     return float(ndtri(w))
 
 
-def inverse_probit(x: float) -> float:
-    return float(ndtr(x))
-
-
 # ---------------------------------------------------------------------------
 # recursive covariance
 

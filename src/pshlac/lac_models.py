@@ -38,7 +38,7 @@ from .core import (
     ThermalUnit,
     TimeGrid,
 )
-from .milp import BINARY, EQ, GE, LE, MilpModel, MilpSolution, SolveOptions, Tag, solve
+from .milp import BINARY, EQ, GE, LE, MilpModel, MilpSolution, Tag
 from .psh_model import (
     PshBlock,
     add_dispatch_boxes,
@@ -82,7 +82,6 @@ class DaReference:
     pump: Mapping[str, tuple[float, ...]]
     commitment: Mapping[str, tuple[int, ...]]
     end_soc: Mapping[str, float]
-    objective: float = math.nan
 
 
 @dataclass
@@ -177,6 +176,38 @@ def _add_thermal_dispatch(model: MilpModel, unit: ThermalUnit, t: int, u_idx: in
     return p
 
 
+def _add_balance(
+    model: MilpModel,
+    system: PowerSystem,
+    hours: Sequence[int],
+    load: Sequence[float],
+    thermal_p: Mapping[tuple[str, int], int],
+    det: PshBlock,
+    voll: float,
+) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """Hourly power balance with value-of-lost-load slacks on both sides.
+
+    ``load`` holds one value per hour of ``hours``.  Returns the balance
+    row and the (short, surplus) slack pair of each hour.
+    """
+    balance_rows = {}
+    slack_vars = {}
+    for t, demand in zip(hours, load, strict=True):
+        sh = model.add_var(f"slack_short.t{t}", obj=voll, tag=Tag("balance_slack", "short", t))
+        su = model.add_var(f"slack_surplus.t{t}", obj=voll, tag=Tag("balance_slack", "surplus", t))
+        coeffs: dict[int, float] = {sh: 1.0, su: -1.0}
+        for u in system.thermal_units:
+            coeffs[thermal_p[(u.id, t)]] = 1.0
+        for u in system.psh_units:
+            coeffs[det.q_gen[(u.id, t)]] = 1.0
+            coeffs[det.q_pump[(u.id, t)]] = -1.0
+        balance_rows[t] = model.add_row(
+            f"r_balance.t{t}", coeffs, EQ, float(demand), Tag("power_balance", None, t)
+        )
+        slack_vars[t] = (sh, su)
+    return balance_rows, slack_vars
+
+
 def _base_window_model(
     name: str,
     instance: LacInstance,
@@ -244,21 +275,7 @@ def _base_window_model(
             end_soc=cfg.end_soc,
         )
 
-    balance_rows = {}
-    slack_vars = {}
-    for i, t in enumerate(hours):
-        sh = model.add_var(f"slack_short.t{t}", obj=cfg.voll, tag=Tag("balance_slack", "short", t))
-        su = model.add_var(f"slack_surplus.t{t}", obj=cfg.voll, tag=Tag("balance_slack", "surplus", t))
-        coeffs: dict[int, float] = {sh: 1.0, su: -1.0}
-        for u in sys.thermal_units:
-            coeffs[thermal_p[(u.id, t)]] = 1.0
-        for u in sys.psh_units:
-            coeffs[det.q_gen[(u.id, t)]] = 1.0
-            coeffs[det.q_pump[(u.id, t)]] = -1.0
-        balance_rows[t] = model.add_row(
-            f"r_balance.t{t}", coeffs, EQ, float(instance.net_load[i]), Tag("power_balance", None, t)
-        )
-        slack_vars[t] = (sh, su)
+    balance_rows, slack_vars = _add_balance(model, sys, hours, instance.net_load, thermal_p, det, cfg.voll)
 
     model.meta.update(
         det_block=det,
@@ -518,19 +535,7 @@ def build_da_model(
             end_soc=cfg.end_soc,
         )
 
-    balance_rows = {}
-    for t in hours:
-        sh = model.add_var(f"slack_short.t{t}", obj=cfg.voll, tag=Tag("balance_slack", "short", t))
-        su = model.add_var(f"slack_surplus.t{t}", obj=cfg.voll, tag=Tag("balance_slack", "surplus", t))
-        coeffs: dict[int, float] = {sh: 1.0, su: -1.0}
-        for u in system.thermal_units:
-            coeffs[thermal_p[(u.id, t)]] = 1.0
-        for u in system.psh_units:
-            coeffs[det.q_gen[(u.id, t)]] = 1.0
-            coeffs[det.q_pump[(u.id, t)]] = -1.0
-        balance_rows[t] = model.add_row(
-            f"r_balance.t{t}", coeffs, EQ, float(da_load[t - 1]), Tag("power_balance", None, t)
-        )
+    balance_rows, _ = _add_balance(model, system, hours, da_load, thermal_p, det, cfg.voll)
     if reserve_margin > 0.0:
         quick = sum(u.gen_max for u in system.psh_units)
         for t in hours:
@@ -561,22 +566,7 @@ def extract_da_reference(system: PowerSystem, model: MilpModel, solution: MilpSo
     end_soc = {}
     for r in system.reservoirs:
         end_soc[r.id] = float(solution.value(model.var_index(f"e.{r.id}.t{T + 1}")))
-    return DaReference(gen, pump, commitment, end_soc, float(solution.objective))
-
-
-def build_da_reference(
-    system: PowerSystem,
-    da_load: Sequence[float],
-    cfg: ModelConfig | None = None,
-    options: SolveOptions | None = None,
-    reserve_margin: float = 0.0,
-) -> DaReference:
-    """Solve the day-ahead problem and pull out the reference schedules."""
-    model = build_da_model(system, da_load, cfg, reserve_margin)
-    sol = solve(model, options or SolveOptions())
-    if not sol.ok:
-        raise ConfigurationError(f"day-ahead reference infeasible: {sol.status}")
-    return extract_da_reference(system, model, sol)
+    return DaReference(gen, pump, commitment, end_soc)
 
 
 def apply_da_reference(system: PowerSystem, ref: DaReference) -> PowerSystem:

@@ -8,8 +8,10 @@ find constraints without parsing names.
 
 Every solve runs once through :func:`milp`, an adapter on the HiGHS
 bindings scipy ships, and takes its constraint matrix from
-:func:`_constraint_arrays`.  Duals are available from LP solves only,
-see :func:`fix_and_resolve_lp`.
+:func:`_constraint_arrays`.  :func:`solve` is the one entry point: a
+model with no free binary (each fixed by ``lb == ub``) is solved as the
+LP it is and comes back with its row duals, which is how prices are
+read from a dispatch with its commitments fixed.
 """
 
 from __future__ import annotations
@@ -254,10 +256,6 @@ class MilpModel:
         lines.append("End")
         return "\n".join(lines) + "\n"
 
-    def write_lp(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_lp_string())
-
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -272,7 +270,7 @@ class MilpSolution:
     objective: float | None
     gap: float | None
     walltime_s: float
-    duals: np.ndarray | None = None  # one marginal per row, LP solves only
+    duals: np.ndarray | None = None  # HiGHS's row duals, when no binary was free
     nodes: int = 0  # branch-and-bound nodes HiGHS explored, 0 for an LP
 
     @property
@@ -327,21 +325,21 @@ def _constraint_arrays(model: MilpModel):
     return start, index, value, lo, hi
 
 
-def _highs_lp(model: MilpModel, lb, ub, integral: bool) -> _highs.HighsLp:
+def _highs_lp(model: MilpModel, integral: bool) -> _highs.HighsLp:
     start, index, value, lo, hi = _constraint_arrays(model)
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
     lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
     lp.col_cost_ = np.asarray(model._obj, dtype=np.float64)
-    lp.col_lower_ = np.asarray(lb, dtype=np.float64)
-    lp.col_upper_ = np.asarray(ub, dtype=np.float64)
+    lp.col_lower_ = np.asarray(model._lb, dtype=np.float64)
+    lp.col_upper_ = np.asarray(model._ub, dtype=np.float64)
     lp.row_lower_ = lo
     lp.row_upper_ = hi
     lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
     lp.a_matrix_.start_ = start
     lp.a_matrix_.index_ = index
     lp.a_matrix_.value_ = value
-    if integral and model.n_binaries:
+    if integral:
         lp.integrality_ = [_VAR_TYPE[k] for k in model._vkind]
     return lp
 
@@ -380,11 +378,18 @@ def solve(
 ) -> MilpSolution:
     """Solve the model with HiGHS.
 
-    Status ``optimal`` implies the relative gap is within
-    ``options.gap_tol``; a time-limited run with an incumbent reports
-    ``feasible`` together with the reached gap, one without reports
-    ``time_limit``.  ``start`` is an optional complete column vector
-    offered to HiGHS as a first incumbent.
+    A model with a free binary is a MIP.  Status ``optimal`` implies the
+    relative gap is within ``options.gap_tol``; a time-limited run with
+    an incumbent reports ``feasible`` together with the reached gap, one
+    without reports ``time_limit``.  ``start`` is an optional complete
+    column vector offered to HiGHS as a first incumbent.
+
+    A model whose binaries are all fixed (``lb == ub``) is the LP it is
+    and goes to HiGHS without integrality.  Its solution carries HiGHS's
+    row duals, d(objective)/d(row bound): the dual of a balance row is
+    the cost of serving one more MWh at that hour, which is how
+    locational prices are extracted.  A binary fixed at a fractional
+    value raises :class:`SolverError`.
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
@@ -392,24 +397,25 @@ def solve(
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (model.n_vars,):
             raise ValueError(f"start has shape {start.shape}, the model has {model.n_vars} columns")
-    lp = _highs_lp(model, model._lb, model._ub, integral=True)
+    is_mip = any(model._lb[i] != model._ub[i] for i in model.binary_indices())
+    lp = _highs_lp(model, integral=is_mip)
     highs = milp(lp, {"mip_rel_gap": float(options.gap_tol), "time_limit": float(options.time_limit)}, start)
     wall = time.perf_counter() - t_start
     status = _status(highs)
     info = highs.getInfo()
-    is_mip = model.n_binaries > 0
     incumbent = status == OPTIMAL or (
         is_mip and status == TIME_LIMIT and info.objective_function_value < _highs.kHighsInf
     )
     if not incumbent:
         return MilpSolution(status, None, None, None, wall)
-    values = np.array(highs.getSolution().col_value)
+    solution = highs.getSolution()
+    values = np.array(solution.col_value)
     _check_primal(model, values)
-    gap = float(info.mip_gap) if is_mip else None
-    nodes = int(info.mip_node_count) if is_mip else 0
     objective = float(info.objective_function_value) + model.objective_constant
-    return MilpSolution(FEASIBLE if status == TIME_LIMIT else status, values, objective, gap, wall,
-                        nodes=nodes)
+    if not is_mip:
+        return MilpSolution(OPTIMAL, values, objective, None, wall, np.array(solution.row_dual))
+    return MilpSolution(FEASIBLE if status == TIME_LIMIT else status, values, objective,
+                        float(info.mip_gap), wall, nodes=int(info.mip_node_count))
 
 
 def _check_primal(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> None:
@@ -420,48 +426,6 @@ def _check_primal(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> No
     for i in model.binary_indices():
         if abs(values[i] - round(values[i])) > tol:
             raise SolverError(f"binary variable {model._vnames[i]} fractional: {values[i]}")
-
-
-def fix_and_resolve_lp(
-    model: MilpModel,
-    binary_values: Mapping[int, float] | np.ndarray,
-    options: SolveOptions | None = None,
-) -> MilpSolution:
-    """Freeze every binary at the given value and re-solve as a pure LP.
-
-    The duals are HiGHS's row duals, d(objective)/d(row bound): the dual
-    of a balance row is the cost of serving one more MWh at that hour,
-    which is how locational prices are extracted.
-    """
-    options = options or SolveOptions()
-    t_start = time.perf_counter()
-    lb = np.asarray(model._lb, dtype=float).copy()
-    ub = np.asarray(model._ub, dtype=float).copy()
-    bins = model.binary_indices()
-    if isinstance(binary_values, np.ndarray):
-        fixed = {i: float(binary_values[i]) for i in bins}
-    else:
-        fixed = {int(i): float(v) for i, v in binary_values.items()}
-    missing = [i for i in bins if i not in fixed]
-    if missing:
-        raise ValueError(f"missing fixed values for binaries {missing[:5]}")
-    for i, v in fixed.items():
-        r = round(v)
-        if abs(v - r) > 1e-6:
-            raise ValueError(f"binary {model._vnames[i]} fixed to non-integral {v}")
-        lb[i] = ub[i] = float(r)
-
-    highs = milp(_highs_lp(model, lb, ub, integral=False), {"time_limit": float(options.time_limit)})
-    wall = time.perf_counter() - t_start
-    status = _status(highs)
-    if status in (INFEASIBLE, UNBOUNDED):
-        return MilpSolution(status, None, None, None, wall)
-    if status != OPTIMAL:
-        raise SolverError(f"LP re-solve ended {status}")
-    solution = highs.getSolution()
-    objective = float(highs.getInfo().objective_function_value) + model.objective_constant
-    return MilpSolution(OPTIMAL, np.array(solution.col_value), objective, 0.0, wall,
-                        np.array(solution.row_dual))
 
 
 def infeasibility_report(model: MilpModel) -> list[str]:
@@ -476,7 +440,7 @@ def infeasibility_report(model: MilpModel) -> list[str]:
     """
     if model.n_rows == 0:
         return []
-    highs = milp(_highs_lp(model, model._lb, model._ub, integral=False),
+    highs = milp(_highs_lp(model, integral=False),
                  {"iis_strategy": int(_highs.IisStrategy.kIisStrategyFromLpColPriority)})
     iis = _highs.HighsIis()
     if highs.getIis(iis) == _highs.HighsStatus.kError or not iis.valid or not len(iis.row_index):

@@ -33,7 +33,7 @@ from .lac_models import (
     build_da_model,
     extract_da_reference,
 )
-from .milp import SolveOptions, fix_and_resolve_lp, solve
+from .milp import SolveOptions, solve
 
 NODE = "bus"
 
@@ -130,8 +130,10 @@ def day_ahead_clear(
     if not sol.ok:
         raise ConfigurationError(f"day-ahead clearing failed: {sol.status}")
     ref = extract_da_reference(system, model, sol)
-    fixes = {i: sol.binary_value(i) for i in model.binary_indices()}
-    lp = fix_and_resolve_lp(model, fixes, SolveOptions(time_limit=mcfg.time_limit))
+    for i in model.binary_indices():
+        v = sol.binary_value(i)
+        model.set_var_bounds(i, v, v)
+    lp = solve(model, SolveOptions(time_limit=mcfg.time_limit))
     if not lp.ok:
         raise ConfigurationError(f"day-ahead pricing pass failed: {lp.status}")
     rows = model.meta["balance_rows"]

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from pshlac import accounting
 from pshlac.accounting import (
     VARIANT_ORDER,
     AccountingError,
@@ -18,7 +19,7 @@ from pshlac.accounting import (
     write_scaling_csv,
 )
 from pshlac.core import FrozenDecision
-from pshlac.lac_models import Variant
+from pshlac.lac_models import ModelConfig, Variant
 from pshlac.rolling import FrozenSetProvider, RunControl, SimulationLedger, run_day
 
 from conftest import EXACT
@@ -91,6 +92,18 @@ def test_undischargeable_ledger_is_called_out(toy_day):
     ]
     with pytest.raises(AccountingError, match="infeasible on actual load"):
         full_day_resolve(system, day, idle, da)
+
+
+def test_settlement_time_out_names_the_ledger_and_the_limit(settled, monkeypatch):
+    system, day, da, ledgers, _ = settled
+    reported = []
+    monkeypatch.setattr(accounting, "infeasibility_report", lambda model: reported.append(model) or [])
+    with pytest.raises(AccountingError) as err:
+        evaluate_day(system, day, ledgers, da, ModelConfig(time_limit=0.0))
+    assert str(err.value) == (
+        f"ledger current_practice/{day.label} settlement LP hit its 0.0 s time limit"
+    )
+    assert reported == []
 
 
 # -- profit arithmetic -------------------------------------------------------

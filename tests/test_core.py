@@ -39,16 +39,8 @@ def test_window_end_clamps_to_horizon():
     assert TimeGrid(24, 24, 3).window_end == 24
 
 
-def test_window_and_post_hours_partition_the_tail():
-    g = TimeGrid(5, 10, 3)
-    assert list(g.window_hours()) == [5, 6, 7]
-    assert list(g.post_hours()) == [8, 9, 10]
-    assert list(g.day_hours()) == list(range(1, 11))
-
-
-def test_full_horizon_window_has_no_post_hours():
-    g = TimeGrid(1, 3, 3)
-    assert list(g.post_hours()) == []
+def test_window_hours_run_from_t1_to_the_window_end():
+    assert list(TimeGrid(5, 10, 3).window_hours()) == [5, 6, 7]
 
 
 # -- validation --------------------------------------------------------------
@@ -154,7 +146,6 @@ def _scn():
 def test_scenario_set_index_math():
     scn = _scn()
     assert scn.count == 2
-    assert scn.forecast_origin == 3
     assert scn.end_hour == 9
     assert list(scn.hours()) == [4, 5, 6, 7, 8, 9]
     assert scn.price(1, "n1", 4) == 6.0

@@ -16,7 +16,6 @@ from pshlac.lac_models import (
     apply_da_reference,
     build_current_practice,
     build_da_model,
-    build_da_reference,
     build_deterministic,
     build_perfect,
     build_robust,
@@ -352,12 +351,14 @@ def test_da_reserve_rows(basic_window):
 
 def test_da_reference_round_trip(basic_window):
     sys = basic_window.instance.system
-    ref = build_da_reference(sys, (50.0,) * 3, basic_window.cfg, EXACT)
+    model = build_da_model(sys, (50.0,) * 3, basic_window.cfg)
+    sol = solve(model, EXACT)
+    assert sol.status == "optimal" and math.isfinite(sol.objective)
+    ref = extract_da_reference(sys, model, sol)
     assert ref.commitment["th1"] == (1, 1, 1)
     assert len(ref.gen["ps1"]) == 3
     # day closes on the configured target
     assert ref.end_soc["res1"] == pytest.approx(10.0, abs=1e-6)
-    assert math.isfinite(ref.objective)
     loaded = apply_da_reference(sys, ref)
     assert loaded.psh_units[0].da_gen == ref.gen["ps1"]
     assert loaded.thermal_units[0].da_commitment == ref.commitment["th1"]

@@ -20,7 +20,6 @@ from pshlac.milp import (
     SolveOptions,
     SolverError,
     Tag,
-    fix_and_resolve_lp,
     infeasibility_report,
     solve,
 )
@@ -85,8 +84,10 @@ def test_objective_constant_is_added():
     m.objective_constant = 100.0
     sol = solve(m, OPTS)
     assert sol.objective == pytest.approx(102.0, abs=1e-9)
-    lp = fix_and_resolve_lp(m, {})
-    assert lp.objective == pytest.approx(102.0, abs=1e-9)
+    u = m.add_var("u", kind=BINARY, obj=3.0, lb=1.0, tag=T)
+    lp = solve(m, OPTS)
+    assert lp.objective == pytest.approx(105.0, abs=1e-9)
+    assert lp.duals is not None and lp.value(u) == 1.0
 
 
 def test_equality_row_solves_exactly():
@@ -213,7 +214,8 @@ def test_lp_duals_follow_the_marginal_cost_convention():
     p = m.add_var("p", obj=20.0, ub=100.0, tag=T)
     m.add_row("balance", {p: 1.0}, EQ, 50.0, T)
     floor = m.add_row("floor", {p: 1.0, u: -10.0}, GE, 0.0, T)
-    sol = fix_and_resolve_lp(m, {u: 1})
+    m.set_var_bounds(u, 1.0, 1.0)
+    sol = solve(m, OPTS)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1000.0, abs=1e-8)
     bal = sol.duals[0]
@@ -226,7 +228,7 @@ def test_lp_dual_sign_on_binding_ge_row():
     m = MilpModel()
     x = m.add_var("x", obj=5.0, tag=T)
     r = m.add_row("floor", {x: 1.0}, GE, 10.0, T)
-    sol = fix_and_resolve_lp(m, {})
+    sol = solve(m, OPTS)
     assert sol.duals[r] == pytest.approx(5.0, abs=1e-8)
 
 
@@ -242,19 +244,24 @@ def test_lp_duals_map_back_to_interleaved_rows():
         m.add_row("floor_dear", {g[2]: 1.0}, GE, 5.0, T),           # 1 MW more replaces 30 by 50
         m.add_row("cap_middle", {g[1]: 1.0}, LE, 40.0, T),          # slack
     ]
-    sol = fix_and_resolve_lp(m, {})
+    sol = solve(m, OPTS)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1200.0, abs=1e-8)
     assert [sol.duals[r] for r in rows] == pytest.approx([-20.0, 30.0, 20.0, 0.0], abs=1e-8)
 
 
-def test_fix_and_resolve_requires_all_binaries():
+def test_lp_needs_every_binary_fixed_at_an_integer():
+    # a free binary makes the model a MIP, which has no duals
     m = MilpModel()
-    m.add_var("u", kind=BINARY, tag=T)
-    with pytest.raises(ValueError, match="missing fixed values"):
-        fix_and_resolve_lp(m, {})
-    with pytest.raises(ValueError, match="non-integral"):
-        fix_and_resolve_lp(m, {0: 0.5})
+    u = m.add_var("u", kind=BINARY, obj=-1.0, tag=T)
+    m.add_var("w", kind=BINARY, lb=1.0, tag=T)
+    sol = solve(m, OPTS)
+    assert sol.status == OPTIMAL and sol.value(u) == 1.0
+    assert sol.duals is None and sol.gap is not None
+    # fixed at 0.5 it is no binary at all
+    m.set_var_bounds(u, 0.5, 0.5)
+    with pytest.raises(SolverError, match="fractional"):
+        solve(m, OPTS)
 
 
 def test_tag_filtering():
@@ -292,14 +299,11 @@ def test_canonical_form_ignores_row_order():
     assert other.canonical_form() != _tiny_named(["r_a", "r_b"]).canonical_form()
 
 
-def test_lp_string_render(tmp_path):
+def test_lp_string_render():
     m = _tiny_named(["r_a", "r_b"])
     text = m.to_lp_string()
     for token in ("Minimize", "Subject To", "r_a:", "Binaries", "y", "End"):
         assert token in text
-    path = tmp_path / "model.lp"
-    m.write_lp(path)
-    assert path.read_text() == text
 
 
 bounded = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)

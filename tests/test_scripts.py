@@ -37,3 +37,15 @@ def test_synthetic_study_reports_every_variant():
     assert "mean realized objective over 1 days" in out
     for v in Variant:
         assert re.search(rf"^\s+{v.value}\s+-?\d+\.\d+\s+-?\d+\.\d+%$", out, re.M), (v, out)
+
+
+def test_forecast_calibration_prints_the_fit_and_the_holdout_scores():
+    out = _run("run_forecast_calibration.py", "--history-days", "80", "--holdout-days", "15",
+               "--scenarios", "20", timeout=120)
+    assert re.search(r"^bus: ar=\(-?\d\.\d+,\) ma=\(\) exog=\(-?\d\.\d+,\) sigma2=\d+\.\d\d$", out, re.M), out
+    scores = re.search(
+        r"^bus: KS stat=(\d\.\d{4}) p=(\d\.\d{4})  90% envelope coverage=(\d\.\d{3}) over 15 held-out days$",
+        out, re.M,
+    )
+    assert scores, out
+    assert all(0.0 <= float(v) <= 1.0 for v in scores.groups()), out
