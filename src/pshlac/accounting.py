@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import MODES, TRANSITIONS, MarketDay, PowerSystem, TimeGrid, FrozenDecision
+from .core import MODES, MarketDay, PowerSystem, TimeGrid, FrozenDecision
 from .lac_models import (
     DaReference,
     LacInstance,
@@ -61,7 +61,9 @@ def full_day_resolve(
 ) -> tuple[MilpModel, MilpSolution]:
     """Fix all binaries to the ledger and re-solve the day as an LP.
 
-    The returned model carries the fixed binaries in its bounds."""
+    The returned model carries the fixed binaries in its bounds; the PSH
+    start-up columns are continuous and settle at the charges the
+    ledger's mode sequence incurs."""
     cfg = cfg or ModelConfig()
     if da is None:
         da = da_reference_from_system(system)
@@ -82,14 +84,9 @@ def full_day_resolve(
         for t in range(1, T + 1):
             fix(model.meta["thermal_u"][(u.id, t)], by_hour[t].thermal_commit[u.id])
     for u in system.psh_units:
-        prev = u.initial_mode
         for t in range(1, T + 1):
-            mode = by_hour[t].psh_mode[u.id]
             for m in MODES:
-                fix(det.u[(u.id, m, t)], 1 if m == mode else 0)
-            for (m, n) in TRANSITIONS:
-                fix(det.v[(u.id, m, n, t)], 1 if (m, n) == (prev, mode) and m != n else 0)
-            prev = mode
+                fix(det.u[(u.id, m, t)], 1 if m == by_hour[t].psh_mode[u.id] else 0)
     sol = solve(model, SolveOptions(time_limit=cfg.time_limit))
     if sol.status == TIME_LIMIT:
         raise AccountingError(

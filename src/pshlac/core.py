@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,8 +30,6 @@ class PshMode(str, Enum):
 
 
 MODES = (PshMode.OFF.value, PshMode.GEN.value, PshMode.PUMP.value)
-# ordered (from, to) pairs; every direct switch is allowed
-TRANSITIONS = tuple((m, n) for m in MODES for n in MODES if m != n)
 
 
 @dataclass(frozen=True)
@@ -296,6 +294,10 @@ def validate_system(
         for name, eta in (("eta_gen", p.eta_gen), ("eta_pump", p.eta_pump)):
             if not (0 < eta <= 1):
                 out.append(Violation(p.id, name, "efficiency must lie in (0, 1]"))
+        for name, cost in (("startup_cost_gen", p.startup_cost_gen),
+                           ("startup_cost_pump", p.startup_cost_pump)):
+            if cost < 0:
+                out.append(Violation(p.id, name, "start-up charges cannot be negative"))
         if p.reservoir_id not in res_ids:
             out.append(Violation(p.id, "reservoir_id", f"unknown reservoir '{p.reservoir_id}'"))
         if p.initial_mode not in MODES:

@@ -11,7 +11,6 @@ together for the rolling simulation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 

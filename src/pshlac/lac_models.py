@@ -29,12 +29,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    MarketDay,
     PowerSystem,
     PriceScenarioSet,
-    PshMode,
     PshUnit,
-    Reservoir,
     ThermalUnit,
     TimeGrid,
 )
@@ -608,7 +605,7 @@ def scenario_block_size(system: PowerSystem, n_post_hours: int, variant: Variant
     grows affinely in the scenario count.  A scenario block holds per
     unit-hour two dispatch variables; units with a dispatch floor also
     get three mode binaries, one exclusivity row and four dispatch boxes
-    there.  It has no transitions.  A negative price adds the mode
+    there.  It has no start-ups.  A negative price adds the mode
     binaries, exclusivity row and boxes of its cell on top.
     """
     R = len(system.reservoirs)

@@ -20,7 +20,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
@@ -429,20 +429,37 @@ def _check_primal(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> No
 
 
 def infeasibility_report(model: MilpModel) -> list[str]:
-    """Names of the rows in an irreducible infeasible subsystem (IIS).
-
-    The binaries are relaxed to their boxes and HiGHS finds the IIS of
-    that LP (Chinneck, *Feasibility and Infeasibility in Optimization*,
-    2008): the named rows, with the variable bounds, admit no solution,
-    and dropping any one of them makes the rest feasible.  When HiGHS
-    finds none, say because only integrality is at fault, the report is
-    one ``<IIS unavailable: ...>`` line.
-    """
+    """Names of the rows in an irreducible infeasible subsystem (IIS) of
+    the model with its binaries relaxed (see :func:`relaxed_iis`)."""
     if model.n_rows == 0:
         return []
-    highs = milp(_highs_lp(model, integral=False),
-                 {"iis_strategy": int(_highs.IisStrategy.kIisStrategyFromLpColPriority)})
+    return relaxed_iis(_highs_lp(model, integral=False), [r[0] for r in model._rows])
+
+
+def relaxed_iis(lp: _highs.HighsLp, row_names: Sequence[str]) -> list[str]:
+    """Names of the rows in an IIS of ``lp`` with its integrality
+    dropped (in place).
+
+    HiGHS finds the IIS of that LP (Chinneck, *Feasibility and
+    Infeasibility in Optimization*, 2008): the named rows, with the
+    variable bounds, admit no solution, and dropping any one of them
+    makes the rest feasible.  When HiGHS finds none, say because only
+    integrality is at fault, the report is one ``<IIS unavailable: ...>``
+    line.
+    """
+    lp.integrality_ = []
+    highs = milp(lp, {"iis_strategy": int(_highs.IisStrategy.kIisStrategyFromLpColPriority)})
     iis = _highs.HighsIis()
     if highs.getIis(iis) == _highs.HighsStatus.kError or not iis.valid or not len(iis.row_index):
         return [f"<IIS unavailable: {highs.modelStatusToString(highs.getModelStatus())}>"]
-    return [model._rows[i][0] for i in iis.row_index]
+    return [row_names[i] for i in iis.row_index]
+
+
+def read_lp(path: str) -> _highs.HighsLp:
+    """The model of an LP file (such as :meth:`MilpModel.to_lp_string`
+    writes) as HiGHS reads it, row names included."""
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    if highs.readModel(str(path)) == _highs.HighsStatus.kError:
+        raise SolverError(f"HiGHS cannot read {path}")
+    return highs.getLp()

@@ -3,14 +3,19 @@
 Each unit runs in exactly one of three modes per hour (off, generating,
 pumping); dispatch is boxed by the committed mode and reservoir energy
 follows a water-value free linear balance.  The window block (scenario
-``None``) also carries explicit transition variables between modes,
-priced at the unit's start-up charges.  Scenario blocks carry none:
-transitions there would cost nothing, and with every direct switch
-allowed (``core.TRANSITIONS``) any mode sequence, integral or
-fractional, admits a transition flow within a one-switch cap, so they
-could not change the optimum.
+``None``) charges start-ups with the unit-commitment start-up indicator
+(Morales-Espana, Latorre and Ramos, IEEE TPWRS 28(4), 2013): per unit,
+hour and mode ``m`` in gen and pump, a continuous ``su_m in [0, 1]``
+costing ``startup_cost_m`` and a row ``su_m[t] >= u_m[t] - u_m[t-1]``,
+with ``u_m`` before the first hour the constant ``[prev == m]``.  As
+every direct switch is allowed and charges are non-negative
+(``core.validate_system``), ``su_m`` settles at
+``max(0, u_m[t] - u_m[t-1])``: a charge on entering gen or pump from
+any mode, none for staying or going off, and the same price for
+fractional modes, so a window with every mode fixed is an LP.
+Scenario blocks are revenue-only and carry no start-ups.
 
-A scenario block also carries mode binaries only in the (unit, hour)
+A scenario block carries mode binaries only in the (unit, hour)
 cells its caller names; every other cell keeps just
 ``qg in [0, gen_max]`` and ``qp in [0, pump_max]``.  That is exact where
 the unit has no dispatch floor (``gen_min = pump_min = 0``) and the
@@ -29,7 +34,7 @@ cells keep their binaries.
 
 The builders only append variables and rows to a
 :class:`~pshlac.milp.MilpModel`; objective terms are the caller's job
-except for the window block's transition charges.
+except for the window block's start-up charges.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
-from .core import MODES, TRANSITIONS, PshMode, PshUnit, Reservoir
+from .core import MODES, PshMode, PshUnit, Reservoir
 from .milp import BINARY, EQ, GE, LE, MilpModel, Tag
 
 
@@ -52,7 +57,7 @@ class PshBlock:
     hours: tuple[int, ...]
     scenario: int | None
     u: dict[tuple[str, str, int], int] = field(default_factory=dict)  # (unit, mode, hour)
-    v: dict[tuple[str, str, str, int], int] = field(default_factory=dict)  # (unit, from, to, hour)
+    start: dict[tuple[str, str, int], int] = field(default_factory=dict)  # (unit, gen|pump, hour)
     q_gen: dict[tuple[str, int], int] = field(default_factory=dict)
     q_pump: dict[tuple[str, int], int] = field(default_factory=dict)
 
@@ -70,15 +75,14 @@ def create_psh_block(
     scenario: int | None = None,
     mode_cells: Collection[tuple[str, int]] | None = None,
 ) -> PshBlock:
-    """Create commitment and dispatch variables, plus transition
-    variables in the window block.
+    """Create commitment and dispatch variables, plus start-up columns
+    in the window block.
 
-    Window-block transitions entering the gen or pump mode carry the
-    unit's start-up charge in the objective.  A scenario block is
-    revenue-only and gets no transition variables: its ``v`` stays
-    empty.  ``mode_cells`` names the ``(unit, hour)`` cells of a scenario
-    block that get mode binaries (see the module docstring); the window
-    block gets them in every cell.
+    Each window-block start-up column carries the unit's start-up charge
+    for its mode in the objective.  A scenario block is revenue-only and
+    gets none: its ``start`` stays empty.  ``mode_cells`` names the
+    ``(unit, hour)`` cells of a scenario block that get mode binaries
+    (see the module docstring); the window block gets them in every cell.
     """
     blk = PshBlock(tuple(hours), scenario)
     s = _sfx(scenario)
@@ -92,17 +96,11 @@ def create_psh_block(
                         tag=Tag("psh_commit", f"{u.id}:{m}", t, scenario),
                     )
             if scenario is None:
-                for m, n in TRANSITIONS:
-                    cost = 0.0
-                    if n == PshMode.GEN.value:
-                        cost = u.startup_cost_gen
-                    elif n == PshMode.PUMP.value:
-                        cost = u.startup_cost_pump
-                    blk.v[(u.id, m, n, t)] = model.add_var(
-                        f"v_{m}_{n}.{u.id}.t{t}",
-                        kind=BINARY,
-                        obj=cost,
-                        tag=Tag("psh_transition", f"{u.id}:{m}>{n}", t),
+                for m, cost in ((PshMode.GEN.value, u.startup_cost_gen),
+                                (PshMode.PUMP.value, u.startup_cost_pump)):
+                    blk.start[(u.id, m, t)] = model.add_var(
+                        f"su_{m}.{u.id}.t{t}", ub=1.0, obj=cost,
+                        tag=Tag("psh_startup", f"{u.id}:{m}", t),
                     )
             blk.q_gen[(u.id, t)] = model.add_var(
                 f"qg.{u.id}.t{t}{s}", ub=u.gen_max, tag=Tag("psh_gen", u.id, t, scenario)
@@ -120,13 +118,12 @@ def add_mode_logic(
     prev: str | None = None,
 ) -> None:
     """Mode exclusivity in every block hour that has mode binaries; in
-    the window block also the transition flow balance and the one-switch
-    cap.
+    the window block also the start-up rows of gen and pump.
 
     ``prev`` is the unit's mode in the hour before the window block's
-    first hour.  A scenario block takes no ``prev``: it has no
-    transitions, so only exclusivity ties its modes, and its first hour
-    is free of the window-edge mode.
+    first hour.  A scenario block takes no ``prev``: it has no start-ups,
+    so only exclusivity ties its modes, and its first hour is free of
+    the window-edge mode.
     """
     window = blk.scenario is None
     if window and prev is None:
@@ -145,32 +142,18 @@ def add_mode_logic(
         )
         if not window:
             continue
-        for m in MODES:
-            coeffs: dict[int, float] = {blk.u[(unit.id, m, t)]: 1.0}
+        # su_m[t] >= u_m[t] - u_m[t-1], with u_m[first-1] = [prev == m]
+        for m in (PshMode.GEN.value, PshMode.PUMP.value):
+            coeffs = {blk.start[(unit.id, m, t)]: 1.0, blk.u[(unit.id, m, t)]: -1.0}
             rhs = 0.0
             if t == first:
-                rhs = 1.0 if prev == m else 0.0
+                rhs = -1.0 if prev == m else 0.0
             else:
-                coeffs[blk.u[(unit.id, m, t - 1)]] = -1.0
-            for n in MODES:
-                if n == m:
-                    continue
-                coeffs[blk.v[(unit.id, n, m, t)]] = coeffs.get(blk.v[(unit.id, n, m, t)], 0.0) - 1.0
-                coeffs[blk.v[(unit.id, m, n, t)]] = coeffs.get(blk.v[(unit.id, m, n, t)], 0.0) + 1.0
+                coeffs[blk.u[(unit.id, m, t - 1)]] = 1.0
             model.add_row(
-                f"r_mode_flow_{m}.{unit.id}.t{t}",
-                coeffs,
-                EQ,
-                rhs,
-                Tag("mode_transition", f"{unit.id}:{m}", t),
+                f"r_startup_{m}.{unit.id}.t{t}", coeffs, GE, rhs,
+                Tag("startup", f"{unit.id}:{m}", t),
             )
-        model.add_row(
-            f"r_one_switch.{unit.id}.t{t}",
-            {blk.v[(unit.id, m, n, t)]: 1.0 for m, n in TRANSITIONS},
-            LE,
-            1.0,
-            Tag("transition_limit", unit.id, t),
-        )
 
 
 def add_dispatch_boxes(model: MilpModel, blk: PshBlock, unit: PshUnit) -> None:

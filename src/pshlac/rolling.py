@@ -11,6 +11,7 @@ the ledger trajectory is exact.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field, asdict
 from typing import Mapping, Protocol, Sequence
 
@@ -144,6 +145,7 @@ class WindowMetric:
     t1: int
     status: str
     objective: float
+    build_s: float  # building the window model, before HiGHS sees it
     walltime_s: float
     rows: int
     cols: int
@@ -187,11 +189,11 @@ class SimulationLedger:
 
     def write_metrics_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries,gap,nodes,warm\n")
+            fh.write("window,t1,status,objective,build_s,walltime_s,rows,cols,nonzeros,binaries,gap,nodes,warm\n")
             for m in self.windows:
                 gap = "" if m.gap is None else repr(m.gap)
                 fh.write(
-                    f"{m.window},{m.t1},{m.status},{m.objective!r},{m.walltime_s!r},"
+                    f"{m.window},{m.t1},{m.status},{m.objective!r},{m.build_s!r},{m.walltime_s!r},"
                     f"{m.rows},{m.cols},{m.nonzeros},{m.binaries},{gap},{m.nodes},{m.warm}\n"
                 )
 
@@ -324,7 +326,9 @@ def run_day(
                 full = provider.full_set(t0, view.observed_rt_lmp)
             scn = full.slice_hours(te + 1)
         inst = LacInstance(system, win, view.net_load, da, dict(soc), dict(prev_modes), scn)
+        t_build = time.perf_counter()
         model = build_variant(variant, inst, control.model)
+        build_s = time.perf_counter() - t_build
         warm = variant == Variant.PERFECT and w_index > 1
         start = _tail_start(prev_model, prev_sol, model) if warm else None
         sol = solve(model, control.solver, start)
@@ -337,7 +341,7 @@ def run_day(
         ledger.hours.append(frozen)
         ledger.windows.append(
             WindowMetric(
-                w_index, t1, sol.status, float(sol.objective), float(sol.walltime_s),
+                w_index, t1, sol.status, float(sol.objective), build_s, float(sol.walltime_s),
                 model.n_rows, model.n_vars, model.n_nonzeros, model.n_binaries, sol.gap,
                 sol.nodes, int(warm),
             )

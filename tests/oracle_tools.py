@@ -13,7 +13,7 @@ against the structure it replaced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 

@@ -38,7 +38,7 @@ from pshlac.psh_model import soc_step
 from pshlac.rolling import PipelineProvider, RunControl, causality_check, run_day
 from pshlac.synth import NODE as BUS, SynthConfig, make_day, make_history, make_system
 
-from conftest import EXACT, solve_exact
+from conftest import solve_exact
 from oracle_tools import add_full_scenario_tails, enumerate_objective
 from toys import window_setup
 
@@ -241,30 +241,23 @@ def test_01_named_rows_match_hand_arithmetic():
         check("r_pdef.th1.t1", {"p.th1.t1": 1.0, "pseg0.th1.t1": -1.0}, EQ, 0.0)
         check("r_pmin.th1.t1", {"p.th1.t1": 1.0}, GE, 0.0)
         check("r_pmax.th1.t1", {"p.th1.t1": 1.0, "uT.th1.t1": -200.0}, LE, 0.0)
-        # exactly one mode, conservation of mode flow, one switch per hour
+        # exactly one mode; a start-up column per entered mode, charged
+        # when the mode is on now and was not in the hour before
         check("r_one_mode.ps1.t1", {
             "u_off.ps1.t1": 1.0, "u_gen.ps1.t1": 1.0, "u_pump.ps1.t1": 1.0,
         }, EQ, 1.0)
-        check("r_mode_flow_gen.ps1.t1", {
-            "u_gen.ps1.t1": 1.0,
-            "v_off_gen.ps1.t1": -1.0, "v_pump_gen.ps1.t1": -1.0,
-            "v_gen_off.ps1.t1": 1.0, "v_gen_pump.ps1.t1": 1.0,
-        }, EQ, 0.0)
-        check("r_mode_flow_off.ps1.t1", {
-            "u_off.ps1.t1": 1.0,
-            "v_gen_off.ps1.t1": -1.0, "v_pump_off.ps1.t1": -1.0,
-            "v_off_gen.ps1.t1": 1.0, "v_off_pump.ps1.t1": 1.0,
-        }, EQ, 1.0)  # unit starts from "off"
-        check("r_mode_flow_gen.ps1.t2", {
-            "u_gen.ps1.t2": 1.0, "u_gen.ps1.t1": -1.0,
-            "v_off_gen.ps1.t2": -1.0, "v_pump_gen.ps1.t2": -1.0,
-            "v_gen_off.ps1.t2": 1.0, "v_gen_pump.ps1.t2": 1.0,
-        }, EQ, 0.0)
-        check("r_one_switch.ps1.t1", {
-            "v_off_gen.ps1.t1": 1.0, "v_off_pump.ps1.t1": 1.0,
-            "v_gen_off.ps1.t1": 1.0, "v_gen_pump.ps1.t1": 1.0,
-            "v_pump_off.ps1.t1": 1.0, "v_pump_gen.ps1.t1": 1.0,
-        }, LE, 1.0)
+        check("r_startup_gen.ps1.t1", {"su_gen.ps1.t1": 1.0, "u_gen.ps1.t1": -1.0},
+              GE, 0.0)  # unit starts from "off"
+        check("r_startup_pump.ps1.t1", {"su_pump.ps1.t1": 1.0, "u_pump.ps1.t1": -1.0}, GE, 0.0)
+        check("r_startup_gen.ps1.t2", {
+            "su_gen.ps1.t2": 1.0, "u_gen.ps1.t2": -1.0, "u_gen.ps1.t1": 1.0,
+        }, GE, 0.0)
+        check("r_startup_pump.ps1.t2", {
+            "su_pump.ps1.t2": 1.0, "u_pump.ps1.t2": -1.0, "u_pump.ps1.t1": 1.0,
+        }, GE, 0.0)
+        gen_start = m.var(m.var_index("su_gen.ps1.t2"))
+        assert (gen_start.kind, gen_start.lb, gen_start.ub) == ("continuous", 0.0, 1.0)
+        assert m.n_binaries == 2 + 2 * 3  # thermal commitments and window modes only
         # dispatch boxes; the zero floor drops its commitment coefficient
         check("r_gen_hi.ps1.t1", {"qg.ps1.t1": 1.0, "u_gen.ps1.t1": -20.0}, LE, 0.0)
         check("r_gen_lo.ps1.t1", {"qg.ps1.t1": 1.0}, GE, 0.0)
@@ -291,8 +284,8 @@ def test_01_named_rows_match_hand_arithmetic():
         # price no modes either: dispatch is boxed by its bounds alone
         qg, qp = m.var(m.var_index("qg.ps1.t3.s0")), m.var(m.var_index("qp.ps1.t3.s0"))
         assert (qg.lb, qg.ub, qp.lb, qp.ub) == (0.0, 20.0, 0.0, 20.0)
-        modal = ("psh_commit", "psh_transition", "mode_exclusive", "mode_transition",
-                 "transition_limit", "gen_box_hi", "gen_box_lo", "pump_box_hi", "pump_box_lo")
+        modal = ("psh_commit", "psh_startup", "startup", "mode_exclusive",
+                 "gen_box_hi", "gen_box_lo", "pump_box_hi", "pump_box_lo")
         assert scenario_tagged(m, modal) == []
         # risk epigraph: price-weighted deviation from the 10 MW da position
         check("r_risk.res1.s0", {
@@ -316,6 +309,14 @@ def test_01_named_rows_match_hand_arithmetic():
         check("r_pump_hi.ps1.t3.s0", {"qp.ps1.t3.s0": 1.0, "u_pump.ps1.t3.s0": -20.0}, LE, 0.0, mn)
         assert scenario_tagged(mn, ("psh_commit",)) == [
             "u_gen.ps1.t3.s0", "u_off.ps1.t3.s0", "u_pump.ps1.t3.s0"]
+
+        # a unit already generating enters hour 1 with u_gen[0] = 1
+        running = window_setup(init_mode="gen", trans_gen=40.0, trans_pump=25.0)
+        mg = build_robust(running.instance, running.cfg)
+        check("r_startup_gen.ps1.t1", {"su_gen.ps1.t1": 1.0, "u_gen.ps1.t1": -1.0}, GE, -1.0, mg)
+        check("r_startup_pump.ps1.t1", {"su_pump.ps1.t1": 1.0, "u_pump.ps1.t1": -1.0}, GE, 0.0, mg)
+        assert mg.var(mg.var_index("su_gen.ps1.t2")).obj == 40.0
+        assert mg.var(mg.var_index("su_pump.ps1.t2")).obj == 25.0
 
         relaxed = window_setup(end_soc="relax")
         mr = build_stochastic(relaxed.instance, relaxed.cfg)
@@ -356,6 +357,15 @@ ENUM_CASES = [
                                prices=((-30.0,), (40.0,)), weights=(0.5, 0.5)),
      ("stochastic", "robust")),
     ("full_horizon", dict(L=3), ("perfect",)),
+    # start-up charges that shape the optimum: pump, then gen, then gen
+    # (one gen start in hour 2, 10650), and two gen starts (11600)
+    ("gen_start_after_pump", dict(L=3, loads=(30.0, 210.0, 30.0),
+                                  thermal_segments=((100.0, 20.0), (150.0, 80.0)),
+                                  trans_gen=50.0, trans_pump=30.0, init_mode="pump"),
+     ("perfect",)),
+    ("two_gen_starts", dict(T=4, L=4, loads=(150.0, 50.0, 150.0, 50.0),
+                            thermal_segments=((100.0, 20.0), (150.0, 80.0)),
+                            e_init=30.0, trans_gen=200.0), ("perfect",)),
 ]
 
 

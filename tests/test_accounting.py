@@ -7,7 +7,6 @@ from pshlac import accounting
 from pshlac.accounting import (
     VARIANT_ORDER,
     AccountingError,
-    DayEvaluation,
     ScalingEntry,
     da_profit,
     evaluate_day,

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +94,7 @@ def test_psh_and_reservoir_rules():
         PshUnit("p_a", "nowhere", "n1", 5.0, 1.0, 0.0, 10.0, 1.5, 0.0,
                 initial_mode="spin", da_gen=(1.0,), da_pump=None),
         PshUnit("p_b", "res1", "n1", 0.0, 10.0, 0.0, 10.0, 1.0, 1.0,
+                startup_cost_pump=-1.0,
                 da_gen=(5.0, 0.0, 0.0), da_pump=(5.0, 0.0, 0.0)),
     )
     bad_res = (
@@ -110,6 +109,9 @@ def test_psh_and_reservoir_rules():
     assert ("p_a", "initial_mode") in got
     assert ("p_a", "da_gen") in got           # wrong length
     assert ("p_b", "da_gen") in got           # gen and pump at once
+    # a negative charge would pay the start-up indicator to sit at 1
+    assert ("p_b", "startup_cost_pump") in got
+    assert ("p_a", "startup_cost_gen") not in got
     assert ("res1", "e_initial") in got
     assert ("res1", "e_final_target") in got
     assert ("res1", "member_units") in got    # ghost member

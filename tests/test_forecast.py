@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from pshlac.core import PriceScenarioSet
 from pshlac.forecast import (
     DEFAULT_LEVELS,
     PIT_EPS,

@@ -9,8 +9,6 @@ import pytest
 from pshlac.core import CostSegment, InitialStatus, PriceScenarioSet, ThermalUnit
 from pshlac.lac_models import (
     ConfigurationError,
-    LacInstance,
-    ModelConfig,
     Variant,
     _startup_constant,
     apply_da_reference,
@@ -25,7 +23,7 @@ from pshlac.lac_models import (
     extract_da_reference,
     scenario_block_size,
 )
-from pshlac.milp import EQ, GE, LE, MilpModel, SolveOptions, Tag, solve
+from pshlac.milp import EQ, GE, LE, MilpModel, Tag, solve
 
 from conftest import EXACT, solve_exact
 from oracle_tools import enumerate_objective

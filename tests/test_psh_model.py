@@ -1,9 +1,9 @@
-import math
+from itertools import product
 
 import pytest
 
-from pshlac.core import PshUnit, Reservoir
-from pshlac.milp import EQ, GE, INFEASIBLE, LE, MilpModel, SolveOptions, Tag, solve
+from pshlac.core import MODES, PshUnit, Reservoir
+from pshlac.milp import BINARY, CONTINUOUS, GE, INFEASIBLE, MilpModel, SolveOptions, solve
 from pshlac.psh_model import (
     add_dispatch_boxes,
     add_mode_logic,
@@ -53,14 +53,14 @@ def test_soc_step_bookkeeping():
 def test_block_variable_counts():
     m = MilpModel()
     blk = create_psh_block(m, [_unit()], [1, 2, 3])
-    # per unit-hour: 3 commitments, 6 transitions, 2 dispatch
-    assert m.n_vars == 3 * (3 + 6 + 2)
-    assert m.n_binaries == 3 * 9
+    # per unit-hour: 3 commitments, 2 start-ups (gen, pump), 2 dispatch
+    assert m.n_vars == 3 * (3 + 2 + 2)
+    assert m.n_binaries == 3 * 3
     assert blk.scenario is None
     blk_s = create_psh_block(m, [_unit()], [4], scenario=2)
     assert m.var(blk_s.u[("ps1", "off", 4)]).name == "u_off.ps1.t4.s2"
-    # a scenario block has 3 commitments and 2 dispatch, no transitions
-    assert m.n_vars == 3 * (3 + 6 + 2) + 3 + 2
+    # a scenario block has 3 commitments and 2 dispatch, no start-ups
+    assert m.n_vars == 3 * (3 + 2 + 2) + 3 + 2
     # and commitments only in the cells it names
     before = (m.n_vars, m.n_binaries)
     blk_m = create_psh_block(m, [_unit()], [5, 6, 7], scenario=3, mode_cells={("ps1", 6)})
@@ -72,13 +72,15 @@ def test_block_variable_counts():
 def test_transition_charges_only_when_requested():
     m = MilpModel()
     blk = create_psh_block(m, [_unit()], [1])
-    assert m.var(blk.v[("ps1", "off", "gen", 1)]).obj == 7.0
-    assert m.var(blk.v[("ps1", "pump", "gen", 1)]).obj == 7.0
-    assert m.var(blk.v[("ps1", "off", "pump", 1)]).obj == 3.0
-    assert m.var(blk.v[("ps1", "gen", "off", 1)]).obj == 0.0
-    # scenario blocks are revenue-only and have no transitions to charge
+    assert sorted(blk.start) == [("ps1", "gen", 1), ("ps1", "pump", 1)]
+    gen, pump = m.var(blk.start[("ps1", "gen", 1)]), m.var(blk.start[("ps1", "pump", 1)])
+    assert (gen.name, gen.kind, gen.lb, gen.ub, gen.obj) == ("su_gen.ps1.t1", CONTINUOUS, 0.0, 1.0, 7.0)
+    assert (pump.name, pump.kind, pump.lb, pump.ub, pump.obj) == ("su_pump.ps1.t1", CONTINUOUS, 0.0, 1.0, 3.0)
+    # the modes are the only binaries
+    assert [m.var(i).kind for i in blk.u.values()] == [BINARY] * 3
+    # scenario blocks are revenue-only and have no start-ups to charge
     blk2 = create_psh_block(m, [_unit()], [2], scenario=0)
-    assert blk2.v == {}
+    assert blk2.start == {}
 
 
 def test_scenario_mode_logic_is_exclusivity_only():
@@ -120,39 +122,60 @@ def _mode_model(hours=(1, 2), prev="off"):
     return m, blk
 
 
-def test_mode_logic_derives_transitions_from_history():
-    m, blk = _mode_model(prev="off")
-    _fix(m, blk.u[("ps1", "gen", 1)], 1)
-    _fix(m, blk.u[("ps1", "pump", 2)], 1)
+def _charges(prev, modes):
+    """Start-up charges of a mode sequence, by hand: 7 to enter gen, 3 to
+    enter pump, from whatever mode came before."""
+    cost = {"off": 0.0, "gen": 7.0, "pump": 3.0}
+    return sum(cost[b] for a, b in zip((prev, *modes), modes) if a != b)
+
+
+def _solve_modes(prev, modes):
+    m, blk = _mode_model(hours=range(1, len(modes) + 1), prev=prev)
+    for t, mode in enumerate(modes, start=1):
+        _fix(m, blk.u[("ps1", mode, t)], 1)
     sol = solve(m, OPTS)
-    assert sol.ok
-    # exclusivity zeroes the other modes
-    assert sol.binary_value(blk.u[("ps1", "off", 1)]) == 0
-    assert sol.binary_value(blk.u[("ps1", "pump", 1)]) == 0
-    # flow balance forces exactly the two switches taken
-    assert sol.binary_value(blk.v[("ps1", "off", "gen", 1)]) == 1
-    assert sol.binary_value(blk.v[("ps1", "gen", "pump", 2)]) == 1
-    assert sol.binary_value(blk.v[("ps1", "off", "pump", 2)]) == 0
-    # objective collects both entry charges
-    assert sol.objective == pytest.approx(7.0 + 3.0, abs=1e-9)
+    assert sol.ok, (prev, modes, sol.status)
+    return sol, blk
+
+
+def test_mode_logic_derives_transitions_from_history():
+    # every mode before the window and every two-hour mode sequence:
+    # entering gen or pump is charged once, from any mode
+    for prev, m1, m2 in product(MODES, repeat=3):
+        sol, blk = _solve_modes(prev, (m1, m2))
+        assert sol.objective == pytest.approx(_charges(prev, (m1, m2)), abs=1e-9), (prev, m1, m2)
+        # exclusivity zeroes the other modes
+        assert sum(sol.binary_value(blk.u[("ps1", m, 1)]) for m in MODES) == 1
+        # each start-up column sits at its indicator
+        for t, (a, b) in enumerate(zip((prev, m1), (m1, m2)), start=1):
+            for mode in ("gen", "pump"):
+                want = 1.0 if b == mode and a != mode else 0.0
+                assert sol.value(blk.start[("ps1", mode, t)]) == pytest.approx(want, abs=1e-9)
 
 
 def test_staying_in_mode_needs_no_transition():
-    m, blk = _mode_model(prev="gen")
-    _fix(m, blk.u[("ps1", "gen", 1)], 1)
-    _fix(m, blk.u[("ps1", "gen", 2)], 1)
-    sol = solve(m, OPTS)
-    assert sol.ok
-    assert sol.objective == pytest.approx(0.0, abs=1e-9)
-    for (uid, a, b, t), idx in blk.v.items():
-        assert sol.binary_value(idx) == 0
+    for prev, modes in (("gen", ("gen", "gen")), ("pump", ("pump", "pump")),
+                        ("gen", ("off", "off")), ("pump", ("off", "off"))):
+        sol, blk = _solve_modes(prev, modes)
+        assert sol.objective == pytest.approx(0.0, abs=1e-9), (prev, modes)
+        for idx in blk.start.values():
+            assert sol.value(idx) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_one_switch_cap_blocks_double_transitions():
-    m, blk = _mode_model(prev="off")
-    _fix(m, blk.v[("ps1", "off", "gen", 1)], 1)
-    _fix(m, blk.v[("ps1", "pump", "off", 1)], 1)
-    assert solve(m, OPTS).status == INFEASIBLE
+def test_pre_window_mode_applies_at_hour_one():
+    # hour 1 reads the mode before the window as the constant [prev == m]
+    for prev in MODES:
+        m, _ = _mode_model(prev=prev)
+        rows = {m.row(i).name: m.row(i) for i in range(m.n_rows)}
+        for mode in ("gen", "pump"):
+            r = rows[f"r_startup_{mode}.ps1.t1"]
+            assert (r.sense, r.rhs) == (GE, -1.0 if prev == mode else 0.0)
+            assert sorted(r.coeffs.values()) == [-1.0, 1.0]
+            later = rows[f"r_startup_{mode}.ps1.t2"]
+            assert (later.sense, later.rhs, sorted(later.coeffs.values())) == (GE, 0.0, [-1.0, 1.0, 1.0])
+    # so generating in hour 1 is charged after off or pump, not after gen
+    assert [_solve_modes(prev, ("gen",))[0].objective for prev in MODES] == pytest.approx([7.0, 0.0, 7.0])
+    assert [_solve_modes(prev, ("pump",))[0].objective for prev in MODES] == pytest.approx([3.0, 3.0, 0.0])
 
 
 def test_dispatch_boxes_follow_commitment():

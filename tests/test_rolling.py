@@ -248,25 +248,40 @@ def test_ledger_reruns_are_byte_identical(tmp_path, toy_day):
 
 def test_metrics_csv_shape(tmp_path, toy_day):
     system, day, da = toy_day
+    header = ("window,t1,status,objective,build_s,walltime_s,rows,cols,nonzeros,binaries,gap,"
+              "nodes,warm")
+    # a plan-following window has every mode fixed and no binary left to
+    # branch on: HiGHS solves it as an LP, with no gap and no nodes
     ledger = run_day(system, day, Variant.CURRENT_PRACTICE, None, CONTROL, da)
     p = tmp_path / "metrics.csv"
     ledger.write_metrics_csv(p)
     lines = p.read_text().splitlines()
-    assert lines[0] == ("window,t1,status,objective,walltime_s,rows,cols,nonzeros,binaries,gap,"
-                        "nodes,warm")
+    assert lines[0] == header
     assert len(lines) == 1 + len(ledger.windows)
     first = lines[1].split(",")
-    assert first[0] == "1" and first[1] == "1"
-    assert int(first[5]) > 0 and int(first[6]) > 0
-    assert int(first[8]) == ledger.windows[0].binaries > 0
-    assert float(first[9]) == ledger.windows[0].gap
-    assert 0.0 <= ledger.windows[0].gap <= EXACT.gap_tol
-    assert int(first[10]) == ledger.windows[0].nodes >= 1
-    assert first[11] == "0"
-    # a solve that reports no gap leaves the column empty
-    ledger.windows[0] = replace(ledger.windows[0], gap=None)
-    ledger.write_metrics_csv(p)
     w = ledger.windows[0]
+    assert first[0] == "1" and first[1] == "1"
+    assert float(first[4]) == w.build_s > 0.0
+    assert float(first[5]) == w.walltime_s > 0.0
+    assert int(first[6]) > 0 and int(first[7]) > 0
+    assert int(first[9]) == w.binaries > 0
+    assert (w.gap, w.nodes) == (None, 0)
+    assert lines[1].endswith(f",{w.binaries},,0,0")
+    # a perfect window keeps its modes free and is a MIP
+    ledger = run_day(system, day, Variant.PERFECT, None, CONTROL, da)
+    ledger.write_metrics_csv(p)
+    lines = p.read_text().splitlines()
+    assert lines[0] == header
+    first = lines[1].split(",")
+    w = ledger.windows[0]
+    assert float(first[4]) == w.build_s > 0.0
+    assert float(first[10]) == w.gap
+    assert 0.0 <= w.gap <= EXACT.gap_tol
+    assert int(first[11]) == w.nodes >= 1
+    assert first[12] == "0"
+    # a solve that reports no gap leaves the column empty
+    ledger.windows[0] = replace(w, gap=None)
+    ledger.write_metrics_csv(p)
     assert p.read_text().splitlines()[1].endswith(f",{w.binaries},,{w.nodes},0")
 
 

@@ -5,7 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from pshlac.lac_models import Variant
+from pshlac.rolling import RunControl, WindowInfeasibleError, run_day
+
+from conftest import EXACT
+from toys import rolling_day_setup
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -49,3 +55,18 @@ def test_forecast_calibration_prints_the_fit_and_the_holdout_scores():
     )
     assert scores, out
     assert all(0.0 <= float(v) <= 1.0 for v in scores.groups()), out
+
+
+def test_replay_window_prints_the_status_and_the_conflict_rows(tmp_path):
+    # the day-ahead plan drains the reservoir in hour 1, so the second
+    # plan-following window is infeasible
+    system, day, da = rolling_day_setup(da_gen=(20.0, 20.0, 20.0))
+    with pytest.raises(WindowInfeasibleError) as err:
+        run_day(system, day, Variant.CURRENT_PRACTICE, None, RunControl(solver=EXACT), da)
+    dump = tmp_path / "failed_current_practice_w2.lp"
+    dump.write_text(err.value.lp_text)
+    out = _run("replay_window.py", str(dump), timeout=60)
+    lines = out.splitlines()
+    assert lines[0] == "status: Infeasible", out
+    assert [ln.removeprefix("iis row: ") for ln in lines[1:]] == err.value.conflict_rows
+    assert err.value.conflict_rows and all(ln.startswith("iis row: ") for ln in lines[1:])

@@ -9,7 +9,7 @@ one constructor is what makes the equivalence tests meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
