@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Model-size and walltime scaling of the first window as the scenario
-count grows, for the stochastic and robust variants."""
+count grows, for the stochastic and robust variants.
+
+Each scenario tail enters the window as cuts on the edge storage (see
+``pshlac.lac_models``), so the rows grow by each scenario's cut count;
+the script prints the total and the per-scenario range of those counts,
+and how many scenarios kept an explicit dispatch block."""
 
 import argparse
 import os
@@ -18,7 +23,6 @@ from pshlac.lac_models import (
     ModelConfig,
     Variant,
     build_variant,
-    scenario_block_size,
 )
 from pshlac.milp import SolveOptions, solve
 from pshlac.synth import SynthConfig, make_day
@@ -62,13 +66,13 @@ def main() -> int:
         sol = solve(model, SolveOptions(gap_tol=args.gap_tol, time_limit=300.0))
         wall = time.time() - t0
         entries.append(ScalingEntry(S, model.n_rows, model.n_vars, model.n_nonzeros, wall))
+        tails = model.meta["tails"]
+        counts = [c.x[i].size for c in tails.cuts.values() for i in range(len(tails.scenarios))]
         print(f"S={S:4d}: rows={model.n_rows:7d} cols={model.n_vars:7d} "
-              f"nnz={model.n_nonzeros:8d} {sol.status:>9} wall={wall:6.2f}s")
+              f"nnz={model.n_nonzeros:8d} {sol.status:>9} wall={wall:6.2f}s "
+              f"cuts={sum(counts)} per scenario {min(counts, default=0)}-{max(counts, default=0)} "
+              f"blocks={len(tails.blocks)}")
 
-    T = sd.system.grid.horizon_end
-    te = min(sd.system.grid.window_length, T)
-    pr, pc, pz = scenario_block_size(sd.system, T - te, variant)
-    print(f"\nper-scenario block: rows={pr} cols={pc} nnz={pz}")
     rows = scaling_table(entries)
     print(f"{'S':>5}{'rows':>9}{'rows%':>9}{'cols':>9}{'cols%':>9}{'nnz':>10}{'nnz%':>9}{'wall':>8}")
     for r in rows:

@@ -13,10 +13,23 @@ window are valued:
 * ``deterministic``     a single point-forecast trajectory prices the
   post-window net sales of each PSH unit
 * ``stochastic``        the expectation of that revenue over a scenario
-  set, with one second-stage dispatch copy per scenario
+  set
 * ``robust``            the worst case over scenarios of the revenue
   shortfall relative to the day-ahead position, one epigraph variable
   per reservoir
+
+The three scenario variants share one tail builder, :func:`_add_tails`.
+A tail reaches the window only through the storage at the window edge,
+one column ``e.<res>.t<te+1>`` per reservoir, so each scenario's tail is
+its exact best revenue ``V_s(e)`` as cuts on that column
+(``psh_model.tail_value_functions``; the module docstring there gives
+the argument).  This is the water value of Pereira and Pinto (Math.
+Programming 52, 1991) in the multi-cut form of Birge and Louveaux
+(*Introduction to Stochastic Programming*, 2011, ch. 5); as the recourse
+is one-dimensional and known in closed form, the cuts are complete and
+no Benders iteration is needed.  A scenario with a cell where that
+argument fails (a dispatch floor, a negative price) keeps an explicit
+dispatch block tied to the same column.
 """
 
 from __future__ import annotations
@@ -38,11 +51,15 @@ from .core import (
 from .milp import BINARY, EQ, GE, LE, MilpModel, MilpSolution, Tag
 from .psh_model import (
     PshBlock,
+    TailCuts,
+    add_block_soc,
     add_dispatch_boxes,
+    add_end_target,
     add_mode_logic,
     add_soc_dynamics,
     create_psh_block,
     fix_block_to_schedule,
+    tail_value_functions,
 )
 
 
@@ -235,48 +252,26 @@ def _base_window_model(
         add_mode_logic(model, det, u, prev=instance.prev_modes[u.id])
         add_dispatch_boxes(model, det, u)
 
-    scen_blocks: list[PshBlock] = []
-    scn = instance.scenario_set
-    if with_scenarios and scn is not None and scn.prices.shape[2] > 0:
-        post = list(range(te + 1, T + 1))
-        prices = _scenario_prices(instance, cfg)
-        model.meta["scenario_prices"] = prices
-        node = {u.id: scn.nodes.index(u.node_id) for u in sys.psh_units}
-        for s in range(scn.count):
-            # mode binaries only where dropping them could change the
-            # optimum (psh_model's module docstring gives the argument)
-            mode_cells = {
-                (u.id, t)
-                for u in sys.psh_units
-                for hi, t in enumerate(post)
-                if _has_floor(u) or prices[s, node[u.id], hi] < 0.0
-            }
-            blk = create_psh_block(model, sys.psh_units, post, s, mode_cells)
-            for u in sys.psh_units:
-                add_mode_logic(model, blk, u)
-                add_dispatch_boxes(model, blk, u)
-            scen_blocks.append(blk)
-
     soc_by_res = {}
     for r in sys.reservoirs:
-        soc_by_res[r.id] = add_soc_dynamics(
+        soc = add_soc_dynamics(
             model,
             r,
             sys.psh_units,
             det,
-            scen_blocks,
             e_initial=float(instance.soc_state[r.id]),
-            e_final_target=float(instance.da.end_soc[r.id]),
             dt=sys.grid.interval_hours,
-            close_horizon=(te == T),
-            end_soc=cfg.end_soc,
+            edge=te == T or with_scenarios,
         )
+        if te == T:
+            add_end_target(model, r.id, soc.e_det[(r.id, T + 1)],
+                           float(instance.da.end_soc[r.id]), cfg.end_soc)
+        soc_by_res[r.id] = soc
 
     balance_rows, slack_vars = _add_balance(model, sys, hours, instance.net_load, thermal_p, det, cfg.voll)
 
     model.meta.update(
         det_block=det,
-        scen_blocks=scen_blocks,
         soc=soc_by_res,
         thermal_u=thermal_u,
         thermal_p=thermal_p,
@@ -307,34 +302,157 @@ def _scenario_prices(instance: LacInstance, cfg: ModelConfig) -> np.ndarray:
     return prices
 
 
+@dataclass
+class ScenarioTails:
+    """Handles of a window's scenario tails (see :func:`_add_tails`)."""
+
+    edge: dict[str, int]  # reservoir -> edge-storage column
+    scenarios: tuple[int, ...]  # scenarios priced by cuts
+    cuts: dict[str, TailCuts]  # reservoir -> cuts of those scenarios, in that order
+    blocks: list[PshBlock]  # scenarios kept as explicit dispatch blocks
+    weights: tuple[float, ...] | None  # expected-value weights, None for the worst case
+    da_revenue: dict[str, np.ndarray]  # reservoir -> day-ahead revenue per scenario
+
+    def water_value(self, sol: MilpSolution) -> tuple[float, ...]:
+        """Per reservoir, the marginal tail value of edge storage at the
+        solution: the weighted slope of each scenario's active cut, or in
+        the worst case the slope of the binding scenario's.  Empty when a
+        scenario kept its block, which reports no slope."""
+        if self.blocks:
+            return ()
+        out = []
+        for rid, cuts in self.cuts.items():
+            e = sol.value(self.edge[rid])
+            slopes = np.array([cuts.slope_at(i, e) for i in range(len(self.scenarios))])
+            if self.weights is None:
+                values = np.array([cuts.value(i, e) for i in range(len(self.scenarios))])
+                out.append(float(slopes[np.argmax(self.da_revenue[rid][list(self.scenarios)] - values)]))
+            else:
+                out.append(float(np.dot([self.weights[s] for s in self.scenarios], slopes)))
+        return tuple(out)
+
+
+def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
+               weights: Sequence[float] | None) -> None:
+    """Price the post-window hours of every scenario.
+
+    With ``weights`` a tail counts by its weighted revenue, the expected
+    value (stochastic; deterministic at weight 1).  With ``None`` it
+    counts by the worst case over scenarios of the shortfall against the
+    day-ahead position, one ``w_risk.<res>`` per reservoir (robust).  Per
+    reservoir and scenario whose tail has no mode cell, each piece
+    ``(x_k, y_k, b_k)`` of ``V_s`` on the edge column ``e`` gives
+
+    * expected: ``r_cut.<res>.s<s>.k<k>``, ``theta - b_k*e <= y_k - b_k*x_k``,
+      on a free ``theta.<res>.s<s>`` costing ``-w_s``
+    * worst case: ``r_risk.<res>.s<s>.k<k>``,
+      ``w_risk + b_k*e >= DA_s - y_k + b_k*x_k``
+
+    and the domain of ``V_s`` bounds ``e`` by the rows
+    ``r_tail_min.<res>`` and ``r_tail_max.<res>``, so that a window that
+    cannot reach it names them in its IIS.  A scenario with a mode cell
+    keeps an explicit block tied to ``e``: its revenue in the objective,
+    or its own ``r_risk.<res>.s<s>`` row.
+    """
+    scn = instance.scenario_set
+    if scn is None or scn.prices.shape[2] == 0:
+        return
+    sys = instance.system
+    units = sys.psh_units
+    te = model.meta["window_hours"][-1]
+    post = list(range(te + 1, sys.grid.horizon_end + 1))
+    dt = sys.grid.interval_hours
+    # (S, units, hours): each unit's ramped price
+    prices = _scenario_prices(instance, cfg)[:, [scn.nodes.index(u.node_id) for u in units], :]
+    floors = np.array([_has_floor(u) for u in units], dtype=bool)
+    mode_cells = floors[None, :, None] | (prices < 0.0)
+    members = {r.id: [i for i, u in enumerate(units) if u.reservoir_id == r.id] for r in sys.reservoirs}
+    target = {r.id: float(instance.da.end_soc[r.id]) for r in sys.reservoirs}
+    edge = {r.id: model.meta["soc"][r.id].e_det[(r.id, te + 1)] for r in sys.reservoirs}
+
+    by_cuts = np.flatnonzero(~mode_cells.any(axis=(1, 2)))
+    cuts: dict[str, TailCuts] = {}
+    for r in sys.reservoirs:
+        if by_cuts.size == 0:
+            break
+        idx = members[r.id]
+        found = tail_value_functions(r, [units[i] for i in idx], prices[np.ix_(by_cuts, idx)],
+                                     target[r.id], cfg.end_soc, dt)
+        if found is None:  # no edge storage reaches the target: blocks name the rows at fault
+            by_cuts, cuts = by_cuts[:0], {}
+            break
+        cuts[r.id] = found
+
+    da_net = np.array([np.asarray(instance.da.gen[u.id][te:]) - np.asarray(instance.da.pump[u.id][te:])
+                       for u in units]).reshape(len(units), len(post))
+    da_unit = np.einsum("suh,uh->su", prices, da_net)
+    da_revenue = {rid: da_unit[:, idx].sum(axis=1) for rid, idx in members.items()}
+    risk = {}
+    if weights is None:
+        risk = {r.id: model.add_var(f"w_risk.{r.id}", lb=-math.inf, ub=math.inf, obj=1.0, tag=Tag("risk", r.id))
+                for r in sys.reservoirs}
+        model.meta["risk_vars"] = risk
+
+    for rid, found in cuts.items():
+        e = edge[rid]
+        model.add_row(f"r_tail_min.{rid}", {e: 1.0}, GE, found.lo, Tag("tail_domain", rid, te + 1))
+        model.add_row(f"r_tail_max.{rid}", {e: 1.0}, LE, found.hi, Tag("tail_domain", rid, te + 1))
+        for i, s in enumerate(by_cuts):
+            s = int(s)
+            if weights is not None:
+                theta = model.add_var(f"theta.{rid}.s{s}", lb=-math.inf, ub=math.inf, obj=-weights[s],
+                                      tag=Tag("tail_value", rid, None, s))
+            for k, (x, y, b) in enumerate(zip(found.x[i], found.y[i], found.slope[i])):
+                if weights is not None:
+                    model.add_row(f"r_cut.{rid}.s{s}.k{k}", {theta: 1.0, e: -b}, LE, y - b * x,
+                                  Tag("value_cut", rid, None, s))
+                else:
+                    model.add_row(f"r_risk.{rid}.s{s}.k{k}", {risk[rid]: 1.0, e: b}, GE,
+                                  da_revenue[rid][s] - y + b * x, Tag("risk_cut", rid, None, s))
+
+    blocks = []
+    for s in sorted(set(range(scn.count)) - set(by_cuts.tolist())):
+        cells = {(units[i].id, post[h]) for i, h in zip(*np.nonzero(mode_cells[s]))}
+        blk = create_psh_block(model, units, post, s, cells)
+        for u in units:
+            add_mode_logic(model, blk, u)
+            add_dispatch_boxes(model, blk, u)
+        for r in sys.reservoirs:
+            add_block_soc(model, r, units, blk, edge[r.id], target[r.id], cfg.end_soc, dt)
+        for rid, idx in members.items():
+            coeffs: dict[int, float] = {}
+            for i in idx:
+                for h, t in enumerate(post):
+                    lmp = float(prices[s, i, h])
+                    if weights is not None:
+                        model.add_obj(blk.q_gen[(units[i].id, t)], -weights[s] * lmp)
+                        model.add_obj(blk.q_pump[(units[i].id, t)], weights[s] * lmp)
+                    coeffs[blk.q_gen[(units[i].id, t)]] = lmp
+                    coeffs[blk.q_pump[(units[i].id, t)]] = -lmp
+            if weights is None:
+                model.add_row(f"r_risk.{rid}.s{s}", {risk[rid]: 1.0, **coeffs}, GE,
+                              float(da_revenue[rid][s]), Tag("risk_cap", rid, None, s))
+        blocks.append(blk)
+
+    model.meta["tails"] = ScenarioTails(
+        edge, tuple(int(s) for s in by_cuts), cuts, blocks,
+        None if weights is None else tuple(weights), da_revenue,
+    )
+
+
 def build_stochastic(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpModel:
     """Two-stage window model maximizing expected post-window net sales."""
     cfg = cfg or ModelConfig()
     _validate_instance(instance, need_scenarios=True)
     model = _base_window_model("stochastic", instance, cfg, True)
     scn = instance.scenario_set
-    blocks: list[PshBlock] = model.meta["scen_blocks"]
-    if blocks:
-        prices = model.meta["scenario_prices"]
-        for blk in blocks:
-            s = blk.scenario
-            w = scn.weights[s]
-            for u in instance.system.psh_units:
-                ni = scn.nodes.index(u.node_id)
-                for hi, t in enumerate(blk.hours):
-                    lmp = float(prices[s, ni, hi])
-                    model.add_obj(blk.q_gen[(u.id, t)], -w * lmp)
-                    model.add_obj(blk.q_pump[(u.id, t)], +w * lmp)
+    _add_tails(model, instance, cfg, scn.weights if scn is not None else ())
     return model
 
 
 def build_deterministic(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpModel:
-    """Point-forecast model: one post-window trajectory valued at face prices.
-
-    Kept as its own objective pass instead of delegating to the two-stage
-    builder, so the single-scenario coincidence between the two stays a
-    checkable property rather than a tautology.
-    """
+    """Point-forecast model: one post-window trajectory valued at face
+    prices, the stochastic tail at one scenario of weight 1."""
     cfg = cfg or ModelConfig()
     win = instance.window
     scn = instance.scenario_set
@@ -343,16 +461,7 @@ def build_deterministic(instance: LacInstance, cfg: ModelConfig | None = None) -
             raise ConfigurationError("deterministic variant expects exactly one scenario trajectory")
     _validate_instance(instance, need_scenarios=True)
     model = _base_window_model("deterministic", instance, cfg, True)
-    blocks: list[PshBlock] = model.meta["scen_blocks"]
-    if blocks:
-        prices = model.meta["scenario_prices"]
-        blk = blocks[0]
-        for u in instance.system.psh_units:
-            ni = scn.nodes.index(u.node_id)
-            for hi, t in enumerate(blk.hours):
-                lmp = float(prices[0, ni, hi])
-                model.add_obj(blk.q_gen[(u.id, t)], -lmp)
-                model.add_obj(blk.q_pump[(u.id, t)], +lmp)
+    _add_tails(model, instance, cfg, (1.0,))
     return model
 
 
@@ -363,38 +472,7 @@ def build_robust(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpM
     cfg = cfg or ModelConfig()
     _validate_instance(instance, need_scenarios=True)
     model = _base_window_model("robust", instance, cfg, True)
-    scn = instance.scenario_set
-    blocks: list[PshBlock] = model.meta["scen_blocks"]
-    if not blocks:
-        return model
-    prices = model.meta["scenario_prices"]
-    sys = instance.system
-    risk_vars = {}
-    for r in sys.reservoirs:
-        risk_vars[r.id] = model.add_var(
-            f"w_risk.{r.id}", lb=-math.inf, ub=math.inf, obj=1.0, tag=Tag("risk", r.id)
-        )
-    model.meta["risk_vars"] = risk_vars
-
-    def da_net(u, t):
-        return float(instance.da.gen[u.id][t - 1] - instance.da.pump[u.id][t - 1])
-
-    for r in sys.reservoirs:
-        members = [u for u in sys.psh_units if u.reservoir_id == r.id]
-        for blk in blocks:
-            s = blk.scenario
-            coeffs: dict[int, float] = {risk_vars[r.id]: 1.0}
-            rhs = 0.0
-            for u in members:
-                ni = scn.nodes.index(u.node_id)
-                for hi, t in enumerate(blk.hours):
-                    lmp = float(prices[s, ni, hi])
-                    coeffs[blk.q_gen[(u.id, t)]] = coeffs.get(blk.q_gen[(u.id, t)], 0.0) + lmp
-                    coeffs[blk.q_pump[(u.id, t)]] = coeffs.get(blk.q_pump[(u.id, t)], 0.0) - lmp
-                    rhs += lmp * da_net(u, t)
-            model.add_row(
-                f"r_risk.{r.id}.s{s}", coeffs, GE, rhs, Tag("risk_cap", r.id, None, s)
-            )
+    _add_tails(model, instance, cfg, None)
     return model
 
 
@@ -519,18 +597,9 @@ def build_da_model(
         add_mode_logic(model, det, u, prev=u.initial_mode)
         add_dispatch_boxes(model, det, u)
     for r in system.reservoirs:
-        add_soc_dynamics(
-            model,
-            r,
-            system.psh_units,
-            det,
-            [],
-            e_initial=r.e_initial,
-            e_final_target=r.e_final_target,
-            dt=system.grid.interval_hours,
-            close_horizon=True,
-            end_soc=cfg.end_soc,
-        )
+        soc = add_soc_dynamics(model, r, system.psh_units, det, e_initial=r.e_initial,
+                               dt=system.grid.interval_hours)
+        add_end_target(model, r.id, soc.e_det[(r.id, T + 1)], r.e_final_target, cfg.end_soc)
 
     balance_rows, _ = _add_balance(model, system, hours, da_load, thermal_p, det, cfg.voll)
     if reserve_margin > 0.0:
@@ -591,38 +660,3 @@ def da_reference_from_system(system: PowerSystem) -> DaReference:
 
 def _clean(v: float, tol: float = 1e-9) -> float:
     return 0.0 if abs(v) < tol else float(v)
-
-
-# ---------------------------------------------------------------------------
-# structural size bookkeeping
-
-
-def scenario_block_size(system: PowerSystem, n_post_hours: int, variant: Variant) -> tuple[int, int, int]:
-    """(rows, cols, nonzeros) added per extra scenario at non-negative
-    prices.
-
-    Derived from the builders' structure; used to check that model size
-    grows affinely in the scenario count.  A scenario block holds per
-    unit-hour two dispatch variables; units with a dispatch floor also
-    get three mode binaries, one exclusivity row and four dispatch boxes
-    there.  It has no start-ups.  A negative price adds the mode
-    binaries, exclusivity row and boxes of its cell on top.
-    """
-    R = len(system.reservoirs)
-    H = n_post_hours
-    floored = [u for u in system.psh_units if _has_floor(u)]
-    cols = len(system.psh_units) * H * 2 + len(floored) * H * 3 + R * (H + 1)
-    rows = len(floored) * H * (1 + 4) + R * (3 * H + 2)
-    # zero dispatch floors drop the commitment coefficient from the lower box
-    nnz = sum(H * (3 + 8 - (u.gen_min == 0.0) - (u.pump_min == 0.0)) for u in floored)
-    nnz += sum(
-        (2 + 2 * len([u for u in system.psh_units if u.reservoir_id == r.id])) * (H + 1) + 2 * H + 1
-        for r in system.reservoirs
-    )
-    if variant == Variant.ROBUST:
-        rows += R
-        nnz += sum(
-            1 + 2 * len([u for u in system.psh_units if u.reservoir_id == r.id]) * H
-            for r in system.reservoirs
-        )
-    return rows, cols, nnz

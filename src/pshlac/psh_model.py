@@ -13,24 +13,43 @@ every direct switch is allowed and charges are non-negative
 ``max(0, u_m[t] - u_m[t-1])``: a charge on entering gen or pump from
 any mode, none for staying or going off, and the same price for
 fractional modes, so a window with every mode fixed is an LP.
-Scenario blocks are revenue-only and carry no start-ups.
 
-A scenario block carries mode binaries only in the (unit, hour)
-cells its caller names; every other cell keeps just
-``qg in [0, gen_max]`` and ``qp in [0, pump_max]``.  That is exact where
-the unit has no dispatch floor (``gen_min = pump_min = 0``) and the
-cell's price is not negative.  Take a point that pumps and generates
-at once, and let ``d = qg/eta_gen - eta_pump*qp`` be its storage change.
-If ``d >= 0``, generating ``eta_gen*d <= qg`` alone gives the same
-change; otherwise pumping ``-d/eta_pump <= qp`` alone does.  Either
-point stays inside the same bounds, and since ``eta_gen*eta_pump <= 1``
-(``core.validate_system`` holds each efficiency to (0, 1]) its net sale
-is at least ``qg - qp``.  At a non-negative price that is
-no loss in an expected-revenue objective or in any worst-case revenue
-row, so the window's optimum is the same for every window decision.
-A floor would forbid the small single-mode point, and a negative price
-would pay for burning water by pumping and generating at once, so such
-cells keep their binaries.
+Post-window scenario tails are revenue-only and carry no start-ups.
+They touch the window through one number per reservoir, the storage
+``e`` at the window edge, so a tail is priced by its optimal revenue
+``V_s(e)``.  Where no unit has a dispatch floor
+(``gen_min = pump_min = 0``) and no tail price is negative,
+:func:`tail_value_functions` computes ``V_s`` exactly, without a
+solver:
+
+* Modes do not matter there.  Take a point that pumps and generates at
+  once, and let ``d = qg/eta_gen - eta_pump*qp`` be its storage change.
+  If ``d >= 0``, generating ``eta_gen*d <= qg`` alone gives the same
+  change; otherwise pumping ``-d/eta_pump <= qp`` alone does.  Either
+  point stays inside the same bounds, and since ``eta_gen*eta_pump <= 1``
+  (``core.validate_system`` holds each efficiency to (0, 1]) its net
+  sale is at least ``qg - qp``, no loss at a non-negative price.  So the
+  tail is the LP with ``qg in [0, gen_max]`` and ``qp in [0, pump_max]``.
+* An hour's best revenue as a function of the water ``d`` it draws is
+  then a fractional knapsack over unit pieces: pumping less, slope
+  ``p/(eta_pump*dt)`` over ``pump_max*eta_pump*dt`` of water, and
+  generating, slope ``p*eta_gen/dt`` over ``gen_max*dt/eta_gen``.  Taken
+  in descending slope order they give a concave piecewise-linear
+  ``R_h(d)``.
+* The best revenue from storage ``x`` entering hour ``h`` is
+  ``W_h(x) = max_y W_{h+1}(y) + R_h(x - y)`` on ``[e_min, e_max]``,
+  starting from the end-of-day target (the point ``target``, or the
+  half-line above it under ``end_soc="relax"``).  That is a
+  sup-convolution of concave piecewise-linear functions: add the left
+  ends and merge the slope lists in descending order (Rockafellar,
+  *Convex Analysis*, 1970, sec. 5).  Restricting to the storage bounds
+  keeps it concave, so ``V_s = W_{te+1}`` is the minimum of one line
+  per piece, each with its exact slope.
+
+A floor forbids the small single-mode point, and a negative price pays
+for burning water by pumping and generating at once; a scenario with
+such a cell keeps an explicit block (:func:`create_psh_block` with mode
+binaries in those cells, chained by :func:`add_block_soc`).
 
 The builders only append variables and rows to a
 :class:`~pshlac.milp.MilpModel`; objective terms are the caller's job
@@ -41,6 +60,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
+
+import numpy as np
 
 from .core import MODES, PshMode, PshUnit, Reservoir
 from .milp import BINARY, EQ, GE, LE, MilpModel, Tag
@@ -64,8 +85,8 @@ class PshBlock:
 
 @dataclass
 class SocVars:
-    e_det: dict[tuple[str, int], int] = field(default_factory=dict)  # (reservoir, hour)
-    e_scen: dict[tuple[str, int, int], int] = field(default_factory=dict)  # (reservoir, scenario, hour)
+    # (reservoir, hour) -> storage entering the hour, the window edge included
+    e_det: dict[tuple[str, int], int] = field(default_factory=dict)
 
 
 def create_psh_block(
@@ -197,22 +218,18 @@ def add_soc_dynamics(
     reservoir: Reservoir,
     units: Sequence[PshUnit],
     det_block: PshBlock,
-    scen_blocks: Sequence[PshBlock],
     e_initial: float,
-    e_final_target: float | None,
     dt: float = 1.0,
-    close_horizon: bool = True,
-    end_soc: str = "fix",
+    edge: bool = True,
 ) -> SocVars:
-    """Reservoir energy balance across the deterministic and scenario regimes.
+    """Reservoir energy balance over the window block's hours.
 
-    In-window energy is a single trajectory; at the window edge each
-    scenario receives its own copy and evolves independently to the end
-    of the day, where the final state meets ``e_final_target`` (equality
-    by default, lower bound with ``end_soc='relax'``).  With no scenario
-    blocks and ``close_horizon`` the deterministic trajectory itself is
-    closed at the horizon end; without ``close_horizon`` (schedule-
-    following windows) the trajectory just stops at the window edge.
+    With ``edge`` the storage after the block's last hour gets its own
+    column ``e.<res>.t<last+1>``, tied to the trajectory by
+    ``r_soc_cross.<res>``: the end-of-day state when the block reaches
+    the day end (see :func:`add_end_target`), otherwise the window-edge
+    storage every scenario tail starts from.  Without it (schedule-
+    following windows) the trajectory just stops at the block's end.
     """
     rid = reservoir.id
     members = [u for u in units if u.reservoir_id == rid]
@@ -233,62 +250,182 @@ def add_soc_dynamics(
         coeffs = {soc.e_det[(rid, t + 1)]: 1.0, soc.e_det[(rid, t)]: -1.0}
         _flow_coeffs(coeffs, det_block, members, t, dt)
         model.add_row(f"r_soc.{rid}.t{t}", coeffs, EQ, 0.0, Tag("soc_link", rid, t, None))
-    for t in hours:
-        model.add_row(
-            f"r_soc_min.{rid}.t{t}", {soc.e_det[(rid, t)]: 1.0}, GE, reservoir.e_min,
-            Tag("soc_min", rid, t, None),
-        )
-        model.add_row(
-            f"r_soc_max.{rid}.t{t}", {soc.e_det[(rid, t)]: 1.0}, LE, reservoir.e_max,
-            Tag("soc_max", rid, t, None),
-        )
-
-    end_sense = GE if end_soc == "relax" else EQ
-    if scen_blocks:
-        for blk in scen_blocks:
-            s = blk.scenario
-            post = blk.hours
-            for t in post:
-                soc.e_scen[(rid, s, t)] = model.add_var(f"e.{rid}.t{t}.s{s}", tag=Tag("soc", rid, t, s))
-            end_var = model.add_var(f"e.{rid}.t{post[-1] + 1}.s{s}", tag=Tag("soc", rid, post[-1] + 1, s))
-            soc.e_scen[(rid, s, post[-1] + 1)] = end_var
-            # branch point: scenario copy of the hour after the window edge
-            coeffs = {soc.e_scen[(rid, s, post[0])]: 1.0, soc.e_det[(rid, last)]: -1.0}
-            _flow_coeffs(coeffs, det_block, members, last, dt)
-            model.add_row(
-                f"r_soc_cross.{rid}.s{s}", coeffs, EQ, 0.0, Tag("soc_link_cross", rid, last, s)
-            )
-            for t in post:
-                coeffs = {soc.e_scen[(rid, s, t + 1)]: 1.0, soc.e_scen[(rid, s, t)]: -1.0}
-                _flow_coeffs(coeffs, blk, members, t, dt)
-                model.add_row(
-                    f"r_soc.{rid}.t{t}.s{s}", coeffs, EQ, 0.0, Tag("soc_link_scenario", rid, t, s)
-                )
-                model.add_row(
-                    f"r_soc_min.{rid}.t{t}.s{s}", {soc.e_scen[(rid, s, t)]: 1.0}, GE, reservoir.e_min,
-                    Tag("soc_min", rid, t, s),
-                )
-                model.add_row(
-                    f"r_soc_max.{rid}.t{t}.s{s}", {soc.e_scen[(rid, s, t)]: 1.0}, LE, reservoir.e_max,
-                    Tag("soc_max", rid, t, s),
-                )
-            if e_final_target is not None:
-                model.add_row(
-                    f"r_soc_end.{rid}.s{s}", {end_var: 1.0}, end_sense, e_final_target,
-                    Tag("soc_final", rid, post[-1] + 1, s),
-                )
-    elif close_horizon:
+    _add_soc_bounds(model, reservoir, soc.e_det, hours, None)
+    if edge:
         end_var = model.add_var(f"e.{rid}.t{last + 1}", tag=Tag("soc", rid, last + 1, None))
         soc.e_det[(rid, last + 1)] = end_var
         coeffs = {end_var: 1.0, soc.e_det[(rid, last)]: -1.0}
         _flow_coeffs(coeffs, det_block, members, last, dt)
         model.add_row(f"r_soc_cross.{rid}", coeffs, EQ, 0.0, Tag("soc_link_cross", rid, last, None))
-        if e_final_target is not None:
-            model.add_row(
-                f"r_soc_end.{rid}", {end_var: 1.0}, end_sense, e_final_target,
-                Tag("soc_final", rid, last + 1, None),
-            )
     return soc
+
+
+def _add_soc_bounds(model: MilpModel, reservoir: Reservoir, e: Mapping[tuple[str, int], int],
+                    hours: Sequence[int], scenario: int | None) -> None:
+    rid = reservoir.id
+    s = _sfx(scenario)
+    for t in hours:
+        model.add_row(
+            f"r_soc_min.{rid}.t{t}{s}", {e[(rid, t)]: 1.0}, GE, reservoir.e_min,
+            Tag("soc_min", rid, t, scenario),
+        )
+        model.add_row(
+            f"r_soc_max.{rid}.t{t}{s}", {e[(rid, t)]: 1.0}, LE, reservoir.e_max,
+            Tag("soc_max", rid, t, scenario),
+        )
+
+
+def add_end_target(model: MilpModel, reservoir_id: str, end_var: int, target: float,
+                   end_soc: str = "fix", scenario: int | None = None) -> None:
+    """End-of-day storage meets ``target``: equality by default, lower
+    bound with ``end_soc='relax'``."""
+    hour = model.var(end_var).tag.hour
+    model.add_row(
+        f"r_soc_end.{reservoir_id}{_sfx(scenario)}", {end_var: 1.0},
+        GE if end_soc == "relax" else EQ, target, Tag("soc_final", reservoir_id, hour, scenario),
+    )
+
+
+def add_block_soc(
+    model: MilpModel,
+    reservoir: Reservoir,
+    units: Sequence[PshUnit],
+    blk: PshBlock,
+    edge_var: int,
+    target: float,
+    end_soc: str = "fix",
+    dt: float = 1.0,
+) -> dict[tuple[str, int], int]:
+    """Storage of one scenario block, from the window-edge column to the
+    end-of-day target.
+
+    The block keeps its own copy ``e.<res>.t<h>.s<s>`` of every post-
+    window hour and of the day end; ``r_soc_cross.<res>.s<s>`` sets the
+    first copy to the edge column.  Returns (reservoir, hour) -> column.
+    """
+    rid = reservoir.id
+    s = blk.scenario
+    members = [u for u in units if u.reservoir_id == rid]
+    post = blk.hours
+    e: dict[tuple[str, int], int] = {}
+    for t in (*post, post[-1] + 1):
+        e[(rid, t)] = model.add_var(f"e.{rid}.t{t}.s{s}", tag=Tag("soc", rid, t, s))
+    model.add_row(
+        f"r_soc_cross.{rid}.s{s}", {e[(rid, post[0])]: 1.0, edge_var: -1.0}, EQ, 0.0,
+        Tag("soc_link_cross", rid, post[0] - 1, s),
+    )
+    for t in post:
+        coeffs = {e[(rid, t + 1)]: 1.0, e[(rid, t)]: -1.0}
+        _flow_coeffs(coeffs, blk, members, t, dt)
+        model.add_row(f"r_soc.{rid}.t{t}.s{s}", coeffs, EQ, 0.0, Tag("soc_link_scenario", rid, t, s))
+    _add_soc_bounds(model, reservoir, e, post, s)
+    add_end_target(model, rid, e[(rid, post[-1] + 1)], target, end_soc, s)
+    return e
+
+
+@dataclass(frozen=True)
+class TailCuts:
+    """One reservoir's tail revenue ``V_s(e)`` for each of S scenarios,
+    on the edge-storage domain ``[lo, hi]`` they share.
+
+    ``x[s]``, ``y[s]`` and ``slope[s]`` list the pieces of ``V_s`` from
+    left to right, by start, value at the start and slope, so that
+    ``V_s(e) = min_k y_k + slope_k * (e - x_k)`` on the domain.
+    """
+
+    lo: float
+    hi: float
+    x: tuple[np.ndarray, ...]
+    y: tuple[np.ndarray, ...]
+    slope: tuple[np.ndarray, ...]
+
+    def value(self, s: int, e: float) -> float:
+        return float(np.min(self.y[s] + self.slope[s] * (e - self.x[s])))
+
+    def slope_at(self, s: int, e: float) -> float:
+        """Slope of ``V_s`` just left of ``e`` (right of it at the left
+        end): the value of the last MWh stored.  A breakpoint within
+        1e-9 relative of ``e`` counts as ``e``."""
+        k = np.searchsorted(self.x[s], e - 1e-9 * max(1.0, abs(e)), side="left") - 1
+        return float(self.slope[s][max(int(k), 0)])
+
+
+def _before(a: np.ndarray) -> np.ndarray:
+    """Row-wise sums of the entries before each one; an infinite entry
+    (the relaxed end's half-line) makes only the later sums infinite."""
+    out = np.zeros_like(a)
+    np.cumsum(a[:, :-1], axis=1, out=out[:, 1:])
+    return out
+
+
+def tail_value_functions(
+    reservoir: Reservoir,
+    units: Sequence[PshUnit],
+    prices: np.ndarray,
+    target: float,
+    end_soc: str = "fix",
+    dt: float = 1.0,
+) -> TailCuts | None:
+    """Exact best tail revenue of a reservoir as a function of edge
+    storage, for every scenario at once (the module docstring gives the
+    recursion).
+
+    ``prices`` has shape (S, len(units), H): each member unit's price in
+    each post-window hour.  Every unit must be free of dispatch floors
+    and every price non-negative.  Returns None when no edge storage
+    reaches the end-of-day target.
+    """
+    S, _, H = prices.shape
+    eta_pump = np.array([u.eta_pump for u in units])
+    eta_gen = np.array([u.eta_gen for u in units])
+    pump_max = np.array([u.pump_max for u in units])
+    # water per piece is the same in every scenario; only slopes move
+    length = np.concatenate([pump_max * eta_pump * dt, np.array([u.gen_max for u in units]) * dt / eta_gen])
+    drawn_max = float(length[len(units):].sum())
+    pumped_max = float(length[: len(units)].sum())
+    # storage columns are non-negative whatever e_min says
+    lo, hi = max(reservoir.e_min, 0.0), reservoir.e_max
+    if end_soc == "relax":
+        a, b = max(target, 0.0), np.inf
+        slopes, lens = np.zeros((S, 1)), np.full((S, 1), np.inf)
+    else:
+        a = b = target
+        slopes, lens = np.zeros((S, 0)), np.zeros((S, 0))
+    val = np.zeros(S)  # W at the domain's left end a
+    for h in range(H - 1, -1, -1):
+        p = prices[:, :, h]
+        a -= pumped_max
+        b = min(b + drawn_max, hi)
+        val = val - p @ pump_max
+        slopes = np.concatenate([slopes, p / (eta_pump * dt), p * eta_gen / dt], axis=1)
+        lens = np.concatenate([lens, np.broadcast_to(length, (S, length.size))], axis=1)
+        order = np.argsort(-slopes, axis=1, kind="stable")
+        slopes = np.take_along_axis(slopes, order, axis=1)
+        lens = np.take_along_axis(lens, order, axis=1)
+        start = a + _before(lens)
+        left = max(a, lo)
+        if left > b:
+            return None
+        val = val + (slopes * np.clip(np.minimum(start + lens, left) - start, 0.0, None)).sum(axis=1)
+        lens = np.clip(np.minimum(start + lens, b) - np.maximum(start, left), 0.0, None)
+        a = left
+    x = a + _before(lens)
+    y = val[:, None] + _before(slopes * lens)
+    xs, ys, bs = [], [], []
+    for s in range(S):
+        pos = lens[s] > 0.0
+        if not pos.any():  # a one-point domain
+            xs.append(np.array([a]))
+            ys.append(val[s:s + 1].copy())
+            bs.append(np.zeros(1))
+            continue
+        xk, yk, bk = x[s][pos], y[s][pos], slopes[s][pos]
+        keep = np.ones(bk.size, bool)
+        keep[1:] = bk[1:] != bk[:-1]  # equal slopes lie on one line
+        xs.append(xk[keep])
+        ys.append(yk[keep])
+        bs.append(bk[keep])
+    return TailCuts(a, b, tuple(xs), tuple(ys), tuple(bs))
 
 
 def fix_block_to_schedule(

@@ -11,6 +11,7 @@ the ledger trajectory is exact.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Mapping, Protocol, Sequence
@@ -25,9 +26,11 @@ from .core import (
     PriceScenarioSet,
     PshMode,
     TimeGrid,
+    validate_system,
 )
 from .lac_models import (
     SCENARIO_VARIANTS,
+    ConfigurationError,
     DaReference,
     LacInstance,
     ModelConfig,
@@ -36,8 +39,10 @@ from .lac_models import (
     build_variant,
     da_reference_from_system,
 )
-from .milp import TIME_LIMIT, MilpModel, MilpSolution, SolveOptions, infeasibility_report, solve
+from .milp import FEASIBLE, TIME_LIMIT, MilpModel, MilpSolution, SolveOptions, infeasibility_report, solve
 from .psh_model import soc_step
+
+logger = logging.getLogger(__name__)
 
 
 class WindowError(RuntimeError):
@@ -154,6 +159,9 @@ class WindowMetric:
     gap: float | None  # relative MIP gap HiGHS reports, None when it reports none
     nodes: int  # branch-and-bound nodes HiGHS explored
     warm: int  # 1 when the window started from its predecessor's tail
+    # per reservoir, the tails' marginal value of edge storage ($/MWh);
+    # empty without cut tails (see lac_models.ScenarioTails.water_value)
+    water_value: tuple[float, ...] = ()
 
 
 @dataclass
@@ -189,12 +197,14 @@ class SimulationLedger:
 
     def write_metrics_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("window,t1,status,objective,build_s,walltime_s,rows,cols,nonzeros,binaries,gap,nodes,warm\n")
+            fh.write("window,t1,status,objective,build_s,walltime_s,rows,cols,nonzeros,binaries,gap,nodes,warm,"
+                     "water_value\n")
             for m in self.windows:
                 gap = "" if m.gap is None else repr(m.gap)
+                water = ";".join(repr(v) for v in m.water_value)
                 fh.write(
                     f"{m.window},{m.t1},{m.status},{m.objective!r},{m.build_s!r},{m.walltime_s!r},"
-                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries},{gap},{m.nodes},{m.warm}\n"
+                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries},{gap},{m.nodes},{m.warm},{water}\n"
                 )
 
     @classmethod
@@ -295,8 +305,14 @@ def run_day(
     predecessor's solution.  A window that times out without an
     incumbent raises :class:`WindowTimeoutError`; an infeasible or
     unbounded one raises :class:`WindowInfeasibleError` with the rows of
-    its IIS.
+    its IIS.  A window that stops at its time limit with an incumbent
+    goes on, logged as a warning.  A system or day that breaks a rule of
+    :func:`~pshlac.core.validate_system` raises
+    :class:`~pshlac.lac_models.ConfigurationError` naming every breach.
     """
+    violations = validate_system(system, market_day)
+    if violations:
+        raise ConfigurationError("invalid system or day: " + "; ".join(str(v) for v in violations))
     control = control or RunControl()
     if da is None:
         da = da_reference_from_system(system)
@@ -337,13 +353,17 @@ def run_day(
         if not sol.ok:
             raise WindowInfeasibleError(variant.value, w_index, t1, sol.status,
                                         infeasibility_report(model), model.to_lp_string())
+        if sol.status == FEASIBLE:
+            logger.warning("%s window %d (t1=%d) hit the %g s time limit at gap %.3g",
+                           variant.value, w_index, t1, control.solver.time_limit, sol.gap)
         frozen = _freeze_hour(system, model, sol, t1, soc)
         ledger.hours.append(frozen)
+        tails = model.meta.get("tails")
         ledger.windows.append(
             WindowMetric(
                 w_index, t1, sol.status, float(sol.objective), build_s, float(sol.walltime_s),
                 model.n_rows, model.n_vars, model.n_nonzeros, model.n_binaries, sol.gap,
-                sol.nodes, int(warm),
+                sol.nodes, int(warm), tails.water_value(sol) if tails else (),
             )
         )
         if control.keep_window_details:

@@ -3,11 +3,13 @@
 Everything here is deliberately written without the package's model
 builders or solver: merit-order dispatch by sorting, window optima by
 exhaustive enumeration over mode strings and a coarse dispatch grid,
-special functions by bisection, and scenario sampling one draw at a
-time.  Slow and obvious on purpose.  The one helper that touches a built
-model, ``add_full_scenario_tails``, only appends the scenario blocks'
-former mode and transition rows to it, so the lean model can be checked
-against the structure it replaced.
+special functions by bisection, scenario sampling one draw at a time,
+and a reservoir's tail revenue as an LP handed to scipy's ``linprog``.
+Slow and obvious on purpose.  The one helper that builds a model,
+``full_tail_window``, puts the window's in-window part together with
+explicit full-binary scenario blocks from ``psh_model``'s primitives,
+so that the cut tails can be checked against the structure they
+replaced.
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.special import ndtr
 
-from pshlac.milp import BINARY, EQ, GE, LE, MilpModel, Tag
+from pshlac.lac_models import _base_window_model, _scenario_prices
+from pshlac.milp import GE, MilpModel, Tag
+from pshlac.psh_model import add_block_soc, add_dispatch_boxes, add_mode_logic, create_psh_block
 
 MODES = ("off", "gen", "pump")
 EPS = 1e-6
@@ -290,58 +295,84 @@ def scenarios_by_element(
     return prices, levels
 
 
-def add_full_scenario_tails(model: MilpModel, units: Sequence) -> None:
-    """Give every scenario block the full mode logic it once carried.
-
-    Per unit and post-window hour that lacks them: three mode binaries,
-    the one-mode row and the four dispatch boxes.  Then, in every cell:
-    six cost-free transition binaries, one flow row per mode tying the
-    hour's commitment to the previous hour's (the window block's last
-    hour for the first post-window hour), and a cap of one switch.  The
-    model built without them must reach the optimum of the model with
-    them.
+def full_tail_window(variant: str, instance, cfg) -> MilpModel:
+    """The window model of a scenario variant with every scenario tail as
+    an explicit dispatch block: off/gen/pump binaries, exclusivity and
+    dispatch boxes in every (unit, hour) cell, its own storage chain from
+    the window-edge column to the end-of-day rule, and its revenue in the
+    objective (``stochastic`` at the scenario weights, ``deterministic``
+    at weight 1) or in a worst-case row ``w_risk >= DA_s - revenue_s``
+    per reservoir (``robust``).  The in-window part is the package's own.
     """
-    det = model.meta["det_block"]
-    edge = det.hours[-1]
-    pairs = [(m, n) for m in MODES for n in MODES if m != n]
-    for blk in model.meta["scen_blocks"]:
-        s = blk.scenario
-        for unit in units:
-            uid = unit.id
-            mode = {}
-            for t in blk.hours:
-                if (uid, "off", t) in blk.u:
-                    mode.update({(m, t): blk.u[(uid, m, t)] for m in MODES})
+    model = _base_window_model(variant, instance, cfg, True)
+    system, scn, da = instance.system, instance.scenario_set, instance.da
+    units = system.psh_units
+    te = model.meta["window_hours"][-1]
+    post = list(range(te + 1, system.grid.horizon_end + 1))
+    prices = _scenario_prices(instance, cfg)
+    risk = {r.id: model.add_var(f"w_risk.{r.id}", lb=-math.inf, obj=1.0, tag=Tag("risk", r.id))
+            for r in system.reservoirs} if variant == "robust" else {}
+    for s in range(scn.count):
+        weight = 1.0 if variant == "deterministic" else scn.weights[s]
+        blk = create_psh_block(model, units, post, s)
+        for u in units:
+            add_mode_logic(model, blk, u)
+            add_dispatch_boxes(model, blk, u)
+        for r in system.reservoirs:
+            edge = model.meta["soc"][r.id].e_det[(r.id, te + 1)]
+            add_block_soc(model, r, units, blk, edge, da.end_soc[r.id], cfg.end_soc,
+                          system.grid.interval_hours)
+            coeffs, da_revenue = [], 0.0
+            for u in units:
+                if u.reservoir_id != r.id:
                     continue
-                for m in MODES:
-                    mode[(m, t)] = model.add_var(f"u_{m}.{uid}.t{t}.s{s}", kind=BINARY,
-                                                 tag=Tag("psh_commit", f"{uid}:{m}", t, s))
-                model.add_row(f"r_one_mode.{uid}.t{t}.s{s}",
-                              [(mode[(m, t)], 1.0) for m in MODES], EQ, 1.0,
-                              Tag("mode_exclusive", uid, t, s))
-                qg, qp = blk.q_gen[(uid, t)], blk.q_pump[(uid, t)]
-                ug, up = mode[("gen", t)], mode[("pump", t)]
-                model.add_row(f"r_gen_hi.{uid}.t{t}.s{s}", [(qg, 1.0), (ug, -unit.gen_max)], LE, 0.0,
-                              Tag("gen_box_hi", uid, t, s))
-                model.add_row(f"r_gen_lo.{uid}.t{t}.s{s}", [(qg, 1.0), (ug, -unit.gen_min)], GE, 0.0,
-                              Tag("gen_box_lo", uid, t, s))
-                model.add_row(f"r_pump_hi.{uid}.t{t}.s{s}", [(qp, 1.0), (up, -unit.pump_max)], LE, 0.0,
-                              Tag("pump_box_hi", uid, t, s))
-                model.add_row(f"r_pump_lo.{uid}.t{t}.s{s}", [(qp, 1.0), (up, -unit.pump_min)], GE, 0.0,
-                              Tag("pump_box_lo", uid, t, s))
-            for t in blk.hours:
-                v = {
-                    (m, n): model.add_var(f"v_{m}_{n}.{uid}.t{t}.s{s}", kind=BINARY,
-                                          tag=Tag("psh_transition", f"{uid}:{m}>{n}", t, s))
-                    for m, n in pairs
-                }
-                for m in MODES:
-                    before = det.u[(uid, m, edge)] if t == blk.hours[0] else mode[(m, t - 1)]
-                    coeffs = [(mode[(m, t)], 1.0), (before, -1.0)]
-                    for n in MODES:
-                        if n != m:
-                            coeffs += [(v[(n, m)], -1.0), (v[(m, n)], 1.0)]
-                    model.add_row(f"r_mode_flow_{m}.{uid}.t{t}.s{s}", coeffs, EQ, 0.0,
-                                  Tag("mode_transition", f"{uid}:{m}", t, s))
-                model.add_row(f"r_one_switch.{uid}.t{t}.s{s}", [(i, 1.0) for i in v.values()],
-                              LE, 1.0, Tag("transition_limit", uid, t, s))
+                for h, t in enumerate(post):
+                    p = float(prices[s, scn.nodes.index(u.node_id), h])
+                    coeffs += [(blk.q_gen[(u.id, t)], p), (blk.q_pump[(u.id, t)], -p)]
+                    da_revenue += p * (da.gen[u.id][t - 1] - da.pump[u.id][t - 1])
+            if risk:
+                model.add_row(f"r_risk.{r.id}.s{s}", [(risk[r.id], 1.0), *coeffs], GE, da_revenue,
+                              Tag("risk_cap", r.id, None, s))
+            else:
+                for i, c in coeffs:
+                    model.add_obj(i, -weight * c)
+    return model
+
+
+def tail_lp(units: Sequence, reservoir, prices: np.ndarray, e_edge: float, target: float,
+            end_soc: str = "fix", dt: float = 1.0) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """Best post-window revenue of one reservoir's units from edge storage
+    ``e_edge``, as the explicit LP tail: per unit and hour ``qg`` in
+    ``[0, gen_max]`` and ``qp`` in ``[0, pump_max]`` with no modes, storage
+    in ``[e_min, e_max]`` entering every hour and the end-of-day rule after
+    the last.  ``prices`` is (units, hours).  Solved by scipy's
+    ``linprog``; returns (revenue, qg, qp) or None when infeasible.
+    """
+    U, H = prices.shape
+    n = 2 * U * H  # qg then qp, unit-major
+    # storage entering hour h+1 is e_edge + cum[h] @ (qg, qp)
+    step = np.zeros((H, n))
+    for i, u in enumerate(units):
+        for h in range(H):
+            step[h, i * H + h] = -dt / u.eta_gen
+            step[h, U * H + i * H + h] = u.eta_pump * dt
+    cum = np.cumsum(step, axis=0)
+    upper = [cum[:-1], -cum[:-1]]
+    rhs = [np.full(H - 1, reservoir.e_max - e_edge), np.full(H - 1, e_edge - reservoir.e_min)]
+    if end_soc == "relax":
+        upper.append(-cum[-1:])
+        rhs.append(np.array([e_edge - target]))
+        eq = dict()
+    else:
+        eq = dict(A_eq=cum[-1:], b_eq=np.array([target - e_edge]))
+    if not reservoir.e_min <= e_edge <= reservoir.e_max:
+        return None
+    cost = np.concatenate([-prices.ravel(), prices.ravel()])
+    bounds = [(0.0, u.gen_max) for u in units for _ in range(H)]
+    bounds += [(0.0, u.pump_max) for u in units for _ in range(H)]
+    res = linprog(cost, A_ub=np.vstack(upper), b_ub=np.concatenate(rhs), bounds=bounds,
+                  method="highs", **eq)
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun, res.x[: U * H].reshape(U, H), res.x[U * H:].reshape(U, H)

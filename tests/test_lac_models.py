@@ -21,12 +21,11 @@ from pshlac.lac_models import (
     build_variant,
     da_reference_from_system,
     extract_da_reference,
-    scenario_block_size,
 )
 from pshlac.milp import EQ, GE, LE, MilpModel, Tag, solve
 
 from conftest import EXACT, solve_exact
-from oracle_tools import enumerate_objective
+from oracle_tools import enumerate_objective, full_tail_window
 from toys import NODE, window_setup
 
 
@@ -158,38 +157,61 @@ def test_reservoir_rows_carry_the_efficiencies():
     }, EQ, 0.0)
     check_row(m, "r_soc_min.res1.t2", {"e.res1.t2": 1.0}, GE, 0.0)
     check_row(m, "r_soc_max.res1.t2", {"e.res1.t2": 1.0}, LE, 40.0)
-    # branch into the scenario copies re-applies the window-edge flow
-    check_row(m, "r_soc_cross.res1.s0", {
-        "e.res1.t3.s0": 1.0, "e.res1.t2": -1.0, "qg.ps1.t2": 2.0, "qp.ps1.t2": -0.25,
+    # the window-edge column takes the last window hour's flow
+    check_row(m, "r_soc_cross.res1", {
+        "e.res1.t3": 1.0, "e.res1.t2": -1.0, "qg.ps1.t2": 2.0, "qp.ps1.t2": -0.25,
     }, EQ, 0.0)
-    check_row(m, "r_soc.res1.t3.s0", {
-        "e.res1.t4.s0": 1.0, "e.res1.t3.s0": -1.0, "qg.ps1.t3.s0": 2.0, "qp.ps1.t3.s0": -0.25,
-    }, EQ, 0.0)
-    check_row(m, "r_soc_end.res1.s0", {"e.res1.t4.s0": 1.0}, EQ, 10.0)
+    # hour 3 at 30 $/MWh to the target 10: pumping less earns 30/0.25
+    # per MWh of storage over 20*0.25 MWh, generating 30*0.5 over 20/0.5
+    # MWh (clipped at e_max 40); all pumping from e = 5 earns -600
+    check_row(m, "r_tail_min.res1", {"e.res1.t3": 1.0}, GE, 5.0)
+    check_row(m, "r_tail_max.res1", {"e.res1.t3": 1.0}, LE, 40.0)
+    check_row(m, "r_cut.res1.s0.k0", {"theta.res1.s0": 1.0, "e.res1.t3": -120.0}, LE, -600.0 - 120.0 * 5.0)
+    check_row(m, "r_cut.res1.s0.k1", {"theta.res1.s0": 1.0, "e.res1.t3": -15.0}, LE, 0.0 - 15.0 * 10.0)
+    assert [r.name for r in m.rows("value_cut")] == ["r_cut.res1.s0.k0", "r_cut.res1.s0.k1"]
 
 
 def test_end_rule_switches_sense():
+    # relaxed, the tail may end above the target: it reaches e_max 40 and
+    # its last piece is flat; fixed, it ends at 30 = 10 + 20 MWh generated
     relaxed = window_setup(end_soc="relax")
     m = build_stochastic(relaxed.instance, relaxed.cfg)
-    r = row_named(m, "r_soc_end.res1.s0")
-    assert r.sense == GE and r.rhs == 10.0
+    check_row(m, "r_tail_max.res1", {"e.res1.t3": 1.0}, LE, 40.0)
+    check_row(m, "r_cut.res1.s0.k1", {"theta.res1.s0": 1.0}, LE, 600.0)
+    fixed = window_setup()
+    m = build_stochastic(fixed.instance, fixed.cfg)
+    check_row(m, "r_tail_max.res1", {"e.res1.t3": 1.0}, LE, 30.0)
+    assert [r.name for r in m.rows("value_cut")] == ["r_cut.res1.s0.k0"]
+    # a window that reaches the day end closes on the target itself
+    whole_day = window_setup(L=3, end_soc="relax")
+    check_row(build_perfect(whole_day.instance, whole_day.cfg), "r_soc_end.res1",
+              {"e.res1.t4": 1.0}, GE, 10.0)
 
 
 def test_stochastic_objective_weights_the_scenarios():
     ws = window_setup(prices=((30.0,), (40.0,)), weights=(0.25, 0.75))
     m = build_stochastic(ws.instance, ws.cfg)
-    assert m.var(m.var_index("qg.ps1.t3.s0")).obj == -0.25 * 30.0
-    assert m.var(m.var_index("qp.ps1.t3.s0")).obj == +0.25 * 30.0
-    assert m.var(m.var_index("qg.ps1.t3.s1")).obj == -0.75 * 40.0
+    assert m.var(m.var_index("theta.res1.s0")).obj == -0.25
+    assert m.var(m.var_index("theta.res1.s1")).obj == -0.75
+    theta = m.var(m.var_index("theta.res1.s1"))
+    assert (theta.lb, theta.ub) == (-math.inf, math.inf)
+    # a scenario kept as a block weights its dispatch revenue instead
+    ws = window_setup(prices=((-30.0,), (40.0,)), weights=(0.25, 0.75))
+    m = build_stochastic(ws.instance, ws.cfg)
+    assert m.var(m.var_index("qg.ps1.t3.s0")).obj == -0.25 * -30.0
+    assert m.var(m.var_index("qp.ps1.t3.s0")).obj == +0.25 * -30.0
+    assert m.var(m.var_index("theta.res1.s1")).obj == -0.75
+    with pytest.raises(KeyError):
+        m.var_index("qg.ps1.t3.s1")
 
 
 def test_time_preference_ramps_post_window_prices():
     ws = window_setup(T=4, L=2, loads=(50.0,) * 4, prices=((30.0, 25.0),))
     cfg = replace(ws.cfg, time_preference=0.5)
     m = build_stochastic(ws.instance, cfg)
-    assert m.var(m.var_index("qg.ps1.t3.s0")).obj == pytest.approx(-30.5)
-    assert m.var(m.var_index("qg.ps1.t4.s0")).obj == pytest.approx(-26.0)
-    assert m.var(m.var_index("qp.ps1.t4.s0")).obj == pytest.approx(+26.0)
+    # unit efficiencies: the cut slopes are the ramped prices 30.5 and 26
+    slopes = [-r.coeffs[m.var_index("e.res1.t3")] for r in m.rows("value_cut")]
+    assert slopes == [pytest.approx(30.5), pytest.approx(26.0)]
 
 
 def test_risk_rows_per_scenario():
@@ -197,12 +219,17 @@ def test_risk_rows_per_scenario():
     m = build_robust(ws.instance, ws.cfg)
     w = m.var(m.var_index("w_risk.res1"))
     assert (w.lb, w.ub, w.obj) == (-math.inf, math.inf, 1.0)
+    # V_s(e) = p*(e - 10) on [0, 30]; the da position sells 10 MW at p:
+    # w >= 10p - p*(e - 10)
+    check_row(m, "r_risk.res1.s0.k0", {"w_risk.res1": 1.0, "e.res1.t3": 30.0}, GE, 600.0)
+    check_row(m, "r_risk.res1.s1.k0", {"w_risk.res1": 1.0, "e.res1.t3": 40.0}, GE, 800.0)
+    # a scenario kept as a block prices its own dispatch
+    neg = window_setup(prices=((-30.0,), (40.0,)), weights=(0.5, 0.5), da_gen=(0.0, 0.0, 10.0))
+    m = build_robust(neg.instance, neg.cfg)
     check_row(m, "r_risk.res1.s0", {
-        "w_risk.res1": 1.0, "qg.ps1.t3.s0": 30.0, "qp.ps1.t3.s0": -30.0,
-    }, GE, 300.0)
-    check_row(m, "r_risk.res1.s1", {
-        "w_risk.res1": 1.0, "qg.ps1.t3.s1": 40.0, "qp.ps1.t3.s1": -40.0,
-    }, GE, 400.0)
+        "w_risk.res1": 1.0, "qg.ps1.t3.s0": -30.0, "qp.ps1.t3.s0": 30.0,
+    }, GE, -300.0)
+    check_row(m, "r_risk.res1.s1.k0", {"w_risk.res1": 1.0, "e.res1.t3": 40.0}, GE, 800.0)
 
 
 def test_scenario_modes_follow_floors_and_negative_prices():
@@ -212,16 +239,19 @@ def test_scenario_modes_follow_floors_and_negative_prices():
     cfg = replace(ws.cfg, time_preference=1e-5)
     for builder in (build_stochastic, build_robust):
         m = builder(ws.instance, cfg)
-        blocks = m.meta["scen_blocks"]
-        cells = [sorted({(b.scenario, t) for (_, _, t) in b.u}) for b in blocks]
-        assert cells == [[(0, 3), (0, 5)], []]
+        tails = m.meta["tails"]
+        # s0 keeps a block with modes in its negative cells, s1 is cut
+        assert [b.scenario for b in tails.blocks] == [0] and tails.scenarios == (1,)
+        assert sorted({t for (_, _, t) in tails.blocks[0].u}) == [3, 5]
         assert row_named(m, "r_one_mode.ps1.t5.s0").rhs == 1.0
+        check_row(m, "r_soc_cross.res1.s0", {"e.res1.t3.s0": 1.0, "e.res1.t3": -1.0}, EQ, 0.0)
         with pytest.raises(KeyError):
             row_named(m, "r_one_mode.ps1.t5.s1")
     # a dispatch floor keeps every cell's modes at any price
     ws = window_setup(T=5, L=2, loads=(50.0,) * 5, gen_min=5.0, prices=((30.0, 30.0, 30.0),))
-    blk = build_stochastic(ws.instance, ws.cfg).meta["scen_blocks"][0]
-    assert sorted({t for (_, _, t) in blk.u}) == [3, 4, 5]
+    tails = build_stochastic(ws.instance, ws.cfg).meta["tails"]
+    assert tails.scenarios == () and tails.cuts == {}
+    assert sorted({t for (_, _, t) in tails.blocks[0].u}) == [3, 4, 5]
 
 
 # -- schedule-following and full-information variants ------------------------
@@ -251,7 +281,7 @@ def test_perfect_stretches_to_the_day_end(basic_window):
     whole_day = window_setup(L=3)  # the window runs to the end of the day
     m = build_perfect(whole_day.instance, whole_day.cfg)
     assert m.meta["window_hours"] == (1, 2, 3)
-    assert m.meta["scen_blocks"] == []
+    assert "tails" not in m.meta
     row_named(m, "r_balance.t3")
     assert solve_exact(m).objective == pytest.approx(
         enumerate_objective(whole_day.toy, "perfect"), abs=1e-6
@@ -282,6 +312,36 @@ def test_window_optima_match_enumeration(basic_window):
     ):
         got = solve_exact(builder(basic_window.instance, basic_window.cfg)).objective
         assert got == pytest.approx(enumerate_objective(basic_window.toy, variant), abs=1e-6)
+
+
+def test_mixed_window_matches_the_full_binary_tail():
+    # s0's negative price keeps its block, s1 is priced by cuts; both tie
+    # to the same edge column, and the window's optimum is that of every
+    # tail an explicit block with modes in every cell
+    ws = window_setup(eta_gen=0.5, eta_pump=0.25, prices=((-30.0,), (40.0,)),
+                      weights=(0.5, 0.5), da_gen=(0.0, 0.0, 10.0))
+    for variant in (Variant.STOCHASTIC, Variant.ROBUST):
+        m = build_variant(variant, ws.instance, ws.cfg)
+        tails = m.meta["tails"]
+        assert [b.scenario for b in tails.blocks] == [0] and tails.scenarios == (1,)
+        want = solve_exact(full_tail_window(variant.value, ws.instance, ws.cfg)).objective
+        assert solve_exact(m).objective == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_water_value_reads_the_active_cuts():
+    # V_s(e) = p_s (e - 10) on [0, 30] at p = 30 and 40: the expected
+    # water value is the weighted slope 35; the robust shortfall
+    # -p_s (e - 10) binds for the cheaper scenario once e >= 10
+    ws = window_setup(prices=((30.0,), (40.0,)), weights=(0.5, 0.5))
+    for builder, want in ((build_stochastic, 35.0), (build_robust, 30.0)):
+        m = builder(ws.instance, ws.cfg)
+        sol = solve_exact(m)
+        assert sol.value(m.var_index("e.res1.t3")) >= 10.0
+        assert m.meta["tails"].water_value(sol) == (want,)
+    # a scenario kept as a block reports no slope
+    neg = window_setup(prices=((-30.0,), (40.0,)), weights=(0.5, 0.5))
+    m = build_stochastic(neg.instance, neg.cfg)
+    assert m.meta["tails"].water_value(solve_exact(m)) == ()
 
 
 def test_two_scenario_optima_split_by_attitude():
@@ -393,7 +453,7 @@ def test_extract_rejects_failed_solutions(basic_window):
 
 def _measured_delta(make):
     a, b = make(2), make(3)
-    return (b.n_rows - a.n_rows, b.n_vars - a.n_vars, b.n_nonzeros - a.n_nonzeros)
+    return (b.n_rows - a.n_rows, b.n_vars - a.n_vars, b.n_nonzeros - a.n_nonzeros), b
 
 
 @pytest.mark.parametrize("variant,builder", [
@@ -411,6 +471,26 @@ def test_per_scenario_size_is_what_the_formula_says(variant, builder, kwargs, n_
         ws = window_setup(prices=prices, weights=(1.0 / S,) * S, **kwargs)
         return builder(ws.instance, ws.cfg)
 
-    ws = window_setup(prices=((30.0,) * n_post,), **kwargs)
-    expect = scenario_block_size(ws.instance.system, n_post, variant)
-    assert _measured_delta(make) == expect
+    delta, model = _measured_delta(make)
+    tails = model.meta["tails"]
+    H = n_post
+    if "gen_min" in kwargs:
+        # floors keep an explicit block: per hour 2 dispatch and 3 mode
+        # columns, the exclusivity row and 4 boxes (11 nonzeros), the
+        # storage chain (4 nonzeros) and its bounds; then the storage
+        # copy after the last hour, the link to the edge column and the
+        # end row; robust adds the scenario's risk row
+        assert tails.scenarios == ()
+        expect = (8 * H + 2, 6 * H + 1, 17 * H + 3)
+        if variant is Variant.ROBUST:
+            expect = (expect[0] + 1, expect[1], expect[2] + 1 + 2 * H)
+    else:
+        # a cut scenario adds one row per cut (the tail value or the
+        # risk variable, and the edge column unless the cut is flat) and,
+        # stochastic, one tail-value column; at one flat price the
+        # revenue is linear in the edge storage: a single cut
+        assert len(tails.blocks) == 0
+        b = tails.cuts["res1"].slope[2]  # the added scenario's cut slopes
+        assert b.tolist() == [30.0]
+        expect = (b.size, int(variant is Variant.STOCHASTIC), int(b.size + np.count_nonzero(b)))
+    assert delta == expect

@@ -1,17 +1,25 @@
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pshlac.core import MODES, PshUnit, Reservoir
 from pshlac.milp import BINARY, CONTINUOUS, GE, INFEASIBLE, MilpModel, SolveOptions, solve
 from pshlac.psh_model import (
+    add_block_soc,
     add_dispatch_boxes,
+    add_end_target,
     add_mode_logic,
     add_soc_dynamics,
     create_psh_block,
     fix_block_to_schedule,
     soc_step,
+    tail_value_functions,
 )
+
+from oracle_tools import tail_lp
 
 OPTS = SolveOptions(gap_tol=1e-9, time_limit=30.0)
 
@@ -208,7 +216,10 @@ def test_dispatch_boxes_follow_commitment():
 
 def _soc_model(dispatch, e_init=20.0, e_final=None, end_soc="fix", scen=None,
                res_kw=None, dt=1.0):
-    """Three in-window hours with dispatch fixed; returns (model, soc, blocks)."""
+    """Three in-window hours with dispatch fixed, then the storage column
+    entering hour 4, closed by ``e_final`` when given or carrying the
+    scenario blocks' hours 4 and 5 (ending at ``e_final``, or anywhere
+    above 0); returns (model, soc, per-block storage columns)."""
     u = _unit()
     res = _res(**(res_kw or {}))
     m = MilpModel()
@@ -220,20 +231,22 @@ def _soc_model(dispatch, e_init=20.0, e_final=None, end_soc="fix", scen=None,
         _fix(m, det.u[("ps1", mode, t)], 1)
         _fix(m, det.q_gen[("ps1", t)], qg)
         _fix(m, det.q_pump[("ps1", t)], qp)
+    soc = add_soc_dynamics(m, res, [u], det, e_init, dt=dt)
+    edge = soc.e_det[("res1", 4)]
     blocks = []
-    if scen is not None:
-        for s, post_dispatch in enumerate(scen):
-            blk = create_psh_block(m, [u], [4, 5], scenario=s)
-            add_mode_logic(m, blk, u)
-            add_dispatch_boxes(m, blk, u)
-            for t, (qg, qp) in zip([4, 5], post_dispatch):
-                mode = "gen" if qg > 0 else "pump" if qp > 0 else "off"
-                _fix(m, blk.u[("ps1", mode, t)], 1)
-                _fix(m, blk.q_gen[("ps1", t)], qg)
-                _fix(m, blk.q_pump[("ps1", t)], qp)
-            blocks.append(blk)
-    soc = add_soc_dynamics(m, res, [u], det, blocks, e_init, e_final,
-                           dt=dt, close_horizon=not blocks, end_soc=end_soc)
+    if scen is None and e_final is not None:
+        add_end_target(m, "res1", edge, e_final, end_soc)
+    for s, post_dispatch in enumerate(scen or ()):
+        blk = create_psh_block(m, [u], [4, 5], scenario=s)
+        add_mode_logic(m, blk, u)
+        add_dispatch_boxes(m, blk, u)
+        for t, (qg, qp) in zip([4, 5], post_dispatch):
+            mode = "gen" if qg > 0 else "pump" if qp > 0 else "off"
+            _fix(m, blk.u[("ps1", mode, t)], 1)
+            _fix(m, blk.q_gen[("ps1", t)], qg)
+            _fix(m, blk.q_pump[("ps1", t)], qp)
+        target, sense = (0.0, "relax") if e_final is None else (e_final, end_soc)
+        blocks.append(add_block_soc(m, res, [u], blk, edge, target, sense, dt))
     return m, soc, blocks
 
 
@@ -275,10 +288,15 @@ def test_scenario_branch_copies_the_window_edge():
     )
     sol = solve(m, OPTS)
     assert sol.ok
-    assert sol.value(soc.e_scen[("res1", 0, 4)]) == pytest.approx(26.0, abs=1e-9)
-    assert sol.value(soc.e_scen[("res1", 0, 5)]) == pytest.approx(6.0, abs=1e-9)
-    assert sol.value(soc.e_scen[("res1", 0, 6)]) == pytest.approx(0.0, abs=1e-9)
-    assert sol.value(soc.e_scen[("res1", 1, 6)]) == pytest.approx(26.0, abs=1e-9)
+    assert sol.value(soc.e_det[("res1", 4)]) == pytest.approx(26.0, abs=1e-9)
+    assert sol.value(blocks[0][("res1", 4)]) == pytest.approx(26.0, abs=1e-9)
+    assert sol.value(blocks[0][("res1", 5)]) == pytest.approx(6.0, abs=1e-9)
+    assert sol.value(blocks[0][("res1", 6)]) == pytest.approx(0.0, abs=1e-9)
+    assert sol.value(blocks[1][("res1", 6)]) == pytest.approx(26.0, abs=1e-9)
+    # each copy of hour 4 is the edge column, not the hour-3 flow again
+    cross = [m.row(i) for i in range(m.n_rows) if m.row(i).name == "r_soc_cross.res1.s0"]
+    assert [{m.var(j).name: c for j, c in r.coeffs.items()} for r in cross] == [
+        {"e.res1.t4.s0": 1.0, "e.res1.t4": -1.0}]
 
 
 def test_scenario_end_target_binds_every_scenario():
@@ -315,3 +333,61 @@ def test_fix_block_to_schedule_pins_and_validates():
         fix_block_to_schedule(m, blk, u, {1: 2.0}, {})  # below gen_min
     with pytest.raises(ValueError, match="outside"):
         fix_block_to_schedule(m, blk, u, {}, {1: 50.0})  # above pump_max
+
+
+# -- exact tail value functions ----------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(["fix", "relax"]),
+    st.sampled_from([1.0, 0.5]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_tail_cuts_equal_the_explicit_tail_lp(hours, end_soc, dt, seed):
+    # two units at different prices (nodes) and efficiencies, random
+    # non-negative prices with exact zeros and ties, random edge storage
+    rng = np.random.default_rng(seed)
+    units = [_unit(id="a", eta_gen=0.9, eta_pump=0.87, gen_max=18.0, pump_max=12.0),
+             _unit(id="b", eta_gen=0.6, eta_pump=0.75, gen_max=7.0, pump_max=15.0)]
+    res = _res(e_min=float(rng.uniform(0.0, 10.0)), e_max=float(rng.uniform(50.0, 80.0)),
+               member_units=("a", "b"))
+    target = float(rng.uniform(res.e_min, res.e_max))
+    prices = rng.choice([0.0, 12.5, 30.0, 41.0], size=(3, 2, hours)) + rng.uniform(0.0, 5.0, (3, 2, hours)) * (
+        rng.random((3, 2, hours)) < 0.5)
+    cuts = tail_value_functions(res, units, prices, target, end_soc, dt)
+    assert cuts is not None  # every target in [e_min, e_max] is reachable from itself
+    for s in range(3):
+        assert cuts.x[s].size <= 2 * len(units) * hours + 1
+        assert np.all(np.diff(cuts.slope[s]) < 0.0)  # concave, one line per slope
+        for e in (cuts.lo, cuts.hi, *rng.uniform(cuts.lo, cuts.hi, 4)):
+            best = tail_lp(units, res, prices[s], e, target, end_soc, dt)
+            assert best is not None, (s, e)
+            assert cuts.value(s, e) == pytest.approx(best[0], rel=1e-9, abs=1e-9)
+        # just outside the domain no tail reaches the end rule
+        for e in (cuts.lo - 1e-6, cuts.hi + 1e-6):
+            assert e < res.e_min or e > res.e_max or tail_lp(units, res, prices[s], e, target, end_soc, dt) is None
+
+
+def test_unreachable_target_has_no_tail():
+    # two hours of pumping store at most 2 * 12 * 0.87 MWh: from e_max 100
+    # a target above 120.88 is out of reach, one at 100 is reached from
+    # 100 - 20.88 up
+    unit = _unit(pump_max=12.0, eta_pump=0.87)
+    res = _res(e_min=0.0, e_max=100.0)
+    prices = np.full((1, 1, 2), 20.0)
+    reach = tail_value_functions(res, [unit], prices, 100.0, "fix")
+    assert (reach.lo, reach.hi) == (pytest.approx(100.0 - 2 * 12.0 * 0.87), 100.0)
+    assert tail_value_functions(res, [unit], prices, 121.0, "fix") is None
+
+
+def test_slope_at_a_breakpoint_is_the_slope_to_its_left():
+    # hour 3 at 30 $/MWh, eta 0.5/0.25, to the target 10: slope 120 on
+    # [5, 10] (pumping less), 15 on [10, 40] (generating)
+    cuts = tail_value_functions(_res(), [_unit()], np.full((1, 1, 1), 30.0), 10.0)
+    assert (cuts.x[0].tolist(), cuts.y[0].tolist(), cuts.slope[0].tolist()) == (
+        [5.0, 10.0], [-600.0, 0.0], [120.0, 15.0])
+    assert [cuts.slope_at(0, e) for e in (5.0, 7.0, 10.0, 10.0 + 1e-12, 25.0, 40.0)] == [
+        120.0, 120.0, 120.0, 120.0, 15.0, 15.0]
+    assert [cuts.value(0, e) for e in (5.0, 10.0, 40.0)] == [-600.0, 0.0, 450.0]

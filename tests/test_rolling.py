@@ -6,7 +6,7 @@ import pytest
 from pshlac import rolling
 from pshlac.accounting import full_day_resolve
 from pshlac.core import MarketDay
-from pshlac.lac_models import Variant
+from pshlac.lac_models import ConfigurationError, Variant
 from pshlac.milp import INFEASIBLE, OPTIMAL, MilpModel, SolveOptions, infeasibility_report, solve
 from pshlac.rolling import (
     FrozenSetProvider,
@@ -188,6 +188,81 @@ def test_infeasible_window_rows_are_an_irreducible_conflict(monkeypatch):
         assert solve(_rows_only(model, rows - {r}), EXACT).status == OPTIMAL, r
 
 
+def test_unreachable_end_target_names_the_tail_domain(monkeypatch):
+    seen = []
+
+    def keep_model(model):
+        seen.append(model)
+        return infeasibility_report(model)
+
+    monkeypatch.setattr(rolling, "infeasibility_report", keep_model)
+    # pumping 4 MW for two hours from 20 MWh: the window edge reaches at
+    # most 28, while the tail needs 32 to end at 40 after two more hours
+    system, day, da = rolling_day_setup(T=4, loads=(50.0,) * 4, rt_lmp=(20.0,) * 4,
+                                        da_gen=(0.0,) * 4, e_target=40.0, pump_max=4.0)
+    provider = FrozenSetProvider({0: full_set_for_day(((30.0,) * 4,))})
+    with pytest.raises(WindowInfeasibleError) as err:
+        run_day(system, day, Variant.STOCHASTIC, provider, CONTROL, da)
+    rows = set(err.value.conflict_rows)
+    assert err.value.window_index == 1 and "r_tail_min.res1" in rows
+    # no edge storage at all reaches a day-ahead end of 70 MWh (at most 40
+    # before the last hour and 20 pumped in it): the tails keep explicit
+    # blocks and the conflict names their rows
+    with pytest.raises(WindowInfeasibleError) as err_far:
+        run_day(system, day, Variant.STOCHASTIC, provider, CONTROL,
+                replace(da, end_soc={"res1": 70.0}))
+    far = set(err_far.value.conflict_rows)
+    assert "r_soc_end.res1.s0" in far
+    for model, conflict in zip(seen, (rows, far)):
+        assert not any(r.startswith("<") for r in conflict)
+        assert solve(_rows_only(model, conflict), EXACT).status == INFEASIBLE
+        for r in conflict:
+            assert solve(_rows_only(model, conflict - {r}), EXACT).status == OPTIMAL, r
+
+
+def test_time_limited_windows_are_logged(toy_day, monkeypatch, caplog):
+    # every window gets its optimum as a start and no time to improve on
+    # it, so HiGHS stops at the time limit with that incumbent
+    def started(model, options, start=None):
+        return solve(model, options, solve(model, EXACT).values)
+
+    monkeypatch.setattr(rolling, "solve", started)
+    system, day, da = toy_day
+    with caplog.at_level("WARNING", logger="pshlac.rolling"):
+        ledger = run_day(system, day, Variant.PERFECT, None,
+                         RunControl(solver=SolveOptions(time_limit=0.0)), da)
+    assert [w.status for w in ledger.windows] == ["feasible", "feasible"]
+    assert [(r.name, r.levelname) for r in caplog.records] == [("pshlac.rolling", "WARNING")] * 2
+    assert [r.getMessage() for r in caplog.records] == [
+        f"perfect window {w.window} (t1={w.t1}) hit the 0 s time limit at gap {w.gap:.3g}"
+        for w in ledger.windows
+    ]
+    # a window that closes its gap logs nothing
+    caplog.clear()
+    monkeypatch.undo()
+    with caplog.at_level("WARNING", logger="pshlac.rolling"):
+        run_day(system, day, Variant.PERFECT, None, CONTROL, da)
+    assert caplog.records == []
+
+
+def test_invalid_systems_are_refused_before_the_first_window():
+    # a negative start-up charge would be booked in every hour (the
+    # indicator settles at 1), and an efficiency above 1 would break the
+    # exactness of the mode-free tails: both are named
+    system, day, da = rolling_day_setup(startup_cost_gen=-5.0)
+    unit = replace(system.psh_units[0], eta_gen=1.2)
+    bad = replace(system, psh_units=(unit,))
+    with pytest.raises(ConfigurationError) as err:
+        run_day(bad, day, Variant.PERFECT, None, CONTROL, da)
+    assert str(err.value) == ("invalid system or day: ps1.eta_gen: efficiency must lie in (0, 1]; "
+                              "ps1.startup_cost_gen: start-up charges cannot be negative")
+    # the day is checked against the system too
+    system, day, da = rolling_day_setup()
+    short = MarketDay(day.label, day.load[:2], day.da_lmp, day.rt_lmp_actual)
+    with pytest.raises(ConfigurationError, match=r"^invalid system or day: toyday.load: expected 3 hourly values$"):
+        run_day(system, short, Variant.PERFECT, None, CONTROL, da)
+
+
 def test_time_out_is_reported_as_a_time_out(toy_day, monkeypatch):
     def no_report(model):
         raise AssertionError("a time-out runs no infeasibility report")
@@ -249,7 +324,7 @@ def test_ledger_reruns_are_byte_identical(tmp_path, toy_day):
 def test_metrics_csv_shape(tmp_path, toy_day):
     system, day, da = toy_day
     header = ("window,t1,status,objective,build_s,walltime_s,rows,cols,nonzeros,binaries,gap,"
-              "nodes,warm")
+              "nodes,warm,water_value")
     # a plan-following window has every mode fixed and no binary left to
     # branch on: HiGHS solves it as an LP, with no gap and no nodes
     ledger = run_day(system, day, Variant.CURRENT_PRACTICE, None, CONTROL, da)
@@ -266,7 +341,7 @@ def test_metrics_csv_shape(tmp_path, toy_day):
     assert int(first[6]) > 0 and int(first[7]) > 0
     assert int(first[9]) == w.binaries > 0
     assert (w.gap, w.nodes) == (None, 0)
-    assert lines[1].endswith(f",{w.binaries},,0,0")
+    assert lines[1].endswith(f",{w.binaries},,0,0,")
     # a perfect window keeps its modes free and is a MIP
     ledger = run_day(system, day, Variant.PERFECT, None, CONTROL, da)
     ledger.write_metrics_csv(p)
@@ -279,10 +354,19 @@ def test_metrics_csv_shape(tmp_path, toy_day):
     assert 0.0 <= w.gap <= EXACT.gap_tol
     assert int(first[11]) == w.nodes >= 1
     assert first[12] == "0"
+    assert first[13] == "" and w.water_value == ()
     # a solve that reports no gap leaves the column empty
     ledger.windows[0] = replace(w, gap=None)
     ledger.write_metrics_csv(p)
-    assert p.read_text().splitlines()[1].endswith(f",{w.binaries},,{w.nodes},0")
+    assert p.read_text().splitlines()[1].endswith(f",{w.binaries},,{w.nodes},0,")
+    # a window with cut tails records the water value of its one
+    # reservoir; the last window reaches the day end and has no tail
+    ledger = run_day(system, day, Variant.STOCHASTIC, _provider(), CONTROL, da)
+    ledger.write_metrics_csv(p)
+    rows = [line.split(",") for line in p.read_text().splitlines()[1:]]
+    first, last = ledger.windows
+    assert len(first.water_value) == 1 and float(rows[0][13]) == first.water_value[0]
+    assert rows[1][13] == "" and last.water_value == ()
 
 
 # -- causality ---------------------------------------------------------------

@@ -26,15 +26,22 @@ def _run(script, *args, timeout):
 
 
 def test_scaling_study_block_size_matches_the_built_models():
-    out = _run("run_scaling_study.py", "--scenarios", "2", "3", "--variant", "robust", timeout=120)
-    sizes = {
-        int(m[1]): tuple(int(v) for v in m.groups()[1:])
-        for m in re.finditer(r"S=\s*(\d+): rows=\s*(\d+) cols=\s*(\d+) nnz=\s*(\d+)\s+optimal", out)
-    }
-    assert sorted(sizes) == [2, 3], out
-    block = re.search(r"per-scenario block: rows=(\d+) cols=(\d+) nnz=(\d+)", out)
-    assert block, out
-    assert tuple(int(v) for v in block.groups()) == tuple(b - a for a, b in zip(sizes[2], sizes[3]))
+    # the tails enter as cuts on the edge storage: beyond a fixed window
+    # part, rows grow by the printed cut count and, in the stochastic
+    # model, columns by one tail value per scenario (one reservoir)
+    T, L, units = 24, 3, 2
+    for variant, cols_per_scenario in (("stochastic", 1), ("robust", 0)):
+        out = _run("run_scaling_study.py", "--scenarios", "5", "10", "--variant", variant, timeout=120)
+        found = {
+            int(m[1]): tuple(int(v) for v in m.groups()[1:])
+            for m in re.finditer(r"S=\s*(\d+): rows=\s*(\d+) cols=\s*(\d+) nnz=\s*\d+\s+optimal "
+                                 r"wall=\s*[\d.]+s cuts=(\d+) per scenario (\d+)-(\d+) blocks=0", out)
+        }
+        assert sorted(found) == [5, 10], out
+        (r5, c5, n5, lo5, hi5), (r10, c10, n10, lo10, hi10) = found[5], found[10]
+        assert r10 - n10 == r5 - n5, out
+        assert c10 - c5 == 5 * cols_per_scenario, out
+        assert 1 <= min(lo5, lo10) and max(hi5, hi10) <= 2 * units * (T - L) + 1, out
 
 
 def test_synthetic_study_reports_every_variant():

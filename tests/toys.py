@@ -155,6 +155,8 @@ def rolling_day_setup(
     da_gen: Sequence[float] = (0.0, 0.0, 10.0),
     e_init: float = 20.0,
     e_target: float = 10.0,
+    pump_max: float = 20.0,
+    startup_cost_gen: float = 0.0,
 ) -> tuple[PowerSystem, MarketDay, DaReference]:
     """Whole-day toy for the rolling loop: day-ahead plan already embedded.
 
@@ -162,7 +164,8 @@ def rolling_day_setup(
     exactly what the end target requires from the initial fill.
     """
     ws = window_setup(T=T, t1=1, L=L, loads=loads, da_gen=da_gen,
-                      e_init=e_init, e_target=e_target)
+                      e_init=e_init, e_target=e_target, pump_max=pump_max,
+                      trans_gen=startup_cost_gen, prices=((30.0,) * (T - L),))
     day = MarketDay(
         "toyday",
         tuple(float(v) for v in loads),
