@@ -370,16 +370,16 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
     target = {r.id: float(instance.da.end_soc[r.id]) for r in sys.reservoirs}
     edge = {r.id: model.meta["soc"][r.id].e_det[(r.id, te + 1)] for r in sys.reservoirs}
 
-    by_cuts = np.flatnonzero(~mode_cells.any(axis=(1, 2)))
+    by_cuts = tuple(int(s) for s in np.flatnonzero(~mode_cells.any(axis=(1, 2))))
     cuts: dict[str, TailCuts] = {}
     for r in sys.reservoirs:
-        if by_cuts.size == 0:
+        if not by_cuts:
             break
         idx = members[r.id]
         found = tail_value_functions(r, [units[i] for i in idx], prices[np.ix_(by_cuts, idx)],
                                      target[r.id], cfg.end_soc, dt)
         if found is None:  # no edge storage reaches the target: blocks name the rows at fault
-            by_cuts, cuts = by_cuts[:0], {}
+            by_cuts, cuts = (), {}
             break
         cuts[r.id] = found
 
@@ -398,7 +398,6 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
         model.add_row(f"r_tail_min.{rid}", {e: 1.0}, GE, found.lo, Tag("tail_domain", rid, te + 1))
         model.add_row(f"r_tail_max.{rid}", {e: 1.0}, LE, found.hi, Tag("tail_domain", rid, te + 1))
         for i, s in enumerate(by_cuts):
-            s = int(s)
             if weights is not None:
                 theta = model.add_var(f"theta.{rid}.s{s}", lb=-math.inf, ub=math.inf, obj=-weights[s],
                                       tag=Tag("tail_value", rid, None, s))
@@ -411,7 +410,7 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
                                   da_revenue[rid][s] - y + b * x, Tag("risk_cut", rid, None, s))
 
     blocks = []
-    for s in sorted(set(range(scn.count)) - set(by_cuts.tolist())):
+    for s in sorted(set(range(scn.count)) - set(by_cuts)):
         cells = {(units[i].id, post[h]) for i, h in zip(*np.nonzero(mode_cells[s]))}
         blk = create_psh_block(model, units, post, s, cells)
         for u in units:
@@ -420,22 +419,21 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
         for r in sys.reservoirs:
             add_block_soc(model, r, units, blk, edge[r.id], target[r.id], cfg.end_soc, dt)
         for rid, idx in members.items():
-            coeffs: dict[int, float] = {}
+            revenue: dict[int, float] = {}
             for i in idx:
                 for h, t in enumerate(post):
-                    lmp = float(prices[s, i, h])
-                    if weights is not None:
-                        model.add_obj(blk.q_gen[(units[i].id, t)], -weights[s] * lmp)
-                        model.add_obj(blk.q_pump[(units[i].id, t)], weights[s] * lmp)
-                    coeffs[blk.q_gen[(units[i].id, t)]] = lmp
-                    coeffs[blk.q_pump[(units[i].id, t)]] = -lmp
+                    revenue[blk.q_gen[(units[i].id, t)]] = float(prices[s, i, h])
+                    revenue[blk.q_pump[(units[i].id, t)]] = -float(prices[s, i, h])
             if weights is None:
-                model.add_row(f"r_risk.{rid}.s{s}", {risk[rid]: 1.0, **coeffs}, GE,
+                model.add_row(f"r_risk.{rid}.s{s}", {risk[rid]: 1.0, **revenue}, GE,
                               float(da_revenue[rid][s]), Tag("risk_cap", rid, None, s))
+            else:
+                for j, c in revenue.items():
+                    model.add_obj(j, -weights[s] * c)
         blocks.append(blk)
 
     model.meta["tails"] = ScenarioTails(
-        edge, tuple(int(s) for s in by_cuts), cuts, blocks,
+        edge, by_cuts, cuts, blocks,
         None if weights is None else tuple(weights), da_revenue,
     )
 
