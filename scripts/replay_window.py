@@ -24,7 +24,7 @@ def main(argv=None) -> int:
     ap.add_argument("lp_file", help="failed_<variant>_w<k>.lp written by pshlac simulate")
     args = ap.parse_args(argv)
     lp = read_lp(args.lp_file)
-    highs = milp(lp, {})
+    highs, _ = milp(lp, {})
     status = highs.modelStatusToString(highs.getModelStatus())
     print(f"status: {status}")
     if status == "Infeasible":

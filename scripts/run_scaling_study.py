@@ -62,16 +62,16 @@ def main() -> int:
     entries = []
     for S in args.scenarios:
         model = first_window_model(sd, S, variant, rng)
-        t0 = time.time()
+        t0 = time.perf_counter()
         sol = solve(model, SolveOptions(gap_tol=args.gap_tol, time_limit=300.0))
-        wall = time.time() - t0
+        wall = time.perf_counter() - t0
         entries.append(ScalingEntry(S, model.n_rows, model.n_vars, model.n_nonzeros, wall))
         tails = model.meta["tails"]
         counts = [c.x[i].size for c in tails.cuts.values() for i in range(len(tails.scenarios))]
         print(f"S={S:4d}: rows={model.n_rows:7d} cols={model.n_vars:7d} "
-              f"nnz={model.n_nonzeros:8d} {sol.status:>9} wall={wall:6.2f}s "
+              f"nnz={model.n_nonzeros:8d} {sol.status:>9} wall={wall:7.3f}s "
               f"cuts={sum(counts)} per scenario {min(counts, default=0)}-{max(counts, default=0)} "
-              f"blocks={len(tails.blocks)}")
+              f"blocks={len(tails.blocks)} via {sol.incumbent}")
 
     rows = scaling_table(entries)
     print(f"{'S':>5}{'rows':>9}{'rows%':>9}{'cols':>9}{'cols%':>9}{'nnz':>10}{'nnz%':>9}{'wall':>8}")

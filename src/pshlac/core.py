@@ -312,6 +312,8 @@ def validate_system(
 
     psh_ids = {p.id for p in system.psh_units}
     for r in system.reservoirs:
+        if r.e_min < 0:
+            out.append(Violation(r.id, "e_min", "storage cannot go below 0"))
         if not (r.e_min <= r.e_initial <= r.e_max):
             out.append(Violation(r.id, "e_initial", "initial SOC outside [e_min, e_max]"))
         if not (r.e_min <= r.e_final_target <= r.e_max):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,6 +60,7 @@ from .psh_model import (
     add_soc_dynamics,
     create_psh_block,
     fix_block_to_schedule,
+    modes_from_dispatch,
     tail_value_functions,
 )
 
@@ -269,6 +271,9 @@ def _base_window_model(
         soc_by_res[r.id] = soc
 
     balance_rows, slack_vars = _add_balance(model, sys, hours, instance.net_load, thermal_p, det, cfg.voll)
+    # the thermal commitments are fixed, so the PSH modes are every free
+    # binary; _add_tails widens this to the blocks it keeps
+    model.rounding = partial(modes_from_dispatch, (det,))
 
     model.meta.update(
         det_block=det,
@@ -431,6 +436,8 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
                 for j, c in revenue.items():
                     model.add_obj(j, -weights[s] * c)
         blocks.append(blk)
+    if blocks:
+        model.rounding = partial(modes_from_dispatch, (model.meta["det_block"], *blocks))
 
     model.meta["tails"] = ScenarioTails(
         edge, by_cuts, cuts, blocks,

@@ -11,7 +11,10 @@ bindings scipy ships, and takes its constraint matrix from
 :func:`_constraint_arrays`.  :func:`solve` is the one entry point: a
 model with no free binary (each fixed by ``lb == ub``) is solved as the
 LP it is and comes back with its row duals, which is how prices are
-read from a dispatch with its commitments fixed.
+read from a dispatch with its commitments fixed.  A MIP whose builder
+attached a :attr:`MilpModel.rounding` is first tried at the root: the
+LP relaxation, its rounding, and the LP with those binaries fixed, kept
+when it lies within the gap of the relaxation's bound.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
@@ -36,6 +39,15 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TIME_LIMIT = "time_limit"
+
+# where a solution's incumbent came from (MilpSolution.incumbent)
+FROM_LP = "lp"  # a model with no free binary, solved as the LP it is
+ROOT_ROUNDING = "root_rounding"  # the LP relaxation rounded and certified by its bound
+BRANCH_AND_BOUND = "branch_and_bound"  # HiGHS's own MIP search
+
+# Fixings of binary columns, (column indices, 0/1 values), read off a
+# column vector of the model's LP relaxation; None when it rounds nothing.
+Rounding = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray] | None]
 
 
 class SolverError(RuntimeError):
@@ -83,12 +95,20 @@ class VarView:
 
 
 class MilpModel:
-    """Mutable model under construction; read-only once handed to a solver."""
+    """Mutable model under construction; read-only once handed to a solver.
+
+    ``rounding`` is the builder's rounding heuristic, or None: given the
+    values of the LP relaxation it fixes binary columns, and
+    :func:`solve` keeps the LP with those fixed when it certifies it
+    against the relaxation's bound.  A rounding that leaves a free
+    binary unfixed is never certified.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
         self.objective_constant = 0.0
         self.meta: dict = {}  # builder handles, free-form
+        self.rounding: Rounding | None = None
         self._vnames: list[str] = []
         self._vkind: list[str] = []
         self._lb: list[float] = []
@@ -197,8 +217,9 @@ class MilpModel:
             if t.matches(kind_tag, entity, hour, scenario):
                 yield self.var(i)
 
-    def binary_indices(self) -> list[int]:
-        return [i for i, k in enumerate(self._vkind) if k == BINARY]
+    def binary_indices(self) -> np.ndarray:
+        kinds = self._vkind
+        return np.flatnonzero(np.fromiter((k == BINARY for k in kinds), bool, len(kinds)))
 
     def canonical_form(self):
         """Order-independent description for structural equality tests."""
@@ -271,7 +292,8 @@ class MilpSolution:
     gap: float | None
     walltime_s: float
     duals: np.ndarray | None = None  # HiGHS's row duals, when no binary was free
-    nodes: int = 0  # branch-and-bound nodes HiGHS explored, 0 for an LP
+    nodes: int = 0  # branch-and-bound nodes HiGHS explored, 0 for an LP or a root rounding
+    incumbent: str | None = None  # FROM_LP, ROOT_ROUNDING or BRANCH_AND_BOUND; None without values
 
     @property
     def ok(self) -> bool:
@@ -344,17 +366,48 @@ def _highs_lp(model: MilpModel, integral: bool) -> _highs.HighsLp:
     return lp
 
 
-def milp(lp: _highs.HighsLp, options: Mapping[str, float | int], start: np.ndarray | None = None) -> _highs._Highs:
-    """Run HiGHS once on ``lp`` and return the finished session.
+def milp(
+    lp: _highs.HighsLp,
+    options: Mapping[str, float | int],
+    start: np.ndarray | None = None,
+    rounding: Rounding | None = None,
+) -> tuple[_highs._Highs, float | None]:
+    """Run HiGHS on ``lp`` in one session and return the finished
+    session, with the bound that certified a root rounding or None.
 
     ``start`` is a complete column vector handed to HiGHS as a candidate
     incumbent; HiGHS checks it and ignores it when it is infeasible.
+
+    ``rounding`` (a MIP only) must fix every free integer column of
+    ``lp`` or return None.  The session then first tries to close the
+    MIP at the root, the rounding-heuristic argument of Achterberg
+    (*Constraint Integer Programming*, TU Berlin 2007, ch. 9):
+
+    1. solve the LP relaxation, whose objective bounds every integral
+       point from below;
+    2. round its solution with ``rounding``;
+    3. fix the rounded columns (``changeColsBounds``) and re-solve from
+       the relaxation's basis;
+    4. keep that integral point when ``obj - bound <= gap * |obj|``, with
+       ``gap`` the ``mip_rel_gap`` of ``options``, the test HiGHS stops
+       its own search on.
+
+    When any step fails (a relaxation or fixed LP that is not optimal, a
+    rounding that returns None, a point outside the gap) the MIP goes to
+    branch and bound as it would without ``rounding``, and ``start`` is
+    offered there.
     """
     highs = _highs._Highs()
     highs.setOptionValue("output_flag", False)
     for key, val in options.items():
         if highs.setOptionValue(key, val) == _highs.HighsStatus.kError:
             raise SolverError(f"HiGHS rejected option {key}={val!r}")
+    if rounding is not None:
+        integrality, lp.integrality_ = lp.integrality_, []
+        bound = _root_rounding(highs, lp, rounding, float(options["mip_rel_gap"]))
+        if bound is not None:
+            return highs, bound
+        lp.integrality_ = integrality
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         raise SolverError("HiGHS rejected the model")
     if start is not None:
@@ -363,7 +416,30 @@ def milp(lp: _highs.HighsLp, options: Mapping[str, float | int], start: np.ndarr
         candidate.value_valid = True
         highs.setSolution(candidate)
     highs.run()
-    return highs
+    return highs, None
+
+
+def _root_rounding(highs: _highs._Highs, relaxation: _highs.HighsLp, rounding: Rounding,
+                   gap: float) -> float | None:
+    """Steps 1-4 of :func:`milp` in ``highs``: the relaxation's bound
+    when the rounded LP is certified, else None."""
+    optimal = _highs.HighsModelStatus.kOptimal
+    if highs.passModel(relaxation) == _highs.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    highs.run()
+    if highs.getModelStatus() != optimal:
+        return None
+    bound = highs.getInfo().objective_function_value
+    fixed = rounding(np.asarray(highs.getSolution().col_value))
+    if fixed is None:
+        return None
+    cols, vals = fixed
+    highs.changeColsBounds(len(cols), np.asarray(cols, dtype=np.int32), vals, vals)
+    highs.run()
+    if highs.getModelStatus() != optimal:
+        return None
+    obj = highs.getInfo().objective_function_value
+    return bound if obj - bound <= gap * abs(obj) else None
 
 
 def _status(highs: _highs._Highs) -> str:
@@ -371,6 +447,17 @@ def _status(highs: _highs._Highs) -> str:
     if model_status not in _MODEL_STATUS:
         raise SolverError(f"HiGHS ended with model status {highs.modelStatusToString(model_status)}")
     return _MODEL_STATUS[model_status]
+
+
+def _naming_every(rounding: Rounding, free: np.ndarray) -> Rounding:
+    """``rounding``, or None where it leaves a column of ``free`` unfixed
+    (an extra binary its builder does not know about)."""
+    def rounded(values: np.ndarray):
+        fixed = rounding(values)
+        if fixed is None or not np.isin(free, fixed[0]).all():
+            return None
+        return fixed
+    return rounded
 
 
 def solve(
@@ -382,7 +469,10 @@ def solve(
     relative gap is within ``options.gap_tol``; a time-limited run with
     an incumbent reports ``feasible`` together with the reached gap, one
     without reports ``time_limit``.  ``start`` is an optional complete
-    column vector offered to HiGHS as a first incumbent.
+    column vector offered to HiGHS as a first incumbent.  A MIP with a
+    :attr:`MilpModel.rounding` is first closed at the root where it can
+    be (see :func:`milp`): such a solution reports the certified gap,
+    no nodes, and ``incumbent == ROOT_ROUNDING``.
 
     A model whose binaries are all fixed (``lb == ub``) is the LP it is
     and goes to HiGHS without integrality.  Its solution carries HiGHS's
@@ -397,9 +487,15 @@ def solve(
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (model.n_vars,):
             raise ValueError(f"start has shape {start.shape}, the model has {model.n_vars} columns")
-    is_mip = any(model._lb[i] != model._ub[i] for i in model.binary_indices())
+    lb = np.asarray(model._lb)
+    ub = np.asarray(model._ub)
+    binaries = model.binary_indices()
+    free = binaries[lb[binaries] != ub[binaries]]
+    is_mip = free.size > 0
+    rounding = _naming_every(model.rounding, free) if is_mip and model.rounding is not None else None
     lp = _highs_lp(model, integral=is_mip)
-    highs = milp(lp, {"mip_rel_gap": float(options.gap_tol), "time_limit": float(options.time_limit)}, start)
+    highs, bound = milp(lp, {"mip_rel_gap": float(options.gap_tol), "time_limit": float(options.time_limit)},
+                        start, rounding)
     wall = time.perf_counter() - t_start
     status = _status(highs)
     info = highs.getInfo()
@@ -410,22 +506,28 @@ def solve(
         return MilpSolution(status, None, None, None, wall)
     solution = highs.getSolution()
     values = np.array(solution.col_value)
-    _check_primal(model, values)
+    _check_primal(model, values, lb, ub, binaries)
     objective = float(info.objective_function_value) + model.objective_constant
     if not is_mip:
-        return MilpSolution(OPTIMAL, values, objective, None, wall, np.array(solution.row_dual))
+        return MilpSolution(OPTIMAL, values, objective, None, wall, np.array(solution.row_dual),
+                            incumbent=FROM_LP)
+    if bound is not None:
+        obj = info.objective_function_value
+        gap = max(obj - bound, 0.0) / abs(obj) if obj else 0.0
+        return MilpSolution(OPTIMAL, values, objective, gap, wall, incumbent=ROOT_ROUNDING)
     return MilpSolution(FEASIBLE if status == TIME_LIMIT else status, values, objective,
-                        float(info.mip_gap), wall, nodes=int(info.mip_node_count))
+                        float(info.mip_gap), wall, nodes=int(info.mip_node_count),
+                        incumbent=BRANCH_AND_BOUND)
 
 
-def _check_primal(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> None:
-    lb = np.asarray(model._lb)
-    ub = np.asarray(model._ub)
+def _check_primal(model: MilpModel, values: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                  binaries: np.ndarray, tol: float = 1e-6) -> None:
     if np.any(values < lb - tol) or np.any(values > ub + tol):
         raise SolverError("backend returned values outside variable bounds")
-    for i in model.binary_indices():
-        if abs(values[i] - round(values[i])) > tol:
-            raise SolverError(f"binary variable {model._vnames[i]} fractional: {values[i]}")
+    off = np.abs(values[binaries] - np.round(values[binaries])) > tol
+    if off.any():
+        i = binaries[np.argmax(off)]
+        raise SolverError(f"binary variable {model._vnames[i]} fractional: {values[i]}")
 
 
 def infeasibility_report(model: MilpModel) -> list[str]:
@@ -448,7 +550,7 @@ def relaxed_iis(lp: _highs.HighsLp, row_names: Sequence[str]) -> list[str]:
     line.
     """
     lp.integrality_ = []
-    highs = milp(lp, {"iis_strategy": int(_highs.IisStrategy.kIisStrategyFromLpColPriority)})
+    highs, _ = milp(lp, {"iis_strategy": int(_highs.IisStrategy.kIisStrategyFromLpColPriority)})
     iis = _highs.HighsIis()
     if highs.getIis(iis) == _highs.HighsStatus.kError or not iis.valid or not len(iis.row_index):
         return [f"<IIS unavailable: {highs.modelStatusToString(highs.getModelStatus())}>"]

@@ -383,10 +383,9 @@ def tail_value_functions(
     length = np.concatenate([pump_max * eta_pump * dt, np.array([u.gen_max for u in units]) * dt / eta_gen])
     drawn_max = float(length[len(units):].sum())
     pumped_max = float(length[: len(units)].sum())
-    # storage columns are non-negative whatever e_min says
-    lo, hi = max(reservoir.e_min, 0.0), reservoir.e_max
+    lo, hi = reservoir.e_min, reservoir.e_max
     if end_soc == "relax":
-        a, b = max(target, 0.0), np.inf
+        a, b = target, np.inf
         slopes, lens = np.zeros((S, 1)), np.full((S, 1), np.inf)
     else:
         a = b = target
@@ -426,6 +425,33 @@ def tail_value_functions(
         ys.append(yk[keep])
         bs.append(bk[keep])
     return TailCuts(a, b, tuple(xs), tuple(ys), tuple(bs))
+
+
+def modes_from_dispatch(blocks: Sequence[PshBlock], values: np.ndarray,
+                        tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray] | None:
+    """Round every mode cell of ``blocks`` from the dispatch in
+    ``values``, a column vector such as an LP relaxation's.
+
+    A cell generates when its ``q_gen`` exceeds ``tol``, pumps when its
+    ``q_pump`` does, and is off otherwise.  Returns the cells' mode
+    columns and their 0/1 values, or None when a cell does both.
+    Whether the rounded point is feasible, let alone optimal, is the
+    caller's to check (``milp.solve`` re-solves with the modes fixed).
+    """
+    cells = [(blk.u[(uid, PshMode.OFF.value, t)], blk.u[(uid, PshMode.GEN.value, t)],
+              blk.u[(uid, PshMode.PUMP.value, t)], qg, blk.q_pump[(uid, t)])
+             for blk in blocks for (uid, t), qg in blk.q_gen.items()
+             if (uid, PshMode.OFF.value, t) in blk.u]
+    if not cells:
+        return np.zeros(0, np.intp), np.zeros(0)
+    off, gen, pump, qg, qp = np.array(cells, dtype=np.intp).T
+    generating = values[qg] > tol
+    pumping = values[qp] > tol
+    if np.any(generating & pumping):
+        return None
+    cols = np.concatenate([off, gen, pump])
+    fixed = np.concatenate([~(generating | pumping), generating, pumping]).astype(np.float64)
+    return cols, fixed
 
 
 def fix_block_to_schedule(

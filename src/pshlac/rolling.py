@@ -39,7 +39,16 @@ from .lac_models import (
     build_variant,
     da_reference_from_system,
 )
-from .milp import FEASIBLE, TIME_LIMIT, MilpModel, MilpSolution, SolveOptions, infeasibility_report, solve
+from .milp import (
+    BRANCH_AND_BOUND,
+    FEASIBLE,
+    TIME_LIMIT,
+    MilpModel,
+    MilpSolution,
+    SolveOptions,
+    infeasibility_report,
+    solve,
+)
 from .psh_model import soc_step
 
 logger = logging.getLogger(__name__)
@@ -156,12 +165,13 @@ class WindowMetric:
     cols: int
     nonzeros: int
     binaries: int
-    gap: float | None  # relative MIP gap HiGHS reports, None when it reports none
+    gap: float | None  # relative MIP gap of the solution, None for an LP
     nodes: int  # branch-and-bound nodes HiGHS explored
     warm: int  # 1 when the window started from its predecessor's tail
     # per reservoir, the tails' marginal value of edge storage ($/MWh);
     # empty without cut tails (see lac_models.ScenarioTails.water_value)
     water_value: tuple[float, ...] = ()
+    incumbent: str = ""  # "lp", "root_rounding" or "branch_and_bound" (see milp.MilpSolution)
 
 
 @dataclass
@@ -198,13 +208,14 @@ class SimulationLedger:
     def write_metrics_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("window,t1,status,objective,build_s,walltime_s,rows,cols,nonzeros,binaries,gap,nodes,warm,"
-                     "water_value\n")
+                     "water_value,incumbent\n")
             for m in self.windows:
                 gap = "" if m.gap is None else repr(m.gap)
                 water = ";".join(repr(v) for v in m.water_value)
                 fh.write(
                     f"{m.window},{m.t1},{m.status},{m.objective!r},{m.build_s!r},{m.walltime_s!r},"
-                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries},{gap},{m.nodes},{m.warm},{water}\n"
+                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries},{gap},{m.nodes},{m.warm},{water},"
+                    f"{m.incumbent}\n"
                 )
 
     @classmethod
@@ -356,6 +367,9 @@ def run_day(
         if sol.status == FEASIBLE:
             logger.warning("%s window %d (t1=%d) hit the %g s time limit at gap %.3g",
                            variant.value, w_index, t1, control.solver.time_limit, sol.gap)
+        if sol.incumbent == BRANCH_AND_BOUND:
+            logger.debug("%s window %d (t1=%d) was not closed at the root: branch and bound took %d nodes",
+                         variant.value, w_index, t1, sol.nodes)
         frozen = _freeze_hour(system, model, sol, t1, soc)
         ledger.hours.append(frozen)
         tails = model.meta.get("tails")
@@ -363,7 +377,7 @@ def run_day(
             WindowMetric(
                 w_index, t1, sol.status, float(sol.objective), build_s, float(sol.walltime_s),
                 model.n_rows, model.n_vars, model.n_nonzeros, model.n_binaries, sol.gap,
-                sol.nodes, int(warm), tails.water_value(sol) if tails else (),
+                sol.nodes, int(warm), tails.water_value(sol) if tails else (), sol.incumbent,
             )
         )
         if control.keep_window_details:

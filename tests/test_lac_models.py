@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pshlac.core import CostSegment, InitialStatus, PriceScenarioSet, ThermalUnit
 from pshlac.lac_models import (
     ConfigurationError,
+    ModelConfig,
     Variant,
     _startup_constant,
     apply_da_reference,
@@ -22,11 +25,11 @@ from pshlac.lac_models import (
     da_reference_from_system,
     extract_da_reference,
 )
-from pshlac.milp import EQ, GE, LE, MilpModel, Tag, solve
+from pshlac.milp import EQ, GE, LE, OPTIMAL, ROOT_ROUNDING, MilpModel, SolveOptions, Tag, solve
 
 from conftest import EXACT, solve_exact
 from oracle_tools import enumerate_objective, full_tail_window
-from toys import NODE, window_setup
+from toys import NODE, two_unit_instance, window_setup
 
 
 def row_named(model, name):
@@ -494,3 +497,58 @@ def test_per_scenario_size_is_what_the_formula_says(variant, builder, kwargs, n_
         assert b.tolist() == [30.0]
         expect = (b.size, int(variant is Variant.STOCHASTIC), int(b.size + np.count_nonzero(b)))
     assert delta == expect
+
+
+# -- root rounding against branch and bound ------------------------------------
+
+ROUNDING_GAP = SolveOptions(gap_tol=1e-6, time_limit=30.0)
+
+
+def _max_violation(model, x):
+    """Largest breach of a bound, a row or the integrality of a binary."""
+    worst = max(0.0, float(np.max(np.asarray(model._lb) - x)), float(np.max(x - np.asarray(model._ub))))
+    for r in model.rows():
+        lhs = sum(c * x[j] for j, c in r.coeffs.items())
+        worst = max(worst, {LE: lhs - r.rhs, GE: r.rhs - lhs, EQ: abs(lhs - r.rhs)}[r.sense])
+    b = model.binary_indices()
+    return max(worst, float(np.max(np.abs(x[b] - np.round(x[b])), initial=0.0)))
+
+
+_price = st.floats(min_value=-40.0, max_value=80.0, allow_nan=False).map(lambda v: round(v, 1))
+_floor = st.sampled_from((0.0, 5.0, 12.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(("perfect", "deterministic", "stochastic", "robust")),
+    loads=st.lists(st.floats(min_value=20.0, max_value=90.0).map(round), min_size=4, max_size=4),
+    prices=st.lists(st.lists(_price, min_size=2, max_size=2), min_size=2, max_size=2),
+    startup=st.lists(st.tuples(st.sampled_from((0.0, 15.0, 80.0)), st.sampled_from((0.0, 15.0, 80.0))),
+                     min_size=2, max_size=2),
+    floors=st.lists(st.tuples(_floor, _floor), min_size=2, max_size=2),
+    e_init=st.lists(st.sampled_from((10.0, 20.0, 30.0)), min_size=2, max_size=2),
+    shift=st.lists(st.sampled_from((-8.0, 0.0, 8.0)), min_size=2, max_size=2),
+    prev_modes=st.lists(st.sampled_from(("off", "gen", "pump")), min_size=2, max_size=2),
+    expensive=st.sampled_from((25.0, 60.0)),
+)
+def test_root_rounding_agrees_with_branch_and_bound(variant, loads, prices, startup, floors, e_init,
+                                                     shift, prev_modes, expensive):
+    scenario_prices = [[p] for p in prices[: 1 if variant == "deterministic" else 2]]
+    instance = two_unit_instance(
+        variant=variant, loads=loads, prices=scenario_prices, startup=startup, floors=floors,
+        e_init=e_init, e_target=[e + d for e, d in zip(e_init, shift)], prev_modes=prev_modes,
+        expensive=expensive,
+    )
+    model = build_variant(Variant(variant), instance, ModelConfig(gap_tol=ROUNDING_GAP.gap_tol,
+                                                                  time_preference=0.0))
+    sol = solve(model, ROUNDING_GAP)
+    model.rounding = None
+    forced = solve(model, ROUNDING_GAP)
+    assert sol.status == forced.status
+    if sol.status != OPTIMAL:
+        return
+    scale = max(abs(sol.objective), abs(forced.objective))
+    assert abs(sol.objective - forced.objective) <= ROUNDING_GAP.gap_tol * scale + 1e-7
+    if sol.incumbent == ROOT_ROUNDING:
+        assert sol.nodes == 0 and 0.0 <= sol.gap <= ROUNDING_GAP.gap_tol
+        assert _max_violation(model, sol.values) <= 1e-6

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from pshlac.milp import (
     BINARY,
+    BRANCH_AND_BOUND,
     EQ,
+    FROM_LP,
     FEASIBLE,
     GE,
     INFEASIBLE,
     LE,
     OPTIMAL,
+    ROOT_ROUNDING,
     TIME_LIMIT,
     UNBOUNDED,
     MilpModel,
@@ -187,12 +190,119 @@ def test_milp_solve_reports_nodes():
     assert solve(lp, OPTS).nodes == 0
 
 
+# -- closing a MIP at the root ----------------------------------------------
+
+
+def _rounded(how):
+    """A rounding of every binary of ``_knapsack`` by ``how`` (np.floor,
+    np.ceil, np.round) of the relaxation's values."""
+    def rounding(values):
+        cols = np.arange(values.size)
+        return cols, how(values + 1e-9)
+    return rounding
+
+
+def _cover_model():
+    # min 3a + 4b + 2c with a + b >= 1, b + c >= 1: the relaxation's
+    # vertex is integral ({b}, cost 4), so its rounding is optimal
+    m = MilpModel()
+    a = m.add_var("a", obj=3.0, kind=BINARY, tag=T)
+    b = m.add_var("b", obj=4.0, kind=BINARY, tag=T)
+    c = m.add_var("c", obj=2.0, kind=BINARY, tag=T)
+    m.add_row("ab", {a: 1.0, b: 1.0}, GE, 1.0, T)
+    m.add_row("bc", {b: 1.0, c: 1.0}, GE, 1.0, T)
+    return m
+
+
+def test_an_integral_relaxation_is_closed_at_the_root():
+    m = _cover_model()
+    m.rounding = _rounded(np.round)
+    sol = solve(m, OPTS)
+    assert (sol.status, sol.incumbent, sol.nodes) == (OPTIMAL, ROOT_ROUNDING, 0)
+    assert sol.objective == pytest.approx(4.0, abs=1e-9)
+    assert sol.gap == pytest.approx(0.0, abs=1e-12) and sol.duals is None
+    assert [sol.binary_value(i) for i in range(3)] == [0, 1, 0]
+    m.rounding = None
+    assert solve(m, OPTS).incumbent == BRANCH_AND_BOUND
+
+
+def test_a_rounding_outside_the_gap_falls_back():
+    # the knapsack's relaxation fills the last item fractionally: rounded
+    # down it is feasible but short of the bound, rounded up infeasible
+    cold = solve(_knapsack(), OPTS)
+    for how in (np.floor, np.ceil):
+        m = _knapsack()
+        m.rounding = _rounded(how)
+        sol = solve(m, OPTS)
+        assert (sol.status, sol.incumbent) == (OPTIMAL, BRANCH_AND_BOUND)
+        assert sol.nodes == cold.nodes and sol.objective == pytest.approx(cold.objective, abs=1e-9)
+    # the rounded-down point (the last item, 30 against a bound of about
+    # 46.8) is kept at a gap wide enough for it
+    m = _knapsack()
+    m.rounding = _rounded(np.floor)
+    loose = solve(m, SolveOptions(gap_tol=0.6, time_limit=30.0))
+    assert loose.incumbent == ROOT_ROUNDING and loose.objective == pytest.approx(-30.0, abs=1e-9)
+    assert loose.gap == pytest.approx((46.0 + 26.0 / 31.0 - 30.0) / 30.0, rel=1e-9)
+
+
+def test_a_rounding_that_misses_a_binary_or_gives_up_falls_back():
+    m = _cover_model()
+    extra = m.add_var("d", obj=-1.0, kind=BINARY, tag=T)  # a binary the rounding does not name
+    m.add_row("d_cap", {extra: 1.0, 0: 1.0}, LE, 1.0, T)
+
+    def named(values):
+        return np.arange(3), np.round(values[:3])
+
+    m.rounding = named
+    sol = solve(m, OPTS)
+    assert (sol.status, sol.incumbent) == (OPTIMAL, BRANCH_AND_BOUND)
+    assert sol.objective == pytest.approx(3.0, abs=1e-9)
+    m.rounding = lambda values: None
+    assert solve(m, OPTS).incumbent == BRANCH_AND_BOUND
+    # a binary fixed by its bounds needs no rounding
+    m.set_var_bounds(extra, 1.0, 1.0)
+    m.rounding = named
+    assert solve(m, OPTS).incumbent == ROOT_ROUNDING
+
+
+def test_a_rounding_changes_nothing_at_a_zero_time_limit():
+    # the relaxation stops at once, so the MIP ends as it would without
+    # a rounding: the start is the incumbent, or there is none
+    m = _knapsack()
+    cold = solve(m, OPTS)
+    m.rounding = _rounded(np.floor)
+    no_time = SolveOptions(gap_tol=1e-9, time_limit=0.0)
+    sol = solve(m, no_time, cold.values)
+    assert (sol.status, sol.incumbent) == (FEASIBLE, BRANCH_AND_BOUND)
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+    bare = solve(m, no_time)
+    assert bare.status == TIME_LIMIT and bare.values is None and bare.incumbent is None
+
+
+def test_an_infeasible_mip_with_a_rounding_stays_infeasible():
+    m = _cover_model()
+    m.add_row("none", {0: 1.0, 1: 1.0, 2: 1.0}, LE, 0.0, T)
+    m.rounding = _rounded(np.round)
+    sol = solve(m, OPTS)
+    assert sol.status == INFEASIBLE and sol.incumbent is None
+
+
+def test_an_lp_reports_its_source():
+    m = MilpModel()
+    m.add_var("x", obj=1.0, lb=1.0, tag=T)
+    u = m.add_var("u", kind=BINARY, lb=1.0, tag=T)
+    m.rounding = lambda values: None  # never consulted: no binary is free
+    sol = solve(m, OPTS)
+    assert (sol.incumbent, sol.nodes, sol.gap) == (FROM_LP, 0, None)
+    assert sol.binary_value(u) == 1
+
+
 def test_highs_bindings_expose_what_the_adapter_uses():
     # the adapter drives scipy's private HiGHS module; this pins its surface
     from scipy.optimize._highspy import _core
 
     for name in ("passModel", "setOptionValue", "setSolution", "run", "getModelStatus",
-                 "getInfo", "getSolution", "getIis"):
+                 "getInfo", "getSolution", "getIis", "changeColsBounds"):
         assert callable(getattr(_core._Highs, name)), name
     for name in ("HighsLp", "HighsSolution", "HighsIis"):
         assert isinstance(getattr(_core, name), type), name

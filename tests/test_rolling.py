@@ -21,7 +21,7 @@ from pshlac.rolling import (
 from pshlac.core import TimeGrid
 
 from conftest import EXACT
-from toys import NODE, full_set_for_day, rolling_day_setup
+from toys import NODE, full_set_for_day, rolling_day_setup, window_setup
 
 CONTROL = RunControl(solver=EXACT)
 
@@ -263,6 +263,50 @@ def test_invalid_systems_are_refused_before_the_first_window():
         run_day(system, short, Variant.PERFECT, None, CONTROL, da)
 
 
+def test_negative_storage_floor_is_refused():
+    # every storage column is non-negative, so a floor below 0 would be
+    # silently raised to 0; with a target below 0 the day is infeasible
+    ws = window_setup(L=3, e_min=-30.0, e_init=0.0, e_target=-30.0)
+    with pytest.raises(ConfigurationError, match=r"^invalid system or day: res1\.e_min: storage cannot go below 0$"):
+        run_day(ws.system, ws.market_day, Variant.PERFECT, None, CONTROL, ws.instance.da)
+
+
+def test_a_window_below_its_floor_falls_back_to_branch_and_bound(caplog):
+    # 5 MWh must leave the reservoir (15 -> 10) but the unit generates 10
+    # MW or nothing.  The relaxation generates 5 MW at u_gen = 1/2; fixed
+    # in gen, the unit must also pump 6.25 MW to end at the target, so
+    # the rounding is 525 $ over the bound and the first window goes to
+    # branch and bound: 3 h at 1400 $ (45 MW at 20, 5 at 100), less 600 $
+    # for the 10 MW generated, plus 625 $ for the pumping, is 4225 $.
+    ws = window_setup(T=3, L=2, e_init=15.0, e_target=10.0, gen_min=10.0, eta_pump=0.8,
+                      thermal_segments=((45.0, 20.0), (155.0, 100.0)))
+    control = RunControl(solver=EXACT, keep_window_details=True)
+    with caplog.at_level("DEBUG", logger="pshlac.rolling"):
+        ledger = run_day(ws.system, ws.market_day, Variant.PERFECT, None, control, ws.instance.da)
+    first = ledger.windows[0]
+    assert (first.status, first.incumbent, first.nodes) == ("optimal", "branch_and_bound", 1)
+    assert first.objective == pytest.approx(4225.0, abs=1e-6)
+    assert [r.getMessage() for r in caplog.records] == [
+        "perfect window 1 (t1=1) was not closed at the root: branch and bound took 1 nodes"]
+    # every window reaches the optimum of a solve without the rounding
+    for detail, w in zip(ledger.details, ledger.windows):
+        detail.model.rounding = None
+        forced = solve(detail.model, EXACT)
+        assert forced.objective == pytest.approx(w.objective, rel=EXACT.gap_tol)
+
+
+def test_infeasible_mip_window_still_names_its_conflict():
+    # a perfect window keeps its modes free and carries a rounding; its
+    # relaxation is infeasible, so the window ends as branch and bound
+    # ends it and names its rows
+    system, day, da = rolling_day_setup(T=4, loads=(50.0,) * 4, rt_lmp=(20.0,) * 4,
+                                        da_gen=(0.0,) * 4, e_target=40.0, pump_max=4.0)
+    with pytest.raises(WindowInfeasibleError) as err:
+        run_day(system, day, Variant.PERFECT, None, CONTROL, da)
+    assert (err.value.window_index, err.value.t1) == (1, 1)
+    assert "r_soc_end.res1" in err.value.conflict_rows
+
+
 def test_time_out_is_reported_as_a_time_out(toy_day, monkeypatch):
     def no_report(model):
         raise AssertionError("a time-out runs no infeasibility report")
@@ -275,6 +319,10 @@ def test_time_out_is_reported_as_a_time_out(toy_day, monkeypatch):
     assert (err.value.window_index, err.value.t1, err.value.time_limit) == (1, 1, 0.0)
     assert not isinstance(err.value, WindowInfeasibleError)
     assert str(err.value).startswith("window 1 (t1=1) of current_practice hit the 0 s time limit")
+    # a MIP window whose relaxation has no time either ends the same way
+    with pytest.raises(WindowTimeoutError) as err:
+        run_day(system, day, Variant.PERFECT, None, RunControl(solver=SolveOptions(time_limit=0.0)), da)
+    assert (err.value.window_index, err.value.t1) == (1, 1)
 
 
 def test_perfect_windows_start_from_their_predecessor(toy_day):
@@ -324,7 +372,7 @@ def test_ledger_reruns_are_byte_identical(tmp_path, toy_day):
 def test_metrics_csv_shape(tmp_path, toy_day):
     system, day, da = toy_day
     header = ("window,t1,status,objective,build_s,walltime_s,rows,cols,nonzeros,binaries,gap,"
-              "nodes,warm,water_value")
+              "nodes,warm,water_value,incumbent")
     # a plan-following window has every mode fixed and no binary left to
     # branch on: HiGHS solves it as an LP, with no gap and no nodes
     ledger = run_day(system, day, Variant.CURRENT_PRACTICE, None, CONTROL, da)
@@ -340,9 +388,10 @@ def test_metrics_csv_shape(tmp_path, toy_day):
     assert float(first[5]) == w.walltime_s > 0.0
     assert int(first[6]) > 0 and int(first[7]) > 0
     assert int(first[9]) == w.binaries > 0
-    assert (w.gap, w.nodes) == (None, 0)
-    assert lines[1].endswith(f",{w.binaries},,0,0,")
-    # a perfect window keeps its modes free and is a MIP
+    assert (w.gap, w.nodes, w.incumbent) == (None, 0, "lp")
+    assert lines[1].endswith(f",{w.binaries},,0,0,,lp")
+    # a perfect window keeps its modes free and is a MIP, which its LP
+    # relaxation's rounding closes at the root
     ledger = run_day(system, day, Variant.PERFECT, None, CONTROL, da)
     ledger.write_metrics_csv(p)
     lines = p.read_text().splitlines()
@@ -352,13 +401,14 @@ def test_metrics_csv_shape(tmp_path, toy_day):
     assert float(first[4]) == w.build_s > 0.0
     assert float(first[10]) == w.gap
     assert 0.0 <= w.gap <= EXACT.gap_tol
-    assert int(first[11]) == w.nodes >= 1
+    assert int(first[11]) == w.nodes == 0
     assert first[12] == "0"
     assert first[13] == "" and w.water_value == ()
+    assert first[14] == w.incumbent == "root_rounding"
     # a solve that reports no gap leaves the column empty
     ledger.windows[0] = replace(w, gap=None)
     ledger.write_metrics_csv(p)
-    assert p.read_text().splitlines()[1].endswith(f",{w.binaries},,{w.nodes},0,")
+    assert p.read_text().splitlines()[1].endswith(f",{w.binaries},,{w.nodes},0,,root_rounding")
     # a window with cut tails records the water value of its one
     # reservoir; the last window reaches the day end and has no tail
     ledger = run_day(system, day, Variant.STOCHASTIC, _provider(), CONTROL, da)

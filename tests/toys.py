@@ -182,3 +182,61 @@ def full_set_for_day(prices_by_scenario: Sequence[Sequence[float]],
     S, H = arr.shape
     w = tuple(float(v) for v in (weights or [1.0 / S] * S))
     return PriceScenarioSet((NODE,), 1, arr.reshape(S, 1, H), w)
+
+
+def two_unit_instance(
+    *,
+    variant: str,
+    loads: Sequence[float],
+    prices: Sequence[Sequence[Sequence[float]]],
+    startup: Sequence[tuple[float, float]],
+    floors: Sequence[tuple[float, float]],
+    e_init: Sequence[float],
+    e_target: Sequence[float],
+    prev_modes: Sequence[str],
+    expensive: float = 60.0,
+) -> LacInstance:
+    """First window of a four-hour day with two PSH units, each on its own
+    reservoir of 40 MWh, at one node.
+
+    ``variant`` is ``"perfect"`` (a window through hour 4) or a scenario
+    variant (hours 1-2, with ``prices`` per scenario, unit and post-window
+    hour); ``loads`` covers the window hours.  Per unit: ``startup`` is
+    its (gen, pump) start-up charge and ``floors`` its (gen_min,
+    pump_min), each with a 20 MW cap.  The thermal unit serves 45 MW at
+    20 $/MWh and 155 MW more at ``expensive``.
+    """
+    T = 4
+    L = T if variant == "perfect" else 2
+    grid = TimeGrid(1, T, L, 1.0)
+    thermal = ThermalUnit(
+        "th1", (CostSegment(45.0, 20.0), CostSegment(155.0, expensive)),
+        no_load_cost=0.0, startup_cost=0.0, p_min=0.0, p_max=200.0,
+        initial_status=InitialStatus(True, 24), da_commitment=(1,) * T,
+    )
+    units = tuple(
+        PshUnit(f"ps{i}", f"res{i}", NODE, g_min, 20.0, p_min, 20.0, 0.9, 0.85,
+                startup_cost_gen=c_gen, startup_cost_pump=c_pump,
+                da_gen=(0.0,) * T, da_pump=(0.0,) * T)
+        for i, ((c_gen, c_pump), (g_min, p_min)) in enumerate(zip(startup, floors))
+    )
+    reservoirs = tuple(Reservoir(f"res{i}", 0.0, 40.0, e0, e1, (f"ps{i}",))
+                       for i, (e0, e1) in enumerate(zip(e_init, e_target)))
+    system = PowerSystem(grid, (thermal,), units, reservoirs)
+    da = DaReference(
+        gen={u.id: u.da_gen for u in units},
+        pump={u.id: u.da_pump for u in units},
+        commitment={"th1": thermal.da_commitment},
+        end_soc={r.id: r.e_final_target for r in reservoirs},
+    )
+    scn = None
+    if variant != "perfect":
+        arr = np.asarray(prices, dtype=float)[:, :1, :]  # both units sit at NODE
+        S = arr.shape[0]
+        scn = PriceScenarioSet((NODE,), L + 1, arr, (1.0 / S,) * S)
+    return LacInstance(
+        system=system, window=grid, net_load=tuple(float(v) for v in loads[:L]), da=da,
+        soc_state={r.id: r.e_initial for r in reservoirs},
+        prev_modes={u.id: m for u, m in zip(units, prev_modes)},
+        scenario_set=scn,
+    )
