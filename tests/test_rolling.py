@@ -273,11 +273,12 @@ def test_negative_storage_floor_is_refused():
 
 def test_a_window_below_its_floor_falls_back_to_branch_and_bound(caplog):
     # 5 MWh must leave the reservoir (15 -> 10) but the unit generates 10
-    # MW or nothing.  The relaxation generates 5 MW at u_gen = 1/2; fixed
-    # in gen, the unit must also pump 6.25 MW to end at the target, so
-    # the rounding is 525 $ over the bound and the first window goes to
-    # branch and bound: 3 h at 1400 $ (45 MW at 20, 5 at 100), less 600 $
-    # for the 10 MW generated, plus 625 $ for the pumping, is 4225 $.
+    # MW or nothing.  The relaxation generates 5 MW in hour 1 at u_gen =
+    # 1/4 and is off after; rounded, hour 1 generates at least 10 MW with
+    # no pumping to make up for it, so the fixed LP is infeasible and the
+    # first window goes to branch and bound.  Its optimum generates 10 MW
+    # and pumps 6.25 MW back: 3 h at 1400 $ (45 MW at 20, 5 at 100), less
+    # 600 $ for the 10 MW generated, plus 625 $ for the pumping, is 4225 $.
     ws = window_setup(T=3, L=2, e_init=15.0, e_target=10.0, gen_min=10.0, eta_pump=0.8,
                       thermal_segments=((45.0, 20.0), (155.0, 100.0)))
     control = RunControl(solver=EXACT, keep_window_details=True)
