@@ -34,10 +34,10 @@ dispatch block tied to the same column.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,8 +49,9 @@ from .core import (
     ThermalUnit,
     TimeGrid,
 )
-from .milp import BINARY, EQ, GE, LE, MilpModel, MilpSolution, Tag
+from .milp import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, MilpSolution, Tag
 from .psh_model import (
+    ModeRounding,
     PshBlock,
     TailCuts,
     add_block_soc,
@@ -60,7 +61,6 @@ from .psh_model import (
     add_soc_dynamics,
     create_psh_block,
     fix_block_to_schedule,
-    modes_from_dispatch,
     tail_value_functions,
 )
 
@@ -168,28 +168,61 @@ def _startup_constant(system: PowerSystem, hours: Sequence[int]) -> float:
     return tot
 
 
-def _add_thermal_dispatch(model: MilpModel, unit: ThermalUnit, t: int, u_idx: int) -> int:
-    """Piecewise-linear cost segments plus the min/max link to commitment."""
-    p = model.add_var(f"p.{unit.id}.t{t}", ub=unit.p_max, tag=Tag("thermal_power", unit.id, t))
-    seg_ids = []
-    for k, seg in enumerate(unit.cost_curve):
-        seg_ids.append(
-            model.add_var(
-                f"pseg{k}.{unit.id}.t{t}", ub=seg.mw, obj=seg.price,
-                tag=Tag("thermal_segment", f"{unit.id}:{k}", t),
-            )
-        )
-    coeffs = {p: 1.0}
-    for si in seg_ids:
-        coeffs[si] = -1.0
-    model.add_row(f"r_pdef.{unit.id}.t{t}", coeffs, EQ, 0.0, Tag("thermal_link", unit.id, t))
-    model.add_row(
-        f"r_pmin.{unit.id}.t{t}", {p: 1.0, u_idx: -unit.p_min}, GE, 0.0, Tag("thermal_min", unit.id, t)
-    )
-    model.add_row(
-        f"r_pmax.{unit.id}.t{t}", {p: 1.0, u_idx: -unit.p_max}, LE, 0.0, Tag("thermal_max", unit.id, t)
-    )
-    return p
+def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours: Sequence[int],
+                          commitment: Mapping[str, Sequence[float]] | None = None) -> dict[str, dict]:
+    """The thermal units' columns and dispatch rows over ``hours``.
+
+    One block of columns, unit by unit and hour by hour: the commitment
+    ``uT`` (fixed at the unit's ``commitment`` when given, otherwise free
+    with the start and stop indicators ``wT`` and ``zT``), the output
+    ``p`` and one column per piecewise-linear cost segment.  Then one
+    block of rows in the same order: ``r_pdef`` (output is the sum of
+    the segments) and the min/max link of output to commitment.  Returns
+    (unit, hour) -> column for each field but the segments.
+    """
+    H = len(hours)
+    lead = ("uT",) if commitment is not None else ("uT", "wT", "zT")
+    L = len(lead)
+    cols: dict[str, dict] = {f: {} for f in (*lead, "p")}
+    names, lb, ub, obj, kinds, tags, entity, col_hours = [], [], [], [], [], [], [], []
+    row_names, lengths, index, value = [], [], [], []
+    first = model.n_vars
+    for u in units:
+        K = len(u.cost_curve)
+        fields = (*lead, "p", *(f"pseg{k}" for k in range(K)))
+        w = len(fields)
+        names += [f"{f}.{u.id}.t{t}" for t in hours for f in fields]
+        caps = [1.0] * L + [u.p_max] + [seg.mw for seg in u.cost_curve]
+        if commitment is None:
+            lb += [0.0] * (w * H)
+            ub += caps * H
+        else:  # commitments respect the DA plan
+            rest = [0.0] * (w - 1)
+            for c in commitment[u.id]:
+                lb += [c, *rest]
+                ub += [c, *caps[1:]]
+        obj += [u.no_load_cost, *[u.startup_cost, 0.0][:L - 1], 0.0, *(seg.price for seg in u.cost_curve)] * H
+        kinds += [BINARY, *[CONTINUOUS] * (w - 1)] * H
+        tags += ["thermal_commit", *["thermal_start", "thermal_stop"][:L - 1], "thermal_power",
+                 *["thermal_segment"] * K] * H
+        entity += [*[u.id] * (L + 1), *(f"{u.id}:{k}" for k in range(K))] * H
+        col_hours += [t for t in hours for _ in fields]
+        hour_first = range(first, first + w * H, w)  # each hour's uT
+        for j, f in enumerate(fields[:L + 1]):
+            cols[f].update(zip([(u.id, t) for t in hours], range(first + j, first + w * H, w)))
+        # per hour: r_pdef on p and its segments, r_pmin and r_pmax on p and uT
+        row_names += [f"{r}.{u.id}.t{t}" for t in hours for r in ("r_pdef", "r_pmin", "r_pmax")]
+        lengths += [1 + K, 2, 2] * H
+        offsets = (L, *range(L + 1, L + 1 + K), L, 0, L, 0)
+        index += [c + o for c in hour_first for o in offsets]
+        value += [1.0, *[-1.0] * K, 1.0, -u.p_min, 1.0, -u.p_max] * H
+        first += w * H
+    model.add_vars(names, lb, ub, obj, kinds, tags, entity, col_hours)
+    n = len(units) * H
+    model.add_rows(row_names, list(itertools.accumulate(lengths, initial=0)), index, value, [EQ, GE, LE] * n, 0.0,
+                   ["thermal_link", "thermal_min", "thermal_max"] * n, [u.id for u in units for _ in range(3 * H)],
+                   [t for t in hours for _ in range(3)] * len(units))
+    return cols
 
 
 def _add_balance(
@@ -206,22 +239,22 @@ def _add_balance(
     ``load`` holds one value per hour of ``hours``.  Returns the balance
     row and the (short, surplus) slack pair of each hour.
     """
-    balance_rows = {}
-    slack_vars = {}
-    for t, demand in zip(hours, load, strict=True):
-        sh = model.add_var(f"slack_short.t{t}", obj=voll, tag=Tag("balance_slack", "short", t))
-        su = model.add_var(f"slack_surplus.t{t}", obj=voll, tag=Tag("balance_slack", "surplus", t))
-        coeffs: dict[int, float] = {sh: 1.0, su: -1.0}
-        for u in system.thermal_units:
-            coeffs[thermal_p[(u.id, t)]] = 1.0
-        for u in system.psh_units:
-            coeffs[det.q_gen[(u.id, t)]] = 1.0
-            coeffs[det.q_pump[(u.id, t)]] = -1.0
-        balance_rows[t] = model.add_row(
-            f"r_balance.t{t}", coeffs, EQ, float(demand), Tag("power_balance", None, t)
-        )
-        slack_vars[t] = (sh, su)
-    return balance_rows, slack_vars
+    H = len(hours)
+    if len(load) != H:
+        raise ValueError(f"{len(load)} load values for {H} hours")
+    first = int(model.add_vars(
+        [f"slack_{side}.t{t}" for t in hours for side in ("short", "surplus")], obj=voll, tag="balance_slack",
+        entity=["short", "surplus"] * H, hour=[t for t in hours for _ in range(2)],
+    )[0])
+    slack = [(first + 2 * h, first + 2 * h + 1) for h in range(H)]
+    index = [j for t, pair in zip(hours, slack)
+             for j in (*pair, *(thermal_p[(u.id, t)] for u in system.thermal_units),
+                       *(q[(u.id, t)] for u in system.psh_units for q in (det.q_gen, det.q_pump)))]
+    value = [1.0, -1.0] + [1.0] * len(system.thermal_units) + [1.0, -1.0] * len(system.psh_units)
+    w = len(value)
+    rows = model.add_rows([f"r_balance.t{t}" for t in hours], range(0, w * H + 1, w), index, value * H, EQ,
+                          [float(v) for v in load], "power_balance", None, list(hours))
+    return dict(zip(hours, rows.tolist())), dict(zip(hours, slack))
 
 
 def _base_window_model(
@@ -236,17 +269,11 @@ def _base_window_model(
     te = hours[-1]
     T = sys.grid.horizon_end
 
-    thermal_u: dict[tuple[str, int], int] = {}
-    thermal_p: dict[tuple[str, int], int] = {}
-    for u in sys.thermal_units:
-        for t in hours:
-            ui = model.add_var(
-                f"uT.{u.id}.t{t}", kind=BINARY, obj=u.no_load_cost, tag=Tag("thermal_commit", u.id, t)
-            )
-            val = float(_thermal_da_value(u, t))
-            model.set_var_bounds(ui, val, val)  # commitments respect the DA plan
-            thermal_u[(u.id, t)] = ui
-            thermal_p[(u.id, t)] = _add_thermal_dispatch(model, u, t, ui)
+    thermal = _add_thermal_dispatch(
+        model, sys.thermal_units, hours,
+        {u.id: [float(_thermal_da_value(u, t)) for t in hours] for u in sys.thermal_units},
+    )
+    thermal_u, thermal_p = thermal["uT"], thermal["p"]
     model.objective_constant += _startup_constant(sys, hours)
 
     det = create_psh_block(model, sys.psh_units, hours)
@@ -273,7 +300,7 @@ def _base_window_model(
     balance_rows, slack_vars = _add_balance(model, sys, hours, instance.net_load, thermal_p, det, cfg.voll)
     # the thermal commitments are fixed, so the PSH modes are every free
     # binary; _add_tails widens this to the blocks it keeps
-    model.rounding = partial(modes_from_dispatch, (det,))
+    model.rounding = ModeRounding((det,))
 
     model.meta.update(
         det_block=det,
@@ -400,19 +427,25 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
 
     for rid, found in cuts.items():
         e = edge[rid]
-        model.add_row(f"r_tail_min.{rid}", {e: 1.0}, GE, found.lo, Tag("tail_domain", rid, te + 1))
-        model.add_row(f"r_tail_max.{rid}", {e: 1.0}, LE, found.hi, Tag("tail_domain", rid, te + 1))
-        for i, s in enumerate(by_cuts):
-            if weights is not None:
-                theta = model.add_var(f"theta.{rid}.s{s}", lb=-math.inf, ub=math.inf, obj=-weights[s],
-                                      tag=Tag("tail_value", rid, None, s))
-            for k, (x, y, b) in enumerate(zip(found.x[i], found.y[i], found.slope[i])):
-                if weights is not None:
-                    model.add_row(f"r_cut.{rid}.s{s}.k{k}", {theta: 1.0, e: -b}, LE, y - b * x,
-                                  Tag("value_cut", rid, None, s))
-                else:
-                    model.add_row(f"r_risk.{rid}.s{s}.k{k}", {risk[rid]: 1.0, e: b}, GE,
-                                  da_revenue[rid][s] - y + b * x, Tag("risk_cut", rid, None, s))
+        model.add_rows([f"r_tail_min.{rid}", f"r_tail_max.{rid}"], (0, 1, 2), (e, e), (1.0, 1.0), (GE, LE),
+                       (found.lo, found.hi), "tail_domain", rid, te + 1)
+        # one row per piece k of each scenario s, s by s
+        pieces = [x.size for x in found.x]
+        scenario = np.repeat(by_cuts, pieces)
+        x, y, b = (np.concatenate(a) for a in (found.x, found.y, found.slope))
+        ks = [(s, k) for s, n in zip(by_cuts, pieces) for k in range(n)]
+        if weights is not None:
+            theta = model.add_vars([f"theta.{rid}.s{s}" for s in by_cuts], -math.inf, math.inf,
+                                   [-weights[s] for s in by_cuts], tag="tail_value", entity=rid,
+                                   scenario=list(by_cuts))
+            names, lead, slope, sense, rhs, tag = ([f"r_cut.{rid}.s{s}.k{k}" for s, k in ks],
+                                                   np.repeat(theta, pieces), -b, LE, y - b * x, "value_cut")
+        else:
+            names, lead, slope, sense, rhs, tag = ([f"r_risk.{rid}.s{s}.k{k}" for s, k in ks],
+                                                   np.full(b.size, risk[rid]), b, GE,
+                                                   da_revenue[rid][scenario] - y + b * x, "risk_cut")
+        model.add_rows(names, np.arange(0, 2 * b.size + 1, 2), np.column_stack([lead, np.full(b.size, e)]).ravel(),
+                       np.column_stack([np.ones(b.size), slope]).ravel(), sense, rhs, tag, rid, None, scenario)
 
     blocks = []
     for s in sorted(set(range(scn.count)) - set(by_cuts)):
@@ -437,7 +470,7 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
                     model.add_obj(j, -weights[s] * c)
         blocks.append(blk)
     if blocks:
-        model.rounding = partial(modes_from_dispatch, (model.meta["det_block"], *blocks))
+        model.rounding = ModeRounding((model.meta["det_block"], *blocks))
 
     model.meta["tails"] = ScenarioTails(
         edge, by_cuts, cuts, blocks,
@@ -557,38 +590,27 @@ def build_da_model(
     thermal_p: dict[tuple[str, int], int] = {}
     thermal_u: dict[tuple[str, int], int] = {}
     for u in system.thermal_units:
-        w_ids = {}
-        z_ids = {}
-        for t in hours:
-            ui = model.add_var(
-                f"uT.{u.id}.t{t}", kind=BINARY, obj=u.no_load_cost, tag=Tag("thermal_commit", u.id, t)
-            )
-            thermal_u[(u.id, t)] = ui
-            # start/stop indicators relax to {0,1} once u is integral
-            w_ids[t] = model.add_var(
-                f"wT.{u.id}.t{t}", ub=1.0, obj=u.startup_cost, tag=Tag("thermal_start", u.id, t)
-            )
-            z_ids[t] = model.add_var(f"zT.{u.id}.t{t}", ub=1.0, tag=Tag("thermal_stop", u.id, t))
-            thermal_p[(u.id, t)] = _add_thermal_dispatch(model, u, t, ui)
-        u0 = int(u.initial_status.committed)
-        for t in hours:
-            coeffs = {thermal_u[(u.id, t)]: 1.0, w_ids[t]: -1.0, z_ids[t]: 1.0}
-            rhs = 0.0
-            if t == 1:
-                rhs = float(u0)
-            else:
-                coeffs[thermal_u[(u.id, t - 1)]] = -1.0
-            model.add_row(f"r_commit_flow.{u.id}.t{t}", coeffs, EQ, rhs, Tag("commit_flow", u.id, t))
-        if u.min_up > 1:
-            for t in hours:
-                coeffs = {w_ids[tau]: 1.0 for tau in range(max(1, t - u.min_up + 1), t + 1)}
-                coeffs[thermal_u[(u.id, t)]] = coeffs.get(thermal_u[(u.id, t)], 0.0) - 1.0
-                model.add_row(f"r_min_up.{u.id}.t{t}", coeffs, LE, 0.0, Tag("min_up", u.id, t))
-        if u.min_down > 1:
-            for t in hours:
-                coeffs = {z_ids[tau]: 1.0 for tau in range(max(1, t - u.min_down + 1), t + 1)}
-                coeffs[thermal_u[(u.id, t)]] = coeffs.get(thermal_u[(u.id, t)], 0.0) + 1.0
-                model.add_row(f"r_min_down.{u.id}.t{t}", coeffs, LE, 1.0, Tag("min_down", u.id, t))
+        cols = _add_thermal_dispatch(model, (u,), hours)
+        uT, wT, zT = ([cols[f][(u.id, t)] for t in hours] for f in ("uT", "wT", "zT"))
+        thermal_u.update(cols["uT"])
+        thermal_p.update(cols["p"])
+        # u[t] - w[t] + z[t] - u[t-1] == 0, with u[0] the initial status
+        # on the rhs (its zero coefficient in hour 1 drops the entry)
+        value = np.tile([1.0, -1.0, 1.0, -1.0], (T, 1))
+        value[0, 3] = 0.0
+        model.add_rows([f"r_commit_flow.{u.id}.t{t}" for t in hours], np.arange(0, 4 * T + 1, 4),
+                       np.column_stack([uT, wT, zT, [uT[0], *uT[:-1]]]).ravel(), value.ravel(), EQ,
+                       [float(int(u.initial_status.committed))] + [0.0] * (T - 1), "commit_flow", u.id, hours)
+        # a start in the last min_up hours keeps the unit on, a stop in
+        # the last min_down hours keeps it off
+        for rule, duration, flips, sign, rhs in (("min_up", u.min_up, wT, -1.0, 0.0),
+                                                 ("min_down", u.min_down, zT, 1.0, 1.0)):
+            if duration <= 1:
+                continue
+            recent = [flips[max(0, t - duration):t] for t in hours]
+            model.add_rows([f"r_{rule}.{u.id}.t{t}" for t in hours], np.r_[0, np.cumsum([len(r) + 1 for r in recent])],
+                           [j for r, t in zip(recent, hours) for j in (*r, uT[t - 1])],
+                           [c for r in recent for c in (*[1.0] * len(r), sign)], LE, rhs, rule, u.id, hours)
         # lock remaining minimum duration from the initial state
         if u.initial_status.committed and u.min_up > u.initial_status.hours:
             for t in range(1, min(T, u.min_up - u.initial_status.hours) + 1):
@@ -609,10 +631,12 @@ def build_da_model(
     balance_rows, _ = _add_balance(model, system, hours, da_load, thermal_p, det, cfg.voll)
     if reserve_margin > 0.0:
         quick = sum(u.gen_max for u in system.psh_units)
-        for t in hours:
-            coeffs = {thermal_u[(u.id, t)]: u.p_max for u in system.thermal_units}
-            rhs = (1.0 + reserve_margin) * float(da_load[t - 1]) - quick
-            model.add_row(f"r_reserve.t{t}", coeffs, GE, rhs, Tag("reserve", None, t))
+        n = len(system.thermal_units)
+        model.add_rows([f"r_reserve.t{t}" for t in hours], np.arange(0, n * T + 1, n),
+                       [thermal_u[(u.id, t)] for t in hours for u in system.thermal_units],
+                       np.tile([u.p_max for u in system.thermal_units], T), GE,
+                       [(1.0 + reserve_margin) * float(da_load[t - 1]) - quick for t in hours], "reserve", None,
+                       hours)
     model.meta.update(
         det_block=det, thermal_u=thermal_u, thermal_p=thermal_p, balance_rows=balance_rows,
         window_hours=tuple(hours),

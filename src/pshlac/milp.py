@@ -32,7 +32,8 @@ CONTINUOUS = "continuous"
 BINARY = "binary"
 
 LE, EQ, GE = "<=", "==", ">="
-_SENSES = (LE, EQ, GE)
+_SENSES = (LE, EQ, GE)  # indexed by a row's sense code
+_SENSE_CODE = {s: i for i, s in enumerate(_SENSES)}
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -62,15 +63,7 @@ class Tag:
     scenario: int | None = None
 
     def matches(self, kind=None, entity=None, hour=None, scenario="*") -> bool:
-        if kind is not None and self.kind != kind:
-            return False
-        if entity is not None and self.entity != entity:
-            return False
-        if hour is not None and self.hour != hour:
-            return False
-        if scenario != "*" and self.scenario != scenario:
-            return False
-        return True
+        return _tag_matches((self.kind, self.entity, self.hour, self.scenario), kind, entity, hour, scenario)
 
 
 @dataclass(frozen=True)
@@ -94,8 +87,93 @@ class VarView:
     tag: Tag
 
 
+def _spread(value, k: int, what: str) -> list:
+    """``value`` as a list of ``k`` entries: a list, tuple, range or array
+    gives one entry per element, anything else is repeated."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple, range)):
+        if len(value) != k:
+            raise ValueError(f"{what} has {len(value)} entries for {k} elements")
+        return value if isinstance(value, list) else list(value)
+    return [value] * k
+
+
+def _as_list(value) -> list:
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value if isinstance(value, list) else list(value)
+
+
+def _floats(value, k: int, what: str) -> list[float]:
+    """``value`` as ``k`` floats, repeated when it is one number."""
+    if isinstance(value, (float, int)):
+        return [float(value)] * k
+    out = np.asarray(value, dtype=np.float64)
+    if out.shape != (k,):
+        raise ValueError(f"{what} has shape {out.shape} for {k} elements")
+    return out.tolist()
+
+
+def _sense_codes(sense, m: int) -> list[int]:
+    try:
+        if isinstance(sense, str):
+            return [_SENSE_CODE[sense]] * m
+        return [_SENSE_CODE[s] for s in _spread(sense, m, "sense")]
+    except KeyError as err:
+        raise ValueError(f"unknown sense {err.args[0]!r}") from None
+
+
+def _tag_matches(tag: tuple, kind, entity, hour, scenario) -> bool:
+    """Whether the fields ``(kind, entity, hour, scenario)`` of ``tag``
+    match a query; None (``"*"`` for the scenario) matches anything."""
+    return ((kind is None or tag[0] == kind) and (entity is None or tag[1] == entity)
+            and (hour is None or tag[2] == hour) and (scenario == "*" or tag[3] == scenario))
+
+
+class _Tags:
+    """The tags of a model's columns or of its rows, one list per field."""
+
+    def __init__(self, what: str):
+        self.what = what  # "variable" or "row", for messages
+        self.kind: list[str] = []
+        self.entity: list[str | None] = []
+        self.hour: list[int | None] = []
+        self.scenario: list[int | None] = []
+
+    def spread(self, names: list[str], kind, entity, hour, scenario) -> tuple[list, ...]:
+        """The four fields for the elements ``names``, each one value per
+        element or one for all; every element needs a kind."""
+        k = len(names)
+        kinds = _spread(kind, k, "tag")
+        if None in kinds:
+            raise ValueError(f"{self.what} {names[kinds.index(None)]!r} needs a tag")
+        return kinds, _spread(entity, k, "entity"), _spread(hour, k, "hour"), _spread(scenario, k, "scenario")
+
+    def extend(self, fields: tuple[list, ...]) -> None:
+        for mine, more in zip((self.kind, self.entity, self.hour, self.scenario), fields):
+            mine.extend(more)
+
+    def __getitem__(self, i: int) -> Tag:
+        return Tag(self.kind[i], self.entity[i], self.hour[i], self.scenario[i])
+
+    def matching(self, kind, entity, hour, scenario) -> list[int]:
+        fields = zip(self.kind, self.entity, self.hour, self.scenario)
+        return [i for i, tag in enumerate(fields) if _tag_matches(tag, kind, entity, hour, scenario)]
+
+
 class MilpModel:
     """Mutable model under construction; read-only once handed to a solver.
+
+    Columns and rows are appended a block at a time: :meth:`add_vars`
+    and :meth:`add_rows` take arrays or lists, and :meth:`add_var` and
+    :meth:`add_row` are their one-element forms.  Each column keeps its
+    bounds, cost and kind; the rows of every block go into one store in
+    compressed sparse row form, which :func:`_constraint_arrays` hands
+    out as arrays.  Names are kept per element from the start (a column
+    name is unique), tags as one list per field; :class:`Tag`,
+    :class:`VarView` and :class:`RowView` objects are built only when a
+    row or column is looked at.
 
     ``rounding`` is the builder's rounding heuristic, or None: given the
     values of the LP relaxation it fixes binary columns, and
@@ -110,15 +188,109 @@ class MilpModel:
         self.meta: dict = {}  # builder handles, free-form
         self.rounding: Rounding | None = None
         self._vnames: list[str] = []
-        self._vkind: list[str] = []
+        self._name_to_var: dict[str, int] = {}
+        self._binary: list[bool] = []
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._obj: list[float] = []
-        self._vtags: list[Tag] = []
-        self._rows: list[tuple[str, tuple[int, ...], tuple[float, ...], str, float, Tag]] = []
-        self._name_to_var: dict[str, int] = {}
+        self._vtags = _Tags("variable")
+        self._rnames: list[str] = []
+        self._rtags = _Tags("row")
+        self._codes: list[int] = []  # per row, its sense's place in _SENSES
+        self._rhs: list[float] = []
+        # the rows in compressed sparse row form, block after block
+        self._start: list[int] = [0]
+        self._index: list[int] = []
+        self._value: list[float] = []
+        self._csr_cache: tuple[np.ndarray, ...] | None = None
 
     # -- construction -------------------------------------------------
+
+    def add_vars(self, names: Sequence[str], lb=0.0, ub=math.inf, obj=0.0, kind=CONTINUOUS,
+                 tag=None, entity=None, hour=None, scenario=None) -> np.ndarray:
+        """Append one column per name and return their indices.
+
+        Every other argument is one value for the whole block or one per
+        column (a list, tuple, range or array).  ``tag`` is the kind of each
+        column's :class:`Tag`, ``entity``, ``hour`` and ``scenario`` its
+        other fields.  A binary column's bounds are clipped to [0, 1].
+        """
+        names = list(names)
+        k = len(names)
+        kinds = _spread(kind, k, "kind")
+        unknown = set(kinds) - {CONTINUOUS, BINARY}
+        if unknown:
+            raise ValueError(f"unknown variable kind {unknown.pop()!r}")
+        tags = self._vtags.spread(names, tag, entity, hour, scenario)
+        lb, ub, obj = _floats(lb, k, "lb"), _floats(ub, k, "ub"), _floats(obj, k, "obj")
+        binary = [c == BINARY for c in kinds]
+        if BINARY in kinds:
+            for i in (i for i, b in enumerate(binary) if b):
+                lb[i] = lb[i] if lb[i] > 0.0 else 0.0
+                ub[i] = ub[i] if ub[i] < 1.0 else 1.0
+        # the last check, so that a refused block leaves the model as it was
+        n0 = len(self._vnames)
+        known = self._name_to_var
+        known.update(zip(names, range(n0, n0 + k)))
+        if len(known) != n0 + k:
+            self._name_to_var = dict(zip(self._vnames, range(n0)))
+            seen = set(self._vnames)
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"duplicate variable name {name!r}")
+                seen.add(name)
+        self._vnames.extend(names)
+        self._binary.extend(binary)
+        self._lb.extend(lb)
+        self._ub.extend(ub)
+        self._obj.extend(obj)
+        self._vtags.extend(tags)
+        return np.arange(n0, n0 + k)
+
+    def add_rows(self, names: Sequence[str], start, index, value, sense, rhs,
+                 tag=None, entity=None, hour=None, scenario=None) -> np.ndarray:
+        """Append a block of rows in compressed sparse row form and return
+        their indices.
+
+        Row ``i`` has the coefficients ``value[start[i]:start[i + 1]]`` on
+        the columns ``index[start[i]:start[i + 1]]``, in that order; every
+        column must exist already.  Zero coefficients are dropped, and a
+        column may appear once per row.
+        ``sense``, ``rhs`` and the tag fields are one value for the block
+        or one per row, as in :meth:`add_vars`.
+        """
+        names = list(names)
+        m = len(names)
+        tags = self._rtags.spread(names, tag, entity, hour, scenario)
+        codes = _sense_codes(sense, m)
+        rhs = _floats(rhs, m, "rhs")
+        # small blocks are the common case: plain lists beat numpy calls
+        start, index, value = _as_list(start), _as_list(index), _as_list(value)
+        if len(start) != m + 1 or start[0] != 0 or start[-1] != len(index) or len(value) != len(index):
+            raise ValueError(f"rows from {names[0] if names else None!r}: start, index and value do not "
+                             f"describe {m} rows")
+        if index and (min(index) < 0 or max(index) >= len(self._vnames)):
+            raise ValueError(f"rows from {names[0]!r} name a column outside 0..{len(self._vnames) - 1}")
+        if 0.0 in value:  # drop the zero coefficients
+            kept = list(itertools.accumulate((c != 0.0 for c in value), initial=0))
+            start = [kept[i] for i in start]
+            index = [j for j, c in zip(index, value) if c != 0.0]
+            value = [c for c in value if c != 0.0]
+        for name, lo, hi in zip(names, start, start[1:]):
+            if hi - lo > 1 and len(set(index[lo:hi])) < hi - lo:
+                twice = next(j for j in index[lo:hi] if index[lo:hi].count(j) > 1)
+                raise ValueError(f"row {name!r} repeats column {twice}")
+        r0 = len(self._rnames)
+        nnz = len(self._index)
+        self._rnames.extend(names)
+        self._rtags.extend(tags)
+        self._codes.extend(codes)
+        self._rhs.extend(rhs)
+        self._start.extend([i + nnz for i in start[1:]])
+        self._index.extend(index)
+        self._value.extend(value)
+        self._csr_cache = None
+        return np.arange(r0, r0 + m)
 
     def add_var(
         self,
@@ -129,23 +301,9 @@ class MilpModel:
         kind: str = CONTINUOUS,
         tag: Tag | None = None,
     ) -> int:
-        if kind not in (CONTINUOUS, BINARY):
-            raise ValueError(f"unknown variable kind {kind!r}")
         if tag is None:
             raise ValueError(f"variable {name!r} needs a tag")
-        if name in self._name_to_var:
-            raise ValueError(f"duplicate variable name {name!r}")
-        idx = len(self._vnames)
-        self._vnames.append(name)
-        self._vkind.append(kind)
-        if kind == BINARY:
-            lb, ub = max(0.0, lb), min(1.0, ub)
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        self._obj.append(float(obj))
-        self._vtags.append(tag)
-        self._name_to_var[name] = idx
-        return idx
+        return int(self.add_vars((name,), lb, ub, obj, kind, tag.kind, tag.entity, tag.hour, tag.scenario)[0])
 
     def add_row(
         self,
@@ -155,18 +313,16 @@ class MilpModel:
         rhs: float,
         tag: Tag | None = None,
     ) -> int:
-        if sense not in _SENSES:
-            raise ValueError(f"unknown sense {sense!r}")
+        """One row; a column named twice in ``coeffs`` gets the sum of its
+        coefficients."""
         if tag is None:
             raise ValueError(f"row {name!r} needs a tag")
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         merged: dict[int, float] = {}
-        for idx, c in items:
+        for idx, c in (coeffs.items() if isinstance(coeffs, Mapping) else coeffs):
             if c != 0.0:
                 merged[idx] = merged.get(idx, 0.0) + float(c)
-        idx = len(self._rows)
-        self._rows.append((name, tuple(merged), tuple(merged.values()), sense, float(rhs), tag))
-        return idx
+        return int(self.add_rows((name,), (0, len(merged)), list(merged), list(merged.values()), sense, rhs,
+                                 tag.kind, tag.entity, tag.hour, tag.scenario)[0])
 
     def set_var_bounds(self, idx: int, lb: float, ub: float) -> None:
         self._lb[idx] = float(lb)
@@ -183,62 +339,67 @@ class MilpModel:
 
     @property
     def n_rows(self) -> int:
-        return len(self._rows)
+        return len(self._rnames)
 
     @property
     def n_nonzeros(self) -> int:
-        return sum(len(r[1]) for r in self._rows)
+        return len(self._index)
 
     @property
     def n_binaries(self) -> int:
-        return sum(1 for k in self._vkind if k == BINARY)
-
-    @property
-    def var_names(self) -> list[str]:
-        return self._vnames
+        return self._binary.count(True)
 
     def var_index(self, name: str) -> int:
         return self._name_to_var[name]
 
+    def _csr(self) -> tuple[np.ndarray, ...]:
+        """The rows as arrays: (start, index, value, sense codes, rhs)."""
+        if self._csr_cache is None:
+            self._csr_cache = (np.array(self._start, dtype=np.int32), np.array(self._index, dtype=np.int32),
+                               np.array(self._value, dtype=np.float64), np.array(self._codes, dtype=np.int8),
+                               np.array(self._rhs, dtype=np.float64))
+        return self._csr_cache
+
     def var(self, idx: int) -> VarView:
-        return VarView(idx, self._vnames[idx], self._vkind[idx], self._lb[idx], self._ub[idx], self._obj[idx], self._vtags[idx])
+        kind = BINARY if self._binary[idx] else CONTINUOUS
+        return VarView(idx, self._vnames[idx], kind, self._lb[idx], self._ub[idx], self._obj[idx], self._vtags[idx])
 
     def row(self, idx: int) -> RowView:
-        name, idxs, coefs, sense, rhs, tag = self._rows[idx]
-        return RowView(idx, name, dict(zip(idxs, coefs)), sense, rhs, tag)
+        start, index, value, codes, rhs = self._csr()
+        lo, hi = start[idx], start[idx + 1]
+        return RowView(idx, self._rnames[idx], dict(zip(index[lo:hi].tolist(), value[lo:hi].tolist())),
+                       _SENSES[codes[idx]], float(rhs[idx]), self._rtags[idx])
 
     def rows(self, kind=None, entity=None, hour=None, scenario="*") -> Iterator[RowView]:
-        for i, r in enumerate(self._rows):
-            if r[5].matches(kind, entity, hour, scenario):
-                yield self.row(i)
+        for i in self._rtags.matching(kind, entity, hour, scenario):
+            yield self.row(i)
 
     def variables(self, kind_tag=None, entity=None, hour=None, scenario="*") -> Iterator[VarView]:
-        for i, t in enumerate(self._vtags):
-            if t.matches(kind_tag, entity, hour, scenario):
-                yield self.var(i)
+        for i in self._vtags.matching(kind_tag, entity, hour, scenario):
+            yield self.var(i)
 
     def binary_indices(self) -> np.ndarray:
-        kinds = self._vkind
-        return np.flatnonzero(np.fromiter((k == BINARY for k in kinds), bool, len(kinds)))
+        return np.flatnonzero(np.array(self._binary, dtype=bool))
 
     def canonical_form(self):
         """Order-independent description for structural equality tests."""
         vmap = self._vnames
-        vars_desc = tuple(
-            sorted((vmap[i], self._vkind[i], self._lb[i], self._ub[i], self._obj[i]) for i in range(self.n_vars))
-        )
-        rows_desc = tuple(
-            sorted(
-                (
-                    (tag.kind, tag.entity, tag.hour, tag.scenario),
-                    sense,
-                    rhs,
-                    tuple(sorted((vmap[i], c) for i, c in zip(idxs, coefs))),
-                )
-                for (_, idxs, coefs, sense, rhs, tag) in self._rows
-            )
-        )
-        return (vars_desc, rows_desc, self.objective_constant)
+        vars_desc = tuple(sorted(
+            (vmap[i], BINARY if self._binary[i] else CONTINUOUS, self._lb[i], self._ub[i], self._obj[i])
+            for i in range(self.n_vars)
+        ))
+        rows_desc = []
+        for i in range(self.n_rows):
+            r = self.row(i)
+            rows_desc.append((
+                (r.tag.kind, r.tag.entity, r.tag.hour, r.tag.scenario),
+                r.sense,
+                r.rhs,
+                tuple(sorted((vmap[j], c) for j, c in r.coeffs.items())),
+            ))
+        # None sorts first in a tag field, which may mix it with strings or ints
+        rows_desc.sort(key=lambda d: (tuple((f is not None, f) for f in d[0]), *d[1:]))
+        return (vars_desc, tuple(rows_desc), self.objective_constant)
 
     # -- export -------------------------------------------------------
 
@@ -255,16 +416,17 @@ class MilpModel:
                 terms.append(f"{'+' if c >= 0 else '-'} {fmt(abs(c))} {self._vnames[i]}")
         lines.append("  " + (" ".join(terms) if terms else "0 " + (self._vnames[0] if self._vnames else "x0")))
         lines.append("Subject To")
-        for name, idxs, coefs, sense, rhs, _ in self._rows:
+        for i in range(self.n_rows):
+            r = self.row(i)
             body = " ".join(
-                f"{'+' if c >= 0 else '-'} {fmt(abs(c))} {self._vnames[i]}" for i, c in zip(idxs, coefs)
+                f"{'+' if c >= 0 else '-'} {fmt(abs(c))} {self._vnames[j]}" for j, c in r.coeffs.items()
             )
-            op = {LE: "<=", EQ: "=", GE: ">="}[sense]
-            lines.append(f" {name}: {body or '0 ' + self._vnames[0]} {op} {fmt(rhs)}")
+            op = {LE: "<=", EQ: "=", GE: ">="}[r.sense]
+            lines.append(f" {r.name}: {body or '0 ' + self._vnames[0]} {op} {fmt(r.rhs)}")
         lines.append("Bounds")
         for i in range(self.n_vars):
             lb, ub = self._lb[i], self._ub[i]
-            if self._vkind[i] == BINARY and lb == 0.0 and ub == 1.0:
+            if self._binary[i] and lb == 0.0 and ub == 1.0:
                 continue
             lo = "-inf" if lb == -math.inf else fmt(lb)
             hi = "+inf" if ub == math.inf else fmt(ub)
@@ -314,14 +476,13 @@ class MilpSolution:
 # -- the HiGHS adapter ------------------------------------------------------
 #
 # ``_core`` is the private pybind module that scipy's own ``milp`` and
-# ``linprog`` drive.  The adapter uses it directly because only it takes a
-# start (``setSolution``), hands out the row duals as HiGHS computes them
-# and finds an irreducible infeasible subsystem (``getIis``).
+# ``linprog`` drive.  The adapter uses it directly because only it hands
+# out the row duals as HiGHS computes them, changes column bounds inside a
+# session (``changeColsBounds``, for the root rounding) and finds an
+# irreducible infeasible subsystem (``getIis``).
 
-_VAR_TYPE = {
-    CONTINUOUS: _highs.HighsVarType.kContinuous,
-    BINARY: _highs.HighsVarType.kInteger,
-}
+# a column's HiGHS type, indexed by whether it is binary
+_VAR_TYPE = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
 
 _MODEL_STATUS = {
     _highs.HighsModelStatus.kOptimal: OPTIMAL,
@@ -334,49 +495,40 @@ _MODEL_STATUS = {
 
 def _constraint_arrays(model: MilpModel):
     """Row-wise sparse matrix (start, index, value) and row bounds."""
-    rows = model._rows
-    m = len(rows)
-    start = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.fromiter((len(r[1]) for r in rows), np.int32, m), out=start[1:])
-    nnz = int(start[-1])
-    index = np.fromiter(itertools.chain.from_iterable(r[1] for r in rows), np.int32, nnz)
-    value = np.fromiter(itertools.chain.from_iterable(r[2] for r in rows), np.float64, nnz)
-    rhs = np.fromiter((r[4] for r in rows), np.float64, m)
-    lo = np.where(np.fromiter((r[3] == LE for r in rows), bool, m), -np.inf, rhs)
-    hi = np.where(np.fromiter((r[3] == GE for r in rows), bool, m), np.inf, rhs)
+    start, index, value, codes, rhs = model._csr()
+    lo = np.where(codes == _SENSE_CODE[LE], -np.inf, rhs)
+    hi = np.where(codes == _SENSE_CODE[GE], np.inf, rhs)
     return start, index, value, lo, hi
 
 
 def _highs_lp(model: MilpModel, integral: bool) -> _highs.HighsLp:
+    # the bindings copy a Python list into HiGHS much faster than they
+    # walk a numpy array, element by element; the values are the same
     start, index, value, lo, hi = _constraint_arrays(model)
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
     lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
-    lp.col_cost_ = np.asarray(model._obj, dtype=np.float64)
-    lp.col_lower_ = np.asarray(model._lb, dtype=np.float64)
-    lp.col_upper_ = np.asarray(model._ub, dtype=np.float64)
-    lp.row_lower_ = lo
-    lp.row_upper_ = hi
+    lp.col_cost_ = model._obj
+    lp.col_lower_ = model._lb
+    lp.col_upper_ = model._ub
+    lp.row_lower_ = lo.tolist()
+    lp.row_upper_ = hi.tolist()
     lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = index.tolist()
+    lp.a_matrix_.value_ = value.tolist()
     if integral:
-        lp.integrality_ = [_VAR_TYPE[k] for k in model._vkind]
+        lp.integrality_ = [_VAR_TYPE[b] for b in model._binary]
     return lp
 
 
 def milp(
     lp: _highs.HighsLp,
     options: Mapping[str, float | int],
-    start: np.ndarray | None = None,
     rounding: Rounding | None = None,
 ) -> tuple[_highs._Highs, float | None]:
     """Run HiGHS on ``lp`` in one session and return the finished
     session, with the bound that certified a root rounding or None.
-
-    ``start`` is a complete column vector handed to HiGHS as a candidate
-    incumbent; HiGHS checks it and ignores it when it is infeasible.
 
     ``rounding`` (a MIP only) must fix every free integer column of
     ``lp`` or return None.  The session then first tries to close the
@@ -394,8 +546,7 @@ def milp(
 
     When any step fails (a relaxation or fixed LP that is not optimal, a
     rounding that returns None, a point outside the gap) the MIP goes to
-    branch and bound as it would without ``rounding``, and ``start`` is
-    offered there.
+    branch and bound as it would without ``rounding``.
     """
     highs = _highs._Highs()
     highs.setOptionValue("output_flag", False)
@@ -410,11 +561,6 @@ def milp(
         lp.integrality_ = integrality
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         raise SolverError("HiGHS rejected the model")
-    if start is not None:
-        candidate = _highs.HighsSolution()
-        candidate.col_value = start
-        candidate.value_valid = True
-        highs.setSolution(candidate)
     highs.run()
     return highs, None
 
@@ -460,16 +606,13 @@ def _naming_every(rounding: Rounding, free: np.ndarray) -> Rounding:
     return rounded
 
 
-def solve(
-    model: MilpModel, options: SolveOptions | None = None, start: np.ndarray | None = None
-) -> MilpSolution:
+def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
     """Solve the model with HiGHS.
 
     A model with a free binary is a MIP.  Status ``optimal`` implies the
     relative gap is within ``options.gap_tol``; a time-limited run with
     an incumbent reports ``feasible`` together with the reached gap, one
-    without reports ``time_limit``.  ``start`` is an optional complete
-    column vector offered to HiGHS as a first incumbent.  A MIP with a
+    without reports ``time_limit``.  A MIP with a
     :attr:`MilpModel.rounding` is first closed at the root where it can
     be (see :func:`milp`): such a solution reports the certified gap,
     no nodes, and ``incumbent == ROOT_ROUNDING``.
@@ -483,10 +626,6 @@ def solve(
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
-    if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != (model.n_vars,):
-            raise ValueError(f"start has shape {start.shape}, the model has {model.n_vars} columns")
     lb = np.asarray(model._lb)
     ub = np.asarray(model._ub)
     binaries = model.binary_indices()
@@ -495,7 +634,7 @@ def solve(
     rounding = _naming_every(model.rounding, free) if is_mip and model.rounding is not None else None
     lp = _highs_lp(model, integral=is_mip)
     highs, bound = milp(lp, {"mip_rel_gap": float(options.gap_tol), "time_limit": float(options.time_limit)},
-                        start, rounding)
+                        rounding)
     wall = time.perf_counter() - t_start
     status = _status(highs)
     info = highs.getInfo()
@@ -535,7 +674,7 @@ def infeasibility_report(model: MilpModel) -> list[str]:
     the model with its binaries relaxed (see :func:`relaxed_iis`)."""
     if model.n_rows == 0:
         return []
-    return relaxed_iis(_highs_lp(model, integral=False), [r[0] for r in model._rows])
+    return relaxed_iis(_highs_lp(model, integral=False), model._rnames)
 
 
 def relaxed_iis(lp: _highs.HighsLp, row_names: Sequence[str]) -> list[str]:

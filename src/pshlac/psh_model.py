@@ -63,8 +63,8 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .core import MODES, PshMode, PshUnit, Reservoir
-from .milp import BINARY, EQ, GE, LE, MilpModel, Tag
+from .core import MODES, PshUnit, Reservoir
+from .milp import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, Tag
 
 
 def _sfx(scenario: int | None) -> str:
@@ -89,6 +89,9 @@ class SocVars:
     e_det: dict[tuple[str, int], int] = field(default_factory=dict)
 
 
+_OFF, _GEN, _PUMP = MODES
+
+
 def create_psh_block(
     model: MilpModel,
     units: Sequence[PshUnit],
@@ -104,32 +107,34 @@ def create_psh_block(
     gets none: its ``start`` stays empty.  ``mode_cells`` names the
     ``(unit, hour)`` cells of a scenario block that get mode binaries
     (see the module docstring); the window block gets them in every cell.
+    The columns are one block, unit by unit and hour by hour: the cell's
+    modes, the window block's start-ups, then ``q_gen`` and ``q_pump``.
     """
     blk = PshBlock(tuple(hours), scenario)
     s = _sfx(scenario)
+    layout = []  # (handles, key, name, ub, obj, kind, tag, entity) per column
     for u in units:
         for t in hours:
             if mode_cells is None or (u.id, t) in mode_cells:
-                for m in MODES:
-                    blk.u[(u.id, m, t)] = model.add_var(
-                        f"u_{m}.{u.id}.t{t}{s}",
-                        kind=BINARY,
-                        tag=Tag("psh_commit", f"{u.id}:{m}", t, scenario),
-                    )
+                layout += [(blk.u, (u.id, m, t), f"u_{m}.{u.id}.t{t}{s}", 1.0, 0.0, BINARY, "psh_commit",
+                            f"{u.id}:{m}") for m in MODES]
             if scenario is None:
-                for m, cost in ((PshMode.GEN.value, u.startup_cost_gen),
-                                (PshMode.PUMP.value, u.startup_cost_pump)):
-                    blk.start[(u.id, m, t)] = model.add_var(
-                        f"su_{m}.{u.id}.t{t}", ub=1.0, obj=cost,
-                        tag=Tag("psh_startup", f"{u.id}:{m}", t),
-                    )
-            blk.q_gen[(u.id, t)] = model.add_var(
-                f"qg.{u.id}.t{t}{s}", ub=u.gen_max, tag=Tag("psh_gen", u.id, t, scenario)
-            )
-            blk.q_pump[(u.id, t)] = model.add_var(
-                f"qp.{u.id}.t{t}{s}", ub=u.pump_max, tag=Tag("psh_pump", u.id, t, scenario)
-            )
+                layout += [(blk.start, (u.id, m, t), f"su_{m}.{u.id}.t{t}", 1.0, cost, CONTINUOUS, "psh_startup",
+                            f"{u.id}:{m}") for m, cost in ((_GEN, u.startup_cost_gen), (_PUMP, u.startup_cost_pump))]
+            layout += [(blk.q_gen, (u.id, t), f"qg.{u.id}.t{t}{s}", u.gen_max, 0.0, CONTINUOUS, "psh_gen", u.id),
+                       (blk.q_pump, (u.id, t), f"qp.{u.id}.t{t}{s}", u.pump_max, 0.0, CONTINUOUS, "psh_pump", u.id)]
+    if not layout:
+        return blk
+    handles, keys, names, ub, obj, kind, tag, entity = zip(*layout)
+    cols = model.add_vars(names, ub=ub, obj=obj, kind=kind, tag=tag, entity=entity,
+                          hour=[key[-1] for key in keys], scenario=scenario)
+    for handle, key, j in zip(handles, keys, cols.tolist()):
+        handle[key] = j
     return blk
+
+
+def _mode_hours(blk: PshBlock, unit: PshUnit) -> list[int]:
+    return [t for t in blk.hours if (unit.id, _OFF, t) in blk.u]
 
 
 def add_mode_logic(
@@ -149,68 +154,71 @@ def add_mode_logic(
     window = blk.scenario is None
     if window and prev is None:
         raise ValueError(f"{unit.id}: the window block needs the mode before hour {blk.hours[0]}")
+    uid = unit.id
     s = _sfx(blk.scenario)
-    first = blk.hours[0]
-    for t in blk.hours:
-        if (unit.id, MODES[0], t) not in blk.u:
-            continue
-        model.add_row(
-            f"r_one_mode.{unit.id}.t{t}{s}",
-            {blk.u[(unit.id, m, t)]: 1.0 for m in MODES},
-            EQ,
-            1.0,
-            Tag("mode_exclusive", unit.id, t, blk.scenario),
-        )
-        if not window:
-            continue
-        # su_m[t] >= u_m[t] - u_m[t-1], with u_m[first-1] = [prev == m]
-        for m in (PshMode.GEN.value, PshMode.PUMP.value):
-            coeffs = {blk.start[(unit.id, m, t)]: 1.0, blk.u[(unit.id, m, t)]: -1.0}
-            rhs = 0.0
-            if t == first:
-                rhs = -1.0 if prev == m else 0.0
-            else:
-                coeffs[blk.u[(unit.id, m, t - 1)]] = 1.0
-            model.add_row(
-                f"r_startup_{m}.{unit.id}.t{t}", coeffs, GE, rhs,
-                Tag("startup", f"{unit.id}:{m}", t),
-            )
+    hours = _mode_hours(blk, unit)
+    H = len(hours)
+    if not H:
+        return
+    modes = [[blk.u[(uid, m, t)] for m in MODES] for t in hours]
+    if not window:
+        model.add_rows([f"r_one_mode.{uid}.t{t}{s}" for t in hours], range(0, 3 * H + 1, 3),
+                       [j for cell in modes for j in cell], [1.0] * (3 * H), EQ, 1.0, "mode_exclusive", uid, hours,
+                       blk.scenario)
+        return
+    # per hour: sum of modes == 1, then su_m[t] - u_m[t] + u_m[t-1] >= 0
+    # for gen and pump, with u_m[first-1] = [prev == m] on the rhs (the
+    # first hour's zero coefficient drops the entry)
+    su = [(blk.start[(uid, _GEN, t)], blk.start[(uid, _PUMP, t)]) for t in hours]
+    index = [j for h, ((off, gen, pump), (su_gen, su_pump)) in enumerate(zip(modes, su))
+             for j in (off, gen, pump, su_gen, gen, modes[h - 1][1], su_pump, pump, modes[h - 1][2])]
+    value = [1.0, 1.0, 1.0, 1.0, -1.0, 0.0, 1.0, -1.0, 0.0] + [1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0] * (H - 1)
+    rhs = [1.0, -1.0 if prev == _GEN else 0.0, -1.0 if prev == _PUMP else 0.0] + [1.0, 0.0, 0.0] * (H - 1)
+    model.add_rows(
+        [name for t in hours for name in (f"r_one_mode.{uid}.t{t}", f"r_startup_{_GEN}.{uid}.t{t}",
+                                          f"r_startup_{_PUMP}.{uid}.t{t}")],
+        range(0, 9 * H + 1, 3), index, value, [EQ, GE, GE] * H, rhs, ["mode_exclusive", "startup", "startup"] * H,
+        [uid, f"{uid}:{_GEN}", f"{uid}:{_PUMP}"] * H, [t for t in hours for _ in range(3)], None,
+    )
 
 
 def add_dispatch_boxes(model: MilpModel, blk: PshBlock, unit: PshUnit) -> None:
     """Dispatch bounded by the committed mode: u*min <= q <= u*max, in
     every block hour that has mode binaries."""
+    uid = unit.id
     s = _sfx(blk.scenario)
-    for t in blk.hours:
-        if (unit.id, PshMode.GEN.value, t) not in blk.u:
-            continue
-        ug = blk.u[(unit.id, PshMode.GEN.value, t)]
-        up = blk.u[(unit.id, PshMode.PUMP.value, t)]
-        qg = blk.q_gen[(unit.id, t)]
-        qp = blk.q_pump[(unit.id, t)]
-        model.add_row(
-            f"r_gen_hi.{unit.id}.t{t}{s}", {qg: 1.0, ug: -unit.gen_max}, LE, 0.0,
-            Tag("gen_box_hi", unit.id, t, blk.scenario),
-        )
-        model.add_row(
-            f"r_gen_lo.{unit.id}.t{t}{s}", {qg: 1.0, ug: -unit.gen_min}, GE, 0.0,
-            Tag("gen_box_lo", unit.id, t, blk.scenario),
-        )
-        model.add_row(
-            f"r_pump_hi.{unit.id}.t{t}{s}", {qp: 1.0, up: -unit.pump_max}, LE, 0.0,
-            Tag("pump_box_hi", unit.id, t, blk.scenario),
-        )
-        model.add_row(
-            f"r_pump_lo.{unit.id}.t{t}{s}", {qp: 1.0, up: -unit.pump_min}, GE, 0.0,
-            Tag("pump_box_lo", unit.id, t, blk.scenario),
-        )
+    hours = _mode_hours(blk, unit)
+    H = len(hours)
+    if not H:
+        return
+    # per hour: gen_hi and gen_lo on (q_gen, u_gen), pump_hi and pump_lo on (q_pump, u_pump)
+    index = [j for t in hours
+             for j in (*[blk.q_gen[(uid, t)], blk.u[(uid, _GEN, t)]] * 2,
+                       *[blk.q_pump[(uid, t)], blk.u[(uid, _PUMP, t)]] * 2)]
+    model.add_rows(
+        [f"r_{box}.{uid}.t{t}{s}" for t in hours for box in ("gen_hi", "gen_lo", "pump_hi", "pump_lo")],
+        range(0, 8 * H + 1, 2), index,
+        [1.0, -unit.gen_max, 1.0, -unit.gen_min, 1.0, -unit.pump_max, 1.0, -unit.pump_min] * H, [LE, GE, LE, GE] * H,
+        0.0, ["gen_box_hi", "gen_box_lo", "pump_box_hi", "pump_box_lo"] * H, uid,
+        [t for t in hours for _ in range(4)], blk.scenario,
+    )
 
 
-def _flow_coeffs(coeffs: dict[int, float], blk: PshBlock, units: Sequence[PshUnit], t: int, dt: float) -> None:
-    # energy added to storage during hour t: eta_pump*qp*dt - qg*dt/eta_gen
-    for u in units:
-        coeffs[blk.q_pump[(u.id, t)]] = coeffs.get(blk.q_pump[(u.id, t)], 0.0) - u.eta_pump * dt
-        coeffs[blk.q_gen[(u.id, t)]] = coeffs.get(blk.q_gen[(u.id, t)], 0.0) + dt / u.eta_gen
+def _add_soc_links(model: MilpModel, names: list[str], tag: str, entity: str, hours: Sequence[int],
+                   scenario: int | None, e_next: Sequence[int], e_now: Sequence[int], blk: PshBlock,
+                   members: Sequence[PshUnit], dt: float) -> None:
+    """One storage balance per hour of ``hours``: ``e_next - e_now`` minus
+    the energy added during the hour, ``eta_pump*qp*dt - qg*dt/eta_gen``
+    per member unit, is zero."""
+    H = len(hours)
+    if not H:
+        return
+    index = [j for t, after, before in zip(hours, e_next, e_now)
+             for j in (after, before, *(q[(u.id, t)] for u in members for q in (blk.q_pump, blk.q_gen)))]
+    rates = [c for u in members for c in (-(u.eta_pump * dt), dt / u.eta_gen)]
+    w = 2 + len(rates)
+    model.add_rows(names, range(0, w * H + 1, w), index, [1.0, -1.0, *rates] * H, EQ, 0.0, tag, entity,
+                   list(hours), scenario)
 
 
 def add_soc_dynamics(
@@ -236,27 +244,17 @@ def add_soc_dynamics(
     soc = SocVars()
     hours = det_block.hours
     last = hours[-1]
-    for t in hours:
-        soc.e_det[(rid, t)] = model.add_var(f"e.{rid}.t{t}", tag=Tag("soc", rid, t, None))
+    stored = (*hours, last + 1) if edge else hours
+    e = model.add_vars([f"e.{rid}.t{t}" for t in stored], tag="soc", entity=rid, hour=list(stored)).tolist()
+    soc.e_det.update(zip(((rid, t) for t in stored), e))
 
-    model.add_row(
-        f"r_soc_init.{rid}",
-        {soc.e_det[(rid, hours[0])]: 1.0},
-        EQ,
-        e_initial,
-        Tag("soc_initial", rid, hours[0], None),
-    )
-    for t in hours[:-1]:
-        coeffs = {soc.e_det[(rid, t + 1)]: 1.0, soc.e_det[(rid, t)]: -1.0}
-        _flow_coeffs(coeffs, det_block, members, t, dt)
-        model.add_row(f"r_soc.{rid}.t{t}", coeffs, EQ, 0.0, Tag("soc_link", rid, t, None))
+    model.add_row(f"r_soc_init.{rid}", {e[0]: 1.0}, EQ, e_initial, Tag("soc_initial", rid, hours[0], None))
+    _add_soc_links(model, [f"r_soc.{rid}.t{t}" for t in hours[:-1]], "soc_link", rid, hours[:-1], None,
+                   e[1:len(hours)], e[:len(hours) - 1], det_block, members, dt)
     _add_soc_bounds(model, reservoir, soc.e_det, hours, None)
     if edge:
-        end_var = model.add_var(f"e.{rid}.t{last + 1}", tag=Tag("soc", rid, last + 1, None))
-        soc.e_det[(rid, last + 1)] = end_var
-        coeffs = {end_var: 1.0, soc.e_det[(rid, last)]: -1.0}
-        _flow_coeffs(coeffs, det_block, members, last, dt)
-        model.add_row(f"r_soc_cross.{rid}", coeffs, EQ, 0.0, Tag("soc_link_cross", rid, last, None))
+        _add_soc_links(model, [f"r_soc_cross.{rid}"], "soc_link_cross", rid, (last,), None, e[-1:],
+                       e[-2:-1], det_block, members, dt)
     return soc
 
 
@@ -264,15 +262,13 @@ def _add_soc_bounds(model: MilpModel, reservoir: Reservoir, e: Mapping[tuple[str
                     hours: Sequence[int], scenario: int | None) -> None:
     rid = reservoir.id
     s = _sfx(scenario)
-    for t in hours:
-        model.add_row(
-            f"r_soc_min.{rid}.t{t}{s}", {e[(rid, t)]: 1.0}, GE, reservoir.e_min,
-            Tag("soc_min", rid, t, scenario),
-        )
-        model.add_row(
-            f"r_soc_max.{rid}.t{t}{s}", {e[(rid, t)]: 1.0}, LE, reservoir.e_max,
-            Tag("soc_max", rid, t, scenario),
-        )
+    H = len(hours)
+    model.add_rows(
+        [name for t in hours for name in (f"r_soc_min.{rid}.t{t}{s}", f"r_soc_max.{rid}.t{t}{s}")],
+        range(2 * H + 1), [e[(rid, t)] for t in hours for _ in range(2)], [1.0] * (2 * H), [GE, LE] * H,
+        [reservoir.e_min, reservoir.e_max] * H, ["soc_min", "soc_max"] * H, rid,
+        [t for t in hours for _ in range(2)], scenario,
+    )
 
 
 def add_end_target(model: MilpModel, reservoir_id: str, end_var: int, target: float,
@@ -307,19 +303,18 @@ def add_block_soc(
     s = blk.scenario
     members = [u for u in units if u.reservoir_id == rid]
     post = blk.hours
-    e: dict[tuple[str, int], int] = {}
-    for t in (*post, post[-1] + 1):
-        e[(rid, t)] = model.add_var(f"e.{rid}.t{t}.s{s}", tag=Tag("soc", rid, t, s))
+    stored = (*post, post[-1] + 1)
+    cols = model.add_vars([f"e.{rid}.t{t}.s{s}" for t in stored], tag="soc", entity=rid, hour=list(stored),
+                          scenario=s).tolist()
+    e = dict(zip(((rid, t) for t in stored), cols))
     model.add_row(
-        f"r_soc_cross.{rid}.s{s}", {e[(rid, post[0])]: 1.0, edge_var: -1.0}, EQ, 0.0,
+        f"r_soc_cross.{rid}.s{s}", {cols[0]: 1.0, edge_var: -1.0}, EQ, 0.0,
         Tag("soc_link_cross", rid, post[0] - 1, s),
     )
-    for t in post:
-        coeffs = {e[(rid, t + 1)]: 1.0, e[(rid, t)]: -1.0}
-        _flow_coeffs(coeffs, blk, members, t, dt)
-        model.add_row(f"r_soc.{rid}.t{t}.s{s}", coeffs, EQ, 0.0, Tag("soc_link_scenario", rid, t, s))
+    _add_soc_links(model, [f"r_soc.{rid}.t{t}.s{s}" for t in post], "soc_link_scenario", rid, post, s,
+                   cols[1:], cols[:-1], blk, members, dt)
     _add_soc_bounds(model, reservoir, e, post, s)
-    add_end_target(model, rid, e[(rid, post[-1] + 1)], target, end_soc, s)
+    add_end_target(model, rid, cols[-1], target, end_soc, s)
     return e
 
 
@@ -427,31 +422,32 @@ def tail_value_functions(
     return TailCuts(a, b, tuple(xs), tuple(ys), tuple(bs))
 
 
-def modes_from_dispatch(blocks: Sequence[PshBlock], values: np.ndarray,
-                        tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray] | None:
-    """Round every mode cell of ``blocks`` from the dispatch in
-    ``values``, a column vector such as an LP relaxation's.
+class ModeRounding:
+    """Rounds every mode cell of ``blocks`` from a dispatch, such as an
+    LP relaxation's column vector: a :data:`~pshlac.milp.Rounding`.
 
     A cell generates when its ``q_gen`` exceeds ``tol``, pumps when its
-    ``q_pump`` does, and is off otherwise.  Returns the cells' mode
-    columns and their 0/1 values, or None when a cell does both.
-    Whether the rounded point is feasible, let alone optimal, is the
-    caller's to check (``milp.solve`` re-solves with the modes fixed).
+    ``q_pump`` does, and is off otherwise.  A call returns the cells'
+    mode columns and their 0/1 values, or None when a cell does both.
+    The cells' columns are gathered once, here, so a call only indexes
+    the dispatch.  Whether the rounded point is feasible, let alone
+    optimal, is the caller's to check (``milp.solve`` re-solves with the
+    modes fixed).
     """
-    cells = [(blk.u[(uid, PshMode.OFF.value, t)], blk.u[(uid, PshMode.GEN.value, t)],
-              blk.u[(uid, PshMode.PUMP.value, t)], qg, blk.q_pump[(uid, t)])
-             for blk in blocks for (uid, t), qg in blk.q_gen.items()
-             if (uid, PshMode.OFF.value, t) in blk.u]
-    if not cells:
-        return np.zeros(0, np.intp), np.zeros(0)
-    off, gen, pump, qg, qp = np.array(cells, dtype=np.intp).T
-    generating = values[qg] > tol
-    pumping = values[qp] > tol
-    if np.any(generating & pumping):
-        return None
-    cols = np.concatenate([off, gen, pump])
-    fixed = np.concatenate([~(generating | pumping), generating, pumping]).astype(np.float64)
-    return cols, fixed
+
+    def __init__(self, blocks: Sequence[PshBlock], tol: float = 1e-6):
+        cells = [(blk.u[(uid, _OFF, t)], blk.u[(uid, _GEN, t)], blk.u[(uid, _PUMP, t)], qg, blk.q_pump[(uid, t)])
+                 for blk in blocks for (uid, t), qg in blk.q_gen.items() if (uid, _OFF, t) in blk.u]
+        off, gen, pump, self.q_gen, self.q_pump = np.array(cells, dtype=np.intp).reshape(-1, 5).T
+        self.cols = np.concatenate([off, gen, pump])
+        self.tol = tol
+
+    def __call__(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        generating = values[self.q_gen] > self.tol
+        pumping = values[self.q_pump] > self.tol
+        if np.any(generating & pumping):
+            return None
+        return self.cols, np.concatenate([~(generating | pumping), generating, pumping]).astype(np.float64)
 
 
 def fix_block_to_schedule(
@@ -475,7 +471,7 @@ def fix_block_to_schedule(
             raise ValueError(f"{unit.id} hour {t}: gen {qg} MW outside [{unit.gen_min}, {unit.gen_max}]")
         if qp > 0 and not (unit.pump_min - 1e-9 <= qp <= unit.pump_max + 1e-9):
             raise ValueError(f"{unit.id} hour {t}: pump {qp} MW outside [{unit.pump_min}, {unit.pump_max}]")
-        mode = PshMode.GEN.value if qg > 0 else PshMode.PUMP.value if qp > 0 else PshMode.OFF.value
+        mode = _GEN if qg > 0 else _PUMP if qp > 0 else _OFF
         for m in MODES:
             val = 1.0 if m == mode else 0.0
             model.set_var_bounds(blk.u[(unit.id, m, t)], val, val)

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field, asdict
 from typing import Mapping, Protocol, Sequence
 
-import numpy as np
-
 from .core import (
     MODES,
     FrozenDecision,
@@ -167,7 +165,6 @@ class WindowMetric:
     binaries: int
     gap: float | None  # relative MIP gap of the solution, None for an LP
     nodes: int  # branch-and-bound nodes HiGHS explored
-    warm: int  # 1 when the window started from its predecessor's tail
     # per reservoir, the tails' marginal value of edge storage ($/MWh);
     # empty without cut tails (see lac_models.ScenarioTails.water_value)
     water_value: tuple[float, ...] = ()
@@ -207,14 +204,14 @@ class SimulationLedger:
 
     def write_metrics_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("window,t1,status,objective,build_s,walltime_s,rows,cols,nonzeros,binaries,gap,nodes,warm,"
+            fh.write("window,t1,status,objective,build_s,walltime_s,rows,cols,nonzeros,binaries,gap,nodes,"
                      "water_value,incumbent\n")
             for m in self.windows:
                 gap = "" if m.gap is None else repr(m.gap)
                 water = ";".join(repr(v) for v in m.water_value)
                 fh.write(
                     f"{m.window},{m.t1},{m.status},{m.objective!r},{m.build_s!r},{m.walltime_s!r},"
-                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries},{gap},{m.nodes},{m.warm},{water},"
+                    f"{m.rows},{m.cols},{m.nonzeros},{m.binaries},{gap},{m.nodes},{water},"
                     f"{m.incumbent}\n"
                 )
 
@@ -289,16 +286,6 @@ def _freeze_hour(
     )
 
 
-def _tail_start(prev: MilpModel, prev_sol: MilpSolution, model: MilpModel) -> np.ndarray:
-    """The predecessor's solution laid out on this window's columns.
-
-    Only a perfect window's tail is a complete feasible point of the
-    next window: same realized load, and the state its own first hour
-    leads to.  Every column of the next window is in it by name."""
-    idx = np.fromiter((prev.var_index(name) for name in model.var_names), np.intp, model.n_vars)
-    return prev_sol.values[idx]
-
-
 def run_day(
     system: PowerSystem,
     market_day: MarketDay,
@@ -311,9 +298,8 @@ def run_day(
 
     Every window sees what the reveal policy shows for its hours; the
     perfect variant's windows run from t1 to the end of the day, so it
-    sees the realized load of every remaining hour and prices nothing,
-    and each of its windows after the first starts from the tail of its
-    predecessor's solution.  A window that times out without an
+    sees the realized load of every remaining hour and prices nothing.
+    A window that times out without an
     incumbent raises :class:`WindowTimeoutError`; an infeasible or
     unbounded one raises :class:`WindowInfeasibleError` with the rows of
     its IIS.  A window that stops at its time limit with an incumbent
@@ -356,9 +342,7 @@ def run_day(
         t_build = time.perf_counter()
         model = build_variant(variant, inst, control.model)
         build_s = time.perf_counter() - t_build
-        warm = variant == Variant.PERFECT and w_index > 1
-        start = _tail_start(prev_model, prev_sol, model) if warm else None
-        sol = solve(model, control.solver, start)
+        sol = solve(model, control.solver)
         if sol.status == TIME_LIMIT:
             raise WindowTimeoutError(variant.value, w_index, t1, control.solver.time_limit)
         if not sol.ok:
@@ -377,14 +361,13 @@ def run_day(
             WindowMetric(
                 w_index, t1, sol.status, float(sol.objective), build_s, float(sol.walltime_s),
                 model.n_rows, model.n_vars, model.n_nonzeros, model.n_binaries, sol.gap,
-                sol.nodes, int(warm), tails.water_value(sol) if tails else (), sol.incumbent,
+                sol.nodes, tails.water_value(sol) if tails else (), sol.incumbent,
             )
         )
         if control.keep_window_details:
             ledger.details.append(WindowDetail(w_index, t1, model, sol, inst))
         soc = dict(frozen.soc_after)
         prev_modes = dict(frozen.psh_mode)
-        prev_model, prev_sol = model, sol
 
     # tail hours of the final window stay frozen too: the last window
     # already covers them and nothing re-optimizes them afterwards

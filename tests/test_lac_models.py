@@ -1,5 +1,6 @@
 """Structural checks of the window builders against hand-written rows."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pshlac import synth
+from pshlac.accounting import full_day_resolve
 from pshlac.core import CostSegment, InitialStatus, PriceScenarioSet, ThermalUnit
 from pshlac.lac_models import (
     ConfigurationError,
@@ -25,11 +28,12 @@ from pshlac.lac_models import (
     da_reference_from_system,
     extract_da_reference,
 )
-from pshlac.milp import EQ, GE, LE, OPTIMAL, ROOT_ROUNDING, MilpModel, SolveOptions, Tag, solve
+from pshlac.milp import EQ, GE, LE, OPTIMAL, ROOT_ROUNDING, MilpModel, SolveOptions, Tag, _highs_lp, solve
+from pshlac.rolling import RunControl, run_day
 
 from conftest import EXACT, solve_exact
 from oracle_tools import enumerate_objective, full_tail_window
-from toys import NODE, two_unit_instance, window_setup
+from toys import NODE, rolling_day_setup, two_unit_instance, window_setup
 
 
 def row_named(model, name):
@@ -552,3 +556,88 @@ def test_root_rounding_agrees_with_branch_and_bound(variant, loads, prices, star
     if sol.incumbent == ROOT_ROUNDING:
         assert sol.nodes == 0 and 0.0 <= sol.gap <= ROUNDING_GAP.gap_tol
         assert _max_violation(model, sol.values) <= 1e-6
+
+
+# -- what each builder hands HiGHS, pinned to the bit ----------------------------
+
+
+def _two_unit(variant, prices, floors=((0.0, 0.0), (0.0, 0.0))):
+    return two_unit_instance(
+        variant=variant, loads=(60.0, 85.0, 40.0, 70.0), prices=prices,
+        startup=((15.0, 0.0), (0.0, 80.0)), floors=floors, e_init=(10.0, 30.0),
+        e_target=(18.0, 22.0), prev_modes=("gen", "off"),
+    )
+
+
+_CUT_PRICES = [[[30.0, 45.0]], [[12.0, 60.0]], [[50.0, 20.0]]]
+_NEGATIVE_PRICES = [[[30.0, 45.0]], [[12.0, -6.0]], [[50.0, 20.0]]]
+
+
+def _settlement_model():
+    system, day, da = rolling_day_setup()
+    ledger = run_day(system, day, Variant.PERFECT, None, RunControl(solver=EXACT), da)
+    return full_day_resolve(system, day, ledger, da)[0]
+
+
+def _synth_da_model():
+    system = synth.make_system()
+    return build_da_model(system, tuple(2200.0 * synth.base_load_shape()), ModelConfig(), reserve_margin=0.12)
+
+
+_PINNED_BUILDS = {
+    "perfect": lambda: build_perfect(
+        window_setup(L=3, eta_gen=0.9, eta_pump=0.85, trans_gen=5.0, trans_pump=3.0,
+                     thermal_segments=((30.0, 20.0), (170.0, 45.0))).instance, ModelConfig()),
+    "current_practice": lambda: build_current_practice(
+        window_setup(da_gen=(5.0, 0.0, 10.0), e_init=25.0).instance, ModelConfig()),
+    "deterministic": lambda: build_deterministic(_two_unit("deterministic", _CUT_PRICES[:1]), ModelConfig()),
+    "stochastic": lambda: build_stochastic(_two_unit("stochastic", _CUT_PRICES), ModelConfig()),
+    "robust": lambda: build_robust(_two_unit("robust", _CUT_PRICES), ModelConfig()),
+    "stochastic_floor": lambda: build_stochastic(
+        _two_unit("stochastic", _CUT_PRICES, floors=((5.0, 0.0), (0.0, 4.0))), ModelConfig()),
+    "robust_negative_price": lambda: build_robust(_two_unit("robust", _NEGATIVE_PRICES), ModelConfig()),
+    "da_reserve": lambda: build_da_model(_uc_system(window_setup()), (50.0, 60.0, 50.0), ModelConfig(),
+                                         reserve_margin=0.12),
+    "da_synth_reserve": _synth_da_model,
+    "settlement": _settlement_model,
+}
+
+# _highs_digest of each build, recorded on the row-by-row builders that the
+# block builders replaced: the blocks must hand HiGHS the same model
+_PINNED_DIGESTS = {
+    "current_practice": "e1406ef3e133d99e636effba4ff71e42b5e120ab7d7d05d95219ea1c6d902265",
+    "da_reserve": "4d06d0c29e20f970281f6a627b904f92f4722245ef9eeffd3548e6333d2d6657",
+    "da_synth_reserve": "372faf514c144fddd8796733074b2d21a131b7c80f6f11a01268bc4970e2f45a",
+    "deterministic": "e4564bfb4c0076a1c83ad64ce9f26245f97bd3692cef6f224712a16d746f78a1",
+    "perfect": "505b725ab1287aa938e6b920e22a4c8e11b3ae085996c5b02e70bda17a31423a",
+    "robust": "ade34032b7e67065e86948b31d9eace8e8b5266fb5dae9057bbce14a94c7bc14",
+    "robust_negative_price": "5ce21bef3213433474c20e5af5af55af3f1c7b3ebf1794584192eb4136369300",
+    "settlement": "339708823823bd2a29b875e104ba4e7c01310db7396f7d2060b76def718a8bdc",
+    "stochastic": "11af6930d4b8df26a46ba58bf58862034410d967a2d878c707a3f9a8878cab56",
+    "stochastic_floor": "441c132f80cf966be865e49c075cbc25ee1eabc7c95442a5659822419057dd5c",
+}
+
+
+def _highs_digest(model):
+    """What ``solve`` hands HiGHS for ``model`` (with its integrality),
+    plus the name and tag of every column and row, as one digest."""
+    lp = _highs_lp(model, integral=True)
+    h = hashlib.sha256()
+    for a in (lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_,
+              lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_,
+              np.array([int(k) for k in lp.integrality_], np.int64)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    for view in [model.var(i) for i in range(model.n_vars)] + [model.row(i) for i in range(model.n_rows)]:
+        h.update(f"{view.name} {view.tag!r}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_BUILDS))
+def test_builders_hand_highs_the_pinned_matrix(case):
+    model = _PINNED_BUILDS[case]()
+    tails = model.meta.get("tails")
+    if case in ("deterministic", "stochastic", "robust"):
+        assert tails.cuts and not tails.blocks
+    elif case in ("stochastic_floor", "robust_negative_price"):
+        assert tails.blocks  # a scenario with a mode cell keeps its block
+    assert _highs_digest(model) == _PINNED_DIGESTS[case]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 from pshlac.milp import (
     BINARY,
     BRANCH_AND_BOUND,
+    CONTINUOUS,
     EQ,
     FROM_LP,
-    FEASIBLE,
     GE,
     INFEASIBLE,
     LE,
@@ -16,8 +18,11 @@ from pshlac.milp import (
     ROOT_ROUNDING,
     TIME_LIMIT,
     UNBOUNDED,
+    VarView,
+    _constraint_arrays,
     MilpModel,
     MilpSolution,
+    RowView,
     SolveOptions,
     SolverError,
     Tag,
@@ -139,42 +144,6 @@ def _knapsack(n=30, capacity=50.0):
     return m
 
 
-def test_feasible_start_gives_the_cold_optimum():
-    m = _knapsack()
-    cold = solve(m, OPTS)
-    assert cold.status == OPTIMAL
-    for start in (cold.values, np.zeros(m.n_vars)):  # the optimum and a poor feasible point
-        warm = solve(m, OPTS, start)
-        assert warm.status == OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-
-
-def test_infeasible_start_is_ignored():
-    m = _knapsack()
-    cold = solve(m, OPTS)
-    warm = solve(m, OPTS, np.ones(m.n_vars))  # every item in: far over capacity
-    assert warm.status == OPTIMAL
-    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-
-
-def test_start_is_handed_to_highs_as_the_incumbent():
-    # with no time to search, the start is the only incumbent there is
-    m = _knapsack()
-    cold = solve(m, OPTS)
-    no_time = SolveOptions(gap_tol=1e-9, time_limit=0.0)
-    for start in (cold.values, np.zeros(m.n_vars)):
-        sol = solve(m, no_time, start)
-        assert sol.status == FEASIBLE
-        assert sol.objective == pytest.approx(sum(m.var(i).obj * v for i, v in enumerate(start)), abs=1e-9)
-    assert solve(m, no_time, np.ones(m.n_vars)).status == TIME_LIMIT
-
-
-def test_start_of_the_wrong_length_is_refused():
-    m = _knapsack()
-    with pytest.raises(ValueError, match="start"):
-        solve(m, OPTS, np.zeros(m.n_vars - 1))
-
-
 def test_time_limit_without_incumbent():
     sol = solve(_knapsack(), SolveOptions(gap_tol=1e-9, time_limit=0.0))
     assert sol.status == TIME_LIMIT
@@ -267,16 +236,13 @@ def test_a_rounding_that_misses_a_binary_or_gives_up_falls_back():
 
 def test_a_rounding_changes_nothing_at_a_zero_time_limit():
     # the relaxation stops at once, so the MIP ends as it would without
-    # a rounding: the start is the incumbent, or there is none
+    # a rounding: at its time limit with no incumbent
     m = _knapsack()
-    cold = solve(m, OPTS)
-    m.rounding = _rounded(np.floor)
     no_time = SolveOptions(gap_tol=1e-9, time_limit=0.0)
-    sol = solve(m, no_time, cold.values)
-    assert (sol.status, sol.incumbent) == (FEASIBLE, BRANCH_AND_BOUND)
-    assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
-    bare = solve(m, no_time)
-    assert bare.status == TIME_LIMIT and bare.values is None and bare.incumbent is None
+    assert solve(m, no_time).status == TIME_LIMIT
+    m.rounding = _rounded(np.floor)
+    sol = solve(m, no_time)
+    assert sol.status == TIME_LIMIT and sol.values is None and sol.incumbent is None
 
 
 def test_an_infeasible_mip_with_a_rounding_stays_infeasible():
@@ -301,10 +267,10 @@ def test_highs_bindings_expose_what_the_adapter_uses():
     # the adapter drives scipy's private HiGHS module; this pins its surface
     from scipy.optimize._highspy import _core
 
-    for name in ("passModel", "setOptionValue", "setSolution", "run", "getModelStatus",
+    for name in ("passModel", "setOptionValue", "run", "getModelStatus",
                  "getInfo", "getSolution", "getIis", "changeColsBounds"):
         assert callable(getattr(_core._Highs, name)), name
-    for name in ("HighsLp", "HighsSolution", "HighsIis"):
+    for name in ("HighsLp", "HighsIis"):
         assert isinstance(getattr(_core, name), type), name
 
 
@@ -384,6 +350,129 @@ def test_tag_filtering():
     assert m.var_index("b") == 1
     assert m.var(1).tag.scenario == 1
     assert m.n_binaries == 0
+
+
+# -- blocks and single elements: one storage path ---------------------------
+
+
+_TAG_FIELDS = st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([None, "e1", "e2"]),
+                        st.sampled_from([None, 1, 2]), st.sampled_from([None, 0, 1]))
+_COLUMN = st.tuples(st.sampled_from([CONTINUOUS, BINARY]), st.sampled_from([-2.0, 0.0, 0.5]),
+                    st.sampled_from([0.5, 1.0, 3.0, math.inf]), st.sampled_from([0.0, -1.5, 2.0]), _TAG_FIELDS)
+
+
+@st.composite
+def _models(draw):
+    """Columns and rows of a random model, and how each is cut into
+    blocks: rows use distinct columns, zero coefficients and every sense."""
+    columns = draw(st.lists(_COLUMN, min_size=1, max_size=8))
+    n = len(columns)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        cols = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+        coeffs = [draw(st.sampled_from([0.0, 1.0, -2.5, 3.0])) for _ in cols]
+        rows.append((list(zip(cols, coeffs)), draw(st.sampled_from([LE, EQ, GE])),
+                     draw(st.sampled_from([0.0, -1.0, 4.5])), draw(_TAG_FIELDS)))
+    cuts = st.lists(st.integers(1, 3), min_size=8, max_size=8)
+    return columns, rows, draw(cuts), draw(cuts)
+
+
+def _blocks(items, sizes):
+    at = 0
+    for k in sizes:
+        if at < len(items):
+            yield items[at:at + k]
+            at += k
+    if at < len(items):
+        yield items[at:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_models())
+def test_blocks_build_the_model_element_by_element_does(spec):
+    columns, rows, col_cuts, row_cuts = spec
+    one = MilpModel("m")
+    for i, (kind, lb, ub, obj, tag) in enumerate(columns):
+        one.add_var(f"x{i}", lb, ub, obj, kind, Tag(*tag))
+    for i, (coeffs, sense, rhs, tag) in enumerate(rows):
+        one.add_row(f"r{i}", coeffs, sense, rhs, Tag(*tag))
+
+    blocked = MilpModel("m")
+    first = 0
+    for block in _blocks(columns, col_cuts):
+        kind, lb, ub, obj, tag = zip(*block)
+        got = blocked.add_vars([f"x{first + j}" for j in range(len(block))], lb, ub, obj, kind,
+                               *(list(field) for field in zip(*tag)))
+        assert got.tolist() == list(range(first, first + len(block)))
+        first += len(block)
+    first = 0
+    for block in _blocks(rows, row_cuts):
+        coeffs, sense, rhs, tag = zip(*block)
+        start = np.cumsum([0] + [len(c) for c in coeffs])
+        index = [j for c in coeffs for j, _ in c]
+        value = [v for c in coeffs for _, v in c]
+        got = blocked.add_rows([f"r{first + i}" for i in range(len(block))], start, index, value, list(sense),
+                               list(rhs), *(list(field) for field in zip(*tag)))
+        assert got.tolist() == list(range(first, first + len(block)))
+        first += len(block)
+
+    for a, b in zip(_constraint_arrays(one), _constraint_arrays(blocked), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert one.to_lp_string() == blocked.to_lp_string()
+    assert one.canonical_form() == blocked.canonical_form()
+    assert (one.n_vars, one.n_rows, one.n_nonzeros, one.n_binaries) == \
+        (blocked.n_vars, blocked.n_rows, blocked.n_nonzeros, blocked.n_binaries)
+    for kind in (None, "a", "b"):
+        for entity, hour, scenario in ((None, None, "*"), ("e1", None, "*"), (None, 2, None), (None, None, 1)):
+            assert list(one.rows(kind, entity, hour, scenario)) == list(blocked.rows(kind, entity, hour, scenario))
+            assert list(one.variables(kind, entity, hour, scenario)) == \
+                list(blocked.variables(kind, entity, hour, scenario))
+    # against the spec itself: binaries clipped to [0, 1], zeros dropped
+    for i, (kind, lb, ub, obj, tag) in enumerate(columns):
+        clipped = (max(lb, 0.0), min(ub, 1.0)) if kind == BINARY else (lb, ub)
+        assert blocked.var(i) == VarView(i, f"x{i}", kind, *clipped, obj, Tag(*tag))
+    for i, (coeffs, sense, rhs, tag) in enumerate(rows):
+        assert blocked.row(i) == RowView(i, f"r{i}", {j: c for j, c in coeffs if c != 0.0}, sense, rhs, Tag(*tag))
+
+
+def test_block_guards():
+    m = MilpModel()
+    with pytest.raises(ValueError, match="duplicate variable name 'x'"):
+        m.add_vars(["x", "y", "x"], tag="t")
+    m.add_vars(["x", "y"], tag="t")
+    with pytest.raises(ValueError, match="duplicate variable name 'y'"):
+        m.add_vars(["z", "y"], tag="t")
+    with pytest.raises(ValueError, match="duplicate variable name 'x'"):
+        m.add_var("x", tag=T)
+    # a refused block leaves the model as it was
+    assert (m.n_vars, m.var_index("y")) == (2, 1)
+    assert m.add_var("z", tag=T) == 2
+    with pytest.raises(ValueError, match="row 'r1' repeats column 0"):
+        m.add_rows(["r0", "r1"], [0, 2, 5], [0, 1, 0, 2, 0], [1.0, 1.0, 1.0, 1.0, 2.0], LE, 0.0, "t")
+    # a repeat that only a zero coefficient names is dropped with the zero
+    m.add_rows(["r0"], [0, 2], [0, 0], [0.0, 1.0], LE, 0.0, "t")
+    assert m.row(0).coeffs == {0: 1.0}
+    with pytest.raises(ValueError, match="unknown sense '<'"):
+        m.add_rows(["r"], [0, 1], [0], [1.0], "<", 0.0, "t")
+    with pytest.raises(ValueError, match="unknown sense '=>'"):
+        m.add_rows(["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], [LE, "=>"], 0.0, "t")
+    with pytest.raises(ValueError, match="row 's' needs a tag"):
+        m.add_rows(["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], LE, 0.0, ["t", None])
+    with pytest.raises(ValueError, match="variable 'w' needs a tag"):
+        m.add_vars(["w"])
+    with pytest.raises(ValueError, match="unknown variable kind 'integer'"):
+        m.add_vars(["w"], kind="integer", tag="t")
+    with pytest.raises(ValueError, match="do not describe 2 rows"):
+        m.add_rows(["r", "s"], [0, 1], [0], [1.0], LE, 0.0, "t")
+    with pytest.raises(ValueError, match="name a column outside 0..2"):
+        m.add_rows(["r"], [0, 1], [3], [1.0], LE, 0.0, "t")
+    with pytest.raises(ValueError, match="name a column outside"):
+        m.add_row("r", {-1: 1.0}, LE, 0.0, T)
+    with pytest.raises(ValueError, match="rhs"):
+        m.add_rows(["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], LE, [0.0], "t")
+    with pytest.raises(ValueError, match="hour has 1 entries for 2 elements"):
+        m.add_vars(["v", "w"], tag="t", hour=[3])
+    assert (m.n_vars, m.n_rows) == (3, 1)
 
 
 def _tiny_named(rows_order):

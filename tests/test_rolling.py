@@ -7,7 +7,7 @@ from pshlac import rolling
 from pshlac.accounting import full_day_resolve
 from pshlac.core import MarketDay
 from pshlac.lac_models import ConfigurationError, Variant
-from pshlac.milp import INFEASIBLE, OPTIMAL, MilpModel, SolveOptions, infeasibility_report, solve
+from pshlac.milp import FEASIBLE, INFEASIBLE, OPTIMAL, MilpModel, SolveOptions, infeasibility_report, solve
 from pshlac.rolling import (
     FrozenSetProvider,
     RunControl,
@@ -221,17 +221,17 @@ def test_unreachable_end_target_names_the_tail_domain(monkeypatch):
 
 
 def test_time_limited_windows_are_logged(toy_day, monkeypatch, caplog):
-    # every window gets its optimum as a start and no time to improve on
-    # it, so HiGHS stops at the time limit with that incumbent
-    def started(model, options, start=None):
-        return solve(model, options, solve(model, EXACT).values)
+    # every window ends as a time-limited search with an incumbent: its
+    # optimum, reported as ``feasible`` at a gap HiGHS did not close
+    def stopped(model, options):
+        return replace(solve(model, EXACT), status=FEASIBLE, gap=0.25)
 
-    monkeypatch.setattr(rolling, "solve", started)
+    monkeypatch.setattr(rolling, "solve", stopped)
     system, day, da = toy_day
     with caplog.at_level("WARNING", logger="pshlac.rolling"):
         ledger = run_day(system, day, Variant.PERFECT, None,
                          RunControl(solver=SolveOptions(time_limit=0.0)), da)
-    assert [w.status for w in ledger.windows] == ["feasible", "feasible"]
+    assert [(w.status, w.gap) for w in ledger.windows] == [("feasible", 0.25), ("feasible", 0.25)]
     assert [(r.name, r.levelname) for r in caplog.records] == [("pshlac.rolling", "WARNING")] * 2
     assert [r.getMessage() for r in caplog.records] == [
         f"perfect window {w.window} (t1={w.t1}) hit the 0 s time limit at gap {w.gap:.3g}"
@@ -326,17 +326,15 @@ def test_time_out_is_reported_as_a_time_out(toy_day, monkeypatch):
     assert (err.value.window_index, err.value.t1) == (1, 1)
 
 
-def test_perfect_windows_start_from_their_predecessor(toy_day):
+def test_perfect_day_settles_no_higher_than_its_first_window(toy_day):
+    # Bellman: each perfect window re-optimizes the tail of its
+    # predecessor's plan on the same data, so the settled day costs no
+    # more than the first window's plan
     system, day, da = toy_day
     ledger = run_day(system, day, Variant.PERFECT, None, CONTROL, da)
-    assert [w.warm for w in ledger.windows] == [0] + [1] * (len(ledger.windows) - 1)
-    # Bellman: the settled day costs no more than the first window's plan
     first = ledger.windows[0].objective
     _, settled = full_day_resolve(system, day, ledger, da)
     assert settled.objective <= first + EXACT.gap_tol * abs(first)
-    for variant in (Variant.CURRENT_PRACTICE, Variant.STOCHASTIC):
-        other = run_day(system, day, variant, _provider(), CONTROL, da)
-        assert all(w.warm == 0 for w in other.windows)
 
 
 def test_run_control_defaults():
@@ -373,7 +371,7 @@ def test_ledger_reruns_are_byte_identical(tmp_path, toy_day):
 def test_metrics_csv_shape(tmp_path, toy_day):
     system, day, da = toy_day
     header = ("window,t1,status,objective,build_s,walltime_s,rows,cols,nonzeros,binaries,gap,"
-              "nodes,warm,water_value,incumbent")
+              "nodes,water_value,incumbent")
     # a plan-following window has every mode fixed and no binary left to
     # branch on: HiGHS solves it as an LP, with no gap and no nodes
     ledger = run_day(system, day, Variant.CURRENT_PRACTICE, None, CONTROL, da)
@@ -390,7 +388,7 @@ def test_metrics_csv_shape(tmp_path, toy_day):
     assert int(first[6]) > 0 and int(first[7]) > 0
     assert int(first[9]) == w.binaries > 0
     assert (w.gap, w.nodes, w.incumbent) == (None, 0, "lp")
-    assert lines[1].endswith(f",{w.binaries},,0,0,,lp")
+    assert lines[1].endswith(f",{w.binaries},,0,,lp")
     # a perfect window keeps its modes free and is a MIP, which its LP
     # relaxation's rounding closes at the root
     ledger = run_day(system, day, Variant.PERFECT, None, CONTROL, da)
@@ -403,21 +401,20 @@ def test_metrics_csv_shape(tmp_path, toy_day):
     assert float(first[10]) == w.gap
     assert 0.0 <= w.gap <= EXACT.gap_tol
     assert int(first[11]) == w.nodes == 0
-    assert first[12] == "0"
-    assert first[13] == "" and w.water_value == ()
-    assert first[14] == w.incumbent == "root_rounding"
+    assert first[12] == "" and w.water_value == ()
+    assert first[13] == w.incumbent == "root_rounding"
     # a solve that reports no gap leaves the column empty
     ledger.windows[0] = replace(w, gap=None)
     ledger.write_metrics_csv(p)
-    assert p.read_text().splitlines()[1].endswith(f",{w.binaries},,{w.nodes},0,,root_rounding")
+    assert p.read_text().splitlines()[1].endswith(f",{w.binaries},,{w.nodes},,root_rounding")
     # a window with cut tails records the water value of its one
     # reservoir; the last window reaches the day end and has no tail
     ledger = run_day(system, day, Variant.STOCHASTIC, _provider(), CONTROL, da)
     ledger.write_metrics_csv(p)
     rows = [line.split(",") for line in p.read_text().splitlines()[1:]]
     first, last = ledger.windows
-    assert len(first.water_value) == 1 and float(rows[0][13]) == first.water_value[0]
-    assert rows[1][13] == "" and last.water_value == ()
+    assert len(first.water_value) == 1 and float(rows[0][12]) == first.water_value[0]
+    assert rows[1][12] == "" and last.water_value == ()
 
 
 # -- causality ---------------------------------------------------------------

@@ -35,7 +35,8 @@ def test_scaling_study_block_size_matches_the_built_models():
         found = {
             int(m[1]): tuple(int(v) for v in m.groups()[1:])
             for m in re.finditer(r"S=\s*(\d+): rows=\s*(\d+) cols=\s*(\d+) nnz=\s*\d+\s+optimal "
-                                 r"wall=\s*[\d.]+s cuts=(\d+) per scenario (\d+)-(\d+) blocks=0", out)
+                                 r"build=\s*\d+\.\d{3}s wall=\s*[\d.]+s cuts=(\d+) per scenario (\d+)-(\d+) "
+                                 r"blocks=0", out)
         }
         assert sorted(found) == [5, 10], out
         (r5, c5, n5, lo5, hi5), (r10, c10, n10, lo10, hi10) = found[5], found[10]
