@@ -280,6 +280,10 @@ def cmd_simulate(args) -> int:
 
     needs = [v for v in variants if v in SCENARIO_VARIANTS]
     provider = _load_forecast_dir(args.forecast_dir) if needs else None
+    if provider is not None and provider.counts - {cfg.scenarios}:
+        held = ", ".join(map(str, sorted(provider.counts)))
+        print(f"warning: {args.config} asks for {cfg.scenarios} scenarios, but the scenario files in "
+              f"{args.forecast_dir} hold {held}; simulating with the trajectories on file", file=sys.stderr)
 
     label = args.label or time.strftime("run_%Y%m%d_%H%M%S")
     outdir = os.path.join(args.out, label)

@@ -12,6 +12,7 @@ together for the rolling simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -271,6 +272,15 @@ class QuantileCurve:
         V = np.asarray(self.values)
         return float(np.interp(0.75, L, V) - np.interp(0.25, L, V))
 
+    @cached_property
+    def _tails(self) -> tuple[float, float, float]:
+        """The tail cap and the lower and upper edge slopes, once per curve."""
+        L = self.levels
+        V = self.values
+        lo_slope = (V[1] - V[0]) / (L[1] - L[0])
+        hi_slope = (V[-1] - V[-2]) / (L[-1] - L[-2])
+        return TAIL_IQR_CAP * self.iqr(), lo_slope, hi_slope
+
     def quantile(self, w: float | np.ndarray) -> float | np.ndarray:
         """Inverse of the curve at level(s) ``w``, scalar or array.
 
@@ -279,11 +289,9 @@ class QuantileCurve:
         """
         L = self.levels
         V = self.values
-        cap = TAIL_IQR_CAP * self.iqr()
+        cap, lo_slope, hi_slope = self._tails
         w = np.asarray(w, dtype=float)
         q = np.interp(w, L, V)
-        lo_slope = (V[1] - V[0]) / (L[1] - L[0])
-        hi_slope = (V[-1] - V[-2]) / (L[-1] - L[-2])
         q = np.where(w <= L[0], V[0] - np.minimum(lo_slope * (L[0] - w), cap), q)
         q = np.where(w >= L[-1], V[-1] + np.minimum(hi_slope * (w - L[-1]), cap), q)
         return float(q) if q.ndim == 0 else q
@@ -291,16 +299,15 @@ class QuantileCurve:
     def cdf(self, x: float) -> float:
         L = self.levels
         V = np.asarray(self.values)
+        _, lo_slope, hi_slope = self._tails
         if x < V[0]:
-            slope = (V[1] - V[0]) / (L[1] - L[0])
-            if slope <= 0:
+            if lo_slope <= 0:
                 return 0.0
-            return max(L[0] - (V[0] - x) / slope, 0.0)
+            return max(L[0] - (V[0] - x) / lo_slope, 0.0)
         if x > V[-1]:
-            slope = (V[-1] - V[-2]) / (L[-1] - L[-2])
-            if slope <= 0:
+            if hi_slope <= 0:
                 return 1.0
-            return min(L[-1] + (x - V[-1]) / slope, 1.0)
+            return min(L[-1] + (x - V[-1]) / hi_slope, 1.0)
         lo = int(np.searchsorted(V, x, side="left"))
         hi = int(np.searchsorted(V, x, side="right"))
         if lo < hi:  # exact hit, possibly on a flat stretch
@@ -407,14 +414,15 @@ def generate_scenarios(
 ) -> PriceScenarioSet:
     """Sample equally weighted correlated price trajectories.
 
-    Per scenario a Gaussian vector over the look-ahead hours is drawn
-    from the tracked covariance (leading submatrix when the horizon is
-    shorter than the tracker) and pushed through the inverse probit.
-    Then, per node and hour, the levels of all scenarios go through that
-    hour's inverse PIT in one quantile call and are shifted by the point
-    forecast.  Scenario substreams derive deterministically from (seed,
-    scenario index), so a scenario's trajectory does not depend on the
-    count it is drawn with.
+    One generator, seeded by ``SeedSequence(seed)``, draws a single
+    (count, nodes, hours) block of standard normals; trajectory s is row
+    s.  Numpy fills the block in C order, so the first k trajectories of
+    a set are the same whatever count the set is drawn with.  Per node,
+    every trajectory's normals go through the Cholesky factor of the
+    tracked covariance (leading submatrix when the horizon is shorter
+    than the tracker) and the normal CDF in one call.  Then, per node
+    and hour, the levels of all scenarios go through that hour's inverse
+    PIT in one quantile call and are shifted by the point forecast.
     """
     if count < 1:
         raise ValueError("need at least one scenario")
@@ -423,24 +431,19 @@ def generate_scenarios(
     for node in nodes:
         if len(point_forecast[node]) != H or len(curves[node]) < H:
             raise ValueError(f"node {node}: point forecast and curves must cover {H} hours")
-    chol: dict[str, np.ndarray] = {}
-    for node in nodes:
+    z = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((count, len(nodes), H))
+    prices = np.empty_like(z)
+    for ni, node in enumerate(nodes):
         trk = tracker[node] if isinstance(tracker, Mapping) else tracker
         if trk.dim < H:
             raise ValueError(f"tracker dim {trk.dim} smaller than horizon {H}")
-        chol[node] = _cholesky_with_jitter(trk.sigma[:H, :H])
-    seed_tuple = (seed,) if isinstance(seed, int) else tuple(seed)
-    w = np.empty((count, len(nodes), H))
-    for s in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence([*seed_tuple, s]))
-        for ni, node in enumerate(nodes):
-            w[s, ni] = ndtr(chol[node] @ rng.standard_normal(H))
-    prices = np.empty_like(w)
-    for ni, node in enumerate(nodes):
+        chol = _cholesky_with_jitter(trk.sigma[:H, :H])
+        # a stack of matrix-vector products: row s is chol @ z[s, ni] to the bit
+        w = ndtr((chol @ z[:, ni, :, None])[..., 0])
         pf = point_forecast[node]
         cv = curves[node]
         for h in range(H):
-            prices[:, ni, h] = pf[h] + cv[h].quantile(w[:, ni, h])
+            prices[:, ni, h] = pf[h] + cv[h].quantile(w[:, h])
     weights = tuple([1.0 / count] * count)
     return PriceScenarioSet(nodes, start_hour, prices, weights)
 

@@ -386,6 +386,7 @@ def tail_value_functions(
         a = b = target
         slopes, lens = np.zeros((S, 0)), np.zeros((S, 0))
     val = np.zeros(S)  # W at the domain's left end a
+    rows = np.arange(S)[:, None]
     for h in range(H - 1, -1, -1):
         p = prices[:, :, h]
         a -= pumped_max
@@ -394,14 +395,14 @@ def tail_value_functions(
         slopes = np.concatenate([slopes, p / (eta_pump * dt), p * eta_gen / dt], axis=1)
         lens = np.concatenate([lens, np.broadcast_to(length, (S, length.size))], axis=1)
         order = np.argsort(-slopes, axis=1, kind="stable")
-        slopes = np.take_along_axis(slopes, order, axis=1)
-        lens = np.take_along_axis(lens, order, axis=1)
+        slopes = slopes[rows, order]
+        lens = lens[rows, order]
         start = a + _before(lens)
         left = max(a, lo)
         if left > b:
             return None
-        val = val + (slopes * np.clip(np.minimum(start + lens, left) - start, 0.0, None)).sum(axis=1)
-        lens = np.clip(np.minimum(start + lens, b) - np.maximum(start, left), 0.0, None)
+        val = val + (slopes * np.maximum(np.minimum(start + lens, left) - start, 0.0)).sum(axis=1)
+        lens = np.maximum(np.minimum(start + lens, b) - np.maximum(start, left), 0.0)
         a = left
     x = a + _before(lens)
     y = val[:, None] + _before(slopes * lens)

@@ -144,6 +144,11 @@ class FrozenSetProvider:
             raise KeyError(f"scenario data at origin {t0} starts after hour {t0 + 1}")
         return scn.slice_hours(t0 + 1)
 
+    @property
+    def counts(self) -> set[int]:
+        """Trajectory counts of the scenario sets on file."""
+        return {scn.count for scn in self._sets.values()}
+
     def full_set(self, t0, observed_rt):
         return self._lookup(self._sets, t0)
 

@@ -3,7 +3,7 @@
 Everything here is deliberately written without the package's model
 builders or solver: merit-order dispatch by sorting, window optima by
 exhaustive enumeration over mode strings and a coarse dispatch grid,
-special functions by bisection, scenario sampling one draw at a time,
+special functions by bisection, scenario pricing one draw at a time,
 and a reservoir's tail revenue as an LP handed to scipy's ``linprog``.
 Slow and obvious on purpose.  The one helper that builds a model,
 ``full_tail_window``, puts the window's in-window part together with
@@ -274,19 +274,21 @@ def scenarios_by_element(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Copula trajectories priced one (scenario, node, hour) at a time.
 
-    Scenario s draws from its own ``SeedSequence([*seed, s])`` stream,
-    node by node in sorted order; each draw goes through the node's
-    Cholesky factor, the normal CDF and the hour's curve on its own.
-    Returns the prices and the levels ``w``, both (count, nodes, hours).
+    One ``SeedSequence(seed)`` stream draws a (count, nodes, hours)
+    block of standard normals, nodes in sorted order; scenario s is row
+    s.  Each scenario's row per node goes through the node's Cholesky
+    factor and the normal CDF, and each level through the hour's curve,
+    on its own.  Returns the prices and the levels ``w``, both
+    (count, nodes, hours).
     """
     nodes = sorted(point)
     H = len(point[nodes[0]])
     levels = np.empty((count, len(nodes), H))
     prices = np.empty((count, len(nodes), H))
+    z = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((count, len(nodes), H))
     for s in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence([*seed, s]))
         for ni, node in enumerate(nodes):
-            w = ndtr(np.linalg.cholesky(sigma[node][:H, :H]) @ rng.standard_normal(H))
+            w = ndtr(np.linalg.cholesky(sigma[node][:H, :H]) @ z[s, ni])
             for h in range(H):
                 c = curves[node][h]
                 levels[s, ni, h] = w[h]

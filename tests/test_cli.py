@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pshlac import cli
@@ -12,7 +13,7 @@ from pshlac.cli import (
     build_parser,
     main,
 )
-from pshlac.core import read_system_json
+from pshlac.core import PriceScenarioSet, read_system_json, write_scenario_csv
 from pshlac.lac_models import Variant
 from pshlac.rolling import SimulationLedger, WindowInfeasibleError
 from pshlac.synth import make_system
@@ -137,6 +138,35 @@ def test_simulate_writes_the_infeasible_window_for_replay(bundle, tmp_path, caps
     lp = tmp_path / "fail" / "failed_perfect_w3.lp"
     assert str(lp) in err
     assert lp.read_text() == "\\ perfect\nEnd\n"
+
+
+@pytest.mark.parametrize("requested, warned", [(50, True), (3, False)])
+def test_simulate_warns_when_the_files_hold_another_scenario_count(
+        bundle, tmp_path, capsys, monkeypatch, requested, warned):
+    system = read_system_json(str(bundle / "system.json"))
+    nodes = tuple(sorted({u.node_id for u in system.psh_units}))
+    fdir = tmp_path / "forecasts"
+    fdir.mkdir()
+    write_scenario_csv(str(fdir / "scenarios_t00.csv"),
+                       PriceScenarioSet(nodes, 1, np.full((3, len(nodes), 24), 30.0), (1 / 3,) * 3))
+
+    def stop(*args):
+        raise CliError("stopped before the first window")
+
+    monkeypatch.setattr(cli, "run_day", stop)
+    doc = json.loads((bundle / "run.json").read_text())
+    doc["scenarios"] = requested
+    cfg = bundle / f"run_count{requested}.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--forecast-dir", str(fdir), "--out", str(tmp_path),
+                 "--variant", "stochastic", "--label", "count"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: stopped before the first window"
+    if warned:
+        assert err[:-1] == [f"warning: {cfg} asks for 50 scenarios, but the scenario files in {fdir} "
+                            "hold 3; simulating with the trajectories on file"]
+    else:
+        assert err[:-1] == []
 
 
 # -- the whole workflow ------------------------------------------------------

@@ -300,9 +300,30 @@ def test_generate_scenarios_shape_weights_and_determinism():
     # tuple seeds give their own stream
     d = generate_scenarios(point, curves, trk, 5, seed=(42, 1), start_hour=7)
     assert not np.array_equal(a.prices, d.prices)
-    # scenario s draws from its own (seed, s) substream, whatever the count
+    # one stream per seed fills the set row by row, so a smaller set is
+    # the exact prefix of a larger one drawn with the same seed
     e = generate_scenarios(point, curves, trk, 3, seed=42, start_hour=7)
     assert np.array_equal(e.prices, a.prices[:3])
+    few = generate_scenarios(point, curves, trk, 50, seed=(42, 1), start_hour=7)
+    many = generate_scenarios(point, curves, trk, 200, seed=(42, 1), start_hour=7)
+    assert few.nodes == many.nodes == ("n1", "n2")
+    assert np.array_equal(few.prices, many.prices[:50])
+    assert np.array_equal(few.prices[:5], d.prices)
+
+
+def test_generate_scenarios_builds_one_generator_per_set(monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    point, curves, trk = _sampling_inputs()
+    scn = generate_scenarios(point, curves, trk, 200, seed=(42, 1), start_hour=7)
+    assert scn.count == 200
+    assert len(built) == 1
 
 
 def test_generated_prices_stay_inside_curve_support():
