@@ -9,7 +9,7 @@ never deviates from its day-ahead plan books exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .core import MODES, MarketDay, PowerSystem, TimeGrid, FrozenDecision
@@ -59,34 +59,34 @@ def full_day_resolve(
     da: DaReference | None = None,
     cfg: ModelConfig | None = None,
 ) -> tuple[MilpModel, MilpSolution]:
-    """Fix all binaries to the ledger and re-solve the day as an LP.
+    """Fix every commitment to the ledger and re-solve the day as an LP.
 
-    The returned model carries the fixed binaries in its bounds; the PSH
-    start-up columns are continuous and settle at the charges the
+    The model pins each thermal unit to the ledger's commitments, so
+    their no-load and start-up charges are its objective constant, and
+    carries the ledger's PSH modes as fixed binaries in its bounds; the
+    PSH start-up columns are continuous and settle at the charges the
     ledger's mode sequence incurs."""
     cfg = cfg or ModelConfig()
     if da is None:
         da = da_reference_from_system(system)
     T = system.grid.horizon_end
     by_hour = _ledger_by_hour(ledger, T)
+    ledger_plan = tuple(replace(u, da_commitment=tuple(by_hour[t].thermal_commit[u.id] for t in range(1, T + 1)))
+                        for u in system.thermal_units)
     inst = LacInstance(
-        system, TimeGrid(1, T, T, system.grid.interval_hours), tuple(market_day.load), da,
+        replace(system, thermal_units=ledger_plan), TimeGrid(1, T, T, system.grid.interval_hours),
+        tuple(market_day.load), da,
         {r.id: float(r.e_initial) for r in system.reservoirs},
         {u.id: u.initial_mode for u in system.psh_units},
     )
     model = build_perfect(inst, cfg)
     det = model.meta["det_block"]
 
-    def fix(idx: int, val: int) -> None:
-        model.set_var_bounds(idx, float(val), float(val))
-
-    for u in system.thermal_units:
-        for t in range(1, T + 1):
-            fix(model.meta["thermal_u"][(u.id, t)], by_hour[t].thermal_commit[u.id])
     for u in system.psh_units:
         for t in range(1, T + 1):
             for m in MODES:
-                fix(det.u[(u.id, m, t)], 1 if m == by_hour[t].psh_mode[u.id] else 0)
+                val = 1.0 if m == by_hour[t].psh_mode[u.id] else 0.0
+                model.set_var_bounds(det.u[(u.id, m, t)], val, val)
     sol = solve(model, SolveOptions(time_limit=cfg.time_limit))
     if sol.status == TIME_LIMIT:
         raise AccountingError(

@@ -3,8 +3,12 @@
 All variants share one in-window structure: thermal units at their
 day-ahead commitment with convex dispatch cost, pumped-storage units
 free to re-commit, a system power balance with value-of-lost-load
-slacks, and reservoir dynamics.  They differ in how hours after the
-window are valued:
+slacks, and reservoir dynamics.  A window cannot move a thermal
+commitment, so it has no column for one: the plan bounds each unit's
+output to ``[c*p_min, c*p_max]``, and its no-load and start-up charges
+are the model's objective constant (:func:`_add_thermal_dispatch`; the
+settlement pins the ledger's commitments the same way).  The variants
+differ in how hours after the window are valued:
 
 * ``current_practice``  PSH pinned to the day-ahead schedule, no view
   beyond the window
@@ -146,43 +150,38 @@ def _validate_instance(instance: LacInstance, need_scenarios: bool) -> None:
         raise ConfigurationError("scenario set required while post-window hours remain")
 
 
-def _thermal_da_value(unit: ThermalUnit, hour: int) -> int:
-    if unit.da_commitment is None:
-        raise ConfigurationError(f"thermal unit {unit.id} has no day-ahead commitment")
-    return int(unit.da_commitment[hour - 1])
-
-
-def _thermal_prev(unit: ThermalUnit, hour: int) -> int:
-    if hour == 1:
-        return int(unit.initial_status.committed)
-    return _thermal_da_value(unit, hour - 1)
-
-
-def _startup_constant(system: PowerSystem, hours: Sequence[int]) -> float:
-    """Start-up charges already decided by the fixed commitment plan."""
-    tot = 0.0
+def _da_plan(system: PowerSystem) -> dict[str, tuple[int, ...]]:
+    """Each thermal unit's day-ahead on/off plan, which every window pins."""
     for u in system.thermal_units:
-        for t in hours:
-            if _thermal_da_value(u, t) == 1 and _thermal_prev(u, t) == 0:
-                tot += u.startup_cost
-    return tot
+        if u.da_commitment is None:
+            raise ConfigurationError(f"thermal unit {u.id} has no day-ahead commitment")
+    return {u.id: u.da_commitment for u in system.thermal_units}
 
 
 def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours: Sequence[int],
-                          commitment: Mapping[str, Sequence[float]] | None = None) -> dict[str, dict]:
+                          commitment: Mapping[str, Sequence[int]] | None = None) -> dict[str, dict]:
     """The thermal units' columns and dispatch rows over ``hours``.
 
-    One block of columns, unit by unit and hour by hour: the commitment
-    ``uT`` (fixed at the unit's ``commitment`` when given, otherwise free
-    with the start and stop indicators ``wT`` and ``zT``), the output
-    ``p`` and one column per piecewise-linear cost segment.  Then one
-    block of rows in the same order: ``r_pdef`` (output is the sum of
-    the segments) and the min/max link of output to commitment.  Returns
-    (unit, hour) -> column for each field but the segments.
+    One block of columns, unit by unit and hour by hour: with no
+    ``commitment``, the free commitment ``uT`` with its start and stop
+    indicators ``wT`` and ``zT``; then the output ``p`` and one column
+    per piecewise-linear cost segment.  Then one block of rows in the
+    same order: ``r_pdef`` (output is the sum of the segments) and, with
+    a free commitment, the min/max link of output to it.
+
+    ``commitment`` pins each unit to an on/off plan for the whole day,
+    one flag per hour from hour 1.  A pinned unit has no commitment
+    column: ``p`` is bounded to ``[c*p_min, c*p_max]``, and the plan's
+    no-load charges over ``hours`` and its start-up charges (an hour on
+    after an hour off; before hour 1 the unit's initial status) join
+    ``model.objective_constant``.  Returns (unit, hour) -> column for
+    each field but the segments.
     """
     H = len(hours)
-    lead = ("uT",) if commitment is not None else ("uT", "wT", "zT")
+    pinned = commitment is not None
+    lead = () if pinned else ("uT", "wT", "zT")
     L = len(lead)
+    R = 1 if pinned else 3  # rows per unit-hour
     cols: dict[str, dict] = {f: {} for f in (*lead, "p")}
     names, lb, ub, obj, kinds, tags, entity, col_hours = [], [], [], [], [], [], [], []
     row_names, lengths, index, value = [], [], [], []
@@ -192,36 +191,38 @@ def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours:
         fields = (*lead, "p", *(f"pseg{k}" for k in range(K)))
         w = len(fields)
         names += [f"{f}.{u.id}.t{t}" for t in hours for f in fields]
-        caps = [1.0] * L + [u.p_max] + [seg.mw for seg in u.cost_curve]
-        if commitment is None:
+        segments = [seg.mw for seg in u.cost_curve]
+        if pinned:
+            plan = commitment[u.id]
+            for t in hours:
+                c = plan[t - 1]
+                was = plan[t - 2] if t > 1 else int(u.initial_status.committed)
+                lb += [c * u.p_min, *[0.0] * K]
+                ub += [c * u.p_max, *segments]
+                model.objective_constant += c * u.no_load_cost + (u.startup_cost if c > was else 0.0)
+        else:
             lb += [0.0] * (w * H)
-            ub += caps * H
-        else:  # commitments respect the DA plan
-            rest = [0.0] * (w - 1)
-            for c in commitment[u.id]:
-                lb += [c, *rest]
-                ub += [c, *caps[1:]]
-        obj += [u.no_load_cost, *[u.startup_cost, 0.0][:L - 1], 0.0, *(seg.price for seg in u.cost_curve)] * H
-        kinds += [BINARY, *[CONTINUOUS] * (w - 1)] * H
-        tags += ["thermal_commit", *["thermal_start", "thermal_stop"][:L - 1], "thermal_power",
+            ub += [1.0, 1.0, 1.0, u.p_max, *segments] * H
+        obj += [*(u.no_load_cost, u.startup_cost, 0.0)[:L], 0.0, *(seg.price for seg in u.cost_curve)] * H
+        kinds += [*(BINARY, CONTINUOUS, CONTINUOUS)[:L], *[CONTINUOUS] * (K + 1)] * H
+        tags += [*("thermal_commit", "thermal_start", "thermal_stop")[:L], "thermal_power",
                  *["thermal_segment"] * K] * H
         entity += [*[u.id] * (L + 1), *(f"{u.id}:{k}" for k in range(K))] * H
         col_hours += [t for t in hours for _ in fields]
-        hour_first = range(first, first + w * H, w)  # each hour's uT
         for j, f in enumerate(fields[:L + 1]):
             cols[f].update(zip([(u.id, t) for t in hours], range(first + j, first + w * H, w)))
-        # per hour: r_pdef on p and its segments, r_pmin and r_pmax on p and uT
-        row_names += [f"{r}.{u.id}.t{t}" for t in hours for r in ("r_pdef", "r_pmin", "r_pmax")]
-        lengths += [1 + K, 2, 2] * H
-        offsets = (L, *range(L + 1, L + 1 + K), L, 0, L, 0)
-        index += [c + o for c in hour_first for o in offsets]
-        value += [1.0, *[-1.0] * K, 1.0, -u.p_min, 1.0, -u.p_max] * H
+        # per hour: r_pdef on p and its segments, then (free commitment) r_pmin and r_pmax on p and uT
+        row_names += [f"{r}.{u.id}.t{t}" for t in hours for r in ("r_pdef", "r_pmin", "r_pmax")[:R]]
+        lengths += [1 + K, 2, 2][:R] * H
+        offsets = (L, *range(L + 1, L + 1 + K), *(L, 0, L, 0)[:2 * R - 2])
+        index += [c + o for c in range(first, first + w * H, w) for o in offsets]
+        value += [1.0, *[-1.0] * K, *(1.0, -u.p_min, 1.0, -u.p_max)[:2 * R - 2]] * H
         first += w * H
     model.add_vars(names, lb, ub, obj, kinds, tags, entity, col_hours)
     n = len(units) * H
-    model.add_rows(row_names, list(itertools.accumulate(lengths, initial=0)), index, value, [EQ, GE, LE] * n, 0.0,
-                   ["thermal_link", "thermal_min", "thermal_max"] * n, [u.id for u in units for _ in range(3 * H)],
-                   [t for t in hours for _ in range(3)] * len(units))
+    model.add_rows(row_names, list(itertools.accumulate(lengths, initial=0)), index, value,
+                   [EQ, GE, LE][:R] * n, 0.0, ["thermal_link", "thermal_min", "thermal_max"][:R] * n,
+                   [u.id for u in units for _ in range(R * H)], [t for t in hours for _ in range(R)] * len(units))
     return cols
 
 
@@ -269,12 +270,8 @@ def _base_window_model(
     te = hours[-1]
     T = sys.grid.horizon_end
 
-    thermal = _add_thermal_dispatch(
-        model, sys.thermal_units, hours,
-        {u.id: [float(_thermal_da_value(u, t)) for t in hours] for u in sys.thermal_units},
-    )
-    thermal_u, thermal_p = thermal["uT"], thermal["p"]
-    model.objective_constant += _startup_constant(sys, hours)
+    commitment = _da_plan(sys)
+    thermal_p = _add_thermal_dispatch(model, sys.thermal_units, hours, commitment)["p"]
 
     det = create_psh_block(model, sys.psh_units, hours)
     for u in sys.psh_units:
@@ -298,14 +295,14 @@ def _base_window_model(
         soc_by_res[r.id] = soc
 
     balance_rows, slack_vars = _add_balance(model, sys, hours, instance.net_load, thermal_p, det, cfg.voll)
-    # the thermal commitments are fixed, so the PSH modes are every free
+    # the thermal commitments are pinned, so the PSH modes are every
     # binary; _add_tails widens this to the blocks it keeps
     model.rounding = ModeRounding((det,))
 
     model.meta.update(
         det_block=det,
         soc=soc_by_res,
-        thermal_u=thermal_u,
+        commitment=commitment,
         thermal_p=thermal_p,
         balance_rows=balance_rows,
         slack_vars=slack_vars,

@@ -544,9 +544,15 @@ def milp(
        ``gap`` the ``mip_rel_gap`` of ``options``, the test HiGHS stops
        its own search on.
 
-    When any step fails (a relaxation or fixed LP that is not optimal, a
-    rounding that returns None, a point outside the gap) the MIP goes to
-    branch and bound as it would without ``rounding``.
+    Both LPs of the root run without presolve: a window's relaxation
+    has a few hundred rows, and at that size presolve costs HiGHS more
+    than it saves (Andersen and Andersen, *Math. Programming* 71, 1995,
+    weigh when it pays).  When any step fails (a relaxation or fixed LP
+    that is not optimal, a rounding that returns None, a point outside
+    the gap) presolve is set back and the MIP goes to branch and bound
+    as it would without ``rounding``.  An LP or a MIP without
+    ``rounding`` keeps the presolve of ``options`` (HiGHS's default
+    unless they set one).
     """
     highs = _highs._Highs()
     highs.setOptionValue("output_flag", False)
@@ -555,9 +561,12 @@ def milp(
             raise SolverError(f"HiGHS rejected option {key}={val!r}")
     if rounding is not None:
         integrality, lp.integrality_ = lp.integrality_, []
+        _, presolve = highs.getOptionValue("presolve")
+        highs.setOptionValue("presolve", "off")
         bound = _root_rounding(highs, lp, rounding, float(options["mip_rel_gap"]))
         if bound is not None:
             return highs, bound
+        highs.setOptionValue("presolve", presolve)
         lp.integrality_ = integrality
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         raise SolverError("HiGHS rejected the model")

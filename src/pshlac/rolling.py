@@ -270,7 +270,7 @@ def _freeze_hour(
     thermal_commit = {}
     thermal_p = {}
     for u in system.thermal_units:
-        thermal_commit[u.id] = sol.binary_value(model.meta["thermal_u"][(u.id, t)])
+        thermal_commit[u.id] = int(model.meta["commitment"][u.id][t - 1])
         thermal_p[u.id] = _clean(sol.value(model.meta["thermal_p"][(u.id, t)]))
     soc_after = {
         r.id: soc_step(system.psh_units, r, float(soc_in[r.id]), psh_gen, psh_pump,

@@ -244,10 +244,12 @@ def test_01_named_rows_match_hand_arithmetic():
             "slack_short.t1": 1.0, "slack_surplus.t1": -1.0,
             "p.th1.t1": 1.0, "qg.ps1.t1": 1.0, "qp.ps1.t1": -1.0,
         }, EQ, 50.0)
-        # thermal segment linkage and commitment-scaled box
+        # thermal segment linkage; the committed unit's output is boxed by
+        # its bounds to [1 * p_min, 1 * p_max], with no commitment column
         check("r_pdef.th1.t1", {"p.th1.t1": 1.0, "pseg0.th1.t1": -1.0}, EQ, 0.0)
-        check("r_pmin.th1.t1", {"p.th1.t1": 1.0}, GE, 0.0)
-        check("r_pmax.th1.t1", {"p.th1.t1": 1.0, "uT.th1.t1": -200.0}, LE, 0.0)
+        p = m.var(m.var_index("p.th1.t1"))
+        assert (p.kind, p.lb, p.ub) == ("continuous", 0.0, 200.0)
+        assert not list(m.variables("thermal_commit")) and not list(m.rows("thermal_max"))
         # exactly one mode; a start-up column per entered mode, charged
         # when the mode is on now and was not in the hour before
         check("r_one_mode.ps1.t1", {
@@ -264,7 +266,7 @@ def test_01_named_rows_match_hand_arithmetic():
         }, GE, 0.0)
         gen_start = m.var(m.var_index("su_gen.ps1.t2"))
         assert (gen_start.kind, gen_start.lb, gen_start.ub) == ("continuous", 0.0, 1.0)
-        assert m.n_binaries == 2 + 2 * 3  # thermal commitments and window modes only
+        assert m.n_binaries == 2 * 3  # the window modes only
         # dispatch boxes; the zero floor drops its commitment coefficient
         check("r_gen_hi.ps1.t1", {"qg.ps1.t1": 1.0, "u_gen.ps1.t1": -20.0}, LE, 0.0)
         check("r_gen_lo.ps1.t1", {"qg.ps1.t1": 1.0}, GE, 0.0)

@@ -54,6 +54,21 @@ def test_realized_lmp_is_the_marginal_thermal_price(settled):
     assert realized_lmp(model, sol) == pytest.approx((20.0, 20.0, 20.0), abs=1e-7)
 
 
+def test_settlement_charges_the_ledgers_commitments(toy_day):
+    system, day, da = toy_day
+    ledger = run_day(system, day, Variant.CURRENT_PRACTICE, None, CONTROL, da)
+    # th1 is off in hour 2 of the ledger, against an all-on day-ahead plan,
+    # so it starts again in hour 3
+    ledger.hours[1] = replace(ledger.hours[1], thermal_commit={"th1": 0})
+    charged = replace(system.thermal_units[0], startup_cost=500.0, no_load_cost=10.0)
+    model, sol = full_day_resolve(replace(system, thermal_units=(charged,)), day, ledger, da)
+    assert model.objective_constant == 500.0 + 2 * 10.0
+    p = [model.var(model.meta["thermal_p"][("th1", t)]) for t in (1, 2, 3)]
+    assert [(v.lb, v.ub) for v in p] == [(0.0, 200.0), (0.0, 0.0), (0.0, 200.0)]
+    # hour 2 goes short by its 50 MW load; hour 3 buys 40 MW next to 10 MW of storage
+    assert sol.objective == pytest.approx(50.0 * 20.0 + 50.0 * 3500.0 + 40.0 * 20.0 + 520.0, abs=1e-6)
+
+
 def test_schedule_follower_books_zero_profit(settled):
     system, day, da, ledgers, ev = settled
     assert ev.outcomes["current_practice"].profit["ps1"] == 0.0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pshlac import milp as milp_module
 from pshlac import synth
 from pshlac.accounting import full_day_resolve
 from pshlac.core import CostSegment, InitialStatus, PriceScenarioSet, ThermalUnit
@@ -16,7 +17,7 @@ from pshlac.lac_models import (
     ConfigurationError,
     ModelConfig,
     Variant,
-    _startup_constant,
+    _add_thermal_dispatch,
     apply_da_reference,
     build_current_practice,
     build_da_model,
@@ -28,7 +29,8 @@ from pshlac.lac_models import (
     da_reference_from_system,
     extract_da_reference,
 )
-from pshlac.milp import EQ, GE, LE, OPTIMAL, ROOT_ROUNDING, MilpModel, SolveOptions, Tag, _highs_lp, solve
+from pshlac.milp import (BRANCH_AND_BOUND, EQ, FROM_LP, GE, LE, OPTIMAL, ROOT_ROUNDING, MilpModel, SolveOptions, Tag,
+                         _highs_lp, solve)
 from pshlac.rolling import RunControl, run_day
 
 from conftest import EXACT, solve_exact
@@ -116,25 +118,40 @@ def test_thermal_without_plan_is_rejected(basic_window):
 # -- fixed startup charges ---------------------------------------------------
 
 
-def test_startup_constant_counts_plan_starts(basic_window):
+def test_startup_constant_counts_plan_starts():
     unit = ThermalUnit(
-        "a", (CostSegment(100.0, 10.0),), no_load_cost=0.0, startup_cost=100.0,
-        p_min=0.0, p_max=100.0, initial_status=InitialStatus(False, 4),
-        da_commitment=(0, 1, 1, 0, 1),
+        "a", (CostSegment(60.0, 10.0), CostSegment(40.0, 25.0)), no_load_cost=7.0, startup_cost=100.0,
+        p_min=20.0, p_max=100.0, initial_status=InitialStatus(False, 4),
     )
-    sys = replace(basic_window.instance.system, thermal_units=(unit,))
-    assert _startup_constant(sys, [1, 2, 3, 4, 5]) == 200.0  # starts at t2 and t5
-    assert _startup_constant(sys, [2, 3]) == 100.0
-    assert _startup_constant(sys, [3]) == 0.0
+    plan = {"a": (0, 1, 1, 0, 1)}
+
+    def pinned(hours):
+        m = MilpModel()
+        cols = _add_thermal_dispatch(m, (unit,), hours, plan)
+        return m, cols
+
+    m, cols = pinned([1, 2, 3, 4, 5])
+    assert m.objective_constant == 2 * 100.0 + 3 * 7.0  # starts at t2 and t5, on in t2, t3, t5
+    assert pinned([2, 3])[0].objective_constant == 100.0 + 2 * 7.0
+    assert pinned([3])[0].objective_constant == 7.0
+    assert pinned([4])[0].objective_constant == 0.0
+    # output boxed by the plan, the segments free below their widths
+    assert [(v.lb, v.ub) for v in (m.var(cols["p"][("a", t)]) for t in range(1, 6))] == [
+        (0.0, 0.0), (20.0, 100.0), (20.0, 100.0), (0.0, 0.0), (20.0, 100.0)]
+    assert (m.var(m.var_index("pseg1.a.t4")).ub, m.var(m.var_index("pseg1.a.t4")).obj) == (40.0, 25.0)
+    assert set(cols) == {"p"} and m.n_binaries == 0
+    assert [m.row(i).name for i in range(m.n_rows)] == [f"r_pdef.a.t{t}" for t in range(1, 6)]
+    check_row(m, "r_pdef.a.t2", {"p.a.t2": 1.0, "pseg0.a.t2": -1.0, "pseg1.a.t2": -1.0}, EQ, 0.0)
 
 
 def test_startup_charge_lands_in_objective_constant(basic_window):
     sys = basic_window.instance.system
-    cold = replace(sys.thermal_units[0], initial_status=InitialStatus(False, 24), startup_cost=500.0)
+    cold = replace(sys.thermal_units[0], initial_status=InitialStatus(False, 24), startup_cost=500.0,
+                   no_load_cost=30.0)
     inst = replace(basic_window.instance, system=replace(sys, thermal_units=(cold,)))
     model = build_stochastic(inst, basic_window.cfg)
-    assert model.objective_constant == 500.0
-    assert solve_exact(model).objective == pytest.approx(1600.0 + 500.0, abs=1e-6)
+    assert model.objective_constant == 500.0 + 2 * 30.0  # one start, two committed hours
+    assert solve_exact(model).objective == pytest.approx(1600.0 + 560.0, abs=1e-6)
 
 
 # -- row-by-row fidelity -----------------------------------------------------
@@ -147,12 +164,12 @@ def test_balance_and_thermal_rows(basic_window):
         "p.th1.t1": 1.0, "qg.ps1.t1": 1.0, "qp.ps1.t1": -1.0,
     }, EQ, 50.0)
     check_row(m, "r_pdef.th1.t2", {"p.th1.t2": 1.0, "pseg0.th1.t2": -1.0}, EQ, 0.0)
-    # p_min = 0 drops the commitment coefficient entirely
-    check_row(m, "r_pmin.th1.t1", {"p.th1.t1": 1.0}, GE, 0.0)
-    check_row(m, "r_pmax.th1.t1", {"p.th1.t1": 1.0, "uT.th1.t1": -200.0}, LE, 0.0)
-    # commitment is bounds-fixed to the plan
-    u = m.var(m.var_index("uT.th1.t1"))
-    assert (u.lb, u.ub) == (1.0, 1.0)
+    # the plan commits th1, so its output is boxed to [p_min, p_max]
+    p = m.var(m.var_index("p.th1.t1"))
+    assert (p.kind, p.lb, p.ub) == ("continuous", 0.0, 200.0)
+    with pytest.raises(KeyError):
+        m.var_index("uT.th1.t1")
+    assert not list(m.rows("thermal_min")) and not list(m.rows("thermal_max"))
 
 
 def test_reservoir_rows_carry_the_efficiencies():
@@ -602,19 +619,20 @@ _PINNED_BUILDS = {
     "settlement": _settlement_model,
 }
 
-# _highs_digest of each build, recorded on the row-by-row builders that the
-# block builders replaced: the blocks must hand HiGHS the same model
+# _highs_digest of each build.  The day-ahead ones were recorded on the
+# row-by-row builders that the block builders replaced; the others since
+# thermal units pinned to a plan carry it as bounds on their output
 _PINNED_DIGESTS = {
-    "current_practice": "e1406ef3e133d99e636effba4ff71e42b5e120ab7d7d05d95219ea1c6d902265",
+    "current_practice": "d8f8ca8a81693a21d3fd4c90d5a54508d6ba41efdf96d2bb4a0a8696409edf37",
     "da_reserve": "4d06d0c29e20f970281f6a627b904f92f4722245ef9eeffd3548e6333d2d6657",
     "da_synth_reserve": "372faf514c144fddd8796733074b2d21a131b7c80f6f11a01268bc4970e2f45a",
-    "deterministic": "e4564bfb4c0076a1c83ad64ce9f26245f97bd3692cef6f224712a16d746f78a1",
-    "perfect": "505b725ab1287aa938e6b920e22a4c8e11b3ae085996c5b02e70bda17a31423a",
-    "robust": "ade34032b7e67065e86948b31d9eace8e8b5266fb5dae9057bbce14a94c7bc14",
-    "robust_negative_price": "5ce21bef3213433474c20e5af5af55af3f1c7b3ebf1794584192eb4136369300",
-    "settlement": "339708823823bd2a29b875e104ba4e7c01310db7396f7d2060b76def718a8bdc",
-    "stochastic": "11af6930d4b8df26a46ba58bf58862034410d967a2d878c707a3f9a8878cab56",
-    "stochastic_floor": "441c132f80cf966be865e49c075cbc25ee1eabc7c95442a5659822419057dd5c",
+    "deterministic": "b7f1bcb253decb35c40a327717d8edabdf243038dd7dc6c1b7e86d5729873112",
+    "perfect": "a84cbc06a60c8afb72eb84e621794e962b94c75df01664858929e75e3eb26485",
+    "robust": "e9224fda932633e8a008442b2a60c62ab536442374c375b68606b75804d2909d",
+    "robust_negative_price": "97e8d0435679f3b91329e0148233f021d6f1385735623db7cb146f0a84344108",
+    "settlement": "9c15474532c1b8525773f86b51c2428d1be7da221a780441168bad14dc98f14b",
+    "stochastic": "3d850bc50ad69f0a7d1c11296289489e715b5dec518c8b29954c2a1d1173bb26",
+    "stochastic_floor": "219dd35e5b6f5863f8ad6b4c92214a44ab9aaf33674fd3f03b344608ccd4cd92",
 }
 
 
@@ -641,3 +659,39 @@ def test_builders_hand_highs_the_pinned_matrix(case):
     elif case in ("stochastic_floor", "robust_negative_price"):
         assert tails.blocks  # a scenario with a mode cell keeps its block
     assert _highs_digest(model) == _PINNED_DIGESTS[case]
+
+
+_PINNED_THERMAL = sorted(c for c in _PINNED_BUILDS if not c.startswith("da_"))
+
+
+@pytest.mark.parametrize("case", _PINNED_THERMAL)
+def test_window_and_settlement_models_pin_thermal_units_by_bounds(case):
+    model = _PINNED_BUILDS[case]()
+    assert not [v.name for v in model.variables() if v.tag.kind in ("thermal_commit", "thermal_start",
+                                                                    "thermal_stop")]
+    assert not [r.name for r in model.rows() if r.tag.kind in ("thermal_min", "thermal_max")]
+    # the toys' units have p_min 0 and segments as wide as p_max in all
+    plan = model.meta["commitment"]
+    for (uid, t), j in model.meta["thermal_p"].items():
+        width = sum(v.ub for v in model.variables("thermal_segment", hour=t) if v.name.endswith(f".{uid}.t{t}"))
+        assert (model.var(j).lb, model.var(j).ub) == (0.0, plan[uid][t - 1] * width)
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_BUILDS))
+def test_each_solve_path_keeps_its_presolve(case, monkeypatch):
+    model = _PINNED_BUILDS[case]()
+    seen = []
+    inner = milp_module.milp
+
+    def recording(lp, options, rounding=None):
+        highs, bound = inner(lp, options, rounding)
+        seen.append(highs.getOptionValue("presolve")[1])
+        return highs, bound
+
+    monkeypatch.setattr(milp_module, "milp", recording)
+    sol = solve(model, EXACT)
+    # only the LPs of a root rounding run without presolve
+    assert seen == ["off" if sol.incumbent == ROOT_ROUNDING else "choose"]
+    expected = {"da_reserve": BRANCH_AND_BOUND, "perfect": BRANCH_AND_BOUND, "deterministic": ROOT_ROUNDING,
+                "current_practice": FROM_LP, "settlement": FROM_LP}
+    assert sol.incumbent == expected.get(case, sol.incumbent)

@@ -20,6 +20,7 @@ from pshlac.milp import (
     UNBOUNDED,
     VarView,
     _constraint_arrays,
+    _highs_lp,
     MilpModel,
     MilpSolution,
     RowView,
@@ -27,6 +28,7 @@ from pshlac.milp import (
     SolverError,
     Tag,
     infeasibility_report,
+    milp,
     solve,
 )
 
@@ -243,6 +245,21 @@ def test_a_rounding_changes_nothing_at_a_zero_time_limit():
     m.rounding = _rounded(np.floor)
     sol = solve(m, no_time)
     assert sol.status == TIME_LIMIT and sol.values is None and sol.incumbent is None
+
+
+def test_only_the_root_lps_skip_presolve():
+    opts = {"mip_rel_gap": 1e-9, "time_limit": 30.0}
+
+    def presolve(model, rounding, integral=True, options=opts):
+        highs, bound = milp(_highs_lp(model, integral), options, rounding)
+        return highs.getOptionValue("presolve")[1], bound is not None
+
+    assert presolve(_cover_model(), _rounded(np.round)) == ("off", True)
+    # the knapsack's rounding is not certified: branch and bound runs with presolve back
+    assert presolve(_knapsack(), _rounded(np.floor)) == ("choose", False)
+    assert presolve(_knapsack(), None) == ("choose", False)
+    assert presolve(_knapsack(), None, integral=False) == ("choose", False)
+    assert presolve(_knapsack(), _rounded(np.floor), options={**opts, "presolve": "on"}) == ("on", False)
 
 
 def test_an_infeasible_mip_with_a_rounding_stays_infeasible():
