@@ -11,7 +11,7 @@ together for the rolling simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -202,42 +202,50 @@ def predict_point(
     if spec.beta and spec.q > 0 and Xh is None:
         raise ValueError("exog_history required to recover innovations with MA terms")
 
-    y = _difference(y_lvl, spec.d)
-    if spec.d and Xf is not None:
+    p, d, q = spec.p, spec.d, spec.q
+    if d and Xf is not None:
         # difference future exog across the history boundary
-        Xf = _diff_future(Xh, Xf, spec.d)
-    if spec.d and Xh is not None:
-        Xh = np.diff(Xh, n=spec.d, axis=0)
-
-    phi = np.asarray(spec.phi)
-    theta = np.asarray(spec.theta)
-    beta = np.asarray(spec.beta)
-    eps_hist = _css_eps(y, Xh, phi, theta, beta) if (spec.q and len(y)) else np.zeros(len(y))
-
-    yy = list(y)
-    ee = list(eps_hist)
+        Xf = _diff_future(Xh, Xf, d)
+    # the exogenous term of every step in one call; vecdot takes each
+    # row's dot product, so it equals beta @ Xf[h] to the bit
+    xb = np.vecdot(Xf[:H], np.asarray(spec.beta)).tolist() if spec.beta else [0.0] * H
+    # the recursion reads only the last p levels and q innovations of the
+    # differenced history; before its start both count as zero
+    if q:
+        y = _difference(y_lvl, d)
+        if d and Xh is not None:
+            Xh = np.diff(Xh, n=d, axis=0)
+        eps = _css_eps(y, Xh, np.asarray(spec.phi), np.asarray(spec.theta), np.asarray(spec.beta))
+        ee = _last(eps, q)
+    else:
+        y = _difference(y_lvl[len(y_lvl) - min(len(y_lvl), p + d):], d)
+        ee = []
+    yy = _last(y, p)
     out = np.empty(H)
     for h in range(H):
-        t = len(yy)
-        pred = float(beta @ Xf[h]) if len(beta) else 0.0
-        for i in range(spec.p):
-            k = t - 1 - i
-            pred += phi[i] * (yy[k] if k >= 0 else 0.0)
-        for j in range(spec.q):
-            k = t - 1 - j
-            pred += theta[j] * (ee[k] if k >= 0 else 0.0)
+        pred = xb[h]
+        for i in range(p):
+            pred += spec.phi[i] * yy[-1 - i]
+        for j in range(q):
+            pred += spec.theta[j] * ee[-1 - j]
         yy.append(pred)
         ee.append(0.0)  # future innovations
         out[h] = pred
 
-    # integrate d times back to levels
-    for k in range(spec.d):
-        base = y_lvl
-        for _ in range(spec.d - 1 - k):
-            base = np.diff(base)
+    # integrate d times back to levels: the last entry of the m-th
+    # difference needs only the last m + 1 levels
+    for k in range(d):
+        base = _difference(y_lvl[len(y_lvl) - min(len(y_lvl), d - k):], d - 1 - k)
         last = base[-1] if len(base) else 0.0
         out = last + np.cumsum(out)
     return out
+
+
+def _last(a: np.ndarray, n: int) -> list[float]:
+    """The last ``n`` entries of ``a``, padded with zeros in front when
+    ``a`` is shorter."""
+    k = min(n, len(a))
+    return [0.0] * (n - k) + a[len(a) - k:].tolist()
 
 
 def _diff_future(exog_history: np.ndarray | None, exog_future: np.ndarray, d: int) -> np.ndarray:
@@ -281,19 +289,18 @@ class QuantileCurve:
         hi_slope = (V[-1] - V[-2]) / (L[-1] - L[-2])
         return TAIL_IQR_CAP * self.iqr(), lo_slope, hi_slope
 
+    @cached_property
+    def _table(self) -> "QuantileTable":
+        return QuantileTable((self,))
+
     def quantile(self, w: float | np.ndarray) -> float | np.ndarray:
         """Inverse of the curve at level(s) ``w``, scalar or array.
 
         An array is mapped element by element in one pass; a scalar
         level gives a ``float``.
         """
-        L = self.levels
-        V = self.values
-        cap, lo_slope, hi_slope = self._tails
         w = np.asarray(w, dtype=float)
-        q = np.interp(w, L, V)
-        q = np.where(w <= L[0], V[0] - np.minimum(lo_slope * (L[0] - w), cap), q)
-        q = np.where(w >= L[-1], V[-1] + np.minimum(hi_slope * (w - L[-1]), cap), q)
+        q = self._table.quantile(w[..., None])[..., 0]
         return float(q) if q.ndim == 0 else q
 
     def cdf(self, x: float) -> float:
@@ -313,6 +320,69 @@ class QuantileCurve:
         if lo < hi:  # exact hit, possibly on a flat stretch
             return (L[lo] + L[hi - 1]) / 2.0
         return L[lo - 1] + (L[lo] - L[lo - 1]) * (x - V[lo - 1]) / (V[lo] - V[lo - 1])
+
+
+class _LevelGroup:
+    """The curves of a :class:`QuantileTable` that share one level grid,
+    stacked: their positions in the table, the grid, the value table and
+    each curve's segment slopes, tail cap and edge slopes."""
+
+    def __init__(self, positions: Sequence[int], curves: Sequence[QuantileCurve]):
+        self.positions = np.asarray(positions, dtype=np.intp)
+        self.levels = np.asarray(curves[0].levels, dtype=float)
+        self.values = np.array([c.values for c in curves], dtype=float)
+        # np.interp's own slopes: (y[j+1] - y[j]) / (x[j+1] - x[j])
+        self.slopes = np.diff(self.values, axis=1) / np.diff(self.levels)
+        self.cap, self.lo_slope, self.hi_slope = np.array([c._tails for c in curves]).T
+
+    def quantile(self, w: np.ndarray) -> np.ndarray:
+        """Map ``w`` (..., n), column k through curve k, as
+        :meth:`QuantileCurve.quantile` documents."""
+        L, V = self.levels, self.values
+        n = w.shape[-1]
+        rows = np.arange(n)
+        # np.interp's arithmetic: the segment with L[j] <= w < L[j + 1],
+        # its start value exactly on a level, else slope * (w - x0) + y0
+        j = np.clip(np.searchsorted(L, w, side="right") - 1, 0, len(L) - 2)
+        x0 = L[j]
+        y0 = V[rows, j]
+        q = np.where(w == x0, y0, self.slopes[rows, j] * (w - x0) + y0)
+        q = np.where(w <= L[0], V[:n, 0] - np.minimum(self.lo_slope[:n] * (L[0] - w), self.cap[:n]), q)
+        return np.where(w >= L[-1], V[:n, -1] + np.minimum(self.hi_slope[:n] * (w - L[-1]), self.cap[:n]), q)
+
+
+class QuantileTable:
+    """A sequence of quantile curves, one per look-ahead hour, stacked
+    once so that levels for many hours map in one call.
+
+    Curves are grouped by level grid; within a group, one
+    ``searchsorted`` on the shared levels finds every segment.  The
+    result equals each curve's own :meth:`QuantileCurve.quantile` to
+    the bit, which is this map on a table of one curve.
+    """
+
+    def __init__(self, curves: Sequence[QuantileCurve]):
+        self.size = len(curves)
+        by_grid: dict[tuple[float, ...], list[int]] = {}
+        for k, c in enumerate(curves):
+            by_grid.setdefault(c.levels, []).append(k)
+        self._groups = tuple(_LevelGroup(ks, [curves[k] for k in ks]) for ks in by_grid.values())
+
+    def __len__(self) -> int:
+        return self.size
+
+    def quantile(self, w: np.ndarray) -> np.ndarray:
+        """Map ``w`` of shape (..., H), H at most the table's length,
+        column k through curve k."""
+        H = w.shape[-1]
+        if H > self.size:
+            raise ValueError(f"{H} columns of levels for {self.size} curves")
+        out = np.empty_like(w)
+        for g in self._groups:
+            pos = g.positions[: np.searchsorted(g.positions, H)]
+            if pos.size:
+                out[..., pos] = g.quantile(w[..., pos])
+        return out
 
 
 def fit_quantiles(
@@ -364,17 +434,36 @@ def probit(w: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceTracker:
-    """Exponentially forgetting covariance over look-ahead hours."""
+    """Exponentially forgetting covariance over look-ahead hours.
+
+    ``sigma`` is read-only, so that the Cholesky factors of its leading
+    blocks can be kept: :meth:`factor` computes each one once.
+    """
 
     dim: int
     lam: float
     sigma: np.ndarray
+    _factors: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        sigma = np.array(self.sigma, dtype=float)
+        sigma.flags.writeable = False
+        object.__setattr__(self, "sigma", sigma)
 
     @classmethod
     def identity(cls, dim: int = 24, lam: float = 0.99) -> "CovarianceTracker":
         if not 0.0 <= lam < 1.0:
             raise ValueError("forgetting factor must lie in [0, 1)")
         return cls(dim, lam, np.eye(dim))
+
+    def factor(self, H: int) -> np.ndarray:
+        """Lower Cholesky factor of ``sigma[:H, :H]``, jittered if need
+        be, computed once per horizon ``H``."""
+        if H not in self._factors:
+            chol = _cholesky_with_jitter(self.sigma[:H, :H])
+            chol.flags.writeable = False  # shared by every later call
+            self._factors[H] = chol
+        return self._factors[H]
 
 
 def update_covariance(tracker: CovarianceTracker, x: Sequence[float]) -> CovarianceTracker:
@@ -406,7 +495,7 @@ def _cholesky_with_jitter(S: np.ndarray) -> np.ndarray:
 
 def generate_scenarios(
     point_forecast: Mapping[str, Sequence[float]],
-    curves: Mapping[str, Sequence[QuantileCurve]],
+    curves: Mapping[str, Sequence[QuantileCurve] | QuantileTable],
     tracker: CovarianceTracker | Mapping[str, CovarianceTracker],
     count: int,
     seed: int | tuple[int, ...],
@@ -420,9 +509,11 @@ def generate_scenarios(
     a set are the same whatever count the set is drawn with.  Per node,
     every trajectory's normals go through the Cholesky factor of the
     tracked covariance (leading submatrix when the horizon is shorter
-    than the tracker) and the normal CDF in one call.  Then, per node
-    and hour, the levels of all scenarios go through that hour's inverse
-    PIT in one quantile call and are shifted by the point forecast.
+    than the tracker) and the normal CDF in one call.  Then the levels
+    of all scenarios and hours go through the hours' inverse PITs in one
+    :class:`QuantileTable` call and are shifted by the point forecast.
+    A node's curves may come as a table, built once; hour h uses the
+    node's curve h.
     """
     if count < 1:
         raise ValueError("need at least one scenario")
@@ -437,13 +528,12 @@ def generate_scenarios(
         trk = tracker[node] if isinstance(tracker, Mapping) else tracker
         if trk.dim < H:
             raise ValueError(f"tracker dim {trk.dim} smaller than horizon {H}")
-        chol = _cholesky_with_jitter(trk.sigma[:H, :H])
         # a stack of matrix-vector products: row s is chol @ z[s, ni] to the bit
-        w = ndtr((chol @ z[:, ni, :, None])[..., 0])
-        pf = point_forecast[node]
-        cv = curves[node]
-        for h in range(H):
-            prices[:, ni, h] = pf[h] + cv[h].quantile(w[:, h])
+        w = ndtr((trk.factor(H) @ z[:, ni, :, None])[..., 0])
+        table = curves[node]
+        if not isinstance(table, QuantileTable):
+            table = QuantileTable(table)
+        prices[:, ni, :] = np.asarray(point_forecast[node], dtype=float) + table.quantile(w)
     weights = tuple([1.0 / count] * count)
     return PriceScenarioSet(nodes, start_hour, prices, weights)
 
@@ -475,6 +565,7 @@ class ForecastConfig:
 class _NodeModel:
     spec: ArimaxSpec
     curves: list[QuantileCurve]  # indexed by look-ahead hour (lead - 1)
+    table: QuantileTable  # the curves, stacked once per fit
     tracker: CovarianceTracker
     rt: np.ndarray
     da: np.ndarray
@@ -525,7 +616,7 @@ class ForecastPipeline:
             for row in resid:
                 x = [probit(pit_transform(row[h], curves[h])) for h in range(cfg.horizon)]
                 tracker = update_covariance(tracker, x)
-            self._nodes[node] = _NodeModel(spec, curves, tracker, rt, da)
+            self._nodes[node] = _NodeModel(spec, curves, QuantileTable(curves), tracker, rt, da)
         return self
 
     def _require(self, node: str) -> _NodeModel:
@@ -560,16 +651,13 @@ class ForecastPipeline:
         seed: int,
     ) -> PriceScenarioSet:
         """Correlated trajectories for hours t0+1 .. horizon_end."""
-        H = horizon_end - t0
-        points: dict[str, np.ndarray] = {}
-        curves: dict[str, list[QuantileCurve]] = {}
-        trackers: dict[str, CovarianceTracker] = {}
-        for node in self.nodes:
-            nm = self._nodes[node]
-            points[node] = self.point_forecast(node, t0, day_rt[node], day_da[node], horizon_end)
-            curves[node] = nm.curves[:H]
-            trackers[node] = nm.tracker
-        return generate_scenarios(points, curves, trackers, count, (seed, t0), start_hour=t0 + 1)
+        points = {
+            node: self.point_forecast(node, t0, day_rt[node], day_da[node], horizon_end)
+            for node in self.nodes
+        }
+        tables = {node: self._nodes[node].table for node in self.nodes}
+        trackers = {node: self._nodes[node].tracker for node in self.nodes}
+        return generate_scenarios(points, tables, trackers, count, (seed, t0), start_hour=t0 + 1)
 
     def point_set(
         self,
@@ -616,7 +704,7 @@ class ForecastPipeline:
                 resid = day_rt - fc
                 pits.append(pit_transform(resid[0], nm.curves[0]))
                 scn = generate_scenarios(
-                    {node: fc}, {node: nm.curves}, nm.tracker, count, (seed, k), start_hour=1
+                    {node: fc}, {node: nm.table}, nm.tracker, count, (seed, k), start_hour=1
                 )
                 lo = np.quantile(scn.prices[:, 0, :], 0.05, axis=0)
                 hi = np.quantile(scn.prices[:, 0, :], 0.95, axis=0)

@@ -404,23 +404,35 @@ def tail_value_functions(
         val = val + (slopes * np.maximum(np.minimum(start + lens, left) - start, 0.0)).sum(axis=1)
         lens = np.maximum(np.minimum(start + lens, b) - np.maximum(start, left), 0.0)
         a = left
-    x = a + _before(lens)
-    y = val[:, None] + _before(slopes * lens)
-    xs, ys, bs = [], [], []
-    for s in range(S):
-        pos = lens[s] > 0.0
-        if not pos.any():  # a one-point domain
-            xs.append(np.array([a]))
-            ys.append(val[s:s + 1].copy())
-            bs.append(np.zeros(1))
-            continue
-        xk, yk, bk = x[s][pos], y[s][pos], slopes[s][pos]
-        keep = np.ones(bk.size, bool)
-        keep[1:] = bk[1:] != bk[:-1]  # equal slopes lie on one line
-        xs.append(xk[keep])
-        ys.append(yk[keep])
-        bs.append(bk[keep])
-    return TailCuts(a, b, tuple(xs), tuple(ys), tuple(bs))
+    return TailCuts(a, b, *_tail_pieces(a, val, slopes, lens))
+
+
+def _tail_pieces(a: float, val: np.ndarray, slopes: np.ndarray,
+                 lens: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Close :func:`tail_value_functions`: ``W`` of each scenario (row)
+    starts at ``a`` with value ``val`` and runs through pieces of the
+    given slopes and lengths.  Returns, per scenario, the start, start
+    value and slope of each piece of positive length, one line per run
+    of equal slopes.  A row with no such piece has a one-point domain
+    and gets the single piece (a, val, 0)."""
+    S = len(val)
+    pos = lens > 0.0
+    # the one-point piece is a last column, kept only where a row has none
+    x = np.column_stack([a + _before(lens), np.full(S, a)])
+    y = np.column_stack([val[:, None] + _before(slopes * lens), val])
+    slopes = np.column_stack([slopes, np.zeros(S)])
+    r, c = np.nonzero(np.column_stack([pos, ~pos.any(axis=1)]))
+    b = slopes[r, c]
+    keep = np.ones(r.size, bool)
+    keep[1:] = (b[1:] != b[:-1]) | (r[1:] != r[:-1])
+    r, c = r[keep], c[keep]
+    ends = np.cumsum(np.bincount(r, minlength=S)).tolist()
+    spans = list(zip([0, *ends[:-1]], ends))
+
+    def per_scenario(v: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(v[i:j] for i, j in spans)
+
+    return per_scenario(x[r, c]), per_scenario(y[r, c]), per_scenario(slopes[r, c])
 
 
 class ModeRounding:

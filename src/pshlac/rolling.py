@@ -110,7 +110,12 @@ class ScenarioProvider(Protocol):
 
 
 class PipelineProvider:
-    """Scenario provider backed by a fitted forecast pipeline."""
+    """Scenario provider backed by a fitted forecast pipeline.
+
+    A set depends only on its origin and the prices observed before it,
+    so each one is drawn once and served again to every variant that
+    asks with the same origin and the same observed prefix.
+    """
 
     def __init__(self, pipeline, day_da: Mapping[str, Sequence[float]], horizon_end: int,
                  count: int, seed: int):
@@ -119,11 +124,17 @@ class PipelineProvider:
         self.horizon_end = horizon_end
         self.count = count
         self.seed = seed
+        self._sets: dict[tuple, PriceScenarioSet] = {}
 
     def full_set(self, t0, observed_rt):
-        return self.pipeline.scenario_set(
-            t0, observed_rt, self.day_da, self.horizon_end, self.count, self.seed
-        )
+        key = (t0, tuple((node, tuple(series[:t0])) for node, series in sorted(observed_rt.items())))
+        if key not in self._sets:
+            scn = self.pipeline.scenario_set(
+                t0, observed_rt, self.day_da, self.horizon_end, self.count, self.seed
+            )
+            scn.prices.flags.writeable = False  # shared by every caller of this key
+            self._sets[key] = scn
+        return self._sets[key]
 
     def point_set(self, t0, observed_rt):
         return self.pipeline.point_set(t0, observed_rt, self.day_da, self.horizon_end)

@@ -246,6 +246,60 @@ def covariance_by_definition(samples: Sequence[Sequence[float]], lam: float) -> 
     return sigma
 
 
+def forecast_by_full_recursion(spec, history: Sequence[float], exog_future: np.ndarray | None,
+                               exog_history: np.ndarray | None, steps: int) -> np.ndarray:
+    """ARIMAX multi-step forecast carried over the whole history as lists.
+
+    Differences the levels and the regressors ``d`` times (the future
+    regressors across the history's end), recovers every innovation of
+    the history by the conditional recursion (the first ``p`` stay
+    zero), then runs the forecast recursion with future innovations
+    zero, reading any lag before the history's start as 0.0, and sums
+    the result back to levels ``d`` times.
+    """
+    p, d, q = spec.p, spec.d, spec.q
+    phi, theta, beta = np.asarray(spec.phi), np.asarray(spec.theta), np.asarray(spec.beta)
+    levels = np.asarray(history, dtype=float)
+    y = levels
+    for _ in range(d):
+        y = np.diff(y)
+    Xf = Xh = None
+    if exog_history is not None:
+        Xh = np.asarray(exog_history, dtype=float).reshape(len(levels), -1)
+    if exog_future is not None:
+        Xf = np.asarray(exog_future, dtype=float).reshape(len(exog_future), -1)
+        if d:
+            Xf = np.diff(np.vstack([Xh[-d:], Xf]), n=d, axis=0)
+    eps = [0.0] * len(y)
+    if q and len(y):
+        xb = np.diff(Xh, n=d, axis=0) @ beta if len(beta) else np.zeros(len(y))
+        for t in range(p, len(y)):
+            pred = xb[t]
+            for i in range(p):
+                pred += phi[i] * y[t - 1 - i]
+            for j in range(min(q, t)):
+                pred += theta[j] * eps[t - 1 - j]
+            eps[t] = y[t] - pred
+    yy, ee = list(y), list(eps)
+    out = np.empty(steps)
+    for h in range(steps):
+        t = len(yy)
+        pred = float(beta @ Xf[h]) if len(beta) else 0.0
+        for i in range(p):
+            pred += phi[i] * (yy[t - 1 - i] if t - 1 - i >= 0 else 0.0)
+        for j in range(q):
+            pred += theta[j] * (ee[t - 1 - j] if t - 1 - j >= 0 else 0.0)
+        yy.append(pred)
+        ee.append(0.0)
+        out[h] = pred
+    for k in range(d):
+        base = levels
+        for _ in range(d - 1 - k):
+            base = np.diff(base)
+        out = (base[-1] if len(base) else 0.0) + np.cumsum(out)
+    return out
+
+
 def quantile_by_branches(levels: Sequence[float], values: Sequence[float], w: float, cap_iqrs: float) -> float:
     """Scalar inverse of a piecewise-linear quantile curve, one branch per case.
 

@@ -596,7 +596,9 @@ def test_08_reruns_are_byte_identical_and_causal(synth_setup, tmp_path):
     )
     with verdict(8):
         a = run_day(day.system, day.market_day, Variant.STOCHASTIC, provider, ctl)
-        b = run_day(day.system, day.market_day, Variant.STOCHASTIC, provider, ctl)
+        # a provider keeps the sets it drew, so the rerun gets its own
+        fresh = PipelineProvider(pipe, day.market_day.da_lmp, cfg.horizon, 6, seed=5)
+        b = run_day(day.system, day.market_day, Variant.STOCHASTIC, fresh, ctl)
         pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         a.to_jsonl(pa)
         b.to_jsonl(pb)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from pshlac.forecast import (
     DEFAULT_LEVELS,
     PIT_EPS,
     TAIL_IQR_CAP,
+    ArimaxSpec,
     CovarianceTracker,
     EstimationError,
     ForecastConfig,
     ForecastPipeline,
     NumericalError,
     QuantileCurve,
+    QuantileTable,
     _cholesky_with_jitter,
     fit_arimax,
     fit_quantiles,
@@ -27,7 +31,15 @@ from pshlac.forecast import (
     update_covariance,
 )
 
-from oracle_tools import covariance_by_definition, probit_bisect, quantile_by_branches, scenarios_by_element
+from pshlac.synth import SynthConfig, make_history
+
+from oracle_tools import (
+    covariance_by_definition,
+    forecast_by_full_recursion,
+    probit_bisect,
+    quantile_by_branches,
+    scenarios_by_element,
+)
 
 
 # -- ARIMAX estimation -------------------------------------------------------
@@ -141,6 +153,24 @@ def test_predict_point_requires_exog_when_fitted_with_it():
         predict_point(spec, y, steps=3)
     with pytest.raises(ValueError, match="shorter"):
         predict_point(spec, y, exog_future=np.ones(2), steps=3)
+
+
+def test_predict_point_matches_the_full_history_recursion():
+    # the forecast reads only the last p levels and q innovations; over
+    # every small order, with 0-2 regressors, the full-history recursion
+    # gives the same forecast to the bit, also when the (differenced)
+    # history is shorter than p
+    rng = np.random.default_rng(17)
+    steps = 6
+    for p, d, q, n_exog, n in product(range(4), range(3), range(3), range(3), (2, 40)):
+        spec = ArimaxSpec(p, d, q, tuple(rng.uniform(-0.6, 0.6, p)), tuple(rng.uniform(-0.5, 0.5, q)),
+                          tuple(rng.uniform(-1.0, 1.0, n_exog)), 1.0)
+        y = np.cumsum(rng.normal(size=n)) + 20.0
+        Xh = rng.normal(size=(n, n_exog)) if n_exog else None
+        Xf = rng.normal(size=(steps, n_exog)) if n_exog else None
+        got = predict_point(spec, y, exog_future=Xf, steps=steps, exog_history=Xh)
+        expect = forecast_by_full_recursion(spec, y, Xf, Xh, steps)
+        assert np.array_equal(got, expect), (p, d, q, n_exog, n)
 
 
 # -- quantile curves and transforms -----------------------------------------
@@ -403,6 +433,68 @@ def test_array_quantile_equals_scalar_calls():
         assert c.quantile(grid).shape == grid.shape
 
 
+def _mixed_grid_curves():
+    # three level grids interleaved over eight hours, with flat stretches
+    # (tied values) inside, at the edges and across a whole curve
+    fine = DEFAULT_LEVELS
+    coarse = (0.1, 0.3, 0.5, 0.7, 0.9)
+    wide = (0.02, 0.5, 0.98)
+    return [
+        QuantileCurve(fine, tuple(10.0 * a for a in fine)),
+        QuantileCurve(coarse, (-4.0, -1.0, -1.0, 2.0, 2.0)),
+        QuantileCurve(wide, (-50.0, 0.0, 75.0)),
+        QuantileCurve(fine, tuple(float(min(max(round(20 * a), 4), 15)) for a in fine)),
+        QuantileCurve(coarse, (-2.0, -2.0, 0.5, 3.0, 1e4)),
+        QuantileCurve(wide, (1.0, 1.0, 1.0)),
+        QuantileCurve(coarse, (0.0, 1.0, 2.0, 3.0, 4.0)),
+        QuantileCurve(fine, tuple(-1e3 + (2e3 if a > 0.5 else 0.0) + a for a in fine)),
+    ]
+
+
+def test_stacked_quantile_map_equals_each_curve_on_mixed_grids():
+    curves = _mixed_grid_curves()
+    table = QuantileTable(curves)
+    rng = np.random.default_rng(11)
+    # every column sees random levels, each of its own curve's levels and
+    # those of the other grids, 0 and 1, and points just inside the edges
+    on_levels = sorted({x for c in curves for x in c.levels})
+    fixed = on_levels + [0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5]
+    w = np.vstack([rng.uniform(size=(300, len(curves))),
+                   np.repeat(np.array(fixed)[:, None], len(curves), axis=1)])
+    got = table.quantile(w)
+    per_curve = np.column_stack([c.quantile(w[:, k]) for k, c in enumerate(curves)])
+    assert np.array_equal(got, per_curve)
+    for k, c in enumerate(curves):
+        assert got[:, k].tolist() == [quantile_by_branches(c.levels, c.values, x, TAIL_IQR_CAP)
+                                      for x in w[:, k].tolist()]
+    # a shorter horizon maps through the leading curves; more columns
+    # than curves is an error
+    assert np.array_equal(table.quantile(w[:, :5]), got[:, :5])
+    assert np.array_equal(table.quantile(w[:40].reshape(4, 10, -1)), got[:40].reshape(4, 10, -1))
+    with pytest.raises(ValueError, match="9 columns"):
+        table.quantile(np.full((2, 9), 0.5))
+
+
+def test_generate_scenarios_takes_a_prebuilt_table():
+    curves = _mixed_grid_curves()
+    H = len(curves)
+    point = {"n1": [float(h) for h in range(H)]}
+    trk = _correlated_trackers(H)["n1"]
+    a = generate_scenarios(point, {"n1": curves}, trk, 50, (3, 1), start_hour=1)
+    b = generate_scenarios(point, {"n1": QuantileTable(curves)}, trk, 50, (3, 1), start_hour=1)
+    assert np.array_equal(a.prices, b.prices)
+
+
+def test_tracker_factors_each_horizon_once():
+    trk = _correlated_trackers(6)["n1"]
+    with pytest.raises(ValueError):
+        trk.sigma[0, 0] = 1.0  # read-only, so a kept factor cannot go stale
+    for H in (6, 3):
+        L = trk.factor(H)
+        assert trk.factor(H) is L
+        assert np.array_equal(L, _cholesky_with_jitter(np.array(trk.sigma[:H, :H])))
+
+
 def test_generate_scenarios_guards():
     point, curves, trk = _sampling_inputs()
     with pytest.raises(ValueError, match="at least one"):
@@ -479,3 +571,25 @@ def test_pipeline_diagnostics_reports_per_day_pits(fitted_pipeline):
     assert d["n_pits"] == 12
     assert 0.0 <= d["coverage_90"] <= 1.0
     assert 0.0 <= d["ks_pvalue"] <= 1.0
+
+
+def test_seed_11_sets_keep_their_digest():
+    # the point forecasts and S=200 sets of the seed-11 pipeline, fitted
+    # on 90 days, for held-out day 90 at three origins, pinned as SHA-256
+    # prefixes of their float64 bytes.  A sampler change that keeps every
+    # draw keeps these; one that changes the draws (such as scaling the
+    # copula's covariance to unit diagonal) re-pins them on purpose.  The
+    # bytes depend on numpy's and the BLAS's arithmetic on this platform.
+    H = 24
+    history = make_history(SynthConfig(seed=11, history_days=91))
+    pipe = ForecastPipeline(ForecastConfig()).fit(
+        {n: (rt[:90 * H], da[:90 * H]) for n, (rt, da) in history.items()})
+    rt = {n: rt[90 * H:] for n, (rt, da) in history.items()}
+    da = {n: da[90 * H:] for n, (rt, da) in history.items()}
+    digests = {}
+    for t0 in (0, 9, 20):
+        h = hashlib.sha256()
+        h.update(pipe.point_set(t0, rt, da, H).prices.tobytes())
+        h.update(pipe.scenario_set(t0, rt, da, H, 200, 11).prices.tobytes())
+        digests[t0] = h.hexdigest()[:16]
+    assert digests == {0: "43fd9dc6e55ecc57", 9: "db385eb3df9cd9ff", 20: "27fa5f29549c6723"}

@@ -10,6 +10,7 @@ from pshlac.milp import (
     BRANCH_AND_BOUND,
     CONTINUOUS,
     EQ,
+    FEASIBLE,
     FROM_LP,
     GE,
     INFEASIBLE,
@@ -151,6 +152,31 @@ def test_time_limit_without_incumbent():
     assert sol.status == TIME_LIMIT
     assert sol.values is None and sol.objective is None and sol.gap is None
     assert not sol.ok
+
+
+def _stable_set(n=120, p=0.5, seed=0):
+    """Maximum stable set of a G(n, p) random graph: one binary per
+    vertex, one row x_i + x_j <= 1 per edge.  The empty set is feasible,
+    so HiGHS finds an incumbent at once, but closing the gap on n=120
+    takes far longer than a second."""
+    rng = np.random.default_rng(seed)
+    m = MilpModel()
+    xs = m.add_vars([f"x{i}" for i in range(n)], obj=-1.0, kind=BINARY, tag="test")
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    m.add_rows([f"e{i}_{j}" for i, j in edges], np.arange(0, 2 * len(edges) + 1, 2),
+               xs[np.ravel(edges)], np.ones(2 * len(edges)), LE, 1.0, tag="test")
+    return m, edges
+
+
+def test_time_limit_with_incumbent_reports_feasible():
+    m, edges = _stable_set()
+    sol = solve(m, SolveOptions(gap_tol=1e-9, time_limit=1.0))
+    assert sol.status == FEASIBLE and sol.ok
+    assert sol.incumbent == BRANCH_AND_BOUND
+    assert sol.gap > 1e-9  # stopped short of the requested gap
+    chosen = {i for i in range(len(sol.values)) if sol.binary_value(i) == 1}
+    assert all(not (i in chosen and j in chosen) for i, j in edges)
+    assert sol.objective == -len(chosen)
 
 
 def test_milp_solve_reports_nodes():

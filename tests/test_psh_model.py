@@ -15,9 +15,11 @@ from pshlac.psh_model import (
     add_soc_dynamics,
     create_psh_block,
     fix_block_to_schedule,
+    _tail_pieces,
     soc_step,
     tail_value_functions,
 )
+from pshlac import psh_model
 
 from oracle_tools import tail_lp
 
@@ -391,3 +393,70 @@ def test_slope_at_a_breakpoint_is_the_slope_to_its_left():
     assert [cuts.slope_at(0, e) for e in (5.0, 7.0, 10.0, 10.0 + 1e-12, 25.0, 40.0)] == [
         120.0, 120.0, 120.0, 120.0, 15.0, 15.0]
     assert [cuts.value(0, e) for e in (5.0, 10.0, 40.0)] == [-600.0, 0.0, 450.0]
+
+
+def _pieces_by_loop(a, val, slopes, lens):
+    """The per-scenario pieces of ``_tail_pieces`` one scenario at a time:
+    positive lengths only, equal neighbouring slopes merged, and a
+    one-point domain as the single piece (a, val, 0)."""
+    before = lambda m: np.concatenate([np.zeros((len(m), 1)), np.cumsum(m[:, :-1], axis=1)], axis=1)
+    x = a + before(lens)
+    y = val[:, None] + before(slopes * lens)
+    xs, ys, bs = [], [], []
+    for s in range(len(val)):
+        pos = lens[s] > 0.0
+        if not pos.any():
+            xs.append(np.array([a]))
+            ys.append(val[s:s + 1].copy())
+            bs.append(np.zeros(1))
+            continue
+        xk, yk, bk = x[s][pos], y[s][pos], slopes[s][pos]
+        keep = np.ones(bk.size, bool)
+        keep[1:] = bk[1:] != bk[:-1]
+        xs.append(xk[keep])
+        ys.append(yk[keep])
+        bs.append(bk[keep])
+    return tuple(xs), tuple(ys), tuple(bs)
+
+
+def _same_pieces(got, expect):
+    return all(len(g) == len(e) and all(np.array_equal(gi, ei) and gi.dtype == ei.dtype for gi, ei in zip(g, e))
+               for g, e in zip(got, expect))
+
+
+def test_tail_pieces_equal_the_loop_over_scenarios(monkeypatch):
+    # crafted rows: a one-point row among others, rows whose equal slopes
+    # are split by a zero-length piece, and a row with a zero slope
+    a = 3.0
+    val = np.array([10.0, -2.0, 0.0, 5.0])
+    slopes = np.array([[9.0, 4.0, 4.0, 1.0], [7.0, 7.0, 7.0, 0.0], [5.0, 3.0, 3.0, 3.0], [6.0, 6.0, 2.0, 0.0]])
+    lens = np.array([[2.0, 0.0, 1.5, 3.0], [0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 4.0], [1.0, 0.0, 2.0, 5.0]])
+    assert _same_pieces(_tail_pieces(a, val, slopes, lens), _pieces_by_loop(a, val, slopes, lens))
+    # a whole set of one-point domains
+    zero = np.zeros((3, 4))
+    assert _same_pieces(_tail_pieces(a, val[:3], slopes[:3], zero), _pieces_by_loop(a, val[:3], slopes[:3], zero))
+
+    # and the inputs of real tails: tied prices merge slopes, a target on
+    # the reach boundary leaves a one-point domain
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return _tail_pieces(*args)
+
+    monkeypatch.setattr(psh_model, "_tail_pieces", spy)
+    units = [_unit(id="a", eta_gen=0.9, eta_pump=0.87, gen_max=18.0, pump_max=12.0),
+             _unit(id="b", eta_gen=0.6, eta_pump=0.75, gen_max=7.0, pump_max=15.0)]
+    res = _res(e_min=0.0, e_max=60.0, member_units=("a", "b"))
+    rng = np.random.default_rng(5)
+    for end_soc in ("fix", "relax"):
+        for hours in (1, 2, 4):
+            prices = rng.choice([0.0, 12.5, 30.0], size=(40, 2, hours))
+            assert tail_value_functions(res, units, prices, 30.0, end_soc) is not None
+    point = tail_value_functions(_res(e_min=0.0, e_max=40.0), [_unit(pump_max=0.0, gen_max=0.0)],
+                                 np.full((3, 1, 2), 30.0), 10.0)
+    assert (point.lo, point.hi) == (10.0, 10.0)
+    assert len(seen) == 7
+    for args in seen:
+        assert _same_pieces(_tail_pieces(*args), _pieces_by_loop(*args))
+

@@ -10,6 +10,7 @@ from pshlac.lac_models import ConfigurationError, Variant
 from pshlac.milp import FEASIBLE, INFEASIBLE, OPTIMAL, MilpModel, SolveOptions, infeasibility_report, solve
 from pshlac.rolling import (
     FrozenSetProvider,
+    PipelineProvider,
     RunControl,
     SimulationLedger,
     WindowInfeasibleError,
@@ -75,6 +76,47 @@ def replace_start(scn, start_hour):
     from pshlac.core import PriceScenarioSet
 
     return PriceScenarioSet(scn.nodes, start_hour, scn.prices[:, :, : 4 - start_hour], scn.weights)
+
+
+class _CountingPipeline:
+    """A stand-in forecast pipeline: records each ``scenario_set`` call
+    and prices hour t of a set at t plus the sum of the observed prefix."""
+
+    def __init__(self):
+        self.calls = []
+
+    def scenario_set(self, t0, day_rt, day_da, horizon_end, count, seed):
+        self.calls.append((t0, {n: tuple(v) for n, v in day_rt.items()}))
+        base = sum(day_rt[NODE][:t0])
+        return full_set_for_day([[base + t for t in range(1, horizon_end + 1)]] * count).slice_hours(t0 + 1)
+
+
+def test_pipeline_provider_draws_each_origin_and_prefix_once():
+    pipe = _CountingPipeline()
+    prov = PipelineProvider(pipe, {NODE: (20.0, 20.0, 20.0)}, 3, 2, seed=0)
+    a = prov.full_set(1, {NODE: (5.0,)})
+    assert prov.full_set(1, {NODE: (5.0,)}) is a
+    # prices from the origin on are not part of what the set depends on
+    assert prov.full_set(1, {NODE: (5.0, 7.0)}) is a
+    assert len(pipe.calls) == 1
+    # another observed prefix or origin is another draw
+    b = prov.full_set(1, {NODE: (6.0,)})
+    c = prov.full_set(2, {NODE: (5.0, 7.0)})
+    assert len(pipe.calls) == 3
+    assert b.prices[0, 0, 0] == 8.0 and c.prices[0, 0, 0] == 15.0
+    # a served set is shared, so it cannot be written to
+    with pytest.raises(ValueError):
+        a.prices[0, 0, 0] = 0.0
+
+
+def test_scenario_variants_of_one_day_share_the_drawn_sets(toy_day):
+    system, day, da = toy_day
+    pipe = _CountingPipeline()
+    prov = PipelineProvider(pipe, day.da_lmp, system.grid.horizon_end, 2, seed=0)
+    for v in (Variant.STOCHASTIC, Variant.ROBUST):
+        run_day(system, day, v, prov, CONTROL, da)
+    # one window (t1=1) of the 3-hour day prices a tail: origin 0, drawn once
+    assert [t0 for t0, _ in pipe.calls] == [0]
 
 
 # -- the fix-and-slide loop --------------------------------------------------
