@@ -18,28 +18,20 @@ from .lac_models import (
     LacInstance,
     ModelConfig,
     Variant,
-    build_perfect,
+    build_variant,
     da_reference_from_system,
 )
 from .milp import TIME_LIMIT, MilpModel, MilpSolution, SolveOptions, infeasibility_report, solve
 from .rolling import SimulationLedger
-
-VARIANT_ORDER = tuple(v.value for v in (
-    Variant.CURRENT_PRACTICE,
-    Variant.PERFECT,
-    Variant.DETERMINISTIC,
-    Variant.STOCHASTIC,
-    Variant.ROBUST,
-))
-
 
 class AccountingError(RuntimeError):
     pass
 
 
 def _variant_sort_key(name: str):
+    """Variants in the order of :class:`Variant`, then other labels by name."""
     try:
-        return (0, VARIANT_ORDER.index(name))
+        return (0, list(Variant).index(name))
     except ValueError:
         return (1, name)
 
@@ -79,7 +71,7 @@ def full_day_resolve(
         {r.id: float(r.e_initial) for r in system.reservoirs},
         {u.id: u.initial_mode for u in system.psh_units},
     )
-    model = build_perfect(inst, cfg)
+    model = build_variant(Variant.PERFECT, inst, cfg)
     det = model.meta["det_block"]
 
     for u in system.psh_units:

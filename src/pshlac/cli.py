@@ -223,24 +223,22 @@ def _holdout_diagnostics(history, fc_cfg: ForecastConfig, seed: int) -> dict:
     return probe.diagnostics(test, seed=seed)
 
 
-_VARIANTS = tuple(v.value for v in Variant)
-
-
 def _parse_variants(raw: list[str] | None, cfg: RunConfig) -> list[Variant]:
     if not raw:
-        names = [cfg.variant] if cfg.variant != "all" else list(_VARIANTS)
+        names = [cfg.variant]
     else:
         names = []
         for item in raw:
             names.extend(x.strip() for x in item.split(",") if x.strip())
-        if names == ["all"]:
-            names = list(_VARIANTS)
+    if names == ["all"]:
+        return list(Variant)
     out = []
     for name in names:
         try:
             out.append(Variant(name))
         except ValueError:
-            raise CliError(f"unknown variant {name!r}; choose from {', '.join(_VARIANTS)} or 'all'")
+            choices = ", ".join(v.value for v in Variant)
+            raise CliError(f"unknown variant {name!r}; choose from {choices} or 'all'")
     return out
 
 

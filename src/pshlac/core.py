@@ -31,6 +31,14 @@ class PshMode(str, Enum):
 
 MODES = (PshMode.OFF.value, PshMode.GEN.value, PshMode.PUMP.value)
 
+# solver values smaller than this in magnitude are recorded as zero
+ZERO_TOL = 1e-9
+
+
+def snap_zero(v: float) -> float:
+    """``v`` as a float, or 0.0 when it lies within ``ZERO_TOL`` of zero."""
+    return 0.0 if abs(v) < ZERO_TOL else float(v)
+
 
 @dataclass(frozen=True)
 class TimeGrid:

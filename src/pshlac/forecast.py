@@ -303,23 +303,17 @@ class QuantileCurve:
         q = self._table.quantile(w[..., None])[..., 0]
         return float(q) if q.ndim == 0 else q
 
-    def cdf(self, x: float) -> float:
-        L = self.levels
-        V = np.asarray(self.values)
-        _, lo_slope, hi_slope = self._tails
-        if x < V[0]:
-            if lo_slope <= 0:
-                return 0.0
-            return max(L[0] - (V[0] - x) / lo_slope, 0.0)
-        if x > V[-1]:
-            if hi_slope <= 0:
-                return 1.0
-            return min(L[-1] + (x - V[-1]) / hi_slope, 1.0)
-        lo = int(np.searchsorted(V, x, side="left"))
-        hi = int(np.searchsorted(V, x, side="right"))
-        if lo < hi:  # exact hit, possibly on a flat stretch
-            return (L[lo] + L[hi - 1]) / 2.0
-        return L[lo - 1] + (L[lo] - L[lo - 1]) * (x - V[lo - 1]) / (V[lo] - V[lo - 1])
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """The curve's level at value(s) ``x``, scalar or array.
+
+        Between values the level interpolates linearly; a value hit
+        exactly, possibly on a flat stretch, gets the middle of the
+        levels that reach it.  Beyond the outer values the edge slopes
+        extend the levels, clamped to [0, 1]; a flat edge jumps there.
+        """
+        x = np.asarray(x, dtype=float)
+        w = self._table.cdf(x[..., None])[..., 0]
+        return float(w) if w.ndim == 0 else w
 
 
 class _LevelGroup:
@@ -350,15 +344,39 @@ class _LevelGroup:
         q = np.where(w <= L[0], V[:n, 0] - np.minimum(self.lo_slope[:n] * (L[0] - w), self.cap[:n]), q)
         return np.where(w >= L[-1], V[:n, -1] + np.minimum(self.hi_slope[:n] * (w - L[-1]), self.cap[:n]), q)
 
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        """Map ``x`` (..., n), column k through the inverse of curve k,
+        as :meth:`QuantileCurve.cdf` documents."""
+        L = self.levels
+        n = x.shape[-1]
+        V = self.values[:n]
+        rows = np.arange(n)
+        # searchsorted on each curve's non-decreasing values, left and right
+        lo = np.count_nonzero(V < x[..., None], axis=-1)
+        hi = np.count_nonzero(V <= x[..., None], axis=-1)
+        # the branches not taken may divide by zero; np.where drops them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.maximum(lo - 1, 0)
+            b = np.minimum(lo, len(L) - 1)
+            w = np.where(lo < hi, (L[b] + L[np.maximum(hi - 1, 0)]) / 2.0,
+                         L[a] + (L[b] - L[a]) * (x - V[rows, a]) / (V[rows, b] - V[rows, a]))
+            lo_slope, hi_slope = self.lo_slope[:n], self.hi_slope[:n]
+            above = np.where(hi_slope <= 0, 1.0, np.minimum(L[-1] + (x - V[:, -1]) / hi_slope, 1.0))
+            below = np.where(lo_slope <= 0, 0.0, np.maximum(L[0] - (V[:, 0] - x) / lo_slope, 0.0))
+        w = np.where(x > V[:, -1], above, w)
+        return np.where(x < V[:, 0], below, w)
+
 
 class QuantileTable:
     """A sequence of quantile curves, one per look-ahead hour, stacked
-    once so that levels for many hours map in one call.
+    once so that levels (:meth:`quantile`) or values (:meth:`cdf`) for
+    many hours map in one call.
 
     Curves are grouped by level grid; within a group, one
-    ``searchsorted`` on the shared levels finds every segment.  The
-    result equals each curve's own :meth:`QuantileCurve.quantile` to
-    the bit, which is this map on a table of one curve.
+    ``searchsorted`` on the shared levels finds every segment of the
+    quantile map, and one comparison with the value table every segment
+    of the CDF.  :meth:`QuantileCurve.quantile` and
+    :meth:`QuantileCurve.cdf` are these maps on a table of one curve.
     """
 
     def __init__(self, curves: Sequence[QuantileCurve]):
@@ -371,18 +389,27 @@ class QuantileTable:
     def __len__(self) -> int:
         return self.size
 
-    def quantile(self, w: np.ndarray) -> np.ndarray:
-        """Map ``w`` of shape (..., H), H at most the table's length,
-        column k through curve k."""
-        H = w.shape[-1]
+    def _by_group(self, fn, a: np.ndarray) -> np.ndarray:
+        """``fn`` of each level group on its columns of ``a`` (..., H)."""
+        H = a.shape[-1]
         if H > self.size:
-            raise ValueError(f"{H} columns of levels for {self.size} curves")
-        out = np.empty_like(w)
+            raise ValueError(f"{H} columns for {self.size} curves")
+        out = np.empty_like(a)
         for g in self._groups:
             pos = g.positions[: np.searchsorted(g.positions, H)]
             if pos.size:
-                out[..., pos] = g.quantile(w[..., pos])
+                out[..., pos] = fn(g, a[..., pos])
         return out
+
+    def quantile(self, w: np.ndarray) -> np.ndarray:
+        """Map levels ``w`` of shape (..., H), H at most the table's
+        length, column k through curve k."""
+        return self._by_group(_LevelGroup.quantile, w)
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        """Map values ``x`` of shape (..., H), H at most the table's
+        length, column k through the inverse of curve k."""
+        return self._by_group(_LevelGroup.cdf, x)
 
 
 def fit_quantiles(
@@ -612,11 +639,13 @@ class ForecastPipeline:
                 )
                 resid[k - 1] = rt[o : o + cfg.horizon] - fc
             curves = fit_quantiles(resid.T, cfg.levels)
+            table = QuantileTable(curves)
+            # every day's PIT in one call, then the probit map
+            z = ndtri(np.clip(table.cdf(resid), PIT_EPS, 1.0 - PIT_EPS))
             tracker = CovarianceTracker.identity(cfg.horizon, cfg.lam)
-            for row in resid:
-                x = [probit(pit_transform(row[h], curves[h])) for h in range(cfg.horizon)]
+            for x in z:
                 tracker = update_covariance(tracker, x)
-            self._nodes[node] = _NodeModel(spec, curves, QuantileTable(curves), tracker, rt, da)
+            self._nodes[node] = _NodeModel(spec, curves, table, tracker, rt, da)
         return self
 
     def _require(self, node: str) -> _NodeModel:

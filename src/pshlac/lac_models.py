@@ -1,21 +1,25 @@
-"""Window model builders for the benchmark variants.
+"""The window model of each benchmark variant, from one builder.
 
-All variants share one in-window structure: thermal units at their
+:func:`build_variant` builds every window.  All variants share one
+in-window structure (:func:`_base_window_model`): thermal units at their
 day-ahead commitment with convex dispatch cost, pumped-storage units
 free to re-commit, a system power balance with value-of-lost-load
 slacks, and reservoir dynamics.  A window cannot move a thermal
 commitment, so it has no column for one: the plan bounds each unit's
 output to ``[c*p_min, c*p_max]``, and its no-load and start-up charges
 are the model's objective constant (:func:`_add_thermal_dispatch`; the
-settlement pins the ledger's commitments the same way).  The variants
-differ in how hours after the window are valued:
+settlement builds a ``perfect`` window over the whole day with the
+ledger's commitments pinned the same way).  The variants differ only
+in how hours after the window are valued, which is the finish
+:func:`build_variant` adds:
 
 * ``current_practice``  PSH pinned to the day-ahead schedule, no view
   beyond the window
 * ``perfect``           a window that reaches the end of the day, so
   realized load covers every remaining hour and no price proxy is needed
 * ``deterministic``     a single point-forecast trajectory prices the
-  post-window net sales of each PSH unit
+  post-window net sales of each PSH unit: the stochastic model at one
+  scenario
 * ``stochastic``        the expectation of that revenue over a scenario
   set
 * ``robust``            the worst case over scenarios of the revenue
@@ -52,6 +56,7 @@ from .core import (
     PshUnit,
     ThermalUnit,
     TimeGrid,
+    snap_zero,
 )
 from .milp import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, MilpSolution, Tag
 from .psh_model import (
@@ -361,14 +366,14 @@ class ScenarioTails:
         return tuple(out)
 
 
-def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
-               weights: Sequence[float] | None) -> None:
+def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig, robust: bool) -> None:
     """Price the post-window hours of every scenario.
 
-    With ``weights`` a tail counts by its weighted revenue, the expected
-    value (stochastic; deterministic at weight 1).  With ``None`` it
-    counts by the worst case over scenarios of the shortfall against the
-    day-ahead position, one ``w_risk.<res>`` per reservoir (robust).  Per
+    By default a tail counts by its revenue at the set's weights, the
+    expected value (stochastic; deterministic at its one trajectory).
+    ``robust``, it counts by the worst case over scenarios of the
+    shortfall against the day-ahead position, one ``w_risk.<res>`` per
+    reservoir.  Per
     reservoir and scenario whose tail has no mode cell, each piece
     ``(x_k, y_k, b_k)`` of ``V_s`` on the edge column ``e`` gives
 
@@ -386,6 +391,7 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
     scn = instance.scenario_set
     if scn is None or scn.prices.shape[2] == 0:
         return
+    weights = None if robust else scn.weights
     sys = instance.system
     units = sys.psh_units
     te = model.meta["window_hours"][-1]
@@ -475,88 +481,44 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig,
     )
 
 
-def build_stochastic(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpModel:
-    """Two-stage window model maximizing expected post-window net sales."""
-    cfg = cfg or ModelConfig()
-    _validate_instance(instance, need_scenarios=True)
-    model = _base_window_model("stochastic", instance, cfg, True)
-    scn = instance.scenario_set
-    _add_tails(model, instance, cfg, scn.weights if scn is not None else ())
-    return model
-
-
-def build_deterministic(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpModel:
-    """Point-forecast model: one post-window trajectory valued at face
-    prices, the stochastic tail at one scenario of weight 1."""
-    cfg = cfg or ModelConfig()
-    win = instance.window
-    scn = instance.scenario_set
-    if win.window_end < win.horizon_end:
-        if scn is None or scn.count != 1:
-            raise ConfigurationError("deterministic variant expects exactly one scenario trajectory")
-    _validate_instance(instance, need_scenarios=True)
-    model = _base_window_model("deterministic", instance, cfg, True)
-    _add_tails(model, instance, cfg, (1.0,))
-    return model
-
-
-def build_robust(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpModel:
-    """Worst-case model: per reservoir, an epigraph variable bounds the
-    revenue shortfall of deviating from the day-ahead position in every
-    scenario."""
-    cfg = cfg or ModelConfig()
-    _validate_instance(instance, need_scenarios=True)
-    model = _base_window_model("robust", instance, cfg, True)
-    _add_tails(model, instance, cfg, None)
-    return model
-
-
-def build_perfect(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpModel:
-    """Full-information model: the instance's window must run from t1 to
-    the end of the day, with realized load over all of it."""
-    cfg = cfg or ModelConfig()
-    win = instance.window
-    if win.window_end < win.horizon_end:
-        raise ConfigurationError(
-            f"perfect variant needs a window through hour {win.horizon_end}, "
-            f"not one ending at hour {win.window_end}"
-        )
-    _validate_instance(instance, need_scenarios=False)
-    return _base_window_model("perfect", instance, cfg, False)
-
-
-def build_current_practice(instance: LacInstance, cfg: ModelConfig | None = None) -> MilpModel:
-    """Schedule-following benchmark: PSH pinned to the day-ahead plan."""
-    cfg = cfg or ModelConfig()
-    _validate_instance(instance, need_scenarios=False)
-    model = _base_window_model("current_practice", instance, cfg, False)
-    det: PshBlock = model.meta["det_block"]
-    for u in instance.system.psh_units:
-        gen = {t: instance.da.gen[u.id][t - 1] for t in instance.window.window_hours()}
-        pump = {t: instance.da.pump[u.id][t - 1] for t in instance.window.window_hours()}
-        try:
-            fix_block_to_schedule(model, det, u, gen, pump)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
-    return model
-
-
 def build_variant(
     variant: Variant,
     instance: LacInstance,
     cfg: ModelConfig | None = None,
 ) -> MilpModel:
+    """The window model of ``variant``: the shared in-window structure,
+    then the variant's finish (the module docstring lists them)."""
+    try:
+        variant = Variant(variant)
+    except ValueError:
+        raise ConfigurationError(f"unknown variant {variant!r}") from None
+    cfg = cfg or ModelConfig()
+    win = instance.window
+    scn = instance.scenario_set
+    if win.window_end < win.horizon_end:
+        if variant == Variant.PERFECT:
+            raise ConfigurationError(
+                f"perfect variant needs a window through hour {win.horizon_end}, "
+                f"not one ending at hour {win.window_end}"
+            )
+        if variant == Variant.DETERMINISTIC and (scn is None or scn.count != 1):
+            raise ConfigurationError("deterministic variant expects exactly one scenario trajectory")
+    with_scenarios = variant in SCENARIO_VARIANTS
+    _validate_instance(instance, need_scenarios=with_scenarios)
+    model = _base_window_model(variant.value, instance, cfg, with_scenarios)
     if variant == Variant.CURRENT_PRACTICE:
-        return build_current_practice(instance, cfg)
-    if variant == Variant.PERFECT:
-        return build_perfect(instance, cfg)
-    if variant == Variant.DETERMINISTIC:
-        return build_deterministic(instance, cfg)
-    if variant == Variant.STOCHASTIC:
-        return build_stochastic(instance, cfg)
-    if variant == Variant.ROBUST:
-        return build_robust(instance, cfg)
-    raise ConfigurationError(f"unknown variant {variant!r}")
+        det: PshBlock = model.meta["det_block"]
+        hours = win.window_hours()
+        for u in instance.system.psh_units:
+            gen = {t: instance.da.gen[u.id][t - 1] for t in hours}
+            pump = {t: instance.da.pump[u.id][t - 1] for t in hours}
+            try:
+                fix_block_to_schedule(model, det, u, gen, pump)
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from exc
+    elif with_scenarios:
+        _add_tails(model, instance, cfg, robust=variant == Variant.ROBUST)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +611,8 @@ def extract_da_reference(system: PowerSystem, model: MilpModel, solution: MilpSo
     gen = {}
     pump = {}
     for u in system.psh_units:
-        gen[u.id] = tuple(_clean(solution.value(det.q_gen[(u.id, t)])) for t in range(1, T + 1))
-        pump[u.id] = tuple(_clean(solution.value(det.q_pump[(u.id, t)])) for t in range(1, T + 1))
+        gen[u.id] = tuple(snap_zero(solution.value(det.q_gen[(u.id, t)])) for t in range(1, T + 1))
+        pump[u.id] = tuple(snap_zero(solution.value(det.q_pump[(u.id, t)])) for t in range(1, T + 1))
     commitment = {
         u.id: tuple(solution.binary_value(model.meta["thermal_u"][(u.id, t)]) for t in range(1, T + 1))
         for u in system.thermal_units
@@ -682,7 +644,3 @@ def da_reference_from_system(system: PowerSystem) -> DaReference:
         commitment={u.id: tuple(u.da_commitment) for u in system.thermal_units},
         end_soc={r.id: r.e_final_target for r in system.reservoirs},
     )
-
-
-def _clean(v: float, tol: float = 1e-9) -> float:
-    return 0.0 if abs(v) < tol else float(v)

@@ -24,6 +24,7 @@ from .core import (
     PriceScenarioSet,
     PshMode,
     TimeGrid,
+    snap_zero,
     validate_system,
 )
 from .lac_models import (
@@ -33,7 +34,6 @@ from .lac_models import (
     LacInstance,
     ModelConfig,
     Variant,
-    _clean,
     build_variant,
     da_reference_from_system,
 )
@@ -276,13 +276,13 @@ def _freeze_hour(
             if sol.binary_value(det.u[(u.id, m, t)]) == 1:
                 mode = m
         psh_mode[u.id] = mode
-        psh_gen[u.id] = _clean(sol.value(det.q_gen[(u.id, t)]))
-        psh_pump[u.id] = _clean(sol.value(det.q_pump[(u.id, t)]))
+        psh_gen[u.id] = snap_zero(sol.value(det.q_gen[(u.id, t)]))
+        psh_pump[u.id] = snap_zero(sol.value(det.q_pump[(u.id, t)]))
     thermal_commit = {}
     thermal_p = {}
     for u in system.thermal_units:
         thermal_commit[u.id] = int(model.meta["commitment"][u.id][t - 1])
-        thermal_p[u.id] = _clean(sol.value(model.meta["thermal_p"][(u.id, t)]))
+        thermal_p[u.id] = snap_zero(sol.value(model.meta["thermal_p"][(u.id, t)]))
     soc_after = {
         r.id: soc_step(system.psh_units, r, float(soc_in[r.id]), psh_gen, psh_pump,
                        system.grid.interval_hours)
@@ -297,8 +297,8 @@ def _freeze_hour(
         thermal_commit=thermal_commit,
         thermal_p=thermal_p,
         soc_after=soc_after,
-        slack_short=_clean(sol.value(sh)),
-        slack_surplus=_clean(sol.value(su)),
+        slack_short=snap_zero(sol.value(sh)),
+        slack_surplus=snap_zero(sol.value(su)),
     )
 
 

@@ -119,21 +119,19 @@ def make_system(cfg: SynthConfig | None = None) -> PowerSystem:
 def day_ahead_clear(
     system: PowerSystem,
     da_load: np.ndarray,
-    mcfg: ModelConfig | None = None,
     reserve_margin: float = 0.0,
 ) -> tuple[DaReference, tuple[float, ...]]:
     """Clear the day-ahead market: schedules from the commitment problem,
     prices from the balance duals with the commitment fixed."""
-    mcfg = mcfg or ModelConfig()
-    model = build_da_model(system, tuple(float(v) for v in da_load), mcfg, reserve_margin)
-    sol = solve(model, SolveOptions(gap_tol=mcfg.gap_tol, time_limit=mcfg.time_limit))
+    model = build_da_model(system, tuple(float(v) for v in da_load), ModelConfig(), reserve_margin)
+    sol = solve(model, SolveOptions())
     if not sol.ok:
         raise ConfigurationError(f"day-ahead clearing failed: {sol.status}")
     ref = extract_da_reference(system, model, sol)
     for i in model.binary_indices():
         v = sol.binary_value(i)
         model.set_var_bounds(i, v, v)
-    lp = solve(model, SolveOptions(time_limit=mcfg.time_limit))
+    lp = solve(model, SolveOptions())
     if not lp.ok:
         raise ConfigurationError(f"day-ahead pricing pass failed: {lp.status}")
     rows = model.meta["balance_rows"]

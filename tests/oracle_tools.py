@@ -318,6 +318,33 @@ def quantile_by_branches(levels: Sequence[float], values: Sequence[float], w: fl
     return float(np.interp(w, L, V))
 
 
+def cdf_by_branches(levels: Sequence[float], values: Sequence[float], x: float) -> float:
+    """Scalar level of a piecewise-linear quantile curve at value ``x``.
+
+    Beyond the outer values the edge slope extends the levels, clamped
+    to [0, 1], or jumps there when the edge is flat or falling; an exact
+    hit on the values, possibly a flat stretch, takes the middle of the
+    levels that reach it; otherwise linear interpolation between levels.
+    """
+    L = levels
+    V = np.asarray(values)
+    lo_slope = (values[1] - values[0]) / (L[1] - L[0])
+    hi_slope = (values[-1] - values[-2]) / (L[-1] - L[-2])
+    if x < V[0]:
+        if lo_slope <= 0:
+            return 0.0
+        return max(L[0] - (V[0] - x) / lo_slope, 0.0)
+    if x > V[-1]:
+        if hi_slope <= 0:
+            return 1.0
+        return min(L[-1] + (x - V[-1]) / hi_slope, 1.0)
+    lo = int(np.searchsorted(V, x, side="left"))
+    hi = int(np.searchsorted(V, x, side="right"))
+    if lo < hi:
+        return (L[lo] + L[hi - 1]) / 2.0
+    return L[lo - 1] + (L[lo] - L[lo - 1]) * (x - V[lo - 1]) / (V[lo] - V[lo - 1])
+
+
 def scenarios_by_element(
     point: Mapping[str, Sequence[float]],
     curves: Mapping[str, Sequence],

@@ -26,9 +26,6 @@ from pshlac.lac_models import (
     LacInstance,
     ModelConfig,
     Variant,
-    build_deterministic,
-    build_robust,
-    build_stochastic,
     build_variant,
     da_reference_from_system,
 )
@@ -223,7 +220,7 @@ def test_01_named_rows_match_hand_arithmetic():
         eta_gen=0.5, eta_pump=0.25,
         prices=((30.0,), (40.0,)), weights=(0.5, 0.5), da_gen=(0.0, 0.0, 10.0),
     )
-    m = build_robust(ws.instance, ws.cfg)
+    m = build_variant(Variant.ROBUST, ws.instance, ws.cfg)
 
     def check(name, coeffs, sense, rhs, model=m):
         for i in range(model.n_rows):
@@ -309,7 +306,7 @@ def test_01_named_rows_match_hand_arithmetic():
             eta_gen=0.5, eta_pump=0.25,
             prices=((-30.0,), (40.0,)), weights=(0.5, 0.5), da_gen=(0.0, 0.0, 10.0),
         )
-        mn = build_robust(neg.instance, neg.cfg)
+        mn = build_variant(Variant.ROBUST, neg.instance, neg.cfg)
         check("r_one_mode.ps1.t3.s0", {
             "u_off.ps1.t3.s0": 1.0, "u_gen.ps1.t3.s0": 1.0, "u_pump.ps1.t3.s0": 1.0,
         }, EQ, 1.0, mn)
@@ -330,7 +327,7 @@ def test_01_named_rows_match_hand_arithmetic():
 
         # a unit already generating enters hour 1 with u_gen[0] = 1
         running = window_setup(init_mode="gen", trans_gen=40.0, trans_pump=25.0)
-        mg = build_robust(running.instance, running.cfg)
+        mg = build_variant(Variant.ROBUST, running.instance, running.cfg)
         check("r_startup_gen.ps1.t1", {"su_gen.ps1.t1": 1.0, "u_gen.ps1.t1": -1.0}, GE, -1.0, mg)
         check("r_startup_pump.ps1.t1", {"su_pump.ps1.t1": 1.0, "u_pump.ps1.t1": -1.0}, GE, 0.0, mg)
         assert mg.var(mg.var_index("su_gen.ps1.t2")).obj == 40.0
@@ -339,7 +336,7 @@ def test_01_named_rows_match_hand_arithmetic():
         # relaxed, the tail may end above the target 10: V(e) = 30 (e - 10)
         # up to e = 30, then flat at 600 up to e_max 40
         relaxed = window_setup(end_soc="relax")
-        mr = build_stochastic(relaxed.instance, relaxed.cfg)
+        mr = build_variant(Variant.STOCHASTIC, relaxed.instance, relaxed.cfg)
         check("r_cut.res1.s0.k0", {"theta.res1.s0": 1.0, "e.res1.t3": -30.0}, LE, -300.0, mr)
         check("r_cut.res1.s0.k1", {"theta.res1.s0": 1.0}, LE, 600.0, mr)
         check("r_tail_max.res1", {"e.res1.t3": 1.0}, LE, 40.0, mr)
@@ -625,8 +622,8 @@ def test_09_one_scenario_collapses_to_deterministic(synth_setup):
     cfg, base, pipe = synth_setup
     with verdict(9):
         ws = window_setup()  # single-trajectory toy
-        toy_s = build_stochastic(ws.instance, ws.cfg)
-        toy_d = build_deterministic(ws.instance, ws.cfg)
+        toy_s = build_variant(Variant.STOCHASTIC, ws.instance, ws.cfg)
+        toy_d = build_variant(Variant.DETERMINISTIC, ws.instance, ws.cfg)
         assert toy_s.canonical_form() == toy_d.canonical_form()
         os_, od = solve_exact(toy_s).objective, solve_exact(toy_d).objective
         assert abs(os_ - od) <= 1e-9 * max(1.0, abs(os_))
@@ -637,8 +634,8 @@ def test_09_one_scenario_collapses_to_deterministic(synth_setup):
             cfg.horizon, 1, seed=2,
         )
         inst = _first_window_instance(day, scn)
-        big_s = build_stochastic(inst, ModelConfig())
-        big_d = build_deterministic(inst, ModelConfig())
+        big_s = build_variant(Variant.STOCHASTIC, inst, ModelConfig())
+        big_d = build_variant(Variant.DETERMINISTIC, inst, ModelConfig())
         assert big_s.canonical_form() == big_d.canonical_form()
         opts = SolveOptions(gap_tol=1e-9, time_limit=90.0)
         ss, sd = solve(big_s, opts), solve(big_d, opts)

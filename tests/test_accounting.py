@@ -5,7 +5,6 @@ import pytest
 
 from pshlac import accounting
 from pshlac.accounting import (
-    VARIANT_ORDER,
     AccountingError,
     ScalingEntry,
     da_profit,
@@ -172,9 +171,11 @@ def test_delta_table_guards():
 
 
 def test_variant_order_covers_all_variants():
-    assert VARIANT_ORDER == (
-        "current_practice", "perfect", "deterministic", "stochastic", "robust"
-    )
+    # reports list the variants in the enum's order, other labels after them
+    order = ["current_practice", "perfect", "deterministic", "stochastic", "robust"]
+    assert [v.value for v in Variant] == order
+    labels = ["zeta", "robust", "stochastic", "perfect", "deterministic", "current_practice", "alpha"]
+    assert sorted(labels, key=accounting._variant_sort_key) == order + ["alpha", "zeta"]
 
 
 # -- report files ------------------------------------------------------------

@@ -34,6 +34,7 @@ from pshlac.forecast import (
 from pshlac.synth import SynthConfig, make_history
 
 from oracle_tools import (
+    cdf_by_branches,
     covariance_by_definition,
     forecast_by_full_recursion,
     probit_bisect,
@@ -473,6 +474,43 @@ def test_stacked_quantile_map_equals_each_curve_on_mixed_grids():
     assert np.array_equal(table.quantile(w[:40].reshape(4, 10, -1)), got[:40].reshape(4, 10, -1))
     with pytest.raises(ValueError, match="9 columns"):
         table.quantile(np.full((2, 9), 0.5))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_stacked_cdf_equals_the_scalar_branches():
+    curves = _mixed_grid_curves()
+    table = QuantileTable(curves)
+    rng = np.random.default_rng(12)
+    # every column sees random values over and beyond its curve's range,
+    # each of its values (exact hits, flat stretches), the midpoints
+    # between them and values far out in both tails
+    cols = []
+    for c in curves:
+        v = np.array(c.values)
+        span = max(v[-1] - v[0], 1.0)
+        cols.append(np.concatenate([rng.uniform(v[0] - span, v[-1] + span, 200), np.resize(v, 19),
+                                    np.resize((v[:-1] + v[1:]) / 2.0, 18), [v[0] - 1e6, v[-1] + 1e6]]))
+    x = np.column_stack(cols)
+    got = table.cdf(x)
+    want = [[cdf_by_branches(c.levels, c.values, xi) for xi in x[:, k].tolist()] for k, c in enumerate(curves)]
+    assert np.array_equal(_bits(got), _bits(np.array(want).T))
+    for k, c in enumerate(curves):
+        assert np.array_equal(_bits(c.cdf(x[:, k])), _bits(got[:, k]))
+        scalar = [c.cdf(xi) for xi in x[:5, k].tolist()]
+        assert all(type(w) is float for w in scalar) and scalar == got[:5, k].tolist()
+    assert np.array_equal(table.cdf(x[:40].reshape(4, 10, -1)), got[:40].reshape(4, 10, -1))
+    with pytest.raises(ValueError, match="9 columns"):
+        table.cdf(np.zeros((2, 9)))
+    # falling edges jump to 0 or 1, and a value below the first value
+    # takes the lower tail even where it also lies above the last one
+    falling = [QuantileCurve((0.1, 0.5, 0.9), (3.0, 1.0, 2.0)), QuantileCurve((0.1, 0.5, 0.9), (0.0, 2.0, 1.5))]
+    x = np.array([[-100.0, -1.0], [1.5, 1.7], [2.5, 5.0], [100.0, 1.6]])
+    want = [[cdf_by_branches(c.levels, c.values, xi) for c, xi in zip(falling, row)] for row in x.tolist()]
+    assert np.array_equal(_bits(QuantileTable(falling).cdf(x)), _bits(want))
+    assert want == [[0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]]
 
 
 def test_generate_scenarios_takes_a_prebuilt_table():

@@ -1,10 +1,12 @@
-"""Source hygiene: no module keeps a top-level import it never uses.
+"""Source hygiene, checked by parsing each module with ``ast``.
 
-Every module under ``src/``, ``scripts/`` and ``tests/`` is parsed with
-``ast``.  A top-level import binds a name; the name must be read again
-somewhere in the module, in code or in a quoted annotation.  Exempt are
-``from __future__`` imports and the names ``pshlac/__init__.py``
-re-exports through ``__all__``.
+* No module under ``src/``, ``scripts/`` and ``tests/`` keeps a
+  top-level import it never uses.  A top-level import binds a name; the
+  name must be read again somewhere in the module, in code or in a
+  quoted annotation.  Exempt are ``from __future__`` imports and the
+  names ``pshlac/__init__.py`` re-exports through ``__all__``.
+* No module of the package imports another's private (underscore)
+  name: what modules share is public.
 """
 
 import ast
@@ -12,6 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "scripts", "tests")
+PACKAGE = ROOT / "src" / "pshlac"
 
 
 def _modules():
@@ -79,3 +82,31 @@ def test_scanner_flags_an_unused_import(tmp_path):
         "    return os.path.join(x)\n"
     )
     assert unused_imports(probe) == [(2, "math"), (4, "Seq")]
+
+
+def private_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each underscore name the module imports from a
+    sibling module by a relative import."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.lineno, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_package_module_imports_a_private_name():
+    private = [f"{path.relative_to(ROOT)}:{line}: {name}"
+               for path in sorted(PACKAGE.glob("*.py")) for line, name in private_imports(path)]
+    assert not private, "\n".join(private)
+
+
+def test_scanner_flags_a_private_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import _tools\n"
+        "from .core import PUBLIC, _helper as helper\n"
+        "from pshlac.core import _absolute\n"
+        "def f():\n"
+        "    from ..milp import _lazy\n"
+        "    return _lazy, helper, _tools, PUBLIC, _absolute\n"
+    )
+    assert private_imports(probe) == [(1, "_tools"), (2, "_helper"), (5, "_lazy")]

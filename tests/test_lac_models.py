@@ -19,12 +19,7 @@ from pshlac.lac_models import (
     Variant,
     _add_thermal_dispatch,
     apply_da_reference,
-    build_current_practice,
     build_da_model,
-    build_deterministic,
-    build_perfect,
-    build_robust,
-    build_stochastic,
     build_variant,
     da_reference_from_system,
     extract_da_reference,
@@ -63,48 +58,48 @@ def check_row(model, name, coeffs, sense, rhs):
 def test_rejects_wrong_net_load_length(basic_window):
     inst = replace(basic_window.instance, net_load=(50.0,))
     with pytest.raises(ConfigurationError, match="net_load has 1 values"):
-        build_stochastic(inst, basic_window.cfg)
+        build_variant(Variant.STOCHASTIC, inst, basic_window.cfg)
 
 
 def test_rejects_missing_states(basic_window):
     ws = basic_window
     with pytest.raises(ConfigurationError, match="missing SOC state"):
-        build_stochastic(replace(ws.instance, soc_state={}), ws.cfg)
+        build_variant(Variant.STOCHASTIC, replace(ws.instance, soc_state={}), ws.cfg)
     with pytest.raises(ConfigurationError, match="missing day-ahead end SOC"):
-        build_stochastic(replace(ws.instance, da=replace(ws.instance.da, end_soc={})), ws.cfg)
+        build_variant(Variant.STOCHASTIC, replace(ws.instance, da=replace(ws.instance.da, end_soc={})), ws.cfg)
     with pytest.raises(ConfigurationError, match="missing previous mode"):
-        build_stochastic(replace(ws.instance, prev_modes={}), ws.cfg)
+        build_variant(Variant.STOCHASTIC, replace(ws.instance, prev_modes={}), ws.cfg)
 
 
 def test_rejects_misaligned_scenario_hours(basic_window):
     bad = PriceScenarioSet((NODE,), 2, np.full((1, 1, 2), 30.0), (1.0,))
     inst = replace(basic_window.instance, scenario_set=bad)
     with pytest.raises(ConfigurationError, match=r"do not match post-window \[3, 3\]"):
-        build_stochastic(inst, basic_window.cfg)
+        build_variant(Variant.STOCHASTIC, inst, basic_window.cfg)
 
 
 def test_rejects_bad_weights_and_missing_node(basic_window):
     arr = np.full((2, 1, 1), 30.0)
     lopsided = PriceScenarioSet((NODE,), 3, arr, (0.7, 0.7))
     with pytest.raises(ConfigurationError, match="sum to 1"):
-        build_stochastic(replace(basic_window.instance, scenario_set=lopsided), basic_window.cfg)
+        build_variant(Variant.STOCHASTIC, replace(basic_window.instance, scenario_set=lopsided), basic_window.cfg)
     elsewhere = PriceScenarioSet(("other",), 3, np.full((1, 1, 1), 30.0), (1.0,))
     with pytest.raises(ConfigurationError, match="lacks node n1"):
-        build_stochastic(replace(basic_window.instance, scenario_set=elsewhere), basic_window.cfg)
+        build_variant(Variant.STOCHASTIC, replace(basic_window.instance, scenario_set=elsewhere), basic_window.cfg)
 
 
 def test_scenario_variants_insist_on_scenarios(basic_window):
     inst = replace(basic_window.instance, scenario_set=None)
     with pytest.raises(ConfigurationError, match="scenario set required"):
-        build_stochastic(inst, basic_window.cfg)
+        build_variant(Variant.STOCHASTIC, inst, basic_window.cfg)
     # schedule-following windows do not need one
-    build_current_practice(inst, basic_window.cfg)
+    build_variant(Variant.CURRENT_PRACTICE, inst, basic_window.cfg)
 
 
 def test_deterministic_wants_exactly_one_trajectory():
     ws = window_setup(prices=((30.0,), (40.0,)), weights=(0.5, 0.5))
     with pytest.raises(ConfigurationError, match="exactly one scenario"):
-        build_deterministic(ws.instance, ws.cfg)
+        build_variant(Variant.DETERMINISTIC, ws.instance, ws.cfg)
 
 
 def test_thermal_without_plan_is_rejected(basic_window):
@@ -112,7 +107,7 @@ def test_thermal_without_plan_is_rejected(basic_window):
     bare = replace(sys, thermal_units=(replace(sys.thermal_units[0], da_commitment=None),))
     inst = replace(basic_window.instance, system=bare)
     with pytest.raises(ConfigurationError, match="no day-ahead commitment"):
-        build_stochastic(inst, basic_window.cfg)
+        build_variant(Variant.STOCHASTIC, inst, basic_window.cfg)
 
 
 # -- fixed startup charges ---------------------------------------------------
@@ -149,7 +144,7 @@ def test_startup_charge_lands_in_objective_constant(basic_window):
     cold = replace(sys.thermal_units[0], initial_status=InitialStatus(False, 24), startup_cost=500.0,
                    no_load_cost=30.0)
     inst = replace(basic_window.instance, system=replace(sys, thermal_units=(cold,)))
-    model = build_stochastic(inst, basic_window.cfg)
+    model = build_variant(Variant.STOCHASTIC, inst, basic_window.cfg)
     assert model.objective_constant == 500.0 + 2 * 30.0  # one start, two committed hours
     assert solve_exact(model).objective == pytest.approx(1600.0 + 560.0, abs=1e-6)
 
@@ -158,7 +153,7 @@ def test_startup_charge_lands_in_objective_constant(basic_window):
 
 
 def test_balance_and_thermal_rows(basic_window):
-    m = build_stochastic(basic_window.instance, basic_window.cfg)
+    m = build_variant(Variant.STOCHASTIC, basic_window.instance, basic_window.cfg)
     check_row(m, "r_balance.t1", {
         "slack_short.t1": 1.0, "slack_surplus.t1": -1.0,
         "p.th1.t1": 1.0, "qg.ps1.t1": 1.0, "qp.ps1.t1": -1.0,
@@ -174,7 +169,7 @@ def test_balance_and_thermal_rows(basic_window):
 
 def test_reservoir_rows_carry_the_efficiencies():
     ws = window_setup(eta_gen=0.5, eta_pump=0.25, grid_step=2.5)
-    m = build_stochastic(ws.instance, ws.cfg)
+    m = build_variant(Variant.STOCHASTIC, ws.instance, ws.cfg)
     check_row(m, "r_soc_init.res1", {"e.res1.t1": 1.0}, EQ, 20.0)
     check_row(m, "r_soc.res1.t1", {
         "e.res1.t2": 1.0, "e.res1.t1": -1.0, "qg.ps1.t1": 2.0, "qp.ps1.t1": -0.25,
@@ -199,29 +194,29 @@ def test_end_rule_switches_sense():
     # relaxed, the tail may end above the target: it reaches e_max 40 and
     # its last piece is flat; fixed, it ends at 30 = 10 + 20 MWh generated
     relaxed = window_setup(end_soc="relax")
-    m = build_stochastic(relaxed.instance, relaxed.cfg)
+    m = build_variant(Variant.STOCHASTIC, relaxed.instance, relaxed.cfg)
     check_row(m, "r_tail_max.res1", {"e.res1.t3": 1.0}, LE, 40.0)
     check_row(m, "r_cut.res1.s0.k1", {"theta.res1.s0": 1.0}, LE, 600.0)
     fixed = window_setup()
-    m = build_stochastic(fixed.instance, fixed.cfg)
+    m = build_variant(Variant.STOCHASTIC, fixed.instance, fixed.cfg)
     check_row(m, "r_tail_max.res1", {"e.res1.t3": 1.0}, LE, 30.0)
     assert [r.name for r in m.rows("value_cut")] == ["r_cut.res1.s0.k0"]
     # a window that reaches the day end closes on the target itself
     whole_day = window_setup(L=3, end_soc="relax")
-    check_row(build_perfect(whole_day.instance, whole_day.cfg), "r_soc_end.res1",
+    check_row(build_variant(Variant.PERFECT, whole_day.instance, whole_day.cfg), "r_soc_end.res1",
               {"e.res1.t4": 1.0}, GE, 10.0)
 
 
 def test_stochastic_objective_weights_the_scenarios():
     ws = window_setup(prices=((30.0,), (40.0,)), weights=(0.25, 0.75))
-    m = build_stochastic(ws.instance, ws.cfg)
+    m = build_variant(Variant.STOCHASTIC, ws.instance, ws.cfg)
     assert m.var(m.var_index("theta.res1.s0")).obj == -0.25
     assert m.var(m.var_index("theta.res1.s1")).obj == -0.75
     theta = m.var(m.var_index("theta.res1.s1"))
     assert (theta.lb, theta.ub) == (-math.inf, math.inf)
     # a scenario kept as a block weights its dispatch revenue instead
     ws = window_setup(prices=((-30.0,), (40.0,)), weights=(0.25, 0.75))
-    m = build_stochastic(ws.instance, ws.cfg)
+    m = build_variant(Variant.STOCHASTIC, ws.instance, ws.cfg)
     assert m.var(m.var_index("qg.ps1.t3.s0")).obj == -0.25 * -30.0
     assert m.var(m.var_index("qp.ps1.t3.s0")).obj == +0.25 * -30.0
     assert m.var(m.var_index("theta.res1.s1")).obj == -0.75
@@ -232,7 +227,7 @@ def test_stochastic_objective_weights_the_scenarios():
 def test_time_preference_ramps_post_window_prices():
     ws = window_setup(T=4, L=2, loads=(50.0,) * 4, prices=((30.0, 25.0),))
     cfg = replace(ws.cfg, time_preference=0.5)
-    m = build_stochastic(ws.instance, cfg)
+    m = build_variant(Variant.STOCHASTIC, ws.instance, cfg)
     # unit efficiencies: the cut slopes are the ramped prices 30.5 and 26
     slopes = [-r.coeffs[m.var_index("e.res1.t3")] for r in m.rows("value_cut")]
     assert slopes == [pytest.approx(30.5), pytest.approx(26.0)]
@@ -240,7 +235,7 @@ def test_time_preference_ramps_post_window_prices():
 
 def test_risk_rows_per_scenario():
     ws = window_setup(prices=((30.0,), (40.0,)), weights=(0.5, 0.5), da_gen=(0.0, 0.0, 10.0))
-    m = build_robust(ws.instance, ws.cfg)
+    m = build_variant(Variant.ROBUST, ws.instance, ws.cfg)
     w = m.var(m.var_index("w_risk.res1"))
     assert (w.lb, w.ub, w.obj) == (-math.inf, math.inf, 1.0)
     # V_s(e) = p*(e - 10) on [0, 30]; the da position sells 10 MW at p:
@@ -249,7 +244,7 @@ def test_risk_rows_per_scenario():
     check_row(m, "r_risk.res1.s1.k0", {"w_risk.res1": 1.0, "e.res1.t3": 40.0}, GE, 800.0)
     # a scenario kept as a block prices its own dispatch
     neg = window_setup(prices=((-30.0,), (40.0,)), weights=(0.5, 0.5), da_gen=(0.0, 0.0, 10.0))
-    m = build_robust(neg.instance, neg.cfg)
+    m = build_variant(Variant.ROBUST, neg.instance, neg.cfg)
     check_row(m, "r_risk.res1.s0", {
         "w_risk.res1": 1.0, "qg.ps1.t3.s0": -30.0, "qp.ps1.t3.s0": 30.0,
     }, GE, -300.0)
@@ -261,8 +256,8 @@ def test_scenario_modes_follow_floors_and_negative_prices():
     ws = window_setup(T=5, L=2, loads=(50.0,) * 5, weights=(0.5, 0.5),
                       prices=((-2e-5, 5.0, -1.0), (5.0, 5.0, -2e-5)))
     cfg = replace(ws.cfg, time_preference=1e-5)
-    for builder in (build_stochastic, build_robust):
-        m = builder(ws.instance, cfg)
+    for variant in (Variant.STOCHASTIC, Variant.ROBUST):
+        m = build_variant(variant, ws.instance, cfg)
         tails = m.meta["tails"]
         # s0 keeps a block with modes in its negative cells, s1 is cut
         assert [b.scenario for b in tails.blocks] == [0] and tails.scenarios == (1,)
@@ -273,7 +268,7 @@ def test_scenario_modes_follow_floors_and_negative_prices():
             row_named(m, "r_one_mode.ps1.t5.s1")
     # a dispatch floor keeps every cell's modes at any price
     ws = window_setup(T=5, L=2, loads=(50.0,) * 5, gen_min=5.0, prices=((30.0, 30.0, 30.0),))
-    tails = build_stochastic(ws.instance, ws.cfg).meta["tails"]
+    tails = build_variant(Variant.STOCHASTIC, ws.instance, ws.cfg).meta["tails"]
     assert tails.scenarios == () and tails.cuts == {}
     assert sorted({t for (_, _, t) in tails.blocks[0].u}) == [3, 4, 5]
 
@@ -283,7 +278,7 @@ def test_scenario_modes_follow_floors_and_negative_prices():
 
 def test_current_practice_pins_the_da_schedule():
     ws = window_setup(da_gen=(5.0, 0.0, 10.0), e_init=25.0)
-    m = build_current_practice(ws.instance, ws.cfg)
+    m = build_variant(Variant.CURRENT_PRACTICE, ws.instance, ws.cfg)
     qg1 = m.var(m.var_index("qg.ps1.t1"))
     assert (qg1.lb, qg1.ub) == (5.0, 5.0)
     ug1 = m.var(m.var_index("u_gen.ps1.t1"))
@@ -298,12 +293,12 @@ def test_current_practice_pins_the_da_schedule():
 def test_current_practice_rejects_contradictory_schedule():
     ws = window_setup(da_gen=(5.0, 0.0, 0.0), da_pump=(5.0, 0.0, 0.0))
     with pytest.raises(ConfigurationError, match="generates and pumps at once"):
-        build_current_practice(ws.instance, ws.cfg)
+        build_variant(Variant.CURRENT_PRACTICE, ws.instance, ws.cfg)
 
 
 def test_perfect_stretches_to_the_day_end(basic_window):
     whole_day = window_setup(L=3)  # the window runs to the end of the day
-    m = build_perfect(whole_day.instance, whole_day.cfg)
+    m = build_variant(Variant.PERFECT, whole_day.instance, whole_day.cfg)
     assert m.meta["window_hours"] == (1, 2, 3)
     assert "tails" not in m.meta
     row_named(m, "r_balance.t3")
@@ -312,30 +307,47 @@ def test_perfect_stretches_to_the_day_end(basic_window):
     )
     # a window that stops short of the day end is not a perfect window
     with pytest.raises(ConfigurationError, match="window through hour 3"):
-        build_perfect(basic_window.instance, basic_window.cfg)
+        build_variant(Variant.PERFECT, basic_window.instance, basic_window.cfg)
 
 
 def test_build_variant_dispatch(basic_window):
     inst, cfg = basic_window.instance, basic_window.cfg
     assert build_variant(Variant.STOCHASTIC, inst, cfg).name == "stochastic"
     assert build_variant("robust", inst, cfg).name == "robust"
+    assert build_variant(Variant.DETERMINISTIC, inst, cfg).name == "deterministic"
     assert build_variant(Variant.CURRENT_PRACTICE, inst, cfg).name == "current_practice"
-    assert build_variant(Variant.PERFECT, window_setup(L=3).instance, cfg).name == "perfect"
-    with pytest.raises(ConfigurationError, match="unknown variant"):
-        build_variant("garbage", inst, cfg)
+    whole_day = window_setup(L=3).instance
+    assert build_variant(Variant.PERFECT, whole_day, cfg).name == "perfect"
+    # each refusal, in the order the builder checks them: the name, the
+    # perfect window's reach and the deterministic trajectory count come
+    # before the instance checks
+    broken = replace(inst, soc_state={})
+    with pytest.raises(ConfigurationError, match="unknown variant 'garbage'"):
+        build_variant("garbage", broken, cfg)
+    with pytest.raises(ConfigurationError, match="needs a window through hour 3, not one ending at hour 2"):
+        build_variant(Variant.PERFECT, broken, cfg)
+    pair = window_setup(prices=((30.0,), (40.0,)), weights=(0.5, 0.5)).instance
+    for scn in (pair.scenario_set, None):
+        with pytest.raises(ConfigurationError, match="exactly one scenario trajectory"):
+            build_variant(Variant.DETERMINISTIC, replace(broken, scenario_set=scn), cfg)
+    for variant in (Variant.STOCHASTIC, Variant.ROBUST):
+        with pytest.raises(ConfigurationError, match="scenario set required while post-window hours remain"):
+            build_variant(variant, replace(inst, scenario_set=None), cfg)
+    for variant in Variant:
+        with pytest.raises(ConfigurationError, match="missing SOC state"):
+            build_variant(variant, replace(whole_day if variant == Variant.PERFECT else inst, soc_state={}), cfg)
+    # a window through the day end needs no scenario set
+    for variant in Variant:
+        assert "tails" not in build_variant(variant, replace(whole_day, scenario_set=None), cfg).meta
 
 
 # -- optima against the exhaustive reference ---------------------------------
 
 
 def test_window_optima_match_enumeration(basic_window):
-    for variant, builder in (
-        ("stochastic", build_stochastic),
-        ("robust", build_robust),
-        ("deterministic", build_deterministic),
-    ):
-        got = solve_exact(builder(basic_window.instance, basic_window.cfg)).objective
-        assert got == pytest.approx(enumerate_objective(basic_window.toy, variant), abs=1e-6)
+    for variant in (Variant.STOCHASTIC, Variant.ROBUST, Variant.DETERMINISTIC):
+        got = solve_exact(build_variant(variant, basic_window.instance, basic_window.cfg)).objective
+        assert got == pytest.approx(enumerate_objective(basic_window.toy, variant.value), abs=1e-6)
 
 
 def test_mixed_window_matches_the_full_binary_tail():
@@ -357,21 +369,21 @@ def test_water_value_reads_the_active_cuts():
     # water value is the weighted slope 35; the robust shortfall
     # -p_s (e - 10) binds for the cheaper scenario once e >= 10
     ws = window_setup(prices=((30.0,), (40.0,)), weights=(0.5, 0.5))
-    for builder, want in ((build_stochastic, 35.0), (build_robust, 30.0)):
-        m = builder(ws.instance, ws.cfg)
+    for variant, want in ((Variant.STOCHASTIC, 35.0), (Variant.ROBUST, 30.0)):
+        m = build_variant(variant, ws.instance, ws.cfg)
         sol = solve_exact(m)
         assert sol.value(m.var_index("e.res1.t3")) >= 10.0
         assert m.meta["tails"].water_value(sol) == (want,)
     # a scenario kept as a block reports no slope
     neg = window_setup(prices=((-30.0,), (40.0,)), weights=(0.5, 0.5))
-    m = build_stochastic(neg.instance, neg.cfg)
+    m = build_variant(Variant.STOCHASTIC, neg.instance, neg.cfg)
     assert m.meta["tails"].water_value(solve_exact(m)) == ()
 
 
 def test_two_scenario_optima_split_by_attitude():
     ws = window_setup(prices=((30.0,), (40.0,)), weights=(0.5, 0.5))
-    stoch = solve_exact(build_stochastic(ws.instance, ws.cfg)).objective
-    rob = solve_exact(build_robust(ws.instance, ws.cfg)).objective
+    stoch = solve_exact(build_variant(Variant.STOCHASTIC, ws.instance, ws.cfg)).objective
+    rob = solve_exact(build_variant(Variant.ROBUST, ws.instance, ws.cfg)).objective
     assert stoch == pytest.approx(enumerate_objective(ws.toy, "stochastic"), abs=1e-6)
     assert rob == pytest.approx(enumerate_objective(ws.toy, "robust"), abs=1e-6)
     assert stoch < rob  # hedged model forgoes expected revenue
@@ -480,20 +492,17 @@ def _measured_delta(make):
     return (b.n_rows - a.n_rows, b.n_vars - a.n_vars, b.n_nonzeros - a.n_nonzeros), b
 
 
-@pytest.mark.parametrize("variant,builder", [
-    (Variant.STOCHASTIC, build_stochastic),
-    (Variant.ROBUST, build_robust),
-])
+@pytest.mark.parametrize("variant", [Variant.STOCHASTIC, Variant.ROBUST])
 @pytest.mark.parametrize("kwargs,n_post", [
     (dict(), 1),
     (dict(T=5, L=2, loads=(50.0,) * 5), 3),
     (dict(gen_min=5.0, pump_min=4.0), 1),
 ])
-def test_per_scenario_size_is_what_the_formula_says(variant, builder, kwargs, n_post):
+def test_per_scenario_size_is_what_the_formula_says(variant, kwargs, n_post):
     def make(S):
         prices = tuple((30.0,) * n_post for _ in range(S))
         ws = window_setup(prices=prices, weights=(1.0 / S,) * S, **kwargs)
-        return builder(ws.instance, ws.cfg)
+        return build_variant(variant, ws.instance, ws.cfg)
 
     delta, model = _measured_delta(make)
     tails = model.meta["tails"]
@@ -601,18 +610,23 @@ def _synth_da_model():
     return build_da_model(system, tuple(2200.0 * synth.base_load_shape()), ModelConfig(), reserve_margin=0.12)
 
 
+def _two_unit_window(variant, prices, **floors):
+    return build_variant(variant, _two_unit(variant.value, prices, **floors), ModelConfig())
+
+
 _PINNED_BUILDS = {
-    "perfect": lambda: build_perfect(
+    "perfect": lambda: build_variant(
+        Variant.PERFECT,
         window_setup(L=3, eta_gen=0.9, eta_pump=0.85, trans_gen=5.0, trans_pump=3.0,
                      thermal_segments=((30.0, 20.0), (170.0, 45.0))).instance, ModelConfig()),
-    "current_practice": lambda: build_current_practice(
-        window_setup(da_gen=(5.0, 0.0, 10.0), e_init=25.0).instance, ModelConfig()),
-    "deterministic": lambda: build_deterministic(_two_unit("deterministic", _CUT_PRICES[:1]), ModelConfig()),
-    "stochastic": lambda: build_stochastic(_two_unit("stochastic", _CUT_PRICES), ModelConfig()),
-    "robust": lambda: build_robust(_two_unit("robust", _CUT_PRICES), ModelConfig()),
-    "stochastic_floor": lambda: build_stochastic(
-        _two_unit("stochastic", _CUT_PRICES, floors=((5.0, 0.0), (0.0, 4.0))), ModelConfig()),
-    "robust_negative_price": lambda: build_robust(_two_unit("robust", _NEGATIVE_PRICES), ModelConfig()),
+    "current_practice": lambda: build_variant(
+        Variant.CURRENT_PRACTICE, window_setup(da_gen=(5.0, 0.0, 10.0), e_init=25.0).instance, ModelConfig()),
+    "deterministic": lambda: _two_unit_window(Variant.DETERMINISTIC, _CUT_PRICES[:1]),
+    "stochastic": lambda: _two_unit_window(Variant.STOCHASTIC, _CUT_PRICES),
+    "robust": lambda: _two_unit_window(Variant.ROBUST, _CUT_PRICES),
+    "stochastic_floor": lambda: _two_unit_window(Variant.STOCHASTIC, _CUT_PRICES,
+                                                 floors=((5.0, 0.0), (0.0, 4.0))),
+    "robust_negative_price": lambda: _two_unit_window(Variant.ROBUST, _NEGATIVE_PRICES),
     "da_reserve": lambda: build_da_model(_uc_system(window_setup()), (50.0, 60.0, 50.0), ModelConfig(),
                                          reserve_margin=0.12),
     "da_synth_reserve": _synth_da_model,
