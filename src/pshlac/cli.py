@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import glob
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -42,7 +44,7 @@ from .lac_models import (
     Variant,
     da_reference_from_system,
 )
-from .milp import FEASIBLE, SolveOptions, SolverError
+from .milp import FEASIBLE, SolveOptions, SolverError, reset_scheduler
 from .rolling import (
     FrozenSetProvider,
     RunControl,
@@ -265,6 +267,25 @@ def _load_forecast_dir(path: str) -> FrozenSetProvider:
     return FrozenSetProvider(sets, points)
 
 
+def _run_variant(system, day, provider, control, da, variant: Variant) -> SimulationLedger:
+    # looks run_day up in this module when it runs, in a worker as in
+    # this process, so a replacement set on the module applies to both
+    return run_day(system, day, variant, provider, control, da)
+
+
+def fork_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """A pool of ``workers`` processes, forked from this one at the first
+    submit.
+
+    Forked workers start from this process's modules as they are, with
+    nothing to import again, and send back their results pickled.
+    HiGHS's scheduler threads do not survive a fork, so they are stopped
+    here; submit before solving anything else.
+    """
+    reset_scheduler()
+    return concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
 def cmd_simulate(args) -> int:
     cfg = RunConfig.from_file(args.config)
     variants = _parse_variants(args.variant, cfg)
@@ -293,22 +314,27 @@ def cmd_simulate(args) -> int:
         solver=SolveOptions(gap_tol=cfg.gap_tol, time_limit=cfg.time_limit),
     )
 
-    def _one(variant: Variant) -> tuple[str, SimulationLedger]:
-        led = run_day(system, day, variant, provider, control, da)
-        return variant.value, led
-
-    ledgers: dict[str, SimulationLedger] = {}
+    # a rolled day is mostly Python, which threads cannot overlap, so the
+    # variants go to processes; one worker runs them here and forks none
+    task = functools.partial(_run_variant, system, day, provider, control, da)
+    workers = min(args.jobs, len(variants))
     try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            for name, led in pool.map(_one, variants):
-                ledgers[name] = led
-                limited = sum(w.status == FEASIBLE for w in led.windows)
-                print(f"{name}: {len(led.windows)} windows solved, {limited} time-limited")
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            with fork_pool(workers) as pool:
+                results = list(pool.map(task, variants))
+        else:
+            results = [task(v) for v in variants]
     except WindowInfeasibleError as exc:
         path = os.path.join(outdir, f"failed_{exc.variant}_w{exc.window_index}.lp")
         with open(path, "w") as fh:
             fh.write(exc.lp_text)
         raise CliError(f"{exc}; window model written to {path}") from exc
+
+    ledgers: dict[str, SimulationLedger] = {}
+    for variant, led in zip(variants, results):
+        ledgers[variant.value] = led
+        limited = sum(w.status == FEASIBLE for w in led.windows)
+        print(f"{variant.value}: {len(led.windows)} windows solved, {limited} time-limited")
 
     for name, led in sorted(ledgers.items()):
         led.to_jsonl(os.path.join(outdir, f"ledger_{name}.jsonl"))
@@ -374,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--variant", action="append", default=None,
                    help="variant name, 'all', or comma separated list (repeatable)")
     s.add_argument("--label", default=None, help="run directory name (default: timestamp)")
-    s.add_argument("--jobs", type=int, default=1, help="solve variants in parallel threads")
+    s.add_argument("--jobs", type=int, default=1, help="roll the variants in up to N forked worker processes")
     s.set_defaults(func=cmd_simulate)
 
     r = sub.add_parser("report", help="reprint tables for an existing run directory")

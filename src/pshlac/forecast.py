@@ -629,6 +629,12 @@ class ForecastPipeline:
                 )
             rt = rt[: n_days * cfg.horizon]
             da = da[: n_days * cfg.horizon]
+            for kind, series in (("RT", rt), ("DA", da)):
+                bad = np.flatnonzero(~np.isfinite(series))
+                if bad.size:
+                    raise EstimationError(
+                        f"node {node}: {kind} history at hour {bad[0] + 1} is {series[bad[0]]}, not a finite price"
+                    )
             spec = fit_arimax(rt, da[:, None], cfg.orders)
             resid = np.empty((n_days - 1, cfg.horizon))
             for k in range(1, n_days):

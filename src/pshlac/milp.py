@@ -705,6 +705,17 @@ def relaxed_iis(lp: _highs.HighsLp, row_names: Sequence[str]) -> list[str]:
     return [row_names[i] for i in iis.row_index]
 
 
+def reset_scheduler() -> None:
+    """Stop the worker threads of HiGHS's process-wide task scheduler.
+
+    Call it just before the process forks.  A fork copies the scheduler
+    but not its threads, so a MIP in the child would wait for ever on
+    workers it does not have.  After the reset, the next solve in either
+    process starts the scheduler afresh with the threads it asks for.
+    """
+    _highs._Highs.resetGlobalScheduler(True)
+
+
 def read_lp(path: str) -> _highs.HighsLp:
     """The model of an LP file (such as :meth:`MilpModel.to_lp_string`
     writes) as HiGHS reads it, row names included."""

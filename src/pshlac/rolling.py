@@ -59,7 +59,13 @@ class WindowError(RuntimeError):
         self.variant = variant
         self.window_index = window_index
         self.t1 = t1
+        self.message = message
         super().__init__(f"window {window_index} (t1={t1}) of {variant} {message}")
+
+    # each class rebuilds itself from its own fields, so that an error
+    # raised in a worker process unpickles in the one that reads it
+    def __reduce__(self):
+        return type(self), (self.variant, self.window_index, self.t1, self.message)
 
 
 class WindowTimeoutError(WindowError):
@@ -68,6 +74,9 @@ class WindowTimeoutError(WindowError):
         super().__init__(variant, window_index, t1,
                          f"hit the {time_limit:g} s time limit without an incumbent")
 
+    def __reduce__(self):
+        return type(self), (self.variant, self.window_index, self.t1, self.time_limit)
+
 
 class WindowInfeasibleError(WindowError):
     """An infeasible or unbounded window, with the rows of its IIS and the
@@ -75,10 +84,15 @@ class WindowInfeasibleError(WindowError):
 
     def __init__(self, variant: str, window_index: int, t1: int, status: str,
                  conflict_rows: list[str], lp_text: str):
+        self.status = status
         self.conflict_rows = conflict_rows
         self.lp_text = lp_text
         rows = "; ".join(conflict_rows) if conflict_rows else "<none identified>"
         super().__init__(variant, window_index, t1, f"ended {status}; conflicting rows: {rows}")
+
+    def __reduce__(self):
+        return type(self), (self.variant, self.window_index, self.t1, self.status,
+                            self.conflict_rows, self.lp_text)
 
 
 @dataclass(frozen=True)

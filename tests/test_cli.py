@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -11,12 +13,16 @@ from pshlac.cli import (
     _load_forecast_dir,
     _parse_variants,
     build_parser,
+    fork_pool,
     main,
 )
 from pshlac.core import PriceScenarioSet, read_system_json, write_scenario_csv
 from pshlac.lac_models import Variant
+from pshlac.milp import BRANCH_AND_BOUND, OPTIMAL, SolveOptions, _highs_lp, milp, solve
 from pshlac.rolling import SimulationLedger, WindowInfeasibleError
 from pshlac.synth import make_system
+
+from toys import knapsack
 
 
 def _write_config(tmp_path, name="run.json", **overrides):
@@ -94,6 +100,20 @@ def test_main_reports_errors_on_stderr(tmp_path, capsys):
     assert "error: config file not found" in capsys.readouterr().err
 
 
+def test_forecast_reports_a_nan_in_the_history(tmp_path, capfd):
+    bundle = tmp_path / "bundle"
+    assert main(["gen-instance", "--seed", "11", "--out", str(bundle)]) == 0
+    history = bundle / "history.csv"
+    lines = history.read_text().splitlines()
+    hour, node, _, da = lines[501].split(",")  # index 500, after the header
+    lines[501] = ",".join((hour, node, "nan", da))
+    history.write_text("\n".join(lines) + "\n")
+    capfd.readouterr()
+    assert main(["forecast", "--config", str(bundle / "run.json"), "--out", str(tmp_path / "fc")]) == 1
+    err = capfd.readouterr().err
+    assert err == "error: node bus: RT history at hour 501 is nan, not a finite price\n"
+
+
 def test_parser_requires_a_command(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -109,35 +129,130 @@ def bundle(tmp_path_factory):
     return out
 
 
-def _simulate(bundle, tmp_path, variant, **overrides):
+def _simulate(bundle, tmp_path, variant, *flags, **overrides):
     doc = json.loads((bundle / "run.json").read_text())
     doc.update(overrides)
     cfg = bundle / "run_fail.json"
     cfg.write_text(json.dumps(doc))
     return main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--variant", variant,
-                 "--label", "fail"])
+                 "--label", "fail", *flags])
 
 
-def test_simulate_reports_a_timed_out_window(bundle, tmp_path, capsys):
-    assert _simulate(bundle, tmp_path, "current_practice", time_limit=0.0) == 1
+@pytest.fixture
+def forks(monkeypatch):
+    """The worker counts of the pools ``cmd_simulate`` forks."""
+    seen = []
+
+    def counted(workers):
+        seen.append(workers)
+        return fork_pool(workers)
+
+    monkeypatch.setattr(cli, "fork_pool", counted)
+    return seen
+
+
+def _check_timed_out(bundle, tmp_path, capsys, variants, *flags):
+    assert _simulate(bundle, tmp_path, variants, *flags, time_limit=0.0) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: window 1 (t1=1) of current_practice hit the 0 s time limit")
     assert "Traceback" not in err
 
 
-def test_simulate_writes_the_infeasible_window_for_replay(bundle, tmp_path, capsys, monkeypatch):
-    def infeasible(system, day, variant, *rest):
-        raise WindowInfeasibleError(variant.value, 3, 3, "infeasible", ["r_soc.res1.t3"],
-                                    "\\ perfect\nEnd\n")
+def test_simulate_reports_a_timed_out_window(bundle, tmp_path, capsys):
+    _check_timed_out(bundle, tmp_path, capsys, "current_practice")
 
-    monkeypatch.setattr(cli, "run_day", infeasible)
-    assert _simulate(bundle, tmp_path, "perfect") == 1
+
+def test_simulate_reports_a_timed_out_window_from_a_worker(bundle, tmp_path, capsys, forks):
+    _check_timed_out(bundle, tmp_path, capsys, "current_practice,perfect", "--jobs", "2")
+    assert forks == [2]
+    assert multiprocessing.active_children() == []
+
+
+def _infeasible(system, day, variant, *rest):
+    raise WindowInfeasibleError(variant.value, 3, 3, "infeasible", ["r_soc.res1.t3"],
+                                f"\\ {variant.value}\nEnd\n")
+
+
+def _check_infeasible_window_written(bundle, tmp_path, capsys, variants, *flags):
+    assert _simulate(bundle, tmp_path, variants, *flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: window 3 (t1=3) of perfect ended infeasible; "
                           "conflicting rows: r_soc.res1.t3")
+    assert "Traceback" not in err
     lp = tmp_path / "fail" / "failed_perfect_w3.lp"
     assert str(lp) in err
     assert lp.read_text() == "\\ perfect\nEnd\n"
+
+
+def test_simulate_writes_the_infeasible_window_for_replay(bundle, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_day", _infeasible)
+    _check_infeasible_window_written(bundle, tmp_path, capsys, "perfect")
+
+
+def test_simulate_writes_a_workers_infeasible_window_for_replay(bundle, tmp_path, capsys, monkeypatch, forks):
+    # forked workers inherit the replaced run_day
+    monkeypatch.setattr(cli, "run_day", _infeasible)
+    _check_infeasible_window_written(bundle, tmp_path, capsys, "perfect,current_practice", "--jobs", "2")
+    assert forks == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_forked_worker_solves_a_mip_after_a_threaded_one():
+    # a MIP on two HiGHS threads leaves a worker thread in HiGHS's
+    # process-wide scheduler; a process forked with that scheduler but
+    # without its thread would wait for ever in its first MIP
+    highs, _ = milp(_highs_lp(knapsack(), integral=True), {"threads": 2, "mip_rel_gap": 1e-9})
+    assert highs.modelStatusToString(highs.getModelStatus()) == "Optimal"
+    with fork_pool(1) as pool:
+        future = pool.submit(solve, knapsack(), SolveOptions(gap_tol=1e-9, time_limit=30.0))
+        try:
+            sol = future.result(timeout=30.0)
+        except concurrent.futures.TimeoutError:
+            for child in multiprocessing.active_children():
+                child.terminate()
+            raise
+    assert sol.status == OPTIMAL and sol.incumbent == BRANCH_AND_BOUND
+    assert multiprocessing.active_children() == []
+
+
+def _write_forecast_dir(system, fdir, count=3, seed=0):
+    """Scenario and point files for every forecast origin of ``system``:
+    one whole-day set, sliced by the provider to each origin."""
+    nodes = tuple(sorted({u.node_id for u in system.psh_units}))
+    T = system.grid.horizon_end
+    prices = 25.0 + 20.0 * np.random.default_rng(seed).random((count, len(nodes), T))
+    full = PriceScenarioSet(nodes, 1, prices, (1 / count,) * count)
+    point = PriceScenarioSet(nodes, 1, prices.mean(axis=0, keepdims=True), (1.0,))
+    fdir.mkdir()
+    for t0 in _forecast_origins(system):
+        write_scenario_csv(str(fdir / f"scenarios_t{t0:02d}.csv"), full)
+        write_scenario_csv(str(fdir / f"point_t{t0:02d}.csv"), point)
+
+
+def _without_timings(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in ("build_s", "walltime_s")]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def test_simulate_writes_the_same_run_in_workers(bundle, tmp_path, capsys, forks):
+    system = read_system_json(str(bundle / "system.json"))
+    fdir = tmp_path / "forecasts"
+    _write_forecast_dir(system, fdir)
+    runs = {}
+    for jobs in ("1", "2"):
+        assert main(["simulate", "--config", str(bundle / "run.json"), "--forecast-dir", str(fdir),
+                     "--out", str(tmp_path), "--variant", "all", "--jobs", jobs, "--label", jobs]) == 0
+        runs[jobs] = tmp_path / jobs
+    assert forks == [2]
+    assert multiprocessing.active_children() == []
+    names = [f"ledger_{v.value}.jsonl" for v in Variant]
+    names += ["objective_table.csv", "profit_table.csv", "summary.txt"]
+    for name in names:
+        assert (runs["2"] / name).read_bytes() == (runs["1"] / name).read_bytes(), name
+    for v in Variant:
+        name = f"metrics_{v.value}.csv"
+        assert _without_timings(runs["2"] / name) == _without_timings(runs["1"] / name), name
 
 
 @pytest.mark.parametrize("requested, warned", [(50, True), (3, False)])

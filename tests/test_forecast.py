@@ -582,6 +582,19 @@ def test_pipeline_fit_guards():
         ForecastPipeline(cfg).point_forecast("ghost", 0, [], [], 8)
 
 
+def test_pipeline_fit_names_the_first_non_finite_hour():
+    history = make_history(SynthConfig(seed=11))
+    rt, da = history["bus"]
+    rt = rt.copy()
+    rt[500] = np.nan
+    with pytest.raises(EstimationError, match="node bus: RT history at hour 501 is nan, not a finite price"):
+        ForecastPipeline(ForecastConfig()).fit({"bus": (rt, da)})
+    da = da.copy()
+    da[[7, 9]] = np.inf
+    with pytest.raises(EstimationError, match="node bus: DA history at hour 8 is inf"):
+        ForecastPipeline(ForecastConfig()).fit({"bus": (history["bus"][0], da)})
+
+
 def test_pipeline_scenario_sets_line_up_with_the_origin(fitted_pipeline):
     pipe, cfg = fitted_pipeline
     day = _toy_history(n_days=1, seed=99)

@@ -33,6 +33,8 @@ from pshlac.milp import (
     solve,
 )
 
+from toys import knapsack
+
 T = Tag("test")
 OPTS = SolveOptions(gap_tol=1e-9, time_limit=30.0)
 
@@ -138,17 +140,8 @@ def test_infeasibility_report_names_the_conflict():
     assert infeasibility_report(odd) == ["<IIS unavailable: Optimal>"]
 
 
-def _knapsack(n=30, capacity=50.0):
-    # max sum (i+1) x_i with weights i+3: many binaries, so HiGHS cannot
-    # finish in presolve
-    m = MilpModel()
-    xs = [m.add_var(f"x{i}", obj=-(i + 1.0), kind=BINARY, tag=T) for i in range(n)]
-    m.add_row("cap", {x: i + 3.0 for i, x in enumerate(xs)}, LE, capacity, T)
-    return m
-
-
 def test_time_limit_without_incumbent():
-    sol = solve(_knapsack(), SolveOptions(gap_tol=1e-9, time_limit=0.0))
+    sol = solve(knapsack(), SolveOptions(gap_tol=1e-9, time_limit=0.0))
     assert sol.status == TIME_LIMIT
     assert sol.values is None and sol.objective is None and sol.gap is None
     assert not sol.ok
@@ -180,7 +173,7 @@ def test_time_limit_with_incumbent_reports_feasible():
 
 
 def test_milp_solve_reports_nodes():
-    sol = solve(_knapsack(), OPTS)
+    sol = solve(knapsack(), OPTS)
     assert sol.nodes >= 1
     lp = MilpModel()
     lp.add_var("x", obj=1.0, ub=1.0, tag=T)
@@ -191,7 +184,7 @@ def test_milp_solve_reports_nodes():
 
 
 def _rounded(how):
-    """A rounding of every binary of ``_knapsack`` by ``how`` (np.floor,
+    """A rounding of every binary of ``knapsack`` by ``how`` (np.floor,
     np.ceil, np.round) of the relaxation's values."""
     def rounding(values):
         cols = np.arange(values.size)
@@ -226,16 +219,16 @@ def test_an_integral_relaxation_is_closed_at_the_root():
 def test_a_rounding_outside_the_gap_falls_back():
     # the knapsack's relaxation fills the last item fractionally: rounded
     # down it is feasible but short of the bound, rounded up infeasible
-    cold = solve(_knapsack(), OPTS)
+    cold = solve(knapsack(), OPTS)
     for how in (np.floor, np.ceil):
-        m = _knapsack()
+        m = knapsack()
         m.rounding = _rounded(how)
         sol = solve(m, OPTS)
         assert (sol.status, sol.incumbent) == (OPTIMAL, BRANCH_AND_BOUND)
         assert sol.nodes == cold.nodes and sol.objective == pytest.approx(cold.objective, abs=1e-9)
     # the rounded-down point (the last item, 30 against a bound of about
     # 46.8) is kept at a gap wide enough for it
-    m = _knapsack()
+    m = knapsack()
     m.rounding = _rounded(np.floor)
     loose = solve(m, SolveOptions(gap_tol=0.6, time_limit=30.0))
     assert loose.incumbent == ROOT_ROUNDING and loose.objective == pytest.approx(-30.0, abs=1e-9)
@@ -265,7 +258,7 @@ def test_a_rounding_that_misses_a_binary_or_gives_up_falls_back():
 def test_a_rounding_changes_nothing_at_a_zero_time_limit():
     # the relaxation stops at once, so the MIP ends as it would without
     # a rounding: at its time limit with no incumbent
-    m = _knapsack()
+    m = knapsack()
     no_time = SolveOptions(gap_tol=1e-9, time_limit=0.0)
     assert solve(m, no_time).status == TIME_LIMIT
     m.rounding = _rounded(np.floor)
@@ -282,10 +275,10 @@ def test_only_the_root_lps_skip_presolve():
 
     assert presolve(_cover_model(), _rounded(np.round)) == ("off", True)
     # the knapsack's rounding is not certified: branch and bound runs with presolve back
-    assert presolve(_knapsack(), _rounded(np.floor)) == ("choose", False)
-    assert presolve(_knapsack(), None) == ("choose", False)
-    assert presolve(_knapsack(), None, integral=False) == ("choose", False)
-    assert presolve(_knapsack(), _rounded(np.floor), options={**opts, "presolve": "on"}) == ("on", False)
+    assert presolve(knapsack(), _rounded(np.floor)) == ("choose", False)
+    assert presolve(knapsack(), None) == ("choose", False)
+    assert presolve(knapsack(), None, integral=False) == ("choose", False)
+    assert presolve(knapsack(), _rounded(np.floor), options={**opts, "presolve": "on"}) == ("on", False)
 
 
 def test_an_infeasible_mip_with_a_rounding_stays_infeasible():

@@ -1,4 +1,5 @@
 import filecmp
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from pshlac.rolling import (
     PipelineProvider,
     RunControl,
     SimulationLedger,
+    WindowError,
     WindowInfeasibleError,
     WindowTimeoutError,
     causality_check,
@@ -197,6 +199,25 @@ def test_infeasible_window_reports_conflicts():
     assert err.value.conflict_rows
     assert "conflicting rows" in str(err.value)
     assert err.value.lp_text.startswith("\\ current_practice\n")
+
+
+@pytest.mark.parametrize("exc", [
+    WindowError("robust", 4, 4, "stopped"),
+    WindowTimeoutError("stochastic", 2, 2, 0.5),
+    WindowInfeasibleError("perfect", 3, 3, "infeasible", ["r_soc.res1.t3", "r_bal.t3"], "\\ perfect\nEnd\n"),
+])
+def test_window_errors_survive_pickling(exc):
+    # a worker process sends its window error back pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert (back.variant, back.window_index, back.t1) == (exc.variant, exc.window_index, exc.t1)
+    assert vars(back) == vars(exc)
+    if isinstance(exc, WindowTimeoutError):
+        assert back.time_limit == 0.5
+    if isinstance(exc, WindowInfeasibleError):
+        assert back.conflict_rows == ["r_soc.res1.t3", "r_bal.t3"]
+        assert back.lp_text == "\\ perfect\nEnd\n"
 
 
 def _rows_only(model, names):
