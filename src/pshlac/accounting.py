@@ -240,6 +240,43 @@ class DayEvaluation:
         return "\n".join(lines) + "\n"
 
 
+def settle(
+    system: PowerSystem,
+    market_day: MarketDay,
+    ledger: SimulationLedger,
+    da: DaReference | None = None,
+    cfg: ModelConfig | None = None,
+) -> VariantOutcome:
+    """Settle one ledger: its full-day re-solve (:func:`full_day_resolve`),
+    the realized prices, the storage profit and the slack totals."""
+    if da is None:
+        da = da_reference_from_system(system)
+    model, sol = full_day_resolve(system, market_day, ledger, da, cfg)
+    lmp = realized_lmp(model, sol)
+    profit = lac_profit(ledger, da, lmp, system)
+    sh = sum(h.slack_short for h in ledger.hours)
+    su = sum(h.slack_surplus for h in ledger.hours)
+    return VariantOutcome(ledger.variant, float(sol.objective), lmp, profit, sh, su)
+
+
+def assemble_day(
+    system: PowerSystem,
+    market_day: MarketDay,
+    outcomes: Mapping[str, VariantOutcome],
+    da: DaReference | None = None,
+) -> DayEvaluation:
+    """The day's evaluation from each variant's settled outcome: the
+    day-ahead profits, and the delta table when current practice ran."""
+    if da is None:
+        da = da_reference_from_system(system)
+    outcomes = {name: outcomes[name] for name in sorted(outcomes, key=_variant_sort_key)}
+    objectives = {n: o.objective for n, o in outcomes.items()}
+    delta = None
+    if Variant.CURRENT_PRACTICE.value in objectives:
+        delta = objective_delta_table(objectives)
+    return DayEvaluation(market_day.label, outcomes, da_profit(da, market_day.da_lmp, system), delta)
+
+
 def evaluate_day(
     system: PowerSystem,
     market_day: MarketDay,
@@ -247,22 +284,12 @@ def evaluate_day(
     da: DaReference | None = None,
     cfg: ModelConfig | None = None,
 ) -> DayEvaluation:
+    """Settle every ledger (:func:`settle`), then assemble the day."""
     if da is None:
         da = da_reference_from_system(system)
-    outcomes = {}
-    for name in sorted(ledgers, key=_variant_sort_key):
-        ledger = ledgers[name]
-        model, sol = full_day_resolve(system, market_day, ledger, da, cfg)
-        lmp = realized_lmp(model, sol)
-        profit = lac_profit(ledger, da, lmp, system)
-        sh = sum(h.slack_short for h in ledger.hours)
-        su = sum(h.slack_surplus for h in ledger.hours)
-        outcomes[name] = VariantOutcome(name, float(sol.objective), lmp, profit, sh, su)
-    objectives = {n: o.objective for n, o in outcomes.items()}
-    delta = None
-    if Variant.CURRENT_PRACTICE.value in objectives:
-        delta = objective_delta_table(objectives)
-    return DayEvaluation(market_day.label, outcomes, da_profit(da, market_day.da_lmp, system), delta)
+    outcomes = {name: settle(system, market_day, ledgers[name], da, cfg)
+                for name in sorted(ledgers, key=_variant_sort_key)}
+    return assemble_day(system, market_day, outcomes, da)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from .accounting import AccountingError, evaluate_day
+from .accounting import AccountingError, VariantOutcome, assemble_day, evaluate_day, settle
 from .core import (
     MarketDay,
     read_scenario_csv,
@@ -46,6 +46,7 @@ from .lac_models import (
 )
 from .milp import FEASIBLE, SolveOptions, SolverError, reset_scheduler
 from .rolling import (
+    CARRIED,
     FrozenSetProvider,
     RunControl,
     SimulationLedger,
@@ -267,10 +268,25 @@ def _load_forecast_dir(path: str) -> FrozenSetProvider:
     return FrozenSetProvider(sets, points)
 
 
-def _run_variant(system, day, provider, control, da, variant: Variant) -> SimulationLedger:
+def _missing_forecast_files(path: str, variants: list[Variant], origins: list[int]) -> list[str]:
+    """The files of ``path`` that rolling ``variants`` would read and
+    that are not there: the point forecasts of a deterministic day, the
+    scenario sets of a stochastic or robust one, one per origin."""
+    kinds = []
+    if any(v in (Variant.STOCHASTIC, Variant.ROBUST) for v in variants):
+        kinds.append("scenarios")
+    if Variant.DETERMINISTIC in variants:
+        kinds.append("point")
+    names = [f"{kind}_t{t0:02d}.csv" for kind in kinds for t0 in origins]
+    return [name for name in names if not os.path.exists(os.path.join(path, name))]
+
+
+def _run_variant(system, day, provider, control, da, variant: Variant) -> tuple[SimulationLedger, VariantOutcome]:
     # looks run_day up in this module when it runs, in a worker as in
-    # this process, so a replacement set on the module applies to both
-    return run_day(system, day, variant, provider, control, da)
+    # this process, so a replacement set on the module applies to both;
+    # each ledger is settled where it was rolled
+    ledger = run_day(system, day, variant, provider, control, da)
+    return ledger, settle(system, day, ledger, da, control.model)
 
 
 def fork_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
@@ -299,6 +315,10 @@ def cmd_simulate(args) -> int:
 
     needs = [v for v in variants if v in SCENARIO_VARIANTS]
     provider = _load_forecast_dir(args.forecast_dir) if needs else None
+    missing = _missing_forecast_files(args.forecast_dir, needs, _forecast_origins(system))
+    if missing:
+        raise CliError(f"{args.forecast_dir} lacks forecast files the requested variants read: "
+                       f"{', '.join(missing)}; run `pshlac forecast --config <run.json> --out <dir>` first")
     if provider is not None and provider.counts - {cfg.scenarios}:
         held = ", ".join(map(str, sorted(provider.counts)))
         print(f"warning: {args.config} asks for {cfg.scenarios} scenarios, but the scenario files in "
@@ -331,16 +351,20 @@ def cmd_simulate(args) -> int:
         raise CliError(f"{exc}; window model written to {path}") from exc
 
     ledgers: dict[str, SimulationLedger] = {}
-    for variant, led in zip(variants, results):
+    outcomes: dict[str, VariantOutcome] = {}
+    for variant, (led, outcome) in zip(variants, results):
         ledgers[variant.value] = led
+        outcomes[variant.value] = outcome
         limited = sum(w.status == FEASIBLE for w in led.windows)
-        print(f"{variant.value}: {len(led.windows)} windows solved, {limited} time-limited")
+        carried = sum(w.incumbent == CARRIED for w in led.windows)
+        print(f"{variant.value}: {len(led.windows) - carried} windows solved, {limited} time-limited"
+              + (f", {carried} carried by their certificate" if carried else ""))
 
     for name, led in sorted(ledgers.items()):
         led.to_jsonl(os.path.join(outdir, f"ledger_{name}.jsonl"))
         led.write_metrics_csv(os.path.join(outdir, f"metrics_{name}.csv"))
 
-    ev = evaluate_day(system, day, ledgers, da, cfg.model_config())
+    ev = assemble_day(system, day, outcomes, da)
     ev.write_objective_csv(os.path.join(outdir, "objective_table.csv"))
     ev.write_profit_csv(os.path.join(outdir, "profit_table.csv"))
     node = system.psh_units[0].node_id if system.psh_units else sorted(day.da_lmp)[0]

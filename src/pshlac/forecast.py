@@ -248,6 +248,16 @@ def _last(a: np.ndarray, n: int) -> list[float]:
     return [0.0] * (n - k) + a[len(a) - k:].tolist()
 
 
+def _recent(train: np.ndarray, day: np.ndarray, n: int | None) -> np.ndarray:
+    """The training series followed by the day's values: the last ``n``
+    entries of the two, or all of them when ``n`` is None."""
+    if n is None:
+        return np.concatenate([train, day])
+    if n <= len(day):
+        return day[len(day) - n:]
+    return np.concatenate([train[max(0, len(train) - (n - len(day))):], day])
+
+
 def _diff_future(exog_history: np.ndarray | None, exog_future: np.ndarray, d: int) -> np.ndarray:
     """Difference future exog d times using trailing history for the boundary."""
     Xf = exog_future if exog_future.ndim == 2 else exog_future[:, None]
@@ -597,6 +607,12 @@ class _NodeModel:
     rt: np.ndarray
     da: np.ndarray
 
+    def history_read(self) -> int | None:
+        """How many of the last levels a point forecast reads: ``p + d``
+        without moving-average terms, every one (None) with them, whose
+        innovations are recovered over the whole history."""
+        return None if self.spec.q else self.spec.p + self.spec.d
+
 
 class ForecastPipeline:
     """Fit once on history, then produce per-origin scenario sets.
@@ -666,8 +682,9 @@ class ForecastPipeline:
         nm = self._require(node)
         rt_prefix = np.asarray(day_rt, dtype=float)[:t0]
         da_day = np.asarray(day_da, dtype=float)
-        hist = np.concatenate([nm.rt, rt_prefix])
-        ehist = np.concatenate([nm.da, da_day[:t0]])
+        keep = nm.history_read()
+        hist = _recent(nm.rt, rt_prefix, keep)
+        ehist = _recent(nm.da, da_day[:t0], keep)
         H = horizon_end - t0
         if H < 1:
             raise ValueError("horizon_end must exceed the forecast origin")
@@ -723,6 +740,7 @@ class ForecastPipeline:
         out: dict = {}
         for node, (rt_raw, da_raw) in test_history.items():
             nm = self._require(node)
+            keep = nm.history_read()
             rt = np.asarray(rt_raw, dtype=float)
             da = np.asarray(da_raw, dtype=float)
             n_days = len(rt) // cfg.horizon
@@ -733,8 +751,8 @@ class ForecastPipeline:
                 o = k * cfg.horizon
                 day_rt = rt[o : o + cfg.horizon]
                 day_da = da[o : o + cfg.horizon]
-                hist = np.concatenate([nm.rt, rt[:o]])
-                ehist = np.concatenate([nm.da, da[:o]])
+                hist = _recent(nm.rt, rt[:o], keep)
+                ehist = _recent(nm.da, da[:o], keep)
                 fc = predict_point(nm.spec, hist, exog_future=day_da[:, None], exog_history=ehist[:, None])
                 resid = day_rt - fc
                 pits.append(pit_transform(resid[0], nm.curves[0]))

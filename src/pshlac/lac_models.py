@@ -179,8 +179,9 @@ def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours:
     column: ``p`` is bounded to ``[c*p_min, c*p_max]``, and the plan's
     no-load charges over ``hours`` and its start-up charges (an hour on
     after an hour off; before hour 1 the unit's initial status) join
-    ``model.objective_constant``.  Returns (unit, hour) -> column for
-    each field but the segments.
+    ``model.objective_constant``, and each hour's share of them
+    ``model.meta["thermal_constant"]`` (see :func:`costs_by_hour`).
+    Returns (unit, hour) -> column for each field but the segments.
     """
     H = len(hours)
     pinned = commitment is not None
@@ -199,12 +200,15 @@ def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours:
         segments = [seg.mw for seg in u.cost_curve]
         if pinned:
             plan = commitment[u.id]
+            by_hour = model.meta.setdefault("thermal_constant", {})
             for t in hours:
                 c = plan[t - 1]
                 was = plan[t - 2] if t > 1 else int(u.initial_status.committed)
                 lb += [c * u.p_min, *[0.0] * K]
                 ub += [c * u.p_max, *segments]
-                model.objective_constant += c * u.no_load_cost + (u.startup_cost if c > was else 0.0)
+                charge = c * u.no_load_cost + (u.startup_cost if c > was else 0.0)
+                model.objective_constant += charge
+                by_hour[t] = by_hour.get(t, 0.0) + charge
         else:
             lb += [0.0] * (w * H)
             ub += [1.0, 1.0, 1.0, u.p_max, *segments] * H
@@ -229,6 +233,17 @@ def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours:
                    [EQ, GE, LE][:R] * n, 0.0, ["thermal_link", "thermal_min", "thermal_max"][:R] * n,
                    [u.id for u in units for _ in range(R * H)], [t for t in hours for _ in range(R)] * len(units))
     return cols
+
+
+def costs_by_hour(model: MilpModel, sol: MilpSolution) -> dict[int | None, float]:
+    """A window solution's objective split by hour: its column costs by
+    their tag hour, plus each hour's share of the pinned thermal no-load
+    and start-up charges.  The parts sum to ``sol.objective``; columns
+    without an hour (a tail's value or risk column) sit under None."""
+    parts = model.cost_by_hour(sol.values)
+    for t, charge in model.meta.get("thermal_constant", {}).items():
+        parts[t] = parts.get(t, 0.0) + charge
+    return parts
 
 
 def _add_balance(

@@ -352,6 +352,19 @@ class MilpModel:
     def var_index(self, name: str) -> int:
         return self._name_to_var[name]
 
+    @property
+    def var_names(self) -> list[str]:
+        """Every column's name, in column order."""
+        return list(self._vnames)
+
+    def cost_by_hour(self, values: np.ndarray) -> dict[int | None, float]:
+        """The objective terms of ``values`` summed by their columns' tag
+        hour (None for columns without one), the constant left out."""
+        obj = np.asarray(self._obj)
+        hours = np.array([-1 if t is None else t for t in self._vtags.hour], dtype=np.int64)
+        sums = np.bincount(hours + 1, weights=obj * values)
+        return {(None if t < 0 else int(t)): float(sums[t + 1]) for t in np.unique(hours[obj != 0.0])}
+
     def _csr(self) -> tuple[np.ndarray, ...]:
         """The rows as arrays: (start, index, value, sense codes, rhs)."""
         if self._csr_cache is None:
@@ -456,6 +469,10 @@ class MilpSolution:
     duals: np.ndarray | None = None  # HiGHS's row duals, when no binary was free
     nodes: int = 0  # branch-and-bound nodes HiGHS explored, 0 for an LP or a root rounding
     incumbent: str | None = None  # FROM_LP, ROOT_ROUNDING or BRANCH_AND_BOUND; None without values
+    # the proven lower bound on the optimum, constant included like
+    # ``objective``: the relaxation's for a root rounding, HiGHS's dual
+    # bound after branch and bound, the objective of an LP
+    bound: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -658,14 +675,15 @@ def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution
     objective = float(info.objective_function_value) + model.objective_constant
     if not is_mip:
         return MilpSolution(OPTIMAL, values, objective, None, wall, np.array(solution.row_dual),
-                            incumbent=FROM_LP)
+                            incumbent=FROM_LP, bound=objective)
     if bound is not None:
         obj = info.objective_function_value
         gap = max(obj - bound, 0.0) / abs(obj) if obj else 0.0
-        return MilpSolution(OPTIMAL, values, objective, gap, wall, incumbent=ROOT_ROUNDING)
+        return MilpSolution(OPTIMAL, values, objective, gap, wall, incumbent=ROOT_ROUNDING,
+                            bound=bound + model.objective_constant)
     return MilpSolution(FEASIBLE if status == TIME_LIMIT else status, values, objective,
                         float(info.mip_gap), wall, nodes=int(info.mip_node_count),
-                        incumbent=BRANCH_AND_BOUND)
+                        incumbent=BRANCH_AND_BOUND, bound=float(info.mip_dual_bound) + model.objective_constant)
 
 
 def _check_primal(model: MilpModel, values: np.ndarray, lb: np.ndarray, ub: np.ndarray,

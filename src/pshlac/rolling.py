@@ -6,12 +6,33 @@ are frozen, and the window slides by one hour.  Frozen decisions feed
 the next window through the reservoir state and the previous-hour mode;
 reservoir bookkeeping uses the same energy balance as the models, so
 the ledger trajectory is exact.
+
+A ``perfect`` window runs to the day end on realized load, so after a
+solved one the next windows only re-derive its plan (Bellman's principle
+of optimality, *Dynamic Programming*, 1957).  Let window k be the last
+one HiGHS solved, with plan ``x``, objective ``F_k`` and proven bound
+``B_k``.  Window j > k has the same data and starts from the state ``x``
+reaches, so ``x`` prefixed to any plan of window j is a plan of window
+k: ``OPT_j >= B_k - C``, where ``C`` is the cost of ``x``'s hours
+k..j-1 (:func:`~pshlac.lac_models.costs_by_hour`), while ``x`` on hours
+j..T costs ``F_k - C``.  Window j's absolute gap is therefore at most
+window k's, and window j is closed without a model when window k ended
+``optimal``, that gap over window j's objective (without its constant,
+as :func:`~pshlac.milp.solve` defines ``gap``) is within the solver's
+``gap_tol``, and the bookkept storage entering hour j is ``x``'s within
+1e-6 MWh.  Such a window freezes hour j from window k's plan and records
+incumbent ``carried``, status ``optimal``, objective ``F_k - C`` and that
+gap, with no build time, nodes or model size.  Where the certificate
+fails the window is built and solved, and later windows carry from it.
+The other variants see a new load hour or a new scenario set in every
+window, so nothing carries there.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Mapping, Protocol, Sequence
@@ -35,11 +56,13 @@ from .lac_models import (
     ModelConfig,
     Variant,
     build_variant,
+    costs_by_hour,
     da_reference_from_system,
 )
 from .milp import (
     BRANCH_AND_BOUND,
     FEASIBLE,
+    OPTIMAL,
     TIME_LIMIT,
     MilpModel,
     MilpSolution,
@@ -50,6 +73,9 @@ from .milp import (
 from .psh_model import soc_step
 
 logger = logging.getLogger(__name__)
+
+CARRIED = "carried"  # the incumbent of a perfect window closed by its certificate
+SOC_MATCH = 1e-6  # MWh the bookkept storage may differ from a carried plan's
 
 
 class WindowError(RuntimeError):
@@ -198,7 +224,9 @@ class WindowMetric:
     # per reservoir, the tails' marginal value of edge storage ($/MWh);
     # empty without cut tails (see lac_models.ScenarioTails.water_value)
     water_value: tuple[float, ...] = ()
-    incumbent: str = ""  # "lp", "root_rounding" or "branch_and_bound" (see milp.MilpSolution)
+    # "lp", "root_rounding" or "branch_and_bound" (see milp.MilpSolution),
+    # or CARRIED: no model, so no build time, size or nodes
+    incumbent: str = ""
 
 
 @dataclass
@@ -316,6 +344,44 @@ def _freeze_hour(
     )
 
 
+class _Carry:
+    """A solved ``perfect`` window whose plan later windows may carry
+    (the module docstring gives the certificate)."""
+
+    def __init__(self, model: MilpModel, sol: MilpSolution, t1: int):
+        self.model = model
+        self.sol = sol
+        self.t1 = t1
+        self.hourly = costs_by_hour(model, sol)
+        self.constant = model.meta.get("thermal_constant", {})
+        # F_k - B_k; an LP's optimum is its own bound
+        self.abs_gap = 0.0 if sol.gap is None else max(sol.objective - sol.bound, 0.0)
+
+    def certify(self, t: int, soc: Mapping[str, float], gap_tol: float) -> tuple[float, float | None] | None:
+        """The objective and gap of window ``t`` closed by this plan, or
+        None where the certificate fails."""
+        sol = self.sol
+        for rid, stored in self.model.meta["soc"].items():
+            if abs(soc[rid] - sol.value(stored.e_det[(rid, t)])) > SOC_MATCH:
+                return None
+        objective = sol.objective - sum(self.hourly.get(h, 0.0) for h in range(self.t1, t))
+        net = abs(objective - sum(c for h, c in self.constant.items() if h >= t))
+        gap = self.abs_gap / net if net else (0.0 if self.abs_gap == 0.0 else math.inf)
+        if gap > gap_tol:
+            return None
+        return objective, None if sol.gap is None else gap
+
+    def detail(self, variant: Variant, w_index: int, inst: LacInstance, cfg: ModelConfig,
+               metric: WindowMetric) -> WindowDetail:
+        """Window ``inst``'s own model, with this plan's values mapped
+        onto its columns by name."""
+        model = build_variant(variant, inst, cfg)
+        values = self.sol.values[[self.model.var_index(n) for n in model.var_names]]
+        sol = MilpSolution(OPTIMAL, values, metric.objective, metric.gap, metric.walltime_s,
+                           incumbent=CARRIED, bound=metric.objective - self.abs_gap)
+        return WindowDetail(w_index, metric.t1, model, sol, inst)
+
+
 def run_day(
     system: PowerSystem,
     market_day: MarketDay,
@@ -328,7 +394,9 @@ def run_day(
 
     Every window sees what the reveal policy shows for its hours; the
     perfect variant's windows run from t1 to the end of the day, so it
-    sees the realized load of every remaining hour and prices nothing.
+    sees the realized load of every remaining hour and prices nothing,
+    and a perfect window whose certificate holds carries the plan of the
+    last one solved (see the module docstring).
     A window that times out without an
     incumbent raises :class:`WindowTimeoutError`; an infeasible or
     unbounded one raises :class:`WindowInfeasibleError` with the rows of
@@ -354,6 +422,7 @@ def run_day(
     soc = {r.id: float(r.e_initial) for r in system.reservoirs}
     prev_modes = {u.id: u.initial_mode for u in system.psh_units}
 
+    carry: _Carry | None = None
     last_start = max(1, T - L + 1)
     for w_index, t1 in enumerate(range(1, last_start + 1), start=1):
         length = T - t1 + 1 if variant == Variant.PERFECT else L
@@ -369,33 +438,44 @@ def run_day(
                 full = provider.full_set(t0, view.observed_rt_lmp)
             scn = full.slice_hours(te + 1)
         inst = LacInstance(system, win, view.net_load, da, dict(soc), dict(prev_modes), scn)
-        t_build = time.perf_counter()
-        model = build_variant(variant, inst, control.model)
-        build_s = time.perf_counter() - t_build
-        sol = solve(model, control.solver)
-        if sol.status == TIME_LIMIT:
-            raise WindowTimeoutError(variant.value, w_index, t1, control.solver.time_limit)
-        if not sol.ok:
-            raise WindowInfeasibleError(variant.value, w_index, t1, sol.status,
-                                        infeasibility_report(model), model.to_lp_string())
-        if sol.status == FEASIBLE:
-            logger.warning("%s window %d (t1=%d) hit the %g s time limit at gap %.3g",
-                           variant.value, w_index, t1, control.solver.time_limit, sol.gap)
-        if sol.incumbent == BRANCH_AND_BOUND:
-            logger.debug("%s window %d (t1=%d) was not closed at the root: branch and bound took %d nodes",
-                         variant.value, w_index, t1, sol.nodes)
-        frozen = _freeze_hour(system, model, sol, t1, soc)
-        ledger.hours.append(frozen)
-        tails = model.meta.get("tails")
-        ledger.windows.append(
-            WindowMetric(
+        certified = None
+        if carry is not None:
+            t_cert = time.perf_counter()
+            certified = carry.certify(t1, soc, control.solver.gap_tol)
+        if certified is not None:
+            model, sol = carry.model, carry.sol
+            metric = WindowMetric(w_index, t1, OPTIMAL, certified[0], 0.0, time.perf_counter() - t_cert,
+                                  0, 0, 0, 0, certified[1], 0, (), CARRIED)
+            if control.keep_window_details:
+                ledger.details.append(carry.detail(variant, w_index, inst, control.model, metric))
+        else:
+            t_build = time.perf_counter()
+            model = build_variant(variant, inst, control.model)
+            build_s = time.perf_counter() - t_build
+            sol = solve(model, control.solver)
+            if sol.status == TIME_LIMIT:
+                raise WindowTimeoutError(variant.value, w_index, t1, control.solver.time_limit)
+            if not sol.ok:
+                raise WindowInfeasibleError(variant.value, w_index, t1, sol.status,
+                                            infeasibility_report(model), model.to_lp_string())
+            if sol.status == FEASIBLE:
+                logger.warning("%s window %d (t1=%d) hit the %g s time limit at gap %.3g",
+                               variant.value, w_index, t1, control.solver.time_limit, sol.gap)
+            if sol.incumbent == BRANCH_AND_BOUND:
+                logger.debug("%s window %d (t1=%d) was not closed at the root: branch and bound took %d nodes",
+                             variant.value, w_index, t1, sol.nodes)
+            tails = model.meta.get("tails")
+            metric = WindowMetric(
                 w_index, t1, sol.status, float(sol.objective), build_s, float(sol.walltime_s),
                 model.n_rows, model.n_vars, model.n_nonzeros, model.n_binaries, sol.gap,
                 sol.nodes, tails.water_value(sol) if tails else (), sol.incumbent,
             )
-        )
-        if control.keep_window_details:
-            ledger.details.append(WindowDetail(w_index, t1, model, sol, inst))
+            if control.keep_window_details:
+                ledger.details.append(WindowDetail(w_index, t1, model, sol, inst))
+            carry = _Carry(model, sol, t1) if variant == Variant.PERFECT and sol.status == OPTIMAL else None
+        frozen = _freeze_hour(system, model, sol, t1, soc)
+        ledger.hours.append(frozen)
+        ledger.windows.append(metric)
         soc = dict(frozen.soc_after)
         prev_modes = dict(frozen.psh_mode)
 

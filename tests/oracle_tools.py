@@ -24,7 +24,7 @@ from scipy.optimize import linprog
 from scipy.special import ndtr
 
 from pshlac.lac_models import _base_window_model, _scenario_prices
-from pshlac.milp import GE, MilpModel, Tag
+from pshlac.milp import EQ, GE, LE, MilpModel, Tag
 from pshlac.psh_model import add_block_soc, add_dispatch_boxes, add_mode_logic, create_psh_block
 
 MODES = ("off", "gen", "pump")
@@ -459,3 +459,13 @@ def tail_lp(units: Sequence, reservoir, prices: np.ndarray, e_edge: float, targe
         return None
     assert res.status == 0, res.message
     return -res.fun, res.x[: U * H].reshape(U, H), res.x[U * H:].reshape(U, H)
+
+
+def max_violation(model: MilpModel, x: np.ndarray) -> float:
+    """Largest breach of a bound, a row or the integrality of a binary."""
+    worst = max(0.0, float(np.max(np.asarray(model._lb) - x)), float(np.max(x - np.asarray(model._ub))))
+    for r in model.rows():
+        lhs = sum(c * x[j] for j, c in r.coeffs.items())
+        worst = max(worst, {LE: lhs - r.rhs, GE: r.rhs - lhs, EQ: abs(lhs - r.rhs)}[r.sense])
+    b = model.binary_indices()
+    return max(worst, float(np.max(np.abs(x[b] - np.round(x[b])), initial=0.0)))

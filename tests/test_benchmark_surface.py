@@ -32,7 +32,9 @@ def test_tracer_targets_exist_and_restore():
 
 def test_highs_span_sits_inside_each_window_solve(toy_day):
     # ``milp.highs`` times the one HiGHS call of each ``solve``; matrix
-    # assembly stays outside it, in the ``milp.solve`` span's own time
+    # assembly stays outside it, in the ``milp.solve`` span's own time.
+    # current_practice solves every window (a perfect day carries its
+    # later windows without a solve)
     from pshlac.lac_models import Variant
 
     system, day, da = toy_day
@@ -40,7 +42,7 @@ def test_highs_span_sits_inside_each_window_solve(toy_day):
     try:
         run.install_tracing(tracer)
         with tracer.operation("day"):
-            rolling.run_day(system, day, Variant.PERFECT, None, None, da)
+            rolling.run_day(system, day, Variant.CURRENT_PRACTICE, None, None, da)
     finally:
         tracer.restore()
     solves = {s["id"]: s for s in tracer.spans if s["name"] == "milp.solve"}

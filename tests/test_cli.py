@@ -5,12 +5,13 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from pshlac import cli
+from pshlac import accounting, cli
 from pshlac.cli import (
     CliError,
     RunConfig,
     _forecast_origins,
     _load_forecast_dir,
+    _missing_forecast_files,
     _parse_variants,
     build_parser,
     fork_pool,
@@ -255,6 +256,49 @@ def test_simulate_writes_the_same_run_in_workers(bundle, tmp_path, capsys, forks
         assert _without_timings(runs["2"] / name) == _without_timings(runs["1"] / name), name
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_names_the_forecast_files_it_lacks(bundle, tmp_path, capsys, forks, jobs):
+    # checked before any variant rolls: no worker starts, and the error
+    # names each file a requested variant would read
+    system = read_system_json(str(bundle / "system.json"))
+    fdir = tmp_path / "forecasts"
+    _write_forecast_dir(system, fdir)
+    for name in ("scenarios_t01.csv", "scenarios_t07.csv", "point_t20.csv"):
+        (fdir / name).unlink()
+    assert main(["simulate", "--config", str(bundle / "run.json"), "--forecast-dir", str(fdir),
+                 "--out", str(tmp_path), "--variant", "all", "--jobs", jobs, "--label", "gaps"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {fdir} lacks forecast files the requested variants read: scenarios_t01.csv, "
+        "scenarios_t07.csv, point_t20.csv; run `pshlac forecast --config <run.json> --out <dir>` first\n")
+    assert forks == []
+    assert multiprocessing.active_children() == []
+    # a deterministic day reads point forecasts only, a robust one scenario sets only
+    origins = _forecast_origins(system)
+    assert _missing_forecast_files(str(fdir), [Variant.DETERMINISTIC], origins) == ["point_t20.csv"]
+    assert _missing_forecast_files(str(fdir), [Variant.ROBUST], origins) == ["scenarios_t01.csv", "scenarios_t07.csv"]
+
+
+def test_simulate_settles_each_variant_in_its_worker(bundle, tmp_path, capsys, monkeypatch, forks):
+    # forked workers count their own settlements, so the command's
+    # process settles none at --jobs 2
+    resolves = []
+    original = accounting.full_day_resolve
+
+    def counted(*args, **kwargs):
+        resolves.append(args[2].variant)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(accounting, "full_day_resolve", counted)
+    for jobs in ("1", "2"):
+        assert main(["simulate", "--config", str(bundle / "run.json"), "--out", str(tmp_path),
+                     "--variant", "current_practice,perfect", "--jobs", jobs, "--label", jobs]) == 0
+    assert resolves == ["current_practice", "perfect"]  # the --jobs 1 run, in this process
+    assert forks == [2]
+    assert multiprocessing.active_children() == []
+    for name in ("objective_table.csv", "profit_table.csv", "summary.txt"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("requested, warned", [(50, True), (3, False)])
 def test_simulate_warns_when_the_files_hold_another_scenario_count(
         bundle, tmp_path, capsys, monkeypatch, requested, warned):
@@ -262,8 +306,9 @@ def test_simulate_warns_when_the_files_hold_another_scenario_count(
     nodes = tuple(sorted({u.node_id for u in system.psh_units}))
     fdir = tmp_path / "forecasts"
     fdir.mkdir()
-    write_scenario_csv(str(fdir / "scenarios_t00.csv"),
-                       PriceScenarioSet(nodes, 1, np.full((3, len(nodes), 24), 30.0), (1 / 3,) * 3))
+    for t0 in _forecast_origins(system):  # simulate checks that every origin has its file
+        write_scenario_csv(str(fdir / f"scenarios_t{t0:02d}.csv"),
+                           PriceScenarioSet(nodes, 1, np.full((3, len(nodes), 24), 30.0), (1 / 3,) * 3))
 
     def stop(*args):
         raise CliError("stopped before the first window")
@@ -316,7 +361,7 @@ def test_full_workflow(tmp_path, capsys):
                "--label", "smoke"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "current_practice: 22 windows solved, 0 time-limited" in out
+    assert "current_practice: 22 windows solved, 0 time-limited\n" in out
     rdir = runs / "smoke"
     for name in ("ledger_current_practice.jsonl", "ledger_deterministic.jsonl",
                  "ledger_stochastic.jsonl", "metrics_stochastic.csv",
@@ -325,6 +370,11 @@ def test_full_workflow(tmp_path, capsys):
         assert (rdir / name).exists(), name
     led = SimulationLedger.from_jsonl(rdir / "ledger_current_practice.jsonl")
     assert [h.hour for h in led.hours] == list(range(1, 25))
+    # a perfect day solves its first window and carries the rest
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(runs), "--variant", "perfect",
+               "--label", "perfect"])
+    assert rc == 0
+    assert "perfect: 1 windows solved, 0 time-limited, 21 carried by their certificate\n" in capsys.readouterr().out
     profit_lines = (rdir / "profit_table.csv").read_text().splitlines()
     cp_rows = [l for l in profit_lines if l.startswith("current_practice,")]
     assert len(cp_rows) == 2  # psh1 and psh2

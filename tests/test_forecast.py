@@ -31,6 +31,7 @@ from pshlac.forecast import (
     update_covariance,
 )
 
+from pshlac import forecast as forecast_module
 from pshlac.synth import SynthConfig, make_history
 
 from oracle_tools import (
@@ -622,6 +623,35 @@ def test_pipeline_diagnostics_reports_per_day_pits(fitted_pipeline):
     assert d["n_pits"] == 12
     assert 0.0 <= d["coverage_90"] <= 1.0
     assert 0.0 <= d["ks_pvalue"] <= 1.0
+
+
+@pytest.mark.parametrize("orders", [(1, 0, 0), (2, 1, 0), (1, 0, 1)])
+def test_point_forecasts_read_only_the_history_they_need(monkeypatch, orders):
+    # without moving-average terms the recursion reads the last p + d
+    # levels, and the pipeline hands predict_point no more; with them it
+    # recovers innovations over the whole history.  Both forecast what
+    # the whole history gives, to the bit
+    cfg = ForecastConfig(horizon=8, min_train_days=40, orders=orders)
+    history = _toy_history()
+    pipe = ForecastPipeline(cfg).fit(history)
+    rt, da = history["bus"]
+    test_rt, test_da = _toy_history(n_days=2, seed=99)["bus"]
+    p, d, q = orders
+    seen = []
+
+    def spy(spec, hist, *args, **kwargs):
+        seen.append(len(hist))
+        return predict_point(spec, hist, *args, **kwargs)
+
+    monkeypatch.setattr(forecast_module, "predict_point", spy)
+    spec = pipe._nodes["bus"].spec
+    for t0 in (0, 3):
+        whole = predict_point(spec, np.concatenate([rt, test_rt[:t0]]), exog_future=test_da[t0:8, None],
+                              exog_history=np.concatenate([da, test_da[:t0]])[:, None], steps=8 - t0)
+        assert np.array_equal(pipe.point_forecast("bus", t0, test_rt[:8], test_da[:8], 8), whole)
+    pipe.diagnostics({"bus": (test_rt, test_da)}, count=5, seed=1)
+    n = len(rt)
+    assert seen == ([p + d] * 4 if q == 0 else [n, n + 3, n, n + 8])
 
 
 def test_seed_11_sets_keep_their_digest():

@@ -21,6 +21,7 @@ from pshlac.lac_models import (
     apply_da_reference,
     build_da_model,
     build_variant,
+    costs_by_hour,
     da_reference_from_system,
     extract_da_reference,
 )
@@ -29,7 +30,7 @@ from pshlac.milp import (BRANCH_AND_BOUND, EQ, FROM_LP, GE, LE, OPTIMAL, ROOT_RO
 from pshlac.rolling import RunControl, run_day
 
 from conftest import EXACT, solve_exact
-from oracle_tools import enumerate_objective, full_tail_window
+from oracle_tools import enumerate_objective, full_tail_window, max_violation
 from toys import NODE, rolling_day_setup, two_unit_instance, window_setup
 
 
@@ -534,16 +535,6 @@ def test_per_scenario_size_is_what_the_formula_says(variant, kwargs, n_post):
 ROUNDING_GAP = SolveOptions(gap_tol=1e-6, time_limit=30.0)
 
 
-def _max_violation(model, x):
-    """Largest breach of a bound, a row or the integrality of a binary."""
-    worst = max(0.0, float(np.max(np.asarray(model._lb) - x)), float(np.max(x - np.asarray(model._ub))))
-    for r in model.rows():
-        lhs = sum(c * x[j] for j, c in r.coeffs.items())
-        worst = max(worst, {LE: lhs - r.rhs, GE: r.rhs - lhs, EQ: abs(lhs - r.rhs)}[r.sense])
-    b = model.binary_indices()
-    return max(worst, float(np.max(np.abs(x[b] - np.round(x[b])), initial=0.0)))
-
-
 _price = st.floats(min_value=-40.0, max_value=80.0, allow_nan=False).map(lambda v: round(v, 1))
 _floor = st.sampled_from((0.0, 5.0, 12.0))
 
@@ -581,7 +572,7 @@ def test_root_rounding_agrees_with_branch_and_bound(variant, loads, prices, star
     assert abs(sol.objective - forced.objective) <= ROUNDING_GAP.gap_tol * scale + 1e-7
     if sol.incumbent == ROOT_ROUNDING:
         assert sol.nodes == 0 and 0.0 <= sol.gap <= ROUNDING_GAP.gap_tol
-        assert _max_violation(model, sol.values) <= 1e-6
+        assert max_violation(model, sol.values) <= 1e-6
 
 
 # -- what each builder hands HiGHS, pinned to the bit ----------------------------
@@ -709,3 +700,26 @@ def test_each_solve_path_keeps_its_presolve(case, monkeypatch):
     expected = {"da_reserve": BRANCH_AND_BOUND, "perfect": BRANCH_AND_BOUND, "deterministic": ROOT_ROUNDING,
                 "current_practice": FROM_LP, "settlement": FROM_LP}
     assert sol.incumbent == expected.get(case, sol.incumbent)
+
+
+# -- a window solution's cost by hour ------------------------------------------
+
+
+@pytest.mark.parametrize("variant, prices", [("perfect", None), ("stochastic", _CUT_PRICES),
+                                             ("robust", _NEGATIVE_PRICES)])
+def test_costs_by_hour_sum_to_the_objective(variant, prices):
+    # a no-load charge and a start-up in hour 3 give the thermal constant
+    # a share in every hour; cut tails have no hour and sit under None
+    instance = _two_unit(variant, prices)
+    unit = replace(instance.system.thermal_units[0], no_load_cost=40.0, startup_cost=300.0,
+                   da_commitment=(1, 0, 1, 1))
+    system = replace(instance.system, thermal_units=(unit,))
+    da = replace(instance.da, commitment={unit.id: unit.da_commitment})
+    model = build_variant(Variant(variant), replace(instance, system=system, da=da), ModelConfig())
+    sol = solve_exact(model)
+    parts = costs_by_hour(model, sol)
+    assert math.isclose(math.fsum(parts.values()), sol.objective, rel_tol=1e-9)
+    assert model.meta["thermal_constant"] == {t: 40.0 * c + (300.0 if t == 3 else 0.0)
+                                              for t, c in zip(model.meta["window_hours"], (1, 0, 1, 1))}
+    assert set(parts) - {None} <= set(model.meta["window_hours"])
+    assert (None in parts) == (variant != "perfect")

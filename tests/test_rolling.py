@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from pshlac import rolling
+from pshlac import rolling, synth
 from pshlac.accounting import full_day_resolve
 from pshlac.core import MarketDay
-from pshlac.lac_models import ConfigurationError, Variant
+from pshlac.lac_models import ConfigurationError, ModelConfig, Variant, build_variant, costs_by_hour
 from pshlac.milp import FEASIBLE, INFEASIBLE, OPTIMAL, MilpModel, SolveOptions, infeasibility_report, solve
 from pshlac.rolling import (
+    CARRIED,
     FrozenSetProvider,
     PipelineProvider,
     RunControl,
@@ -24,6 +25,7 @@ from pshlac.rolling import (
 from pshlac.core import TimeGrid
 
 from conftest import EXACT
+from oracle_tools import max_violation
 from toys import NODE, full_set_for_day, rolling_day_setup, window_setup
 
 CONTROL = RunControl(solver=EXACT)
@@ -398,6 +400,115 @@ def test_perfect_day_settles_no_higher_than_its_first_window(toy_day):
     first = ledger.windows[0].objective
     _, settled = full_day_resolve(system, day, ledger, da)
     assert settled.objective <= first + EXACT.gap_tol * abs(first)
+
+
+# -- carried perfect windows -------------------------------------------------
+
+GAP5 = SolveOptions(gap_tol=1e-5, time_limit=120.0)
+
+
+@pytest.fixture(scope="module")
+def seed11_day():
+    cfg = synth.SynthConfig(seed=11)
+    return synth.make_day(cfg, 0, base_system=synth.make_system(cfg))
+
+
+def test_carried_perfect_windows_match_a_fresh_solve(seed11_day):
+    # every window after the first closes by the first one's certificate;
+    # solved afresh, each reaches the carried objective within the gap,
+    # and the carried plan is a plan of the rebuilt window
+    sd = seed11_day
+    control = RunControl(model=ModelConfig(gap_tol=GAP5.gap_tol), solver=GAP5, keep_window_details=True)
+    ledger = run_day(sd.system, sd.market_day, Variant.PERFECT, None, control, sd.da)
+    assert [w.incumbent for w in ledger.windows] == ["root_rounding"] + [CARRIED] * 21
+    for w, d in zip(ledger.windows[1:], ledger.details[1:]):
+        assert (w.status, w.nodes, w.build_s, w.rows, w.cols, w.nonzeros, w.binaries) == (OPTIMAL, 0, 0.0, 0, 0, 0, 0)
+        assert 0.0 <= w.gap <= GAP5.gap_tol
+        model = build_variant(Variant.PERFECT, d.instance, control.model)
+        fresh = solve(model, GAP5)
+        assert fresh.status == OPTIMAL
+        assert abs(w.objective - fresh.objective) <= GAP5.gap_tol * abs(fresh.objective)
+        carried = d.solution.values[[d.model.var_index(n) for n in model.var_names]]
+        assert max_violation(model, carried) <= 1e-6
+
+
+def test_a_certified_perfect_day_builds_one_window(seed11_day, monkeypatch):
+    built = []
+
+    def counted(variant, instance, cfg=None):
+        built.append(instance.window.start_index)
+        return build_variant(variant, instance, cfg)
+
+    monkeypatch.setattr(rolling, "build_variant", counted)
+    sd = seed11_day
+    ledger = run_day(sd.system, sd.market_day, Variant.PERFECT, None,
+                     RunControl(model=ModelConfig(gap_tol=GAP5.gap_tol), solver=GAP5), sd.da)
+    assert built == [1]
+    assert len(ledger.windows) == 22 and len(ledger.hours) == 24
+
+
+def test_a_carried_window_keeps_its_own_detail_and_leaves_the_ledger_alone(toy_day):
+    system, day, da = toy_day
+    plain = run_day(system, day, Variant.PERFECT, None, CONTROL, da)
+    kept = run_day(system, day, Variant.PERFECT, None, RunControl(solver=EXACT, keep_window_details=True), da)
+    assert kept.hours == plain.hours
+
+    def untimed(windows):
+        return [replace(w, walltime_s=0.0, build_s=0.0) for w in windows]
+
+    assert untimed(kept.windows) == untimed(plain.windows)
+    first, carried = kept.details
+    w = kept.windows[1]
+    assert (w.incumbent, w.build_s, w.rows, w.cols) == (CARRIED, 0.0, 0, 0)
+    # its own model, built on request, with the first window's values by name
+    assert carried.model is not first.model
+    assert carried.model.meta["window_hours"] == (2, 3)
+    assert carried.model.n_vars < first.model.n_vars
+    for name in carried.model.var_names:
+        assert carried.solution.value(carried.model.var_index(name)) == first.solution.value(
+            first.model.var_index(name))
+    sol = carried.solution
+    assert (sol.status, sol.objective, sol.gap, sol.incumbent) == (OPTIMAL, w.objective, w.gap, CARRIED)
+
+
+def test_a_carried_gap_past_the_tolerance_is_solved_again():
+    # at a 10% tolerance the floor keeps window 1 at a 6.6% gap.  Its
+    # absolute gap carries over while the windows' objectives (without
+    # the no-load charges) shrink, and over window 4's it would pass 10%:
+    # window 4 is solved again, and window 5 carries from window 4
+    gap = 0.1
+    ws = window_setup(T=6, L=2, loads=(40.0, 50.0, 60.0) * 2, e_init=15.0, e_target=10.0, gen_min=10.0,
+                      eta_pump=0.8, prices=((30.0,) * 4,), thermal_segments=((45.0, 20.0), (155.0, 100.0)),
+                      no_load=500.0)
+    control = RunControl(solver=SolveOptions(gap_tol=gap), keep_window_details=True)
+    ledger = run_day(ws.system, ws.market_day, Variant.PERFECT, None, control, ws.instance.da)
+    assert [w.incumbent for w in ledger.windows] == ["root_rounding", CARRIED, CARRIED, "root_rounding", CARRIED]
+    solved = {d.t1: d for d in ledger.details if d.solution.incumbent != CARRIED}
+
+    def certified_gap(source, t):
+        """The source plan's absolute gap over its cost from hour t on
+        without the no-load charges, and that cost with them."""
+        cost = sum(c for h, c in costs_by_hour(source.model, source.solution).items() if h >= t)
+        return (source.solution.objective - source.solution.bound) / (cost - 500.0 * (6 - t + 1)), cost
+
+    assert certified_gap(solved[1], 4)[0] > gap
+    for w in ledger.windows:
+        assert w.status == OPTIMAL and 0.0 <= w.gap <= gap
+        if w.incumbent == CARRIED:
+            rel, cost = certified_gap(solved[max(t for t in solved if t < w.t1)], w.t1)
+            assert w.objective == pytest.approx(cost, rel=1e-12)
+            assert w.gap == pytest.approx(rel, rel=1e-9)
+
+
+@pytest.mark.parametrize("drift, carried", [(1e-7, True), (1e-3, False)])
+def test_a_window_whose_storage_drifts_from_the_plan_is_solved(toy_day, monkeypatch, drift, carried):
+    # the bookkeeping adds ``drift`` MWh per hour: within 1e-6 MWh of the
+    # plan the window still carries it, further off it is solved
+    step = rolling.soc_step
+    monkeypatch.setattr(rolling, "soc_step", lambda *args: step(*args) + drift)
+    system, day, da = toy_day
+    ledger = run_day(system, day, Variant.PERFECT, None, CONTROL, da)
+    assert (ledger.windows[1].incumbent == CARRIED) == carried
 
 
 def test_run_control_defaults():
