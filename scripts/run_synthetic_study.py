@@ -13,7 +13,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pshlac.accounting import evaluate_day, objective_delta_table
 from pshlac.forecast import ForecastConfig, ForecastPipeline
-from pshlac.lac_models import ModelConfig, Variant
+from pshlac.lac_models import Variant
 from pshlac.milp import SolveOptions
 from pshlac.rolling import PipelineProvider, RunControl, run_day
 from pshlac.synth import SynthConfig, make_day, make_history, make_system
@@ -32,12 +32,7 @@ def main() -> int:
     base = make_system(cfg)
     history = make_history(cfg)
     pipe = ForecastPipeline(ForecastConfig(horizon=cfg.horizon)).fit(history)
-    control = RunControl(
-        scenario_count=args.scenarios,
-        seed=args.seed,
-        model=ModelConfig(gap_tol=args.gap_tol),
-        solver=SolveOptions(gap_tol=args.gap_tol, time_limit=120.0),
-    )
+    control = RunControl(seed=args.seed, solver=SolveOptions(gap_tol=args.gap_tol, time_limit=120.0))
 
     per_day: list[dict] = []
     for k in range(args.days):
@@ -52,7 +47,7 @@ def main() -> int:
         for variant in Variant:
             led = run_day(sd.system, sd.market_day, variant, provider, control, sd.da)
             ledgers[variant.value] = led
-        ev = evaluate_day(sd.system, sd.market_day, ledgers, sd.da)
+        ev = evaluate_day(sd.system, sd.market_day, ledgers, sd.da, control.model, control.solver)
         row = {"day": sd.market_day.label}
         row.update({n: o.objective for n, o in ev.outcomes.items()})
         per_day.append(row)

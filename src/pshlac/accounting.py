@@ -19,7 +19,6 @@ from .lac_models import (
     ModelConfig,
     Variant,
     build_variant,
-    da_reference_from_system,
 )
 from .milp import TIME_LIMIT, MilpModel, MilpSolution, SolveOptions, infeasibility_report, solve
 from .rolling import SimulationLedger
@@ -48,26 +47,27 @@ def full_day_resolve(
     system: PowerSystem,
     market_day: MarketDay,
     ledger: SimulationLedger,
-    da: DaReference | None = None,
+    da: DaReference,
     cfg: ModelConfig | None = None,
+    options: SolveOptions | None = None,
 ) -> tuple[MilpModel, MilpSolution]:
-    """Fix every commitment to the ledger and re-solve the day as an LP.
+    """Fix every commitment to the ledger and re-solve the day as an LP
+    under ``options`` (its time limit; the LP has no gap).
 
-    The model pins each thermal unit to the ledger's commitments, so
-    their no-load and start-up charges are its objective constant, and
-    carries the ledger's PSH modes as fixed binaries in its bounds; the
-    PSH start-up columns are continuous and settle at the charges the
-    ledger's mode sequence incurs."""
-    cfg = cfg or ModelConfig()
-    if da is None:
-        da = da_reference_from_system(system)
+    The model's plan is ``da`` with the ledger's thermal commitments, so
+    each unit is pinned to them and their no-load and start-up charges
+    are its objective constant; it carries the ledger's PSH modes as
+    fixed binaries in its bounds, and the PSH start-up columns are
+    continuous and settle at the charges the ledger's mode sequence
+    incurs."""
+    options = options or SolveOptions()
     T = system.grid.horizon_end
     by_hour = _ledger_by_hour(ledger, T)
-    ledger_plan = tuple(replace(u, da_commitment=tuple(by_hour[t].thermal_commit[u.id] for t in range(1, T + 1)))
-                        for u in system.thermal_units)
+    plan = replace(da, commitment={u.id: tuple(by_hour[t].thermal_commit[u.id] for t in range(1, T + 1))
+                                   for u in system.thermal_units})
     inst = LacInstance(
-        replace(system, thermal_units=ledger_plan), TimeGrid(1, T, T, system.grid.interval_hours),
-        tuple(market_day.load), da,
+        system, TimeGrid(1, T, T, system.grid.interval_hours),
+        tuple(market_day.load), plan,
         {r.id: float(r.e_initial) for r in system.reservoirs},
         {u.id: u.initial_mode for u in system.psh_units},
     )
@@ -79,11 +79,11 @@ def full_day_resolve(
             for m in MODES:
                 val = 1.0 if m == by_hour[t].psh_mode[u.id] else 0.0
                 model.set_var_bounds(det.u[(u.id, m, t)], val, val)
-    sol = solve(model, SolveOptions(time_limit=cfg.time_limit))
+    sol = solve(model, options)
     if sol.status == TIME_LIMIT:
         raise AccountingError(
             f"ledger {ledger.variant}/{ledger.day_label} settlement LP hit its "
-            f"{cfg.time_limit} s time limit"
+            f"{options.time_limit} s time limit"
         )
     if not sol.ok:
         rows = infeasibility_report(model)
@@ -95,7 +95,9 @@ def full_day_resolve(
 
 
 def realized_lmp(model: MilpModel, sol: MilpSolution) -> tuple[float, ...]:
-    """Hourly balance duals of the fixed full-day re-solve."""
+    """Hourly balance duals of a dispatch solved as an LP: the realized
+    prices of the fixed full-day re-solve, the day-ahead prices of the
+    clearing with its commitments fixed."""
     rows = model.meta["balance_rows"]
     return tuple(float(sol.duals[rows[t]]) for t in sorted(rows))
 
@@ -244,14 +246,13 @@ def settle(
     system: PowerSystem,
     market_day: MarketDay,
     ledger: SimulationLedger,
-    da: DaReference | None = None,
+    da: DaReference,
     cfg: ModelConfig | None = None,
+    options: SolveOptions | None = None,
 ) -> VariantOutcome:
     """Settle one ledger: its full-day re-solve (:func:`full_day_resolve`),
     the realized prices, the storage profit and the slack totals."""
-    if da is None:
-        da = da_reference_from_system(system)
-    model, sol = full_day_resolve(system, market_day, ledger, da, cfg)
+    model, sol = full_day_resolve(system, market_day, ledger, da, cfg, options)
     lmp = realized_lmp(model, sol)
     profit = lac_profit(ledger, da, lmp, system)
     sh = sum(h.slack_short for h in ledger.hours)
@@ -263,12 +264,10 @@ def assemble_day(
     system: PowerSystem,
     market_day: MarketDay,
     outcomes: Mapping[str, VariantOutcome],
-    da: DaReference | None = None,
+    da: DaReference,
 ) -> DayEvaluation:
     """The day's evaluation from each variant's settled outcome: the
     day-ahead profits, and the delta table when current practice ran."""
-    if da is None:
-        da = da_reference_from_system(system)
     outcomes = {name: outcomes[name] for name in sorted(outcomes, key=_variant_sort_key)}
     objectives = {n: o.objective for n, o in outcomes.items()}
     delta = None
@@ -281,13 +280,12 @@ def evaluate_day(
     system: PowerSystem,
     market_day: MarketDay,
     ledgers: Mapping[str, SimulationLedger],
-    da: DaReference | None = None,
+    da: DaReference,
     cfg: ModelConfig | None = None,
+    options: SolveOptions | None = None,
 ) -> DayEvaluation:
     """Settle every ledger (:func:`settle`), then assemble the day."""
-    if da is None:
-        da = da_reference_from_system(system)
-    outcomes = {name: settle(system, market_day, ledgers[name], da, cfg)
+    outcomes = {name: settle(system, market_day, ledgers[name], da, cfg, options)
                 for name in sorted(ledgers, key=_variant_sort_key)}
     return assemble_day(system, market_day, outcomes, da)
 

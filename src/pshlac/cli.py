@@ -102,10 +102,14 @@ class RunConfig:
                 setattr(cfg, key, os.path.join(base, val))
         return cfg
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            voll=self.voll, gap_tol=self.gap_tol, time_limit=self.time_limit,
-            end_soc=self.end_soc, time_preference=self.time_preference,
+    def run_control(self) -> RunControl:
+        """The model knobs and the solver's limits of every window and of
+        the settlement: ``gap_tol`` bounds the window MIPs, ``time_limit``
+        each window and the settlement LP."""
+        return RunControl(
+            seed=self.seed,
+            model=ModelConfig(voll=self.voll, end_soc=self.end_soc, time_preference=self.time_preference),
+            solver=SolveOptions(gap_tol=self.gap_tol, time_limit=self.time_limit),
         )
 
 
@@ -286,7 +290,7 @@ def _run_variant(system, day, provider, control, da, variant: Variant) -> tuple[
     # this process, so a replacement set on the module applies to both;
     # each ledger is settled where it was rolled
     ledger = run_day(system, day, variant, provider, control, da)
-    return ledger, settle(system, day, ledger, da, control.model)
+    return ledger, settle(system, day, ledger, da, control.model, control.solver)
 
 
 def fork_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
@@ -329,10 +333,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     shutil.copy(args.config, os.path.join(outdir, "run_config.json"))
 
-    control = RunControl(
-        scenario_count=cfg.scenarios, seed=cfg.seed, model=cfg.model_config(),
-        solver=SolveOptions(gap_tol=cfg.gap_tol, time_limit=cfg.time_limit),
-    )
+    control = cfg.run_control()
 
     # a rolled day is mostly Python, which threads cannot overlap, so the
     # variants go to processes; one worker runs them here and forks none
@@ -390,7 +391,8 @@ def cmd_report(args) -> int:
     for p in paths:
         led = SimulationLedger.from_jsonl(p)
         ledgers[led.variant] = led
-    ev = evaluate_day(system, day, ledgers, da, cfg.model_config())
+    control = cfg.run_control()
+    ev = evaluate_day(system, day, ledgers, da, control.model, control.solver)
     print(ev.format_text(), end="")
     return 0
 

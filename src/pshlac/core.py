@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -373,57 +373,47 @@ def system_to_dict(system: PowerSystem) -> dict:
     }
 
 
+def _record(cls, rec: Mapping, name: str, **convert):
+    """A ``cls`` from its :func:`system_to_dict` record ``rec``: each field
+    from the key of its name, through its function in ``convert`` if it
+    has one.  A field with a default may be absent; another raises
+    ValueError naming ``name`` and the field."""
+    if not isinstance(rec, Mapping):
+        raise ValueError(f"{name} is {rec!r}, not an object")
+    args = {}
+    for f in fields(cls):
+        if f.name in rec:
+            args[f.name] = convert[f.name](rec[f.name]) if f.name in convert else rec[f.name]
+        elif f.default is MISSING:
+            raise ValueError(f"{name} lacks field {f.name!r}")
+    return cls(**args)
+
+
 def system_from_dict(doc: Mapping) -> PowerSystem:
+    """The system of a :func:`system_to_dict` document; a missing field
+    raises ValueError naming its entity and the field."""
     def _tuple_or_none(v):
         return None if v is None else tuple(v)
 
-    grid = TimeGrid(**doc["grid"])
-    thermal = tuple(
-        ThermalUnit(
-            id=u["id"],
-            cost_curve=tuple(CostSegment(**s) for s in u["cost_curve"]),
-            no_load_cost=u["no_load_cost"],
-            startup_cost=u["startup_cost"],
-            p_min=u["p_min"],
-            p_max=u["p_max"],
-            min_up=u.get("min_up", 1),
-            min_down=u.get("min_down", 1),
-            initial_status=InitialStatus(**u.get("initial_status", {"committed": True, "hours": 24})),
-            da_commitment=_tuple_or_none(u.get("da_commitment")),
-        )
-        for u in doc["thermal_units"]
+    def _each(kind: str, make):
+        # the records of a list, each named by its id or its place
+        def name(i: int, rec) -> str:
+            return f"{kind} {rec['id'] if isinstance(rec, Mapping) and 'id' in rec else f'#{i}'}"
+        return lambda recs: tuple(make(r, name(i, r)) for i, r in enumerate(recs))
+
+    def _thermal(u: Mapping, name: str) -> ThermalUnit:
+        return _record(ThermalUnit, u, name, da_commitment=_tuple_or_none,
+                       cost_curve=_each(f"{name} cost segment", lambda s, n: _record(CostSegment, s, n)),
+                       initial_status=lambda s: _record(InitialStatus, s, f"{name} initial status"))
+
+    return _record(
+        PowerSystem, doc, "system",
+        grid=lambda g: _record(TimeGrid, g, "grid"),
+        thermal_units=_each("thermal unit", _thermal),
+        psh_units=_each("PSH unit", lambda u, n: _record(PshUnit, u, n, da_gen=_tuple_or_none,
+                                                          da_pump=_tuple_or_none)),
+        reservoirs=_each("reservoir", lambda r, n: _record(Reservoir, r, n, member_units=tuple)),
     )
-    psh = tuple(
-        PshUnit(
-            id=u["id"],
-            reservoir_id=u["reservoir_id"],
-            node_id=u["node_id"],
-            gen_min=u["gen_min"],
-            gen_max=u["gen_max"],
-            pump_min=u["pump_min"],
-            pump_max=u["pump_max"],
-            eta_gen=u["eta_gen"],
-            eta_pump=u["eta_pump"],
-            startup_cost_gen=u.get("startup_cost_gen", 0.0),
-            startup_cost_pump=u.get("startup_cost_pump", 0.0),
-            initial_mode=u.get("initial_mode", PshMode.OFF.value),
-            da_gen=_tuple_or_none(u.get("da_gen")),
-            da_pump=_tuple_or_none(u.get("da_pump")),
-        )
-        for u in doc["psh_units"]
-    )
-    reservoirs = tuple(
-        Reservoir(
-            id=r["id"],
-            e_min=r["e_min"],
-            e_max=r["e_max"],
-            e_initial=r["e_initial"],
-            e_final_target=r["e_final_target"],
-            member_units=tuple(r.get("member_units", ())),
-        )
-        for r in doc["reservoirs"]
-    )
-    return PowerSystem(grid, thermal, psh, reservoirs)
 
 
 def write_system_json(system: PowerSystem, path) -> None:
@@ -433,8 +423,13 @@ def write_system_json(system: PowerSystem, path) -> None:
 
 
 def read_system_json(path) -> PowerSystem:
+    """The system in ``path``; a file that is not JSON or lacks a field
+    raises ValueError naming the file."""
     with open(path) as fh:
-        return system_from_dict(json.load(fh))
+        try:
+            return system_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def read_series_csv(path) -> dict[str, list[float]]:

@@ -9,7 +9,10 @@ commitment, so it has no column for one: the plan bounds each unit's
 output to ``[c*p_min, c*p_max]``, and its no-load and start-up charges
 are the model's objective constant (:func:`_add_thermal_dispatch`; the
 settlement builds a ``perfect`` window over the whole day with the
-ledger's commitments pinned the same way).  The variants differ only
+ledger's commitments in its plan).  A window reads the whole day-ahead
+plan from ``LacInstance.da``: the thermal commitments, the PSH
+schedules and the end-of-day storage targets; the unit records' own
+``da_*`` fields are not consulted.  The variants differ only
 in how hours after the window are valued, which is the finish
 :func:`build_variant` adds:
 
@@ -93,15 +96,15 @@ SCENARIO_VARIANTS = (Variant.STOCHASTIC, Variant.ROBUST, Variant.DETERMINISTIC)
 @dataclass(frozen=True)
 class ModelConfig:
     voll: float = 3500.0  # $/MWh on balance slacks
-    gap_tol: float = 1e-3
-    time_limit: float = 60.0
+    gap_tol: float = 1e-3  # read by nothing: SolveOptions carries the solver's limits
     end_soc: str = "fix"  # "fix" -> equality at the day end, "relax" -> lower bound
     time_preference: float = 1e-5  # $/MWh/h ramp breaking price ties in the post-window range
 
 
 @dataclass(frozen=True)
 class DaReference:
-    """Day-ahead schedules every window model leans on."""
+    """The day-ahead plan every window model leans on: the PSH schedules,
+    the thermal commitments it pins and the end-of-day storage targets."""
 
     gen: Mapping[str, tuple[float, ...]]
     pump: Mapping[str, tuple[float, ...]]
@@ -116,7 +119,7 @@ class LacInstance:
     system: PowerSystem
     window: TimeGrid  # start_index = t1 of this window
     net_load: tuple[float, ...]  # actual load over the window hours
-    da: DaReference
+    da: DaReference  # the whole day-ahead plan the window reads
     soc_state: Mapping[str, float]  # reservoir SOC entering t1
     prev_modes: Mapping[str, str]  # unit mode in hour t1-1
     scenario_set: PriceScenarioSet | None = None  # post-window hours only
@@ -136,9 +139,14 @@ def _validate_instance(instance: LacInstance, need_scenarios: bool) -> None:
             raise ConfigurationError(f"missing SOC state for reservoir {r.id}")
         if r.id not in instance.da.end_soc:
             raise ConfigurationError(f"missing day-ahead end SOC target for reservoir {r.id}")
+    for u in sys.thermal_units:
+        if len(instance.da.commitment.get(u.id, ())) != T:
+            raise ConfigurationError(f"thermal unit {u.id} has no day-ahead commitment of {T} hours")
     for u in sys.psh_units:
         if u.id not in instance.prev_modes:
             raise ConfigurationError(f"missing previous mode for unit {u.id}")
+        if any(len(plan.get(u.id, ())) != T for plan in (instance.da.gen, instance.da.pump)):
+            raise ConfigurationError(f"PSH unit {u.id} has no day-ahead schedule of {T} hours")
     scn = instance.scenario_set
     if scn is not None and scn.prices.shape[2] > 0:
         if scn.start_hour != te + 1 or scn.end_hour != T:
@@ -153,14 +161,6 @@ def _validate_instance(instance: LacInstance, need_scenarios: bool) -> None:
                 raise ConfigurationError(f"scenario set lacks node {u.node_id}")
     if need_scenarios and te < T and (scn is None or scn.prices.shape[2] == 0):
         raise ConfigurationError("scenario set required while post-window hours remain")
-
-
-def _da_plan(system: PowerSystem) -> dict[str, tuple[int, ...]]:
-    """Each thermal unit's day-ahead on/off plan, which every window pins."""
-    for u in system.thermal_units:
-        if u.da_commitment is None:
-            raise ConfigurationError(f"thermal unit {u.id} has no day-ahead commitment")
-    return {u.id: u.da_commitment for u in system.thermal_units}
 
 
 def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours: Sequence[int],
@@ -290,7 +290,7 @@ def _base_window_model(
     te = hours[-1]
     T = sys.grid.horizon_end
 
-    commitment = _da_plan(sys)
+    commitment = instance.da.commitment
     thermal_p = _add_thermal_dispatch(model, sys.thermal_units, hours, commitment)["p"]
 
     det = create_psh_block(model, sys.psh_units, hours)

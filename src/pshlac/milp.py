@@ -7,8 +7,8 @@ objective weights plus sparse rows in one of the three senses
 find constraints without parsing names.
 
 Every solve runs once through :func:`milp`, an adapter on the HiGHS
-bindings scipy ships, and takes its constraint matrix from
-:func:`_constraint_arrays`.  :func:`solve` is the one entry point: a
+bindings scipy ships, which takes the model's own lists of rows and row
+bounds (:func:`_highs_lp`).  :func:`solve` is the one entry point: a
 model with no free binary (each fixed by ``lb == ub``) is solved as the
 LP it is and comes back with its row duals, which is how prices are
 read from a dispatch with its commitments fixed.  A MIP whose builder
@@ -32,8 +32,7 @@ CONTINUOUS = "continuous"
 BINARY = "binary"
 
 LE, EQ, GE = "<=", "==", ">="
-_SENSES = (LE, EQ, GE)  # indexed by a row's sense code
-_SENSE_CODE = {s: i for i, s in enumerate(_SENSES)}
+_SENSES = (LE, EQ, GE)
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -115,13 +114,22 @@ def _floats(value, k: int, what: str) -> list[float]:
     return out.tolist()
 
 
-def _sense_codes(sense, m: int) -> list[int]:
-    try:
-        if isinstance(sense, str):
-            return [_SENSE_CODE[sense]] * m
-        return [_SENSE_CODE[s] for s in _spread(sense, m, "sense")]
-    except KeyError as err:
-        raise ValueError(f"unknown sense {err.args[0]!r}") from None
+def _row_bounds(sense, rhs: list[float]) -> tuple[list[float], list[float]]:
+    """The lower and upper bounds of rows with ``sense`` and ``rhs`` (one
+    sense for all or one per row), as HiGHS reads a row: ``<=`` leaves it
+    unbounded below, ``>=`` above, ``==`` bounds it at ``rhs`` on both
+    sides."""
+    m = len(rhs)
+    if isinstance(sense, str):
+        if sense not in _SENSES:
+            raise ValueError(f"unknown sense {sense!r}")
+        return ([-math.inf] * m if sense == LE else rhs), ([math.inf] * m if sense == GE else rhs)
+    senses = _spread(sense, m, "sense")
+    for s in senses:
+        if s not in _SENSES:
+            raise ValueError(f"unknown sense {s!r}")
+    return ([-math.inf if s == LE else r for s, r in zip(senses, rhs)],
+            [math.inf if s == GE else r for s, r in zip(senses, rhs)])
 
 
 def _tag_matches(tag: tuple, kind, entity, hour, scenario) -> bool:
@@ -169,9 +177,11 @@ class MilpModel:
     and :meth:`add_rows` take arrays or lists, and :meth:`add_var` and
     :meth:`add_row` are their one-element forms.  Each column keeps its
     bounds, cost and kind; the rows of every block go into one store in
-    compressed sparse row form, which :func:`_constraint_arrays` hands
-    out as arrays.  Names are kept per element from the start (a column
-    name is unique), tags as one list per field; :class:`Tag`,
+    compressed sparse row form, with one list of lower and one of upper
+    row bounds, the lists HiGHS reads (:func:`_highs_lp`).  A row's sense
+    and right-hand side are read back from its bounds, so a right-hand
+    side must be finite.  Names are kept per element from the start (a
+    column name is unique), tags as one list per field; :class:`Tag`,
     :class:`VarView` and :class:`RowView` objects are built only when a
     row or column is looked at.
 
@@ -196,13 +206,13 @@ class MilpModel:
         self._vtags = _Tags("variable")
         self._rnames: list[str] = []
         self._rtags = _Tags("row")
-        self._codes: list[int] = []  # per row, its sense's place in _SENSES
-        self._rhs: list[float] = []
-        # the rows in compressed sparse row form, block after block
+        # the rows in compressed sparse row form, block after block, and
+        # their bounds: -inf below a <= row, +inf above a >= row
         self._start: list[int] = [0]
         self._index: list[int] = []
         self._value: list[float] = []
-        self._csr_cache: tuple[np.ndarray, ...] | None = None
+        self._row_lo: list[float] = []
+        self._row_hi: list[float] = []
 
     # -- construction -------------------------------------------------
 
@@ -262,8 +272,10 @@ class MilpModel:
         names = list(names)
         m = len(names)
         tags = self._rtags.spread(names, tag, entity, hour, scenario)
-        codes = _sense_codes(sense, m)
         rhs = _floats(rhs, m, "rhs")
+        if not all(map(math.isfinite, rhs)):
+            raise ValueError(f"rows from {names[0]!r} have a right-hand side that is not finite")
+        row_lo, row_hi = _row_bounds(sense, rhs)
         # small blocks are the common case: plain lists beat numpy calls
         start, index, value = _as_list(start), _as_list(index), _as_list(value)
         if len(start) != m + 1 or start[0] != 0 or start[-1] != len(index) or len(value) != len(index):
@@ -284,12 +296,11 @@ class MilpModel:
         nnz = len(self._index)
         self._rnames.extend(names)
         self._rtags.extend(tags)
-        self._codes.extend(codes)
-        self._rhs.extend(rhs)
         self._start.extend([i + nnz for i in start[1:]])
         self._index.extend(index)
         self._value.extend(value)
-        self._csr_cache = None
+        self._row_lo.extend(row_lo)
+        self._row_hi.extend(row_hi)
         return np.arange(r0, r0 + m)
 
     def add_var(
@@ -365,23 +376,16 @@ class MilpModel:
         sums = np.bincount(hours + 1, weights=obj * values)
         return {(None if t < 0 else int(t)): float(sums[t + 1]) for t in np.unique(hours[obj != 0.0])}
 
-    def _csr(self) -> tuple[np.ndarray, ...]:
-        """The rows as arrays: (start, index, value, sense codes, rhs)."""
-        if self._csr_cache is None:
-            self._csr_cache = (np.array(self._start, dtype=np.int32), np.array(self._index, dtype=np.int32),
-                               np.array(self._value, dtype=np.float64), np.array(self._codes, dtype=np.int8),
-                               np.array(self._rhs, dtype=np.float64))
-        return self._csr_cache
-
     def var(self, idx: int) -> VarView:
         kind = BINARY if self._binary[idx] else CONTINUOUS
         return VarView(idx, self._vnames[idx], kind, self._lb[idx], self._ub[idx], self._obj[idx], self._vtags[idx])
 
     def row(self, idx: int) -> RowView:
-        start, index, value, codes, rhs = self._csr()
-        lo, hi = start[idx], start[idx + 1]
-        return RowView(idx, self._rnames[idx], dict(zip(index[lo:hi].tolist(), value[lo:hi].tolist())),
-                       _SENSES[codes[idx]], float(rhs[idx]), self._rtags[idx])
+        a, b = self._start[idx], self._start[idx + 1]
+        lo, hi = self._row_lo[idx], self._row_hi[idx]
+        sense, rhs = (EQ, lo) if lo == hi else (LE, hi) if lo == -math.inf else (GE, lo)
+        return RowView(idx, self._rnames[idx], dict(zip(self._index[a:b], self._value[a:b])), sense, rhs,
+                       self._rtags[idx])
 
     def rows(self, kind=None, entity=None, hour=None, scenario="*") -> Iterator[RowView]:
         for i in self._rtags.matching(kind, entity, hour, scenario):
@@ -510,30 +514,21 @@ _MODEL_STATUS = {
 }
 
 
-def _constraint_arrays(model: MilpModel):
-    """Row-wise sparse matrix (start, index, value) and row bounds."""
-    start, index, value, codes, rhs = model._csr()
-    lo = np.where(codes == _SENSE_CODE[LE], -np.inf, rhs)
-    hi = np.where(codes == _SENSE_CODE[GE], np.inf, rhs)
-    return start, index, value, lo, hi
-
-
 def _highs_lp(model: MilpModel, integral: bool) -> _highs.HighsLp:
-    # the bindings copy a Python list into HiGHS much faster than they
-    # walk a numpy array, element by element; the values are the same
-    start, index, value, lo, hi = _constraint_arrays(model)
+    # the model's own lists: the bindings copy a Python list into HiGHS
+    # much faster than they walk a numpy array, element by element
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = model.n_vars
     lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
     lp.col_cost_ = model._obj
     lp.col_lower_ = model._lb
     lp.col_upper_ = model._ub
-    lp.row_lower_ = lo.tolist()
-    lp.row_upper_ = hi.tolist()
+    lp.row_lower_ = model._row_lo
+    lp.row_upper_ = model._row_hi
     lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = start.tolist()
-    lp.a_matrix_.index_ = index.tolist()
-    lp.a_matrix_.value_ = value.tolist()
+    lp.a_matrix_.start_ = model._start
+    lp.a_matrix_.index_ = model._index
+    lp.a_matrix_.value_ = model._value
     if integral:
         lp.integrality_ = [_VAR_TYPE[b] for b in model._binary]
     return lp

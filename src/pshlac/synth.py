@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accounting import realized_lmp
 from .core import (
     CostSegment,
     InitialStatus,
@@ -134,9 +135,7 @@ def day_ahead_clear(
     lp = solve(model, SolveOptions())
     if not lp.ok:
         raise ConfigurationError(f"day-ahead pricing pass failed: {lp.status}")
-    rows = model.meta["balance_rows"]
-    lmp = tuple(float(lp.duals[rows[t]]) for t in sorted(rows))
-    return ref, lmp
+    return ref, realized_lmp(model, lp)
 
 
 def _ar1(rng: np.random.Generator, n: int, phi: float, sigma: float) -> np.ndarray:

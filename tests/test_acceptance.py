@@ -139,28 +139,26 @@ def _deviation_margins(day, ledger, mcfg):
 @pytest.fixture(scope="module")
 def bench(synth_setup):
     cfg, base, pipe = synth_setup
-    mcfg = ModelConfig(gap_tol=BENCH_GAP)
+    mcfg = ModelConfig()
     sopt = SolveOptions(gap_tol=BENCH_GAP, time_limit=120.0)
     objectives, cp_profits, margins, epigraphs = [], [], [], []
     started = time.perf_counter()
     for i in range(BENCH_DAYS):
         day = make_day(cfg, i, base)
+        da = da_reference_from_system(day.system)
         provider = PipelineProvider(
             pipe, day.market_day.da_lmp, cfg.horizon, BENCH_SCENARIOS, seed=i
         )
         ledgers = {}
         for v in Variant:
-            ctl = RunControl(
-                scenario_count=BENCH_SCENARIOS, seed=i, model=mcfg, solver=sopt,
-                keep_window_details=(v is Variant.ROBUST),
-            )
-            ledgers[v.value] = run_day(day.system, day.market_day, v, provider, ctl)
+            ctl = RunControl(seed=i, model=mcfg, solver=sopt, keep_window_details=(v is Variant.ROBUST))
+            ledgers[v.value] = run_day(day.system, day.market_day, v, provider, ctl, da)
         rob = ledgers[Variant.ROBUST.value]
         day_margins, day_epigraphs = _deviation_margins(day, rob, mcfg)
         margins.extend(day_margins)
         epigraphs.extend(day_epigraphs)
         rob.details.clear()
-        ev = evaluate_day(day.system, day.market_day, ledgers)
+        ev = evaluate_day(day.system, day.market_day, ledgers, da)
         objectives.append({n: o.objective for n, o in ev.outcomes.items()})
         cp_profits.append(dict(ev.outcomes[Variant.CURRENT_PRACTICE.value].profit))
     return {
@@ -584,7 +582,7 @@ def test_08_reruns_are_byte_identical_and_causal(synth_setup, tmp_path):
     cfg, base, pipe = synth_setup
     day = make_day(cfg, 0, base)
     provider = PipelineProvider(pipe, day.market_day.da_lmp, cfg.horizon, 6, seed=5)
-    ctl = RunControl(scenario_count=6, seed=5)
+    ctl = RunControl(seed=5)
     bumped = MarketDay(
         day.market_day.label,
         day.market_day.load[:23] + (day.market_day.load[23] + 60.0,),

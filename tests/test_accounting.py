@@ -17,7 +17,8 @@ from pshlac.accounting import (
     write_scaling_csv,
 )
 from pshlac.core import FrozenDecision
-from pshlac.lac_models import ModelConfig, Variant
+from pshlac.lac_models import Variant
+from pshlac.milp import SolveOptions
 from pshlac.rolling import FrozenSetProvider, RunControl, SimulationLedger, run_day
 
 from conftest import EXACT
@@ -112,7 +113,7 @@ def test_settlement_time_out_names_the_ledger_and_the_limit(settled, monkeypatch
     reported = []
     monkeypatch.setattr(accounting, "infeasibility_report", lambda model: reported.append(model) or [])
     with pytest.raises(AccountingError) as err:
-        evaluate_day(system, day, ledgers, da, ModelConfig(time_limit=0.0))
+        evaluate_day(system, day, ledgers, da, None, SolveOptions(time_limit=0.0))
     assert str(err.value) == (
         f"ledger current_practice/{day.label} settlement LP hit its 0.0 s time limit"
     )

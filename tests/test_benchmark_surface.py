@@ -1,10 +1,12 @@
-"""The package attributes the benchmark's tracer wraps must exist.
+"""The package surface the benchmark uses must exist.
 
 ``benchmark/run.py`` times each layer by replacing module and class
 attributes (``rolling.build_variant``, ``cli.run_day``, ``milp.milp``, ...)
-with recording wrappers.  A refactor that renames or drops one of them
-breaks the traced benchmark; installing the tracer here makes that fail
-in the unit suite instead.
+with recording wrappers, and ``benchmark/workloads.py`` builds its run
+controls from package fields (``RunControl.scenario_count``,
+``ModelConfig.gap_tol``, ...).  A refactor that renames or drops one of
+them breaks the benchmark; installing the tracer and constructing each
+workload here makes that fail in the unit suite instead.
 """
 
 import os
@@ -14,9 +16,18 @@ BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "benchmar
 if BENCH not in sys.path:
     sys.path.insert(0, BENCH)
 
+import pytest  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 from pshlac import rolling  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_each_workload_constructs(name, tmp_path):
+    # the constructor only: set-up and rounds belong to the benchmark run
+    workload = workloads.WORKLOADS[name](seed=1, workdir=str(tmp_path))
+    assert workload.name == name
 
 
 def test_tracer_targets_exist_and_restore():

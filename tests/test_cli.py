@@ -63,9 +63,10 @@ def test_config_error_catalog(tmp_path):
 
 
 def test_model_config_carries_the_knobs(tmp_path):
-    p = _write_config(tmp_path, voll=1000.0, gap_tol=1e-5, end_soc="relax")
-    mc = RunConfig.from_file(str(p)).model_config()
-    assert (mc.voll, mc.gap_tol, mc.end_soc) == (1000.0, 1e-5, "relax")
+    p = _write_config(tmp_path, voll=1000.0, gap_tol=1e-5, time_limit=7.0, end_soc="relax", seed=4)
+    control = RunConfig.from_file(str(p)).run_control()
+    assert (control.model.voll, control.model.end_soc, control.seed) == (1000.0, "relax", 4)
+    assert control.solver == SolveOptions(gap_tol=1e-5, time_limit=7.0)
 
 
 # -- variant and forecast-dir helpers ----------------------------------------
@@ -113,6 +114,20 @@ def test_forecast_reports_a_nan_in_the_history(tmp_path, capfd):
     assert main(["forecast", "--config", str(bundle / "run.json"), "--out", str(tmp_path / "fc")]) == 1
     err = capfd.readouterr().err
     assert err == "error: node bus: RT history at hour 501 is nan, not a finite price\n"
+
+
+def test_a_system_file_without_a_field_is_named(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    assert main(["gen-instance", "--seed", "3", "--out", str(bundle), "--history-days", "1"]) == 0
+    path = bundle / "system.json"
+    doc = json.loads(path.read_text())
+    unit = doc["thermal_units"][0]
+    del unit["p_max"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(bundle / "run.json"), "--out", str(tmp_path / "runs"),
+                 "--variant", "current_practice"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: thermal unit {unit['id']} lacks field 'p_max'\n"
 
 
 def test_parser_requires_a_command(capsys):
@@ -297,6 +312,19 @@ def test_simulate_settles_each_variant_in_its_worker(bundle, tmp_path, capsys, m
     assert multiprocessing.active_children() == []
     for name in ("objective_table.csv", "profit_table.csv", "summary.txt"):
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
+
+
+def test_report_settles_under_the_run_time_limit(bundle, tmp_path, capsys):
+    # simulate and report share the run config's solver limits
+    assert main(["simulate", "--config", str(bundle / "run.json"), "--out", str(tmp_path),
+                 "--variant", "current_practice", "--label", "run"]) == 0
+    doc = json.loads((bundle / "run.json").read_text())
+    cfg = bundle / "run_no_time.json"
+    cfg.write_text(json.dumps({**doc, "time_limit": 0}))
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--run-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ledger current_practice/{doc['label']} settlement LP hit its 0 s time limit\n")
 
 
 @pytest.mark.parametrize("requested, warned", [(50, True), (3, False)])

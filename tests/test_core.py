@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,27 @@ def test_system_dict_defaults_fill_in():
     assert th.min_up == 1 and th.min_down == 1
     assert th.initial_status == InitialStatus(True, 24)
     assert th.da_commitment is None
+
+
+@pytest.mark.parametrize("drop, message", [
+    (lambda d: d.pop("reservoirs"), "system lacks field 'reservoirs'"),
+    (lambda d: d["grid"].pop("horizon_end"), "grid lacks field 'horizon_end'"),
+    (lambda d: d["thermal_units"][0]["cost_curve"][0].pop("price"), "thermal unit th1 cost segment #0 lacks field 'price'"),
+    (lambda d: d["psh_units"][0].pop("eta_pump"), "PSH unit ps1 lacks field 'eta_pump'"),
+    (lambda d: d["reservoirs"][0].pop("id"), "reservoir #0 lacks field 'id'"),
+    (lambda d: d["thermal_units"].insert(0, 7), "thermal unit #0 is 7, not an object"),
+])
+def test_a_missing_field_is_named_with_its_entity(drop, message, tmp_path):
+    doc = system_to_dict(_toy())
+    drop(doc)
+    with pytest.raises(ValueError) as err:
+        system_from_dict(doc)
+    assert str(err.value) == message
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        read_system_json(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_series_csv_round_trip_is_exact(tmp_path):

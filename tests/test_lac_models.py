@@ -104,11 +104,36 @@ def test_deterministic_wants_exactly_one_trajectory():
 
 
 def test_thermal_without_plan_is_rejected(basic_window):
-    sys = basic_window.instance.system
-    bare = replace(sys, thermal_units=(replace(sys.thermal_units[0], da_commitment=None),))
-    inst = replace(basic_window.instance, system=bare)
-    with pytest.raises(ConfigurationError, match="no day-ahead commitment"):
-        build_variant(Variant.STOCHASTIC, inst, basic_window.cfg)
+    # the plan comes from instance.da; one that lacks the unit, or is
+    # shorter than the day, is refused
+    inst = basic_window.instance
+    for plan in ({}, {"th1": (1, 1)}):
+        bare = replace(inst, da=replace(inst.da, commitment=plan))
+        with pytest.raises(ConfigurationError, match="th1 has no day-ahead commitment of 3 hours"):
+            build_variant(Variant.STOCHASTIC, bare, basic_window.cfg)
+
+
+@pytest.mark.parametrize("field", ["gen", "pump"])
+def test_psh_without_schedule_is_rejected(basic_window, field):
+    inst = basic_window.instance
+    for plan in ({}, {"ps1": (0.0,)}):
+        bare = replace(inst, da=replace(inst.da, **{field: plan}))
+        for variant in (Variant.CURRENT_PRACTICE, Variant.STOCHASTIC):
+            with pytest.raises(ConfigurationError, match="ps1 has no day-ahead schedule of 3 hours"):
+                build_variant(variant, bare, basic_window.cfg)
+
+
+def test_a_window_pins_thermal_output_by_the_instance_plan(basic_window):
+    # the unit record's own plan (all on, or none at all) is not read
+    inst = basic_window.instance
+    da = replace(inst.da, commitment={"th1": (1, 0, 1)})
+    unit = inst.system.thermal_units[0]
+    for record in (unit, replace(unit, da_commitment=None)):
+        system = replace(inst.system, thermal_units=(record,))
+        model = build_variant(Variant.STOCHASTIC, replace(inst, system=system, da=da), basic_window.cfg)
+        assert model.meta["commitment"] == da.commitment
+        p = [model.var(model.meta["thermal_p"][("th1", t)]) for t in (1, 2)]
+        assert [(v.lb, v.ub) for v in p] == [(0.0, unit.p_max), (0.0, 0.0)]
 
 
 # -- fixed startup charges ---------------------------------------------------
@@ -560,8 +585,7 @@ def test_root_rounding_agrees_with_branch_and_bound(variant, loads, prices, star
         e_init=e_init, e_target=[e + d for e, d in zip(e_init, shift)], prev_modes=prev_modes,
         expensive=expensive,
     )
-    model = build_variant(Variant(variant), instance, ModelConfig(gap_tol=ROUNDING_GAP.gap_tol,
-                                                                  time_preference=0.0))
+    model = build_variant(Variant(variant), instance, ModelConfig(time_preference=0.0))
     sol = solve(model, ROUNDING_GAP)
     model.rounding = None
     forced = solve(model, ROUNDING_GAP)

@@ -20,7 +20,6 @@ from pshlac.milp import (
     TIME_LIMIT,
     UNBOUNDED,
     VarView,
-    _constraint_arrays,
     _highs_lp,
     MilpModel,
     MilpSolution,
@@ -452,8 +451,10 @@ def test_blocks_build_the_model_element_by_element_does(spec):
         assert got.tolist() == list(range(first, first + len(block)))
         first += len(block)
 
-    for a, b in zip(_constraint_arrays(one), _constraint_arrays(blocked), strict=True):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    lp_one, lp_blocked = _highs_lp(one, integral=True), _highs_lp(blocked, integral=True)
+    assert (lp_one.row_lower_, lp_one.row_upper_) == (lp_blocked.row_lower_, lp_blocked.row_upper_)
+    for field in ("start_", "index_", "value_"):
+        assert getattr(lp_one.a_matrix_, field) == getattr(lp_blocked.a_matrix_, field)
     assert one.to_lp_string() == blocked.to_lp_string()
     assert one.canonical_form() == blocked.canonical_form()
     assert (one.n_vars, one.n_rows, one.n_nonzeros, one.n_binaries) == \
@@ -494,6 +495,9 @@ def test_block_guards():
         m.add_rows(["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], [LE, "=>"], 0.0, "t")
     with pytest.raises(ValueError, match="row 's' needs a tag"):
         m.add_rows(["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], LE, 0.0, ["t", None])
+    # a row's sense is read back from its bounds, which an infinite rhs would blur
+    with pytest.raises(ValueError, match="rows from 'r' have a right-hand side that is not finite"):
+        m.add_rows(["r", "s"], [0, 1, 2], [0, 1], [1.0, 1.0], [GE, LE], [-math.inf, 0.0], "t")
     with pytest.raises(ValueError, match="variable 'w' needs a tag"):
         m.add_vars(["w"])
     with pytest.raises(ValueError, match="unknown variable kind 'integer'"):

@@ -7,7 +7,7 @@ import pytest
 from pshlac import rolling, synth
 from pshlac.accounting import full_day_resolve
 from pshlac.core import MarketDay
-from pshlac.lac_models import ConfigurationError, ModelConfig, Variant, build_variant, costs_by_hour
+from pshlac.lac_models import ConfigurationError, Variant, build_variant, costs_by_hour
 from pshlac.milp import FEASIBLE, INFEASIBLE, OPTIMAL, MilpModel, SolveOptions, infeasibility_report, solve
 from pshlac.rolling import (
     CARRIED,
@@ -418,7 +418,7 @@ def test_carried_perfect_windows_match_a_fresh_solve(seed11_day):
     # solved afresh, each reaches the carried objective within the gap,
     # and the carried plan is a plan of the rebuilt window
     sd = seed11_day
-    control = RunControl(model=ModelConfig(gap_tol=GAP5.gap_tol), solver=GAP5, keep_window_details=True)
+    control = RunControl(solver=GAP5, keep_window_details=True)
     ledger = run_day(sd.system, sd.market_day, Variant.PERFECT, None, control, sd.da)
     assert [w.incumbent for w in ledger.windows] == ["root_rounding"] + [CARRIED] * 21
     for w, d in zip(ledger.windows[1:], ledger.details[1:]):
@@ -442,7 +442,7 @@ def test_a_certified_perfect_day_builds_one_window(seed11_day, monkeypatch):
     monkeypatch.setattr(rolling, "build_variant", counted)
     sd = seed11_day
     ledger = run_day(sd.system, sd.market_day, Variant.PERFECT, None,
-                     RunControl(model=ModelConfig(gap_tol=GAP5.gap_tol), solver=GAP5), sd.da)
+                     RunControl(solver=GAP5), sd.da)
     assert built == [1]
     assert len(ledger.windows) == 22 and len(ledger.hours) == 24
 

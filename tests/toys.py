@@ -68,7 +68,6 @@ def window_setup(
     thermal_segments: Sequence[tuple[float, float]] = ((200.0, 20.0),),
     no_load: float = 0.0,
     voll: float = 3500.0,
-    gap_tol: float = 1e-9,
     grid_step: float = 10.0,
 ) -> WindowSetup:
     """One thermal unit, one PSH unit, one reservoir, window [t1, t1+L-1].
@@ -119,8 +118,7 @@ def window_setup(
         prev_modes={"ps1": init_mode},
         scenario_set=scn,
     )
-    cfg = ModelConfig(voll=voll, gap_tol=gap_tol, time_limit=30.0,
-                      end_soc=end_soc, time_preference=0.0)
+    cfg = ModelConfig(voll=voll, end_soc=end_soc, time_preference=0.0)
 
     toy = ToyWindow(
         hours_in=tuple(range(t1, te + 1)),
