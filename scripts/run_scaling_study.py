@@ -12,12 +12,14 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from pshlac.accounting import ScalingEntry, scaling_table, write_scaling_csv
+from pshlac.accounting import AccountingError
 from pshlac.core import PriceScenarioSet, TimeGrid
 from pshlac.lac_models import (
     LacInstance,
@@ -27,6 +29,46 @@ from pshlac.lac_models import (
 )
 from pshlac.milp import SolveOptions, solve
 from pshlac.synth import SynthConfig, make_day
+
+
+@dataclass(frozen=True)
+class ScalingEntry:
+    scenarios: int
+    rows: int
+    cols: int
+    nonzeros: int
+    walltime_s: float
+
+
+def scaling_table(entries: Sequence[ScalingEntry]) -> list[dict]:
+    """Model-size growth against the first entry (the scenario-free run)."""
+    if not entries:
+        raise AccountingError("scaling table needs at least one entry")
+    base = entries[0]
+
+    def pct(v, b):
+        return float("nan") if b == 0 else (v - b) / b * 100.0
+
+    rows = []
+    for e in entries:
+        rows.append({
+            "scenarios": e.scenarios,
+            "rows": e.rows, "rows_pct": pct(e.rows, base.rows),
+            "cols": e.cols, "cols_pct": pct(e.cols, base.cols),
+            "nonzeros": e.nonzeros, "nonzeros_pct": pct(e.nonzeros, base.nonzeros),
+            "walltime_s": e.walltime_s, "walltime_pct": pct(e.walltime_s, base.walltime_s),
+        })
+    return rows
+
+
+def write_scaling_csv(path, rows: Sequence[Mapping]) -> None:
+    cols = ["scenarios", "rows", "rows_pct", "cols", "cols_pct",
+            "nonzeros", "nonzeros_pct", "walltime_s", "walltime_pct"]
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                             for c in cols) + "\n")
 
 
 def first_window_model(sd, S: int, variant: Variant, rng):

@@ -288,43 +288,3 @@ def evaluate_day(
     outcomes = {name: settle(system, market_day, ledgers[name], da, cfg, options)
                 for name in sorted(ledgers, key=_variant_sort_key)}
     return assemble_day(system, market_day, outcomes, da)
-
-
-@dataclass(frozen=True)
-class ScalingEntry:
-    scenarios: int
-    rows: int
-    cols: int
-    nonzeros: int
-    walltime_s: float
-
-
-def scaling_table(entries: Sequence[ScalingEntry]) -> list[dict]:
-    """Model-size growth against the first entry (the scenario-free run)."""
-    if not entries:
-        raise AccountingError("scaling table needs at least one entry")
-    base = entries[0]
-
-    def pct(v, b):
-        return float("nan") if b == 0 else (v - b) / b * 100.0
-
-    rows = []
-    for e in entries:
-        rows.append({
-            "scenarios": e.scenarios,
-            "rows": e.rows, "rows_pct": pct(e.rows, base.rows),
-            "cols": e.cols, "cols_pct": pct(e.cols, base.cols),
-            "nonzeros": e.nonzeros, "nonzeros_pct": pct(e.nonzeros, base.nonzeros),
-            "walltime_s": e.walltime_s, "walltime_pct": pct(e.walltime_s, base.walltime_s),
-        })
-    return rows
-
-
-def write_scaling_csv(path, rows: Sequence[Mapping]) -> None:
-    cols = ["scenarios", "rows", "rows_pct", "cols", "cols_pct",
-            "nonzeros", "nonzeros_pct", "walltime_s", "walltime_pct"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                             for c in cols) + "\n")

@@ -373,25 +373,63 @@ def system_to_dict(system: PowerSystem) -> dict:
     }
 
 
+# what a JSON value of each scalar annotation must be; a bool is no number
+_JSON_SCALARS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+}
+
+
+def _json_mismatch(value, annotation: str) -> str | None:
+    """How ``value`` fails the field annotation ``annotation`` (a scalar,
+    or ``tuple[X, ...]`` for a list, either ``| None``), or None where it
+    fits.  A record is left to its own :func:`_record`."""
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation.removesuffix(" | None")
+    if annotation.startswith("tuple["):
+        if not isinstance(value, (list, tuple)):
+            return f"is {value!r}, not a list"
+        item = annotation.removeprefix("tuple[").removesuffix(", ...]")
+        for i, v in enumerate(value):
+            mismatch = _json_mismatch(v, item)
+            if mismatch is not None:
+                return f"item {i} {mismatch}"
+    if annotation in _JSON_SCALARS:
+        what, fits = _JSON_SCALARS[annotation]
+        return None if fits(value) else f"is {value!r}, not {what}"
+    return None
+
+
 def _record(cls, rec: Mapping, name: str, **convert):
     """A ``cls`` from its :func:`system_to_dict` record ``rec``: each field
     from the key of its name, through its function in ``convert`` if it
-    has one.  A field with a default may be absent; another raises
-    ValueError naming ``name`` and the field."""
+    has one.  A field with a default may be absent; another, or a value
+    of the wrong JSON type for the field, raises ValueError naming
+    ``name`` and the field."""
     if not isinstance(rec, Mapping):
         raise ValueError(f"{name} is {rec!r}, not an object")
     args = {}
     for f in fields(cls):
         if f.name in rec:
-            args[f.name] = convert[f.name](rec[f.name]) if f.name in convert else rec[f.name]
+            value = rec[f.name]
+            mismatch = _json_mismatch(value, f.type)
+            if mismatch is not None:
+                raise ValueError(f"{name} field {f.name!r} {mismatch}")
+            args[f.name] = convert[f.name](value) if f.name in convert else value
         elif f.default is MISSING:
             raise ValueError(f"{name} lacks field {f.name!r}")
     return cls(**args)
 
 
 def system_from_dict(doc: Mapping) -> PowerSystem:
-    """The system of a :func:`system_to_dict` document; a missing field
-    raises ValueError naming its entity and the field."""
+    """The system of a :func:`system_to_dict` document; a missing field,
+    or one whose JSON type is not its annotation's (an integer written
+    ``24.0``, a bool for a number), raises ValueError naming its entity
+    and the field."""
     def _tuple_or_none(v):
         return None if v is None else tuple(v)
 
@@ -513,17 +551,33 @@ def read_scenario_csv(path, weights_path=None) -> PriceScenarioSet:
     if np.isnan(prices).any():
         raise ValueError(f"{path}: missing (scenario, node, hour) combinations")
     if weights_path is not None:
-        weights = [0.0] * len(scenarios)
-        with open(weights_path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                if row and any(c.strip() for c in row):
-                    weights[int(row[0])] = float(row[1])
-        weights = tuple(weights)
+        weights = _read_weights_csv(weights_path, len(scenarios))
     else:
         weights = tuple([1.0 / len(scenarios)] * len(scenarios))
     return PriceScenarioSet(nodes, hours[0], prices, weights)
+
+
+def _read_weights_csv(path, count: int) -> tuple[float, ...]:
+    """The weights of scenarios 0..count-1 in a ``scenario,weight`` file.
+    A malformed row, or a scenario id out of range, raises ValueError
+    naming the file and the line."""
+    weights = [0.0] * count
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip().lower() for c in header[:2]] != ["scenario", "weight"]:
+            raise ValueError(f"{path}: expected header 'scenario,weight'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                s, w = int(row[0]), float(row[1])
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: malformed row {row!r}") from exc
+            if not 0 <= s < count:
+                raise ValueError(f"{path}: line {lineno}: scenario {s} is outside 0..{count - 1}")
+            weights[s] = w
+    return tuple(weights)
 
 
 def write_weights_csv(path, scn: PriceScenarioSet) -> None:

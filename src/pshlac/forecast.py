@@ -2,9 +2,9 @@
 
 The chain is: an ARIMAX point forecast per node, per-look-ahead-hour
 quantile curves of the forecast error, a probability-integral transform
-(PIT) of observed errors, a probit map to Gaussian space, a recursive
-exponentially-forgetting covariance over the look-ahead hours, and
-correlated trajectory sampling back through the inverse maps.  Each
+(PIT) of observed errors, the inverse normal CDF into Gaussian space, a
+recursive exponentially-forgetting covariance over the look-ahead hours,
+and correlated trajectory sampling back through the inverse maps.  Each
 stage is exposed on its own; :class:`ForecastPipeline` wires them
 together for the rolling simulation.
 """
@@ -455,14 +455,8 @@ def fit_quantiles(
 
 
 def pit_transform(observation: float, curve: QuantileCurve, eps: float = PIT_EPS) -> float:
-    """w = F(observation) clamped away from 0 and 1 for the probit map."""
+    """w = F(observation) clamped away from 0 and 1 for the inverse normal CDF."""
     return float(np.clip(curve.cdf(observation), eps, 1.0 - eps))
-
-
-def probit(w: float) -> float:
-    if not 0.0 < w < 1.0:
-        raise ValueError(f"probit domain is (0, 1), got {w}")
-    return float(ndtri(w))
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +656,7 @@ class ForecastPipeline:
                 resid[k - 1] = rt[o : o + cfg.horizon] - fc
             curves = fit_quantiles(resid.T, cfg.levels)
             table = QuantileTable(curves)
-            # every day's PIT in one call, then the probit map
+            # every day's PIT in one call, then the inverse normal CDF
             z = ndtri(np.clip(table.cdf(resid), PIT_EPS, 1.0 - PIT_EPS))
             tracker = CovarianceTracker.identity(cfg.horizon, cfg.lam)
             for x in z:

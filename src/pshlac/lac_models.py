@@ -154,7 +154,8 @@ def _validate_instance(instance: LacInstance, need_scenarios: bool) -> None:
                 f"scenario hours [{scn.start_hour}, {scn.end_hour}] do not match post-window [{te + 1}, {T}]"
             )
         w = np.asarray(scn.weights)
-        if abs(float(w.sum()) - 1.0) > 1e-9 or np.any(w <= 0):
+        # written so that a NaN weight fails too; HiGHS, given a NaN cost, ran past its time limit
+        if not (abs(float(w.sum()) - 1.0) <= 1e-9 and np.all(w > 0)):
             raise ConfigurationError("scenario weights must be positive and sum to 1")
         for u in sys.psh_units:
             if u.node_id not in scn.nodes:

@@ -398,26 +398,6 @@ class MilpModel:
     def binary_indices(self) -> np.ndarray:
         return np.flatnonzero(np.array(self._binary, dtype=bool))
 
-    def canonical_form(self):
-        """Order-independent description for structural equality tests."""
-        vmap = self._vnames
-        vars_desc = tuple(sorted(
-            (vmap[i], BINARY if self._binary[i] else CONTINUOUS, self._lb[i], self._ub[i], self._obj[i])
-            for i in range(self.n_vars)
-        ))
-        rows_desc = []
-        for i in range(self.n_rows):
-            r = self.row(i)
-            rows_desc.append((
-                (r.tag.kind, r.tag.entity, r.tag.hour, r.tag.scenario),
-                r.sense,
-                r.rhs,
-                tuple(sorted((vmap[j], c) for j, c in r.coeffs.items())),
-            ))
-        # None sorts first in a tag field, which may mix it with strings or ints
-        rows_desc.sort(key=lambda d: (tuple((f is not None, f) for f in d[0]), *d[1:]))
-        return (vars_desc, tuple(rows_desc), self.objective_constant)
-
     # -- export -------------------------------------------------------
 
     def to_lp_string(self) -> str:

@@ -230,24 +230,12 @@ class WindowMetric:
 
 
 @dataclass
-class WindowDetail:
-    """In-memory record of a solved window, kept only on request."""
-
-    window: int
-    t1: int
-    model: MilpModel
-    solution: MilpSolution
-    instance: LacInstance
-
-
-@dataclass
 class SimulationLedger:
     variant: str
     day_label: str
     seed: int
     hours: list[FrozenDecision] = field(default_factory=list)
     windows: list[WindowMetric] = field(default_factory=list)
-    details: list[WindowDetail] = field(default_factory=list)  # not serialized
 
     def to_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -298,7 +286,6 @@ class RunControl:
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
     solver: SolveOptions = field(default_factory=SolveOptions)
-    keep_window_details: bool = False
 
 
 def _freeze_hour(
@@ -371,16 +358,6 @@ class _Carry:
             return None
         return objective, None if sol.gap is None else gap
 
-    def detail(self, variant: Variant, w_index: int, inst: LacInstance, cfg: ModelConfig,
-               metric: WindowMetric) -> WindowDetail:
-        """Window ``inst``'s own model, with this plan's values mapped
-        onto its columns by name."""
-        model = build_variant(variant, inst, cfg)
-        values = self.sol.values[[self.model.var_index(n) for n in model.var_names]]
-        sol = MilpSolution(OPTIMAL, values, metric.objective, metric.gap, metric.walltime_s,
-                           incumbent=CARRIED, bound=metric.objective - self.abs_gap)
-        return WindowDetail(w_index, metric.t1, model, sol, inst)
-
 
 def run_day(
     system: PowerSystem,
@@ -446,8 +423,6 @@ def run_day(
             model, sol = carry.model, carry.sol
             metric = WindowMetric(w_index, t1, OPTIMAL, certified[0], 0.0, time.perf_counter() - t_cert,
                                   0, 0, 0, 0, certified[1], 0, (), CARRIED)
-            if control.keep_window_details:
-                ledger.details.append(carry.detail(variant, w_index, inst, control.model, metric))
         else:
             t_build = time.perf_counter()
             model = build_variant(variant, inst, control.model)
@@ -470,8 +445,6 @@ def run_day(
                 model.n_rows, model.n_vars, model.n_nonzeros, model.n_binaries, sol.gap,
                 sol.nodes, tails.water_value(sol) if tails else (), sol.incumbent,
             )
-            if control.keep_window_details:
-                ledger.details.append(WindowDetail(w_index, t1, model, sol, inst))
             carry = _Carry(model, sol, t1) if variant == Variant.PERFECT and sol.status == OPTIMAL else None
         frozen = _freeze_hour(system, model, sol, t1, soc)
         ledger.hours.append(frozen)
@@ -484,12 +457,3 @@ def run_day(
     for t in range(t1 + 1, T + 1):
         ledger.hours.append(_freeze_hour(system, model, sol, t, ledger.hours[-1].soc_after))
     return ledger
-
-
-def causality_check(ledger_a: SimulationLedger, ledger_b: SimulationLedger, through_hour: int) -> bool:
-    """True when both ledgers hold the same frozen hours up to the given
-    hour and agree on every one of them."""
-    def prefix(ledger):
-        return [asdict(h) for h in ledger.hours if h.hour <= through_hour]
-
-    return prefix(ledger_a) == prefix(ledger_b)

@@ -3,19 +3,19 @@
 Everything here is deliberately written without the package's model
 builders or solver: merit-order dispatch by sorting, window optima by
 exhaustive enumeration over mode strings and a coarse dispatch grid,
-special functions by bisection, scenario pricing one draw at a time,
-and a reservoir's tail revenue as an LP handed to scipy's ``linprog``.
-Slow and obvious on purpose.  The one helper that builds a model,
-``full_tail_window``, puts the window's in-window part together with
-explicit full-binary scenario blocks from ``psh_model``'s primitives,
-so that the cut tails can be checked against the structure they
-replaced.
+scenario pricing one draw at a time, and a reservoir's tail revenue as
+an LP handed to scipy's ``linprog``.  Slow and obvious on purpose.  The
+one helper that builds a model, ``full_tail_window``, puts the window's
+in-window part together with explicit full-binary scenario blocks from
+``psh_model``'s primitives, so that the cut tails can be checked
+against the structure they replaced.  ``canonical_form`` and
+``causality_check`` compare two models, or two ledgers, structurally.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -215,24 +215,6 @@ def enumerate_objective(toy: ToyWindow, variant: str) -> float:
             raise ValueError(f"variant {variant!r} needs an empty post-window instead")
         best = min(best, total)
     return best
-
-
-def probit_bisect(u: float, tol: float = 1e-12) -> float:
-    """Inverse standard normal CDF by bisection on the erf form."""
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must be inside (0, 1)")
-
-    def cdf(x: float) -> float:
-        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-    lo, hi = -40.0, 40.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def covariance_by_definition(samples: Sequence[Sequence[float]], lam: float) -> list[list[float]]:
@@ -469,3 +451,26 @@ def max_violation(model: MilpModel, x: np.ndarray) -> float:
         worst = max(worst, {LE: lhs - r.rhs, GE: r.rhs - lhs, EQ: abs(lhs - r.rhs)}[r.sense])
     b = model.binary_indices()
     return max(worst, float(np.max(np.abs(x[b] - np.round(x[b])), initial=0.0)))
+
+
+def canonical_form(model: MilpModel):
+    """An order-independent description of ``model`` for structural
+    equality tests: its columns by name, its rows by tag with their
+    coefficients by column name, and its objective constant."""
+    names = model.var_names
+    cols = tuple(sorted((v.name, v.kind, v.lb, v.ub, v.obj) for v in model.variables()))
+    rows = [((r.tag.kind, r.tag.entity, r.tag.hour, r.tag.scenario), r.sense, r.rhs,
+             tuple(sorted((names[j], c) for j, c in r.coeffs.items())))
+            for r in model.rows()]
+    # None sorts first in a tag field, which may mix it with strings or ints
+    rows.sort(key=lambda d: (tuple((f is not None, f) for f in d[0]), *d[1:]))
+    return cols, tuple(rows), model.objective_constant
+
+
+def causality_check(ledger_a, ledger_b, through_hour: int) -> bool:
+    """True when both ledgers hold the same frozen hours up to the given
+    hour and agree on every one of them."""
+    def prefix(ledger):
+        return [asdict(h) for h in ledger.hours if h.hour <= through_hour]
+
+    return prefix(ledger_a) == prefix(ledger_b)

@@ -31,12 +31,12 @@ from pshlac.lac_models import (
 )
 from pshlac.milp import EQ, GE, LE, SolveOptions, solve
 from pshlac.psh_model import soc_step
-from pshlac.rolling import PipelineProvider, RunControl, causality_check, run_day
+from pshlac.rolling import PipelineProvider, RunControl, run_day
 from pshlac.synth import NODE as BUS, SynthConfig, make_day, make_history, make_system
 
 from conftest import solve_exact
-from oracle_tools import enumerate_objective, full_tail_window, tail_lp
-from toys import window_setup
+from oracle_tools import canonical_form, causality_check, enumerate_objective, full_tail_window, tail_lp
+from toys import recorded_windows, window_setup
 
 BENCH_DAYS = 10
 BENCH_SCENARIOS = 10
@@ -80,8 +80,9 @@ def _da_storage_path(system, da):
     return path
 
 
-def _deviation_margins(day, ledger, mcfg):
-    """Read the robust windows back through their tails.
+def _deviation_margins(day, windows, mcfg):
+    """Read the robust windows (``toys.recorded_windows``) back through
+    their tails.
 
     Each window prices a scenario's tail by the cuts of ``V_s`` at its
     edge storage ``e``.  Here each scenario's dispatch comes from the
@@ -96,13 +97,13 @@ def _deviation_margins(day, ledger, mcfg):
     """
     margins, epigraphs = [], []
     system = day.system
-    for det in ledger.details:
-        model, sol = det.model, det.solution
+    for rec in windows:
+        model, sol = rec.model, rec.solution
         tails = model.meta.get("tails")
         if tails is None:
             continue
         assert not tails.blocks, "a tail kept its block; this check reads cut tails only"
-        inst = det.instance
+        inst = rec.instance
         scn = inst.scenario_set
         te = model.meta["window_hours"][-1]
         prices = scn.prices + mcfg.time_preference * np.arange(1, scn.prices.shape[2] + 1)
@@ -124,15 +125,15 @@ def _deviation_margins(day, ledger, mcfg):
                 revenue, qg, qp = tail_lp(members, res, unit_prices, edge[res.id], inst.da.end_soc[res.id],
                                           mcfg.end_soc, system.grid.interval_hours)
                 cut_value = tails.cuts[res.id].value(i, edge[res.id])
-                assert abs(revenue - cut_value) <= 1e-7 * max(1.0, abs(revenue)), (det.t1, s, revenue, cut_value)
+                assert abs(revenue - cut_value) <= 1e-7 * max(1.0, abs(revenue)), (rec.t1, s, revenue, cut_value)
                 da_net = np.array([np.asarray(inst.da.gen[u.id][te:]) - np.asarray(inst.da.pump[u.id][te:])
                                    for u in members])
                 da_revenue = float(np.sum(unit_prices * da_net))
                 margin = revenue - da_revenue
                 shortfalls.append((-margin, abs(da_revenue)))
                 if np.any(np.abs(qg - qp - da_net) > 1e-6):
-                    margins.append((det.t1, s, margin, abs(da_revenue), on_path))
-            epigraphs.append((det.t1, res.id, w_val, *max(shortfalls)))
+                    margins.append((rec.t1, s, margin, abs(da_revenue), on_path))
+            epigraphs.append((rec.t1, res.id, w_val, *max(shortfalls)))
     return margins, epigraphs
 
 
@@ -145,20 +146,20 @@ def bench(synth_setup):
     started = time.perf_counter()
     for i in range(BENCH_DAYS):
         day = make_day(cfg, i, base)
-        da = da_reference_from_system(day.system)
         provider = PipelineProvider(
             pipe, day.market_day.da_lmp, cfg.horizon, BENCH_SCENARIOS, seed=i
         )
+        ctl = RunControl(seed=i, model=mcfg, solver=sopt)
         ledgers = {}
         for v in Variant:
-            ctl = RunControl(seed=i, model=mcfg, solver=sopt, keep_window_details=(v is Variant.ROBUST))
-            ledgers[v.value] = run_day(day.system, day.market_day, v, provider, ctl, da)
-        rob = ledgers[Variant.ROBUST.value]
-        day_margins, day_epigraphs = _deviation_margins(day, rob, mcfg)
+            if v is not Variant.ROBUST:
+                ledgers[v.value] = run_day(day.system, day.market_day, v, provider, ctl, day.da)
+        with recorded_windows() as windows:
+            ledgers[Variant.ROBUST.value] = run_day(day.system, day.market_day, Variant.ROBUST, provider, ctl, day.da)
+        day_margins, day_epigraphs = _deviation_margins(day, windows, mcfg)
         margins.extend(day_margins)
         epigraphs.extend(day_epigraphs)
-        rob.details.clear()
-        ev = evaluate_day(day.system, day.market_day, ledgers, da)
+        ev = evaluate_day(day.system, day.market_day, ledgers, day.da)
         objectives.append({n: o.objective for n, o in ev.outcomes.items()})
         cp_profits.append(dict(ev.outcomes[Variant.CURRENT_PRACTICE.value].profit))
     return {
@@ -622,7 +623,7 @@ def test_09_one_scenario_collapses_to_deterministic(synth_setup):
         ws = window_setup()  # single-trajectory toy
         toy_s = build_variant(Variant.STOCHASTIC, ws.instance, ws.cfg)
         toy_d = build_variant(Variant.DETERMINISTIC, ws.instance, ws.cfg)
-        assert toy_s.canonical_form() == toy_d.canonical_form()
+        assert canonical_form(toy_s) == canonical_form(toy_d)
         os_, od = solve_exact(toy_s).objective, solve_exact(toy_d).objective
         assert abs(os_ - od) <= 1e-9 * max(1.0, abs(os_))
 
@@ -634,7 +635,7 @@ def test_09_one_scenario_collapses_to_deterministic(synth_setup):
         inst = _first_window_instance(day, scn)
         big_s = build_variant(Variant.STOCHASTIC, inst, ModelConfig())
         big_d = build_variant(Variant.DETERMINISTIC, inst, ModelConfig())
-        assert big_s.canonical_form() == big_d.canonical_form()
+        assert canonical_form(big_s) == canonical_form(big_d)
         opts = SolveOptions(gap_tol=1e-9, time_limit=90.0)
         ss, sd = solve(big_s, opts), solve(big_d, opts)
         assert ss.ok and sd.ok

@@ -6,15 +6,12 @@ import pytest
 from pshlac import accounting
 from pshlac.accounting import (
     AccountingError,
-    ScalingEntry,
     da_profit,
     evaluate_day,
     full_day_resolve,
     lac_profit,
     objective_delta_table,
     realized_lmp,
-    scaling_table,
-    write_scaling_csv,
 )
 from pshlac.core import FrozenDecision
 from pshlac.lac_models import Variant
@@ -220,26 +217,3 @@ def test_evaluation_without_baseline_reports_nan_deltas(toy_day):
     assert ev.delta is None
     rows = ev.objective_rows()
     assert len(rows) == 1 and math.isnan(rows[0]["delta_pct"])
-
-
-# -- scaling table -----------------------------------------------------------
-
-
-def test_scaling_table_math(tmp_path):
-    entries = [
-        ScalingEntry(0, 100, 200, 400, 1.0),
-        ScalingEntry(10, 150, 260, 520, 2.5),
-    ]
-    rows = scaling_table(entries)
-    assert rows[0]["rows_pct"] == 0.0
-    assert rows[1]["rows_pct"] == pytest.approx(50.0)
-    assert rows[1]["cols_pct"] == pytest.approx(30.0)
-    assert rows[1]["nonzeros_pct"] == pytest.approx(30.0)
-    assert rows[1]["walltime_pct"] == pytest.approx(150.0)
-    p = tmp_path / "scaling.csv"
-    write_scaling_csv(p, rows)
-    lines = p.read_text().splitlines()
-    assert lines[0].startswith("scenarios,rows,rows_pct")
-    assert len(lines) == 3
-    with pytest.raises(AccountingError, match="at least one entry"):
-        scaling_table([])

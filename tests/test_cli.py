@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import multiprocessing
+import shutil
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ def test_a_system_file_without_a_field_is_named(tmp_path, capsys):
     assert main(["simulate", "--config", str(bundle / "run.json"), "--out", str(tmp_path / "runs"),
                  "--variant", "current_practice"]) == 1
     assert capsys.readouterr().err == f"error: {path}: thermal unit {unit['id']} lacks field 'p_max'\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["grid"].update(horizon_end="24"), "grid field 'horizon_end' is '24', not an integer"),
+    (lambda doc: doc.update(thermal_units=3), "system field 'thermal_units' is 3, not a list"),
+])
+def test_a_system_field_of_the_wrong_type_is_named(bundle, tmp_path, capsys, edit, message):
+    # each used to end in a TypeError traceback inside validate_system
+    copy = tmp_path / "bundle"
+    shutil.copytree(bundle, copy)
+    path = copy / "system.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(copy / "run.json"), "--out", str(tmp_path / "runs"),
+                 "--variant", "current_practice"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_parser_requires_a_command(capsys):
@@ -325,6 +344,19 @@ def test_report_settles_under_the_run_time_limit(bundle, tmp_path, capsys):
     assert main(["report", "--config", str(cfg), "--run-dir", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == (
         f"error: ledger current_practice/{doc['label']} settlement LP hit its 0 s time limit\n")
+
+
+def test_simulate_names_a_weights_file_with_a_scenario_out_of_range(bundle, tmp_path, capsys):
+    # such a row used to end in an IndexError traceback
+    system = read_system_json(str(bundle / "system.json"))
+    fdir = tmp_path / "forecasts"
+    _write_forecast_dir(system, fdir)
+    weights = fdir / "weights_t05.csv"
+    weights.write_text("scenario,weight\n0,0.5\n3,0.5\n")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(bundle / "run.json"), "--forecast-dir", str(fdir),
+                 "--out", str(tmp_path), "--variant", "stochastic", "--label", "weights"]) == 1
+    assert capsys.readouterr().err == f"error: {weights}: line 3: scenario 3 is outside 0..2\n"
 
 
 @pytest.mark.parametrize("requested, warned", [(50, True), (3, False)])

@@ -218,6 +218,42 @@ def test_a_missing_field_is_named_with_its_entity(drop, message, tmp_path):
     assert str(err.value) == f"{path}: {message}"
 
 
+def _write_at(doc, keys, value):
+    for k in keys[:-1]:
+        doc = doc[k]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("grid", "horizon_end"), "24", "grid field 'horizon_end' is '24', not an integer"),
+    (("grid", "horizon_end"), 24.0, "grid field 'horizon_end' is 24.0, not an integer"),
+    (("thermal_units",), 3, "system field 'thermal_units' is 3, not a list"),
+    (("psh_units", 0, "eta_gen"), True, "PSH unit ps1 field 'eta_gen' is True, not a number"),
+    (("thermal_units", 0, "cost_curve", 0, "mw"), False,
+     "thermal unit th1 cost segment #0 field 'mw' is False, not a number"),
+    (("thermal_units", 0, "da_commitment"), [1, 1.0, 1],
+     "thermal unit th1 field 'da_commitment' item 1 is 1.0, not an integer"),
+    (("thermal_units", 0, "initial_status", "committed"), 1,
+     "thermal unit th1 initial status field 'committed' is 1, not true or false"),
+    (("reservoirs", 0, "member_units"), "ps1", "reservoir res1 field 'member_units' is 'ps1', not a list"),
+])
+def test_a_field_of_the_wrong_json_type_is_named_with_its_entity(keys, value, message, tmp_path):
+    doc = json.loads(json.dumps(system_to_dict(_toy())))
+    # a number field may hold an integer, and an optional field null
+    _write_at(doc, ("psh_units", 0, "eta_gen"), 1)
+    _write_at(doc, ("psh_units", 0, "da_gen"), None)
+    assert system_from_dict(doc).psh_units[0].eta_gen == 1
+    _write_at(doc, keys, value)
+    with pytest.raises(ValueError) as err:
+        system_from_dict(doc)
+    assert str(err.value) == message
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        read_system_json(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_series_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "series.csv"
     series = {"a": [1.25, -0.1, 1e-17], "b": [3.0, 4.5, 5.0]}
@@ -275,6 +311,25 @@ def test_scenario_csv_rejects_bad_inputs(tmp_path):
     p.write_text("bad,header,row,x\n0,n1,1,5.0\n")
     with pytest.raises(ValueError, match="expected header"):
         read_scenario_csv(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("s,w\n0,0.5\n1,0.5\n", "expected header 'scenario,weight'"),
+    ("", "expected header 'scenario,weight'"),
+    ("scenario,weight\n0,0.5\n2,0.5\n", "line 3: scenario 2 is outside 0..1"),
+    ("scenario,weight\n-1,0.5\n", "line 2: scenario -1 is outside 0..1"),
+    ("scenario,weight\n0,0.5\n\n1\n", "line 4: malformed row ['1']"),
+    ("scenario,weight\n0,half\n", "line 2: malformed row ['0', 'half']"),
+    ("scenario,weight\nfirst,0.5\n", "line 2: malformed row ['first', '0.5']"),
+])
+def test_weights_csv_rejects_bad_inputs(tmp_path, text, message):
+    sp = tmp_path / "scn.csv"
+    wp = tmp_path / "w.csv"
+    write_scenario_csv(sp, _scn())
+    wp.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_scenario_csv(sp, wp)
+    assert str(err.value) == f"{wp}: {message}"
 
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from pshlac.forecast import (
     DEFAULT_LEVELS,
@@ -27,7 +26,6 @@ from pshlac.forecast import (
     pit_transform,
     point_scenario_set,
     predict_point,
-    probit,
     update_covariance,
 )
 
@@ -38,7 +36,6 @@ from oracle_tools import (
     cdf_by_branches,
     covariance_by_definition,
     forecast_by_full_recursion,
-    probit_bisect,
     quantile_by_branches,
     scenarios_by_element,
 )
@@ -239,21 +236,6 @@ def test_pit_transform_clamps():
     assert pit_transform(-1e9, c) == PIT_EPS
     assert pit_transform(1e9, c) == 1.0 - PIT_EPS
     assert pit_transform(5.0, c) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_probit_matches_bisection_oracle():
-    for u in (0.01, 0.1, 0.5, 0.77, 0.99):
-        assert probit(u) == pytest.approx(probit_bisect(u), abs=1e-9)
-    with pytest.raises(ValueError):
-        probit(0.0)
-    with pytest.raises(ValueError):
-        probit(1.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
-def test_probit_round_trip_property(u):
-    assert ndtr(probit(u)) == pytest.approx(u, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

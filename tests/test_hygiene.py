@@ -7,14 +7,20 @@
   names ``pshlac/__init__.py`` re-exports through ``__all__``.
 * No module of the package imports another's private (underscore)
   name: what modules share is public.
+* Every public top-level function and class of the package is named
+  somewhere in ``src/``, ``scripts/`` or ``benchmark/`` outside its own
+  definition, by a name, an attribute or an import: code that only the
+  tests call belongs with the tests.  Methods are left out.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "scripts", "tests")
 PACKAGE = ROOT / "src" / "pshlac"
+CALLERS = ("src", "scripts", "benchmark")
 
 
 def _modules():
@@ -110,3 +116,59 @@ def test_scanner_flags_a_private_import(tmp_path):
         "    return _lazy, helper, _tools, PUBLIC, _absolute\n"
     )
     assert private_imports(probe) == [(1, "_tools"), (2, "_helper"), (5, "_lazy")]
+
+
+def _names_in(node: ast.AST):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def unnamed_definitions(package: Path, callers) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each public top-level function or class
+    in ``package`` that no module under ``callers`` names, apart from
+    its own definition."""
+    defined = []
+    named_from = defaultdict(set)  # name -> {(module, enclosing definition)}
+    for path in sorted({p for top in callers for p in Path(top).rglob("*.py")}):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            if own and path.parent == package and not own.startswith("_"):
+                defined.append((path, stmt.lineno, own))
+            for name in _names_in(stmt):
+                named_from[name].add((path, own))
+    return [(path.name, line, name) for path, line, name in defined
+            if not named_from[name] - {(path, name)}]
+
+
+def test_every_public_package_function_has_a_caller():
+    unnamed = [f"src/pshlac/{module}:{line}: {name}"
+               for module, line, name in unnamed_definitions(PACKAGE, [ROOT / top for top in CALLERS])]
+    assert not unnamed, "\n".join(unnamed)
+
+
+def test_scanner_flags_a_definition_nothing_names(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "import os\n"
+        "def imported(): return helper()\n"
+        "def helper(): return 1\n"
+        "def by_attribute(): return 2\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "class Alone:\n"
+        "    def make(self) -> 'Alone': return Alone()\n"
+        "def _private(): return os\n"
+    )
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "use.py").write_text(
+        "from pkg.mod import imported\n"
+        "import pkg.mod as mod\n"
+        "print(mod.by_attribute)\n"
+    )
+    assert unnamed_definitions(package, [package, scripts]) == [("mod.py", 5, "recursive"), ("mod.py", 6, "Alone")]

@@ -81,9 +81,10 @@ def test_rejects_misaligned_scenario_hours(basic_window):
 
 def test_rejects_bad_weights_and_missing_node(basic_window):
     arr = np.full((2, 1, 1), 30.0)
-    lopsided = PriceScenarioSet((NODE,), 3, arr, (0.7, 0.7))
-    with pytest.raises(ConfigurationError, match="sum to 1"):
-        build_variant(Variant.STOCHASTIC, replace(basic_window.instance, scenario_set=lopsided), basic_window.cfg)
+    for weights in ((0.7, 0.7), (float("nan"), 0.5)):
+        lopsided = PriceScenarioSet((NODE,), 3, arr, weights)
+        with pytest.raises(ConfigurationError, match="sum to 1"):
+            build_variant(Variant.STOCHASTIC, replace(basic_window.instance, scenario_set=lopsided), basic_window.cfg)
     elsewhere = PriceScenarioSet(("other",), 3, np.full((1, 1, 1), 30.0), (1.0,))
     with pytest.raises(ConfigurationError, match="lacks node n1"):
         build_variant(Variant.STOCHASTIC, replace(basic_window.instance, scenario_set=elsewhere), basic_window.cfg)

@@ -18,15 +18,14 @@ from pshlac.rolling import (
     WindowError,
     WindowInfeasibleError,
     WindowTimeoutError,
-    causality_check,
     reveal_policy,
     run_day,
 )
 from pshlac.core import TimeGrid
 
 from conftest import EXACT
-from oracle_tools import max_violation
-from toys import NODE, full_set_for_day, rolling_day_setup, window_setup
+from oracle_tools import causality_check, max_violation
+from toys import NODE, full_set_for_day, recorded_windows, rolling_day_setup, window_setup
 
 CONTROL = RunControl(solver=EXACT)
 
@@ -168,26 +167,19 @@ def test_scenario_variants_need_a_provider(toy_day):
     run_day(system, day, Variant.PERFECT, None, CONTROL, da)
 
 
-def test_keep_window_details(toy_day):
-    system, day, da = toy_day
-    ledger = run_day(system, day, Variant.STOCHASTIC, _provider(),
-                     RunControl(solver=EXACT, keep_window_details=True), da)
-    assert [d.window for d in ledger.details] == [1, 2]
-    assert ledger.details[1].model.name == "stochastic"
-    assert ledger.details[1].solution.ok
-    plain = run_day(system, day, Variant.STOCHASTIC, _provider(), CONTROL, da)
-    assert plain.details == []
-
-
 def test_perfect_windows_reach_the_day_end(toy_day):
     system, day, da = toy_day
     T = system.grid.horizon_end
-    ledger = run_day(system, day, Variant.PERFECT, None,
-                     RunControl(solver=EXACT, keep_window_details=True), da)
-    assert [d.t1 for d in ledger.details] == [1, 2]
-    for d in ledger.details:
-        assert d.model.meta["window_hours"] == tuple(range(d.t1, T + 1))
-        assert d.instance.net_load == tuple(day.load[d.t1 - 1 :])
+    with recorded_windows() as windows:
+        ledger = run_day(system, day, Variant.PERFECT, None, CONTROL, da)
+    assert [w.t1 for w in windows] == [1, 2]
+    # the second window carries the first one's plan, so its model is
+    # built here from the instance it was given
+    assert windows[1].model is None
+    for w in windows:
+        model = w.model or build_variant(Variant.PERFECT, w.instance, CONTROL.model)
+        assert model.meta["window_hours"] == tuple(range(w.t1, T + 1))
+        assert w.instance.net_load == tuple(day.load[w.t1 - 1 :])
     assert [h.hour for h in ledger.hours] == list(range(1, T + 1))
 
 
@@ -346,8 +338,8 @@ def test_a_window_below_its_floor_falls_back_to_branch_and_bound(caplog):
     # 600 $ for the 10 MW generated, plus 625 $ for the pumping, is 4225 $.
     ws = window_setup(T=3, L=2, e_init=15.0, e_target=10.0, gen_min=10.0, eta_pump=0.8,
                       thermal_segments=((45.0, 20.0), (155.0, 100.0)))
-    control = RunControl(solver=EXACT, keep_window_details=True)
-    with caplog.at_level("DEBUG", logger="pshlac.rolling"):
+    control = RunControl(solver=EXACT)
+    with caplog.at_level("DEBUG", logger="pshlac.rolling"), recorded_windows() as windows:
         ledger = run_day(ws.system, ws.market_day, Variant.PERFECT, None, control, ws.instance.da)
     first = ledger.windows[0]
     assert (first.status, first.incumbent, first.nodes) == ("optimal", "branch_and_bound", 1)
@@ -355,9 +347,10 @@ def test_a_window_below_its_floor_falls_back_to_branch_and_bound(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "perfect window 1 (t1=1) was not closed at the root: branch and bound took 1 nodes"]
     # every window reaches the optimum of a solve without the rounding
-    for detail, w in zip(ledger.details, ledger.windows):
-        detail.model.rounding = None
-        forced = solve(detail.model, EXACT)
+    for rec, w in zip(windows, ledger.windows, strict=True):
+        model = rec.model or build_variant(Variant.PERFECT, rec.instance, control.model)
+        model.rounding = None
+        forced = solve(model, EXACT)
         assert forced.objective == pytest.approx(w.objective, rel=EXACT.gap_tol)
 
 
@@ -418,17 +411,21 @@ def test_carried_perfect_windows_match_a_fresh_solve(seed11_day):
     # solved afresh, each reaches the carried objective within the gap,
     # and the carried plan is a plan of the rebuilt window
     sd = seed11_day
-    control = RunControl(solver=GAP5, keep_window_details=True)
-    ledger = run_day(sd.system, sd.market_day, Variant.PERFECT, None, control, sd.da)
+    control = RunControl(solver=GAP5)
+    with recorded_windows() as windows:
+        ledger = run_day(sd.system, sd.market_day, Variant.PERFECT, None, control, sd.da)
     assert [w.incumbent for w in ledger.windows] == ["root_rounding"] + [CARRIED] * 21
-    for w, d in zip(ledger.windows[1:], ledger.details[1:]):
+    source = windows[0]
+    assert [rec.model for rec in windows[1:]] == [None] * 21
+    for w, rec in zip(ledger.windows[1:], windows[1:], strict=True):
         assert (w.status, w.nodes, w.build_s, w.rows, w.cols, w.nonzeros, w.binaries) == (OPTIMAL, 0, 0.0, 0, 0, 0, 0)
         assert 0.0 <= w.gap <= GAP5.gap_tol
-        model = build_variant(Variant.PERFECT, d.instance, control.model)
+        model = build_variant(Variant.PERFECT, rec.instance, control.model)
         fresh = solve(model, GAP5)
         assert fresh.status == OPTIMAL
         assert abs(w.objective - fresh.objective) <= GAP5.gap_tol * abs(fresh.objective)
-        carried = d.solution.values[[d.model.var_index(n) for n in model.var_names]]
+        # the first window's values, mapped onto this window's columns by name
+        carried = source.solution.values[[source.model.var_index(n) for n in model.var_names]]
         assert max_violation(model, carried) <= 1e-6
 
 
@@ -447,30 +444,6 @@ def test_a_certified_perfect_day_builds_one_window(seed11_day, monkeypatch):
     assert len(ledger.windows) == 22 and len(ledger.hours) == 24
 
 
-def test_a_carried_window_keeps_its_own_detail_and_leaves_the_ledger_alone(toy_day):
-    system, day, da = toy_day
-    plain = run_day(system, day, Variant.PERFECT, None, CONTROL, da)
-    kept = run_day(system, day, Variant.PERFECT, None, RunControl(solver=EXACT, keep_window_details=True), da)
-    assert kept.hours == plain.hours
-
-    def untimed(windows):
-        return [replace(w, walltime_s=0.0, build_s=0.0) for w in windows]
-
-    assert untimed(kept.windows) == untimed(plain.windows)
-    first, carried = kept.details
-    w = kept.windows[1]
-    assert (w.incumbent, w.build_s, w.rows, w.cols) == (CARRIED, 0.0, 0, 0)
-    # its own model, built on request, with the first window's values by name
-    assert carried.model is not first.model
-    assert carried.model.meta["window_hours"] == (2, 3)
-    assert carried.model.n_vars < first.model.n_vars
-    for name in carried.model.var_names:
-        assert carried.solution.value(carried.model.var_index(name)) == first.solution.value(
-            first.model.var_index(name))
-    sol = carried.solution
-    assert (sol.status, sol.objective, sol.gap, sol.incumbent) == (OPTIMAL, w.objective, w.gap, CARRIED)
-
-
 def test_a_carried_gap_past_the_tolerance_is_solved_again():
     # at a 10% tolerance the floor keeps window 1 at a 6.6% gap.  Its
     # absolute gap carries over while the windows' objectives (without
@@ -480,10 +453,12 @@ def test_a_carried_gap_past_the_tolerance_is_solved_again():
     ws = window_setup(T=6, L=2, loads=(40.0, 50.0, 60.0) * 2, e_init=15.0, e_target=10.0, gen_min=10.0,
                       eta_pump=0.8, prices=((30.0,) * 4,), thermal_segments=((45.0, 20.0), (155.0, 100.0)),
                       no_load=500.0)
-    control = RunControl(solver=SolveOptions(gap_tol=gap), keep_window_details=True)
-    ledger = run_day(ws.system, ws.market_day, Variant.PERFECT, None, control, ws.instance.da)
+    control = RunControl(solver=SolveOptions(gap_tol=gap))
+    with recorded_windows() as windows:
+        ledger = run_day(ws.system, ws.market_day, Variant.PERFECT, None, control, ws.instance.da)
     assert [w.incumbent for w in ledger.windows] == ["root_rounding", CARRIED, CARRIED, "root_rounding", CARRIED]
-    solved = {d.t1: d for d in ledger.details if d.solution.incumbent != CARRIED}
+    solved = {rec.t1: rec for rec in windows if rec.solution is not None}
+    assert sorted(solved) == [1, 4]
 
     def certified_gap(source, t):
         """The source plan's absolute gap over its cost from hour t on
@@ -515,7 +490,6 @@ def test_run_control_defaults():
     ctl = RunControl()
     assert ctl.scenario_count == 50
     assert ctl.seed == 0
-    assert ctl.keep_window_details is False
 
 
 # -- ledgers on disk ---------------------------------------------------------

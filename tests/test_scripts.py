@@ -1,5 +1,7 @@
-"""Smoke runs of the study scripts: each exits cleanly and prints its summary."""
+"""Smoke runs of the study scripts: each exits cleanly and prints its
+summary.  Helpers that live in a script are imported from its file."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pshlac.accounting import AccountingError
 from pshlac.lac_models import Variant
 from pshlac.rolling import RunControl, WindowInfeasibleError, run_day
 
@@ -23,6 +26,34 @@ def _run(script, *args, timeout):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _script_module(script):
+    spec = importlib.util.spec_from_file_location(Path(script).stem, SCRIPTS / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scaling_table_math(tmp_path):
+    study = _script_module("run_scaling_study.py")
+    entries = [
+        study.ScalingEntry(0, 100, 200, 400, 1.0),
+        study.ScalingEntry(10, 150, 260, 520, 2.5),
+    ]
+    rows = study.scaling_table(entries)
+    assert rows[0]["rows_pct"] == 0.0
+    assert rows[1]["rows_pct"] == pytest.approx(50.0)
+    assert rows[1]["cols_pct"] == pytest.approx(30.0)
+    assert rows[1]["nonzeros_pct"] == pytest.approx(30.0)
+    assert rows[1]["walltime_pct"] == pytest.approx(150.0)
+    p = tmp_path / "scaling.csv"
+    study.write_scaling_csv(p, rows)
+    lines = p.read_text().splitlines()
+    assert lines[0].startswith("scenarios,rows,rows_pct")
+    assert len(lines) == 3
+    with pytest.raises(AccountingError, match="at least one entry"):
+        study.scaling_table([])
 
 
 def test_scaling_study_block_size_matches_the_built_models():

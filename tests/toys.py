@@ -4,15 +4,20 @@
 objects ready for the model builders, once as an :class:`oracle_tools.
 ToyWindow` for the exhaustive reference optimum.  Keeping both views in
 one constructor is what makes the equivalence tests meaningful.
+
+``recorded_windows`` looks inside a rolled day from the outside, the way
+the benchmark's tracer does: by wrapping what ``rolling.run_day`` calls.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from pshlac import rolling
 from pshlac.core import (
     CostSegment,
     InitialStatus,
@@ -25,7 +30,7 @@ from pshlac.core import (
     TimeGrid,
 )
 from pshlac.lac_models import DaReference, LacInstance, ModelConfig
-from pshlac.milp import BINARY, LE, MilpModel, Tag
+from pshlac.milp import BINARY, LE, MilpModel, MilpSolution, Tag
 
 from oracle_tools import ToyWindow
 
@@ -249,3 +254,46 @@ def knapsack(n: int = 30, capacity: float = 50.0) -> MilpModel:
     xs = [m.add_var(f"x{i}", obj=-(i + 1.0), kind=BINARY, tag=tag) for i in range(n)]
     m.add_row("cap", {x: i + 3.0 for i, x in enumerate(xs)}, LE, capacity, tag)
     return m
+
+
+@dataclass
+class WindowRecord:
+    """One window of a rolled day: its instance and, when it was solved
+    rather than carried, its model and solution."""
+
+    instance: LacInstance
+    model: MilpModel | None = None
+    solution: MilpSolution | None = None
+
+    @property
+    def t1(self) -> int:
+        return self.instance.window.start_index
+
+
+@contextmanager
+def recorded_windows() -> Iterator[list[WindowRecord]]:
+    """Record each window ``rolling.run_day`` opens inside the block, in
+    order, by wrapping ``rolling.LacInstance``, ``rolling.build_variant``
+    and ``rolling.solve``; the originals are back on exit."""
+    records: list[WindowRecord] = []
+    make, build, solve = rolling.LacInstance, rolling.build_variant, rolling.solve
+
+    def instance(*args, **kwargs):
+        records.append(WindowRecord(make(*args, **kwargs)))
+        return records[-1].instance
+
+    def built(variant, inst, cfg=None):
+        assert records[-1].instance is inst, "a window is built from the instance opened last"
+        records[-1].model = build(variant, inst, cfg)
+        return records[-1].model
+
+    def solved(model, options=None):
+        assert records[-1].model is model, "a window solves the model built last"
+        records[-1].solution = solve(model, options)
+        return records[-1].solution
+
+    rolling.LacInstance, rolling.build_variant, rolling.solve = instance, built, solved
+    try:
+        yield records
+    finally:
+        rolling.LacInstance, rolling.build_variant, rolling.solve = make, build, solve
