@@ -3,7 +3,7 @@
 Subpackage map:
 
   core        shared data model, validation, file formats
-  milp        tagged sparse model container and its HiGHS adapter
+  milp        named sparse model container and its HiGHS adapter
   psh_model   storage mode logic, dispatch boxes, reservoir dynamics
   forecast    price model, error quantiles, correlated scenario sampling
   lac_models  window model builders for the five operating variants

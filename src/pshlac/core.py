@@ -473,8 +473,9 @@ def read_system_json(path) -> PowerSystem:
 def read_series_csv(path) -> dict[str, list[float]]:
     """Read an ``hour,entity_id,value`` file into per-entity hourly lists.
 
-    Hours must be 1-based and contiguous per entity.  A malformed row
-    raises ValueError naming the offending line.
+    Hours must be 1-based and contiguous per entity.  A malformed row,
+    or a value that is not a finite number, raises ValueError naming the
+    offending line.
     """
     series: dict[str, dict[int, float]] = {}
     with open(path, newline="") as fh:
@@ -493,6 +494,7 @@ def read_series_csv(path) -> dict[str, list[float]]:
                 raise ValueError(f"{path}: line {lineno}: malformed row {row!r}") from exc
             if hour < 1:
                 raise ValueError(f"{path}: line {lineno}: hour must be >= 1")
+            _require_finite(value, row[2], path, lineno)
             series.setdefault(entity, {})[hour] = value
     out: dict[str, list[float]] = {}
     for entity, values in series.items():
@@ -522,7 +524,16 @@ def write_scenario_csv(path, scn: PriceScenarioSet) -> None:
                     writer.writerow([s, node, hour, repr(float(scn.prices[s, ni, hi]))])
 
 
+def _require_finite(value: float, text: str, path, lineno: int) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: line {lineno}: {text.strip()!r} is not a finite number")
+
+
 def read_scenario_csv(path, weights_path=None) -> PriceScenarioSet:
+    """The scenario set of a ``scenario,node,hour,price`` file, weighted
+    by a ``scenario,weight`` file or uniformly.  A malformed row, a price
+    that is not a finite number, or a (scenario, node, hour) the file
+    lacks raises ValueError naming the file (and the line)."""
     rows: list[tuple[int, str, int, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -536,6 +547,7 @@ def read_scenario_csv(path, weights_path=None) -> PriceScenarioSet:
                 rows.append((int(row[0]), row[1].strip(), int(row[2]), float(row[3])))
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed row {row!r}") from exc
+            _require_finite(rows[-1][3], row[3], path, lineno)
     if not rows:
         raise ValueError(f"{path}: no scenario rows")
     scenarios = sorted({r[0] for r in rows})
@@ -558,10 +570,12 @@ def read_scenario_csv(path, weights_path=None) -> PriceScenarioSet:
 
 
 def _read_weights_csv(path, count: int) -> tuple[float, ...]:
-    """The weights of scenarios 0..count-1 in a ``scenario,weight`` file.
-    A malformed row, or a scenario id out of range, raises ValueError
-    naming the file and the line."""
-    weights = [0.0] * count
+    """The weights of scenarios 0..count-1 in a ``scenario,weight`` file,
+    which lists each of them once.  A malformed row, a weight that is not
+    a finite number, or a scenario id out of range or listed before
+    raises ValueError naming the file and the line; a scenario the file
+    does not list, naming the file and the scenarios."""
+    weights: list[float | None] = [None] * count
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -574,9 +588,15 @@ def _read_weights_csv(path, count: int) -> tuple[float, ...]:
                 s, w = int(row[0]), float(row[1])
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed row {row!r}") from exc
+            _require_finite(w, row[1], path, lineno)
             if not 0 <= s < count:
                 raise ValueError(f"{path}: line {lineno}: scenario {s} is outside 0..{count - 1}")
+            if weights[s] is not None:
+                raise ValueError(f"{path}: line {lineno}: scenario {s} is listed twice")
             weights[s] = w
+    missing = [str(s) for s, w in enumerate(weights) if w is None]
+    if missing:
+        raise ValueError(f"{path}: no weight for scenario {', '.join(missing)}")
     return tuple(weights)
 
 

@@ -61,7 +61,7 @@ from .core import (
     TimeGrid,
     snap_zero,
 )
-from .milp import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, MilpSolution, Tag
+from .milp import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, MilpSolution
 from .psh_model import (
     ModeRounding,
     PshBlock,
@@ -190,7 +190,7 @@ def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours:
     L = len(lead)
     R = 1 if pinned else 3  # rows per unit-hour
     cols: dict[str, dict] = {f: {} for f in (*lead, "p")}
-    names, lb, ub, obj, kinds, tags, entity, col_hours = [], [], [], [], [], [], [], []
+    names, lb, ub, obj, kinds, col_hours = [], [], [], [], [], []
     row_names, lengths, index, value = [], [], [], []
     first = model.n_vars
     for u in units:
@@ -215,9 +215,6 @@ def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours:
             ub += [1.0, 1.0, 1.0, u.p_max, *segments] * H
         obj += [*(u.no_load_cost, u.startup_cost, 0.0)[:L], 0.0, *(seg.price for seg in u.cost_curve)] * H
         kinds += [*(BINARY, CONTINUOUS, CONTINUOUS)[:L], *[CONTINUOUS] * (K + 1)] * H
-        tags += [*("thermal_commit", "thermal_start", "thermal_stop")[:L], "thermal_power",
-                 *["thermal_segment"] * K] * H
-        entity += [*[u.id] * (L + 1), *(f"{u.id}:{k}" for k in range(K))] * H
         col_hours += [t for t in hours for _ in fields]
         for j, f in enumerate(fields[:L + 1]):
             cols[f].update(zip([(u.id, t) for t in hours], range(first + j, first + w * H, w)))
@@ -228,17 +225,15 @@ def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours:
         index += [c + o for c in range(first, first + w * H, w) for o in offsets]
         value += [1.0, *[-1.0] * K, *(1.0, -u.p_min, 1.0, -u.p_max)[:2 * R - 2]] * H
         first += w * H
-    model.add_vars(names, lb, ub, obj, kinds, tags, entity, col_hours)
-    n = len(units) * H
+    model.add_vars(names, lb, ub, obj, kinds, col_hours)
     model.add_rows(row_names, list(itertools.accumulate(lengths, initial=0)), index, value,
-                   [EQ, GE, LE][:R] * n, 0.0, ["thermal_link", "thermal_min", "thermal_max"][:R] * n,
-                   [u.id for u in units for _ in range(R * H)], [t for t in hours for _ in range(R)] * len(units))
+                   [EQ, GE, LE][:R] * (len(units) * H), 0.0)
     return cols
 
 
 def costs_by_hour(model: MilpModel, sol: MilpSolution) -> dict[int | None, float]:
     """A window solution's objective split by hour: its column costs by
-    their tag hour, plus each hour's share of the pinned thermal no-load
+    their hour, plus each hour's share of the pinned thermal no-load
     and start-up charges.  The parts sum to ``sol.objective``; columns
     without an hour (a tail's value or risk column) sit under None."""
     parts = model.cost_by_hour(sol.values)
@@ -265,8 +260,8 @@ def _add_balance(
     if len(load) != H:
         raise ValueError(f"{len(load)} load values for {H} hours")
     first = int(model.add_vars(
-        [f"slack_{side}.t{t}" for t in hours for side in ("short", "surplus")], obj=voll, tag="balance_slack",
-        entity=["short", "surplus"] * H, hour=[t for t in hours for _ in range(2)],
+        [f"slack_{side}.t{t}" for t in hours for side in ("short", "surplus")], obj=voll,
+        hour=[t for t in hours for _ in range(2)],
     )[0])
     slack = [(first + 2 * h, first + 2 * h + 1) for h in range(H)]
     index = [j for t, pair in zip(hours, slack)
@@ -275,7 +270,7 @@ def _add_balance(
     value = [1.0, -1.0] + [1.0] * len(system.thermal_units) + [1.0, -1.0] * len(system.psh_units)
     w = len(value)
     rows = model.add_rows([f"r_balance.t{t}" for t in hours], range(0, w * H + 1, w), index, value * H, EQ,
-                          [float(v) for v in load], "power_balance", None, list(hours))
+                          [float(v) for v in load])
     return dict(zip(hours, rows.tolist())), dict(zip(hours, slack))
 
 
@@ -440,31 +435,28 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig, robust
     da_revenue = {rid: da_unit[:, idx].sum(axis=1) for rid, idx in members.items()}
     risk = {}
     if weights is None:
-        risk = {r.id: model.add_var(f"w_risk.{r.id}", lb=-math.inf, ub=math.inf, obj=1.0, tag=Tag("risk", r.id))
-                for r in sys.reservoirs}
+        risk = {r.id: model.add_var(f"w_risk.{r.id}", lb=-math.inf, ub=math.inf, obj=1.0) for r in sys.reservoirs}
         model.meta["risk_vars"] = risk
 
     for rid, found in cuts.items():
         e = edge[rid]
         model.add_rows([f"r_tail_min.{rid}", f"r_tail_max.{rid}"], (0, 1, 2), (e, e), (1.0, 1.0), (GE, LE),
-                       (found.lo, found.hi), "tail_domain", rid, te + 1)
+                       (found.lo, found.hi))
         # one row per piece k of each scenario s, s by s
         pieces = [x.size for x in found.x]
-        scenario = np.repeat(by_cuts, pieces)
         x, y, b = (np.concatenate(a) for a in (found.x, found.y, found.slope))
         ks = [(s, k) for s, n in zip(by_cuts, pieces) for k in range(n)]
         if weights is not None:
             theta = model.add_vars([f"theta.{rid}.s{s}" for s in by_cuts], -math.inf, math.inf,
-                                   [-weights[s] for s in by_cuts], tag="tail_value", entity=rid,
-                                   scenario=list(by_cuts))
-            names, lead, slope, sense, rhs, tag = ([f"r_cut.{rid}.s{s}.k{k}" for s, k in ks],
-                                                   np.repeat(theta, pieces), -b, LE, y - b * x, "value_cut")
+                                   [-weights[s] for s in by_cuts])
+            names, lead, slope, sense, rhs = ([f"r_cut.{rid}.s{s}.k{k}" for s, k in ks],
+                                              np.repeat(theta, pieces), -b, LE, y - b * x)
         else:
-            names, lead, slope, sense, rhs, tag = ([f"r_risk.{rid}.s{s}.k{k}" for s, k in ks],
-                                                   np.full(b.size, risk[rid]), b, GE,
-                                                   da_revenue[rid][scenario] - y + b * x, "risk_cut")
+            names, lead, slope, sense, rhs = ([f"r_risk.{rid}.s{s}.k{k}" for s, k in ks],
+                                              np.full(b.size, risk[rid]), b, GE,
+                                              da_revenue[rid][np.repeat(by_cuts, pieces)] - y + b * x)
         model.add_rows(names, np.arange(0, 2 * b.size + 1, 2), np.column_stack([lead, np.full(b.size, e)]).ravel(),
-                       np.column_stack([np.ones(b.size), slope]).ravel(), sense, rhs, tag, rid, None, scenario)
+                       np.column_stack([np.ones(b.size), slope]).ravel(), sense, rhs)
 
     blocks = []
     for s in sorted(set(range(scn.count)) - set(by_cuts)):
@@ -482,8 +474,7 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig, robust
                     revenue[blk.q_gen[(units[i].id, t)]] = float(prices[s, i, h])
                     revenue[blk.q_pump[(units[i].id, t)]] = -float(prices[s, i, h])
             if weights is None:
-                model.add_row(f"r_risk.{rid}.s{s}", {risk[rid]: 1.0, **revenue}, GE,
-                              float(da_revenue[rid][s]), Tag("risk_cap", rid, None, s))
+                model.add_row(f"r_risk.{rid}.s{s}", {risk[rid]: 1.0, **revenue}, GE, float(da_revenue[rid][s]))
             else:
                 for j, c in revenue.items():
                     model.add_obj(j, -weights[s] * c)
@@ -575,7 +566,7 @@ def build_da_model(
         value[0, 3] = 0.0
         model.add_rows([f"r_commit_flow.{u.id}.t{t}" for t in hours], np.arange(0, 4 * T + 1, 4),
                        np.column_stack([uT, wT, zT, [uT[0], *uT[:-1]]]).ravel(), value.ravel(), EQ,
-                       [float(int(u.initial_status.committed))] + [0.0] * (T - 1), "commit_flow", u.id, hours)
+                       [float(int(u.initial_status.committed))] + [0.0] * (T - 1))
         # a start in the last min_up hours keeps the unit on, a stop in
         # the last min_down hours keeps it off
         for rule, duration, flips, sign, rhs in (("min_up", u.min_up, wT, -1.0, 0.0),
@@ -585,7 +576,7 @@ def build_da_model(
             recent = [flips[max(0, t - duration):t] for t in hours]
             model.add_rows([f"r_{rule}.{u.id}.t{t}" for t in hours], np.r_[0, np.cumsum([len(r) + 1 for r in recent])],
                            [j for r, t in zip(recent, hours) for j in (*r, uT[t - 1])],
-                           [c for r in recent for c in (*[1.0] * len(r), sign)], LE, rhs, rule, u.id, hours)
+                           [c for r in recent for c in (*[1.0] * len(r), sign)], LE, rhs)
         # lock remaining minimum duration from the initial state
         if u.initial_status.committed and u.min_up > u.initial_status.hours:
             for t in range(1, min(T, u.min_up - u.initial_status.hours) + 1):
@@ -610,8 +601,7 @@ def build_da_model(
         model.add_rows([f"r_reserve.t{t}" for t in hours], np.arange(0, n * T + 1, n),
                        [thermal_u[(u.id, t)] for t in hours for u in system.thermal_units],
                        np.tile([u.p_max for u in system.thermal_units], T), GE,
-                       [(1.0 + reserve_margin) * float(da_load[t - 1]) - quick for t in hours], "reserve", None,
-                       hours)
+                       [(1.0 + reserve_margin) * float(da_load[t - 1]) - quick for t in hours])
     model.meta.update(
         det_block=det, thermal_u=thermal_u, thermal_p=thermal_p, balance_rows=balance_rows,
         window_hours=tuple(hours),

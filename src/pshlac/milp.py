@@ -1,10 +1,11 @@
-"""Thin solver-agnostic MILP layer.
+"""A thin MILP layer on HiGHS.
 
 Models are plain coefficient containers: variables with bounds and
 objective weights plus sparse rows in one of the three senses
-``<=``, ``==``, ``>=``.  Every row and variable carries a :class:`Tag`
-(structural kind, entity, hour, scenario) so tests and reporting can
-find constraints without parsing names.
+``<=``, ``==``, ``>=``.  Rows and columns are found by name, the one
+handle that tests, IIS reports and LP dumps share; only columns keep an
+hour besides, by which :meth:`MilpModel.cost_by_hour` splits the
+objective.
 
 Every solve runs once through :func:`milp`, an adapter on the HiGHS
 bindings scipy ships, which takes the model's own lists of rows and row
@@ -23,7 +24,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
@@ -55,24 +56,12 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Tag:
-    kind: str
-    entity: str | None = None
-    hour: int | None = None
-    scenario: int | None = None
-
-    def matches(self, kind=None, entity=None, hour=None, scenario="*") -> bool:
-        return _tag_matches((self.kind, self.entity, self.hour, self.scenario), kind, entity, hour, scenario)
-
-
-@dataclass(frozen=True)
 class RowView:
     index: int
     name: str
     coeffs: dict[int, float]
     sense: str
     rhs: float
-    tag: Tag
 
 
 @dataclass(frozen=True)
@@ -83,7 +72,6 @@ class VarView:
     lb: float
     ub: float
     obj: float
-    tag: Tag
 
 
 def _spread(value, k: int, what: str) -> list:
@@ -132,58 +120,19 @@ def _row_bounds(sense, rhs: list[float]) -> tuple[list[float], list[float]]:
             [math.inf if s == GE else r for s, r in zip(senses, rhs)])
 
 
-def _tag_matches(tag: tuple, kind, entity, hour, scenario) -> bool:
-    """Whether the fields ``(kind, entity, hour, scenario)`` of ``tag``
-    match a query; None (``"*"`` for the scenario) matches anything."""
-    return ((kind is None or tag[0] == kind) and (entity is None or tag[1] == entity)
-            and (hour is None or tag[2] == hour) and (scenario == "*" or tag[3] == scenario))
-
-
-class _Tags:
-    """The tags of a model's columns or of its rows, one list per field."""
-
-    def __init__(self, what: str):
-        self.what = what  # "variable" or "row", for messages
-        self.kind: list[str] = []
-        self.entity: list[str | None] = []
-        self.hour: list[int | None] = []
-        self.scenario: list[int | None] = []
-
-    def spread(self, names: list[str], kind, entity, hour, scenario) -> tuple[list, ...]:
-        """The four fields for the elements ``names``, each one value per
-        element or one for all; every element needs a kind."""
-        k = len(names)
-        kinds = _spread(kind, k, "tag")
-        if None in kinds:
-            raise ValueError(f"{self.what} {names[kinds.index(None)]!r} needs a tag")
-        return kinds, _spread(entity, k, "entity"), _spread(hour, k, "hour"), _spread(scenario, k, "scenario")
-
-    def extend(self, fields: tuple[list, ...]) -> None:
-        for mine, more in zip((self.kind, self.entity, self.hour, self.scenario), fields):
-            mine.extend(more)
-
-    def __getitem__(self, i: int) -> Tag:
-        return Tag(self.kind[i], self.entity[i], self.hour[i], self.scenario[i])
-
-    def matching(self, kind, entity, hour, scenario) -> list[int]:
-        fields = zip(self.kind, self.entity, self.hour, self.scenario)
-        return [i for i, tag in enumerate(fields) if _tag_matches(tag, kind, entity, hour, scenario)]
-
-
 class MilpModel:
     """Mutable model under construction; read-only once handed to a solver.
 
     Columns and rows are appended a block at a time: :meth:`add_vars`
     and :meth:`add_rows` take arrays or lists, and :meth:`add_var` and
     :meth:`add_row` are their one-element forms.  Each column keeps its
-    bounds, cost and kind; the rows of every block go into one store in
-    compressed sparse row form, with one list of lower and one of upper
-    row bounds, the lists HiGHS reads (:func:`_highs_lp`).  A row's sense
-    and right-hand side are read back from its bounds, so a right-hand
-    side must be finite.  Names are kept per element from the start (a
-    column name is unique), tags as one list per field; :class:`Tag`,
-    :class:`VarView` and :class:`RowView` objects are built only when a
-    row or column is looked at.
+    bounds, cost, kind and hour; the rows of every block go into one
+    store in compressed sparse row form, with one list of lower and one
+    of upper row bounds, the lists HiGHS reads (:func:`_highs_lp`).  A
+    row's sense and right-hand side are read back from its bounds, so a
+    right-hand side must be finite.  Rows and columns are found by name
+    (a column name is unique); :class:`VarView` and :class:`RowView`
+    objects are built only when a row or column is looked at.
 
     ``rounding`` is the builder's rounding heuristic, or None: given the
     values of the LP relaxation it fixes binary columns, and
@@ -203,9 +152,8 @@ class MilpModel:
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._obj: list[float] = []
-        self._vtags = _Tags("variable")
+        self._hour: list[int | None] = []  # per column, for cost_by_hour
         self._rnames: list[str] = []
-        self._rtags = _Tags("row")
         # the rows in compressed sparse row form, block after block, and
         # their bounds: -inf below a <= row, +inf above a >= row
         self._start: list[int] = [0]
@@ -217,13 +165,13 @@ class MilpModel:
     # -- construction -------------------------------------------------
 
     def add_vars(self, names: Sequence[str], lb=0.0, ub=math.inf, obj=0.0, kind=CONTINUOUS,
-                 tag=None, entity=None, hour=None, scenario=None) -> np.ndarray:
+                 hour=None) -> np.ndarray:
         """Append one column per name and return their indices.
 
         Every other argument is one value for the whole block or one per
-        column (a list, tuple, range or array).  ``tag`` is the kind of each
-        column's :class:`Tag`, ``entity``, ``hour`` and ``scenario`` its
-        other fields.  A binary column's bounds are clipped to [0, 1].
+        column (a list, tuple, range or array).  ``hour`` is the hour
+        whose cost a column is (see :meth:`cost_by_hour`), None for
+        none.  A binary column's bounds are clipped to [0, 1].
         """
         names = list(names)
         k = len(names)
@@ -231,7 +179,7 @@ class MilpModel:
         unknown = set(kinds) - {CONTINUOUS, BINARY}
         if unknown:
             raise ValueError(f"unknown variable kind {unknown.pop()!r}")
-        tags = self._vtags.spread(names, tag, entity, hour, scenario)
+        hours = _spread(hour, k, "hour")
         lb, ub, obj = _floats(lb, k, "lb"), _floats(ub, k, "ub"), _floats(obj, k, "obj")
         binary = [c == BINARY for c in kinds]
         if BINARY in kinds:
@@ -254,11 +202,10 @@ class MilpModel:
         self._lb.extend(lb)
         self._ub.extend(ub)
         self._obj.extend(obj)
-        self._vtags.extend(tags)
+        self._hour.extend(hours)
         return np.arange(n0, n0 + k)
 
-    def add_rows(self, names: Sequence[str], start, index, value, sense, rhs,
-                 tag=None, entity=None, hour=None, scenario=None) -> np.ndarray:
+    def add_rows(self, names: Sequence[str], start, index, value, sense, rhs) -> np.ndarray:
         """Append a block of rows in compressed sparse row form and return
         their indices.
 
@@ -266,15 +213,15 @@ class MilpModel:
         the columns ``index[start[i]:start[i + 1]]``, in that order; every
         column must exist already.  Zero coefficients are dropped, and a
         column may appear once per row.
-        ``sense``, ``rhs`` and the tag fields are one value for the block
-        or one per row, as in :meth:`add_vars`.
+        ``sense`` and ``rhs`` are one value for the block or one per row,
+        as in :meth:`add_vars`.
         """
         names = list(names)
         m = len(names)
-        tags = self._rtags.spread(names, tag, entity, hour, scenario)
         rhs = _floats(rhs, m, "rhs")
         if not all(map(math.isfinite, rhs)):
-            raise ValueError(f"rows from {names[0]!r} have a right-hand side that is not finite")
+            bad = next(name for name, r in zip(names, rhs) if not math.isfinite(r))
+            raise ValueError(f"row {bad!r} has a right-hand side that is not finite")
         row_lo, row_hi = _row_bounds(sense, rhs)
         # small blocks are the common case: plain lists beat numpy calls
         start, index, value = _as_list(start), _as_list(index), _as_list(value)
@@ -295,7 +242,6 @@ class MilpModel:
         r0 = len(self._rnames)
         nnz = len(self._index)
         self._rnames.extend(names)
-        self._rtags.extend(tags)
         self._start.extend([i + nnz for i in start[1:]])
         self._index.extend(index)
         self._value.extend(value)
@@ -303,37 +249,19 @@ class MilpModel:
         self._row_hi.extend(row_hi)
         return np.arange(r0, r0 + m)
 
-    def add_var(
-        self,
-        name: str,
-        lb: float = 0.0,
-        ub: float = math.inf,
-        obj: float = 0.0,
-        kind: str = CONTINUOUS,
-        tag: Tag | None = None,
-    ) -> int:
-        if tag is None:
-            raise ValueError(f"variable {name!r} needs a tag")
-        return int(self.add_vars((name,), lb, ub, obj, kind, tag.kind, tag.entity, tag.hour, tag.scenario)[0])
+    def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf, obj: float = 0.0,
+                kind: str = CONTINUOUS) -> int:
+        return int(self.add_vars((name,), lb, ub, obj, kind)[0])
 
-    def add_row(
-        self,
-        name: str,
-        coeffs: Mapping[int, float] | Iterable[tuple[int, float]],
-        sense: str,
-        rhs: float,
-        tag: Tag | None = None,
-    ) -> int:
+    def add_row(self, name: str, coeffs: Mapping[int, float] | Iterable[tuple[int, float]], sense: str,
+                rhs: float) -> int:
         """One row; a column named twice in ``coeffs`` gets the sum of its
         coefficients."""
-        if tag is None:
-            raise ValueError(f"row {name!r} needs a tag")
         merged: dict[int, float] = {}
         for idx, c in (coeffs.items() if isinstance(coeffs, Mapping) else coeffs):
             if c != 0.0:
                 merged[idx] = merged.get(idx, 0.0) + float(c)
-        return int(self.add_rows((name,), (0, len(merged)), list(merged), list(merged.values()), sense, rhs,
-                                 tag.kind, tag.entity, tag.hour, tag.scenario)[0])
+        return int(self.add_rows((name,), (0, len(merged)), list(merged), list(merged.values()), sense, rhs)[0])
 
     def set_var_bounds(self, idx: int, lb: float, ub: float) -> None:
         self._lb[idx] = float(lb)
@@ -363,37 +291,23 @@ class MilpModel:
     def var_index(self, name: str) -> int:
         return self._name_to_var[name]
 
-    @property
-    def var_names(self) -> list[str]:
-        """Every column's name, in column order."""
-        return list(self._vnames)
-
     def cost_by_hour(self, values: np.ndarray) -> dict[int | None, float]:
-        """The objective terms of ``values`` summed by their columns' tag
-        hour (None for columns without one), the constant left out."""
+        """The objective terms of ``values`` summed by their columns' hour
+        (None for columns without one), the constant left out."""
         obj = np.asarray(self._obj)
-        hours = np.array([-1 if t is None else t for t in self._vtags.hour], dtype=np.int64)
+        hours = np.array([-1 if t is None else t for t in self._hour], dtype=np.int64)
         sums = np.bincount(hours + 1, weights=obj * values)
         return {(None if t < 0 else int(t)): float(sums[t + 1]) for t in np.unique(hours[obj != 0.0])}
 
     def var(self, idx: int) -> VarView:
         kind = BINARY if self._binary[idx] else CONTINUOUS
-        return VarView(idx, self._vnames[idx], kind, self._lb[idx], self._ub[idx], self._obj[idx], self._vtags[idx])
+        return VarView(idx, self._vnames[idx], kind, self._lb[idx], self._ub[idx], self._obj[idx])
 
     def row(self, idx: int) -> RowView:
         a, b = self._start[idx], self._start[idx + 1]
         lo, hi = self._row_lo[idx], self._row_hi[idx]
         sense, rhs = (EQ, lo) if lo == hi else (LE, hi) if lo == -math.inf else (GE, lo)
-        return RowView(idx, self._rnames[idx], dict(zip(self._index[a:b], self._value[a:b])), sense, rhs,
-                       self._rtags[idx])
-
-    def rows(self, kind=None, entity=None, hour=None, scenario="*") -> Iterator[RowView]:
-        for i in self._rtags.matching(kind, entity, hour, scenario):
-            yield self.row(i)
-
-    def variables(self, kind_tag=None, entity=None, hour=None, scenario="*") -> Iterator[VarView]:
-        for i in self._vtags.matching(kind_tag, entity, hour, scenario):
-            yield self.var(i)
+        return RowView(idx, self._rnames[idx], dict(zip(self._index[a:b], self._value[a:b])), sense, rhs)
 
     def binary_indices(self) -> np.ndarray:
         return np.flatnonzero(np.array(self._binary, dtype=bool))

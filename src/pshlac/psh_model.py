@@ -64,7 +64,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .core import MODES, PshUnit, Reservoir
-from .milp import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, Tag
+from .milp import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel
 
 
 def _sfx(scenario: int | None) -> str:
@@ -112,22 +112,20 @@ def create_psh_block(
     """
     blk = PshBlock(tuple(hours), scenario)
     s = _sfx(scenario)
-    layout = []  # (handles, key, name, ub, obj, kind, tag, entity) per column
+    layout = []  # (handles, key, name, ub, obj, kind) per column
     for u in units:
         for t in hours:
             if mode_cells is None or (u.id, t) in mode_cells:
-                layout += [(blk.u, (u.id, m, t), f"u_{m}.{u.id}.t{t}{s}", 1.0, 0.0, BINARY, "psh_commit",
-                            f"{u.id}:{m}") for m in MODES]
+                layout += [(blk.u, (u.id, m, t), f"u_{m}.{u.id}.t{t}{s}", 1.0, 0.0, BINARY) for m in MODES]
             if scenario is None:
-                layout += [(blk.start, (u.id, m, t), f"su_{m}.{u.id}.t{t}", 1.0, cost, CONTINUOUS, "psh_startup",
-                            f"{u.id}:{m}") for m, cost in ((_GEN, u.startup_cost_gen), (_PUMP, u.startup_cost_pump))]
-            layout += [(blk.q_gen, (u.id, t), f"qg.{u.id}.t{t}{s}", u.gen_max, 0.0, CONTINUOUS, "psh_gen", u.id),
-                       (blk.q_pump, (u.id, t), f"qp.{u.id}.t{t}{s}", u.pump_max, 0.0, CONTINUOUS, "psh_pump", u.id)]
+                layout += [(blk.start, (u.id, m, t), f"su_{m}.{u.id}.t{t}", 1.0, cost, CONTINUOUS)
+                           for m, cost in ((_GEN, u.startup_cost_gen), (_PUMP, u.startup_cost_pump))]
+            layout += [(blk.q_gen, (u.id, t), f"qg.{u.id}.t{t}{s}", u.gen_max, 0.0, CONTINUOUS),
+                       (blk.q_pump, (u.id, t), f"qp.{u.id}.t{t}{s}", u.pump_max, 0.0, CONTINUOUS)]
     if not layout:
         return blk
-    handles, keys, names, ub, obj, kind, tag, entity = zip(*layout)
-    cols = model.add_vars(names, ub=ub, obj=obj, kind=kind, tag=tag, entity=entity,
-                          hour=[key[-1] for key in keys], scenario=scenario)
+    handles, keys, names, ub, obj, kind = zip(*layout)
+    cols = model.add_vars(names, ub=ub, obj=obj, kind=kind, hour=[key[-1] for key in keys])
     for handle, key, j in zip(handles, keys, cols.tolist()):
         handle[key] = j
     return blk
@@ -163,8 +161,7 @@ def add_mode_logic(
     modes = [[blk.u[(uid, m, t)] for m in MODES] for t in hours]
     if not window:
         model.add_rows([f"r_one_mode.{uid}.t{t}{s}" for t in hours], range(0, 3 * H + 1, 3),
-                       [j for cell in modes for j in cell], [1.0] * (3 * H), EQ, 1.0, "mode_exclusive", uid, hours,
-                       blk.scenario)
+                       [j for cell in modes for j in cell], [1.0] * (3 * H), EQ, 1.0)
         return
     # per hour: sum of modes == 1, then su_m[t] - u_m[t] + u_m[t-1] >= 0
     # for gen and pump, with u_m[first-1] = [prev == m] on the rhs (the
@@ -177,8 +174,7 @@ def add_mode_logic(
     model.add_rows(
         [name for t in hours for name in (f"r_one_mode.{uid}.t{t}", f"r_startup_{_GEN}.{uid}.t{t}",
                                           f"r_startup_{_PUMP}.{uid}.t{t}")],
-        range(0, 9 * H + 1, 3), index, value, [EQ, GE, GE] * H, rhs, ["mode_exclusive", "startup", "startup"] * H,
-        [uid, f"{uid}:{_GEN}", f"{uid}:{_PUMP}"] * H, [t for t in hours for _ in range(3)], None,
+        range(0, 9 * H + 1, 3), index, value, [EQ, GE, GE] * H, rhs,
     )
 
 
@@ -199,14 +195,12 @@ def add_dispatch_boxes(model: MilpModel, blk: PshBlock, unit: PshUnit) -> None:
         [f"r_{box}.{uid}.t{t}{s}" for t in hours for box in ("gen_hi", "gen_lo", "pump_hi", "pump_lo")],
         range(0, 8 * H + 1, 2), index,
         [1.0, -unit.gen_max, 1.0, -unit.gen_min, 1.0, -unit.pump_max, 1.0, -unit.pump_min] * H, [LE, GE, LE, GE] * H,
-        0.0, ["gen_box_hi", "gen_box_lo", "pump_box_hi", "pump_box_lo"] * H, uid,
-        [t for t in hours for _ in range(4)], blk.scenario,
+        0.0,
     )
 
 
-def _add_soc_links(model: MilpModel, names: list[str], tag: str, entity: str, hours: Sequence[int],
-                   scenario: int | None, e_next: Sequence[int], e_now: Sequence[int], blk: PshBlock,
-                   members: Sequence[PshUnit], dt: float) -> None:
+def _add_soc_links(model: MilpModel, names: list[str], hours: Sequence[int], e_next: Sequence[int],
+                   e_now: Sequence[int], blk: PshBlock, members: Sequence[PshUnit], dt: float) -> None:
     """One storage balance per hour of ``hours``: ``e_next - e_now`` minus
     the energy added during the hour, ``eta_pump*qp*dt - qg*dt/eta_gen``
     per member unit, is zero."""
@@ -217,8 +211,7 @@ def _add_soc_links(model: MilpModel, names: list[str], tag: str, entity: str, ho
              for j in (after, before, *(q[(u.id, t)] for u in members for q in (blk.q_pump, blk.q_gen)))]
     rates = [c for u in members for c in (-(u.eta_pump * dt), dt / u.eta_gen)]
     w = 2 + len(rates)
-    model.add_rows(names, range(0, w * H + 1, w), index, [1.0, -1.0, *rates] * H, EQ, 0.0, tag, entity,
-                   list(hours), scenario)
+    model.add_rows(names, range(0, w * H + 1, w), index, [1.0, -1.0, *rates] * H, EQ, 0.0)
 
 
 def add_soc_dynamics(
@@ -245,16 +238,15 @@ def add_soc_dynamics(
     hours = det_block.hours
     last = hours[-1]
     stored = (*hours, last + 1) if edge else hours
-    e = model.add_vars([f"e.{rid}.t{t}" for t in stored], tag="soc", entity=rid, hour=list(stored)).tolist()
+    e = model.add_vars([f"e.{rid}.t{t}" for t in stored], hour=list(stored)).tolist()
     soc.e_det.update(zip(((rid, t) for t in stored), e))
 
-    model.add_row(f"r_soc_init.{rid}", {e[0]: 1.0}, EQ, e_initial, Tag("soc_initial", rid, hours[0], None))
-    _add_soc_links(model, [f"r_soc.{rid}.t{t}" for t in hours[:-1]], "soc_link", rid, hours[:-1], None,
-                   e[1:len(hours)], e[:len(hours) - 1], det_block, members, dt)
+    model.add_row(f"r_soc_init.{rid}", {e[0]: 1.0}, EQ, e_initial)
+    _add_soc_links(model, [f"r_soc.{rid}.t{t}" for t in hours[:-1]], hours[:-1], e[1:len(hours)],
+                   e[:len(hours) - 1], det_block, members, dt)
     _add_soc_bounds(model, reservoir, soc.e_det, hours, None)
     if edge:
-        _add_soc_links(model, [f"r_soc_cross.{rid}"], "soc_link_cross", rid, (last,), None, e[-1:],
-                       e[-2:-1], det_block, members, dt)
+        _add_soc_links(model, [f"r_soc_cross.{rid}"], (last,), e[-1:], e[-2:-1], det_block, members, dt)
     return soc
 
 
@@ -266,8 +258,7 @@ def _add_soc_bounds(model: MilpModel, reservoir: Reservoir, e: Mapping[tuple[str
     model.add_rows(
         [name for t in hours for name in (f"r_soc_min.{rid}.t{t}{s}", f"r_soc_max.{rid}.t{t}{s}")],
         range(2 * H + 1), [e[(rid, t)] for t in hours for _ in range(2)], [1.0] * (2 * H), [GE, LE] * H,
-        [reservoir.e_min, reservoir.e_max] * H, ["soc_min", "soc_max"] * H, rid,
-        [t for t in hours for _ in range(2)], scenario,
+        [reservoir.e_min, reservoir.e_max] * H,
     )
 
 
@@ -275,11 +266,8 @@ def add_end_target(model: MilpModel, reservoir_id: str, end_var: int, target: fl
                    end_soc: str = "fix", scenario: int | None = None) -> None:
     """End-of-day storage meets ``target``: equality by default, lower
     bound with ``end_soc='relax'``."""
-    hour = model.var(end_var).tag.hour
-    model.add_row(
-        f"r_soc_end.{reservoir_id}{_sfx(scenario)}", {end_var: 1.0},
-        GE if end_soc == "relax" else EQ, target, Tag("soc_final", reservoir_id, hour, scenario),
-    )
+    model.add_row(f"r_soc_end.{reservoir_id}{_sfx(scenario)}", {end_var: 1.0}, GE if end_soc == "relax" else EQ,
+                  target)
 
 
 def add_block_soc(
@@ -304,15 +292,10 @@ def add_block_soc(
     members = [u for u in units if u.reservoir_id == rid]
     post = blk.hours
     stored = (*post, post[-1] + 1)
-    cols = model.add_vars([f"e.{rid}.t{t}.s{s}" for t in stored], tag="soc", entity=rid, hour=list(stored),
-                          scenario=s).tolist()
+    cols = model.add_vars([f"e.{rid}.t{t}.s{s}" for t in stored], hour=list(stored)).tolist()
     e = dict(zip(((rid, t) for t in stored), cols))
-    model.add_row(
-        f"r_soc_cross.{rid}.s{s}", {cols[0]: 1.0, edge_var: -1.0}, EQ, 0.0,
-        Tag("soc_link_cross", rid, post[0] - 1, s),
-    )
-    _add_soc_links(model, [f"r_soc.{rid}.t{t}.s{s}" for t in post], "soc_link_scenario", rid, post, s,
-                   cols[1:], cols[:-1], blk, members, dt)
+    model.add_row(f"r_soc_cross.{rid}.s{s}", {cols[0]: 1.0, edge_var: -1.0}, EQ, 0.0)
+    _add_soc_links(model, [f"r_soc.{rid}.t{t}.s{s}" for t in post], post, cols[1:], cols[:-1], blk, members, dt)
     _add_soc_bounds(model, reservoir, e, post, s)
     add_end_target(model, rid, cols[-1], target, end_soc, s)
     return e

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fnmatch import fnmatchcase
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -24,7 +25,7 @@ from scipy.optimize import linprog
 from scipy.special import ndtr
 
 from pshlac.lac_models import _base_window_model, _scenario_prices
-from pshlac.milp import EQ, GE, LE, MilpModel, Tag
+from pshlac.milp import EQ, GE, LE, MilpModel, RowView, VarView
 from pshlac.psh_model import add_block_soc, add_dispatch_boxes, add_mode_logic, create_psh_block
 
 MODES = ("off", "gen", "pump")
@@ -375,7 +376,7 @@ def full_tail_window(variant: str, instance, cfg) -> MilpModel:
     te = model.meta["window_hours"][-1]
     post = list(range(te + 1, system.grid.horizon_end + 1))
     prices = _scenario_prices(instance, cfg)
-    risk = {r.id: model.add_var(f"w_risk.{r.id}", lb=-math.inf, obj=1.0, tag=Tag("risk", r.id))
+    risk = {r.id: model.add_var(f"w_risk.{r.id}", lb=-math.inf, obj=1.0)
             for r in system.reservoirs} if variant == "robust" else {}
     for s in range(scn.count):
         weight = 1.0 if variant == "deterministic" else scn.weights[s]
@@ -396,8 +397,7 @@ def full_tail_window(variant: str, instance, cfg) -> MilpModel:
                     coeffs += [(blk.q_gen[(u.id, t)], p), (blk.q_pump[(u.id, t)], -p)]
                     da_revenue += p * (da.gen[u.id][t - 1] - da.pump[u.id][t - 1])
             if risk:
-                model.add_row(f"r_risk.{r.id}.s{s}", [(risk[r.id], 1.0), *coeffs], GE, da_revenue,
-                              Tag("risk_cap", r.id, None, s))
+                model.add_row(f"r_risk.{r.id}.s{s}", [(risk[r.id], 1.0), *coeffs], GE, da_revenue)
             else:
                 for i, c in coeffs:
                     model.add_obj(i, -weight * c)
@@ -446,25 +446,35 @@ def tail_lp(units: Sequence, reservoir, prices: np.ndarray, e_edge: float, targe
 def max_violation(model: MilpModel, x: np.ndarray) -> float:
     """Largest breach of a bound, a row or the integrality of a binary."""
     worst = max(0.0, float(np.max(np.asarray(model._lb) - x)), float(np.max(x - np.asarray(model._ub))))
-    for r in model.rows():
+    for r in rows_named(model):
         lhs = sum(c * x[j] for j, c in r.coeffs.items())
         worst = max(worst, {LE: lhs - r.rhs, GE: r.rhs - lhs, EQ: abs(lhs - r.rhs)}[r.sense])
     b = model.binary_indices()
     return max(worst, float(np.max(np.abs(x[b] - np.round(x[b])), initial=0.0)))
 
 
+def columns_named(model: MilpModel, pattern: str = "*") -> list[VarView]:
+    """The columns of ``model`` whose names match the shell-style
+    ``pattern`` (``fnmatch``, such as ``"pseg*.th1.t2"``), in column order."""
+    return [v for v in map(model.var, range(model.n_vars)) if fnmatchcase(v.name, pattern)]
+
+
+def rows_named(model: MilpModel, pattern: str = "*") -> list[RowView]:
+    """The rows of ``model`` whose names match ``pattern`` (such as
+    ``"r_cut.*"``), in row order."""
+    return [r for r in map(model.row, range(model.n_rows)) if fnmatchcase(r.name, pattern)]
+
+
 def canonical_form(model: MilpModel):
     """An order-independent description of ``model`` for structural
-    equality tests: its columns by name, its rows by tag with their
+    equality tests: its columns and its rows by name, each row with its
     coefficients by column name, and its objective constant."""
-    names = model.var_names
-    cols = tuple(sorted((v.name, v.kind, v.lb, v.ub, v.obj) for v in model.variables()))
-    rows = [((r.tag.kind, r.tag.entity, r.tag.hour, r.tag.scenario), r.sense, r.rhs,
-             tuple(sorted((names[j], c) for j, c in r.coeffs.items())))
-            for r in model.rows()]
-    # None sorts first in a tag field, which may mix it with strings or ints
-    rows.sort(key=lambda d: (tuple((f is not None, f) for f in d[0]), *d[1:]))
-    return cols, tuple(rows), model.objective_constant
+    columns = columns_named(model)
+    names = [v.name for v in columns]
+    cols = tuple(sorted((v.name, v.kind, v.lb, v.ub, v.obj) for v in columns))
+    rows = tuple(sorted((r.name, r.sense, r.rhs, tuple(sorted((names[j], c) for j, c in r.coeffs.items())))
+                        for r in rows_named(model)))
+    return cols, rows, model.objective_constant
 
 
 def causality_check(ledger_a, ledger_b, through_hour: int) -> bool:

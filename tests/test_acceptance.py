@@ -6,6 +6,7 @@ first-window scaling builds) are module scoped and shared across checks.
 """
 
 import filecmp
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -35,7 +36,8 @@ from pshlac.rolling import PipelineProvider, RunControl, run_day
 from pshlac.synth import NODE as BUS, SynthConfig, make_day, make_history, make_system
 
 from conftest import solve_exact
-from oracle_tools import canonical_form, causality_check, enumerate_objective, full_tail_window, tail_lp
+from oracle_tools import (canonical_form, causality_check, columns_named, enumerate_objective, full_tail_window,
+                          rows_named, tail_lp)
 from toys import recorded_windows, window_setup
 
 BENCH_DAYS = 10
@@ -230,9 +232,10 @@ def test_01_named_rows_match_hand_arithmetic():
                 return
         raise AssertionError(f"row {name} missing")
 
-    def scenario_tagged(model, kinds):
-        tagged = [model.row(i) for i in range(model.n_rows)] + [model.var(j) for j in range(model.n_vars)]
-        return sorted(x.name for x in tagged if x.tag.scenario is not None and x.tag.kind in kinds)
+    def scenario_named(model, prefixes):
+        # the rows and columns of a scenario block end in .s<scenario>
+        pattern = re.compile(rf"({'|'.join(prefixes)})\..*\.s\d+")
+        return sorted(x.name for x in rows_named(model) + columns_named(model) if pattern.fullmatch(x.name))
 
     with verdict(1):
         # power balance with slacks, 50 MW residual load
@@ -245,7 +248,7 @@ def test_01_named_rows_match_hand_arithmetic():
         check("r_pdef.th1.t1", {"p.th1.t1": 1.0, "pseg0.th1.t1": -1.0}, EQ, 0.0)
         p = m.var(m.var_index("p.th1.t1"))
         assert (p.kind, p.lb, p.ub) == ("continuous", 0.0, 200.0)
-        assert not list(m.variables("thermal_commit")) and not list(m.rows("thermal_max"))
+        assert not columns_named(m, "uT.*") and not rows_named(m, "r_pmax.*")
         # exactly one mode; a start-up column per entered mode, charged
         # when the mode is on now and was not in the hour before
         check("r_one_mode.ps1.t1", {
@@ -291,10 +294,10 @@ def test_01_named_rows_match_hand_arithmetic():
         check("r_risk.res1.s1.k1", {"w_risk.res1": 1.0, "e.res1.t3": 20.0}, GE, 400.0 + 200.0)
         # with no dispatch floor and no negative price the tails carry no
         # dispatch, modes, transitions or storage copies at all
-        modal = ("psh_commit", "psh_startup", "startup", "mode_exclusive", "psh_gen", "psh_pump",
-                 "gen_box_hi", "gen_box_lo", "pump_box_hi", "pump_box_lo", "soc", "soc_link_scenario")
-        assert scenario_tagged(m, modal) == []
-        assert sorted(r.name for r in m.rows("risk_cut")) == [
+        modal = ("u_off", "u_gen", "u_pump", "su_gen", "su_pump", "r_startup_gen", "r_startup_pump", "r_one_mode",
+                 "qg", "qp", "r_gen_hi", "r_gen_lo", "r_pump_hi", "r_pump_lo", "e", "r_soc")
+        assert scenario_named(m, modal) == []
+        assert sorted(r.name for r in rows_named(m, "r_risk.*.s*.k*")) == [
             "r_risk.res1.s0.k0", "r_risk.res1.s0.k1", "r_risk.res1.s1.k0", "r_risk.res1.s1.k1"]
 
         # a negative price brings back the scenario's dispatch block, with
@@ -311,7 +314,7 @@ def test_01_named_rows_match_hand_arithmetic():
         }, EQ, 1.0, mn)
         check("r_gen_hi.ps1.t3.s0", {"qg.ps1.t3.s0": 1.0, "u_gen.ps1.t3.s0": -20.0}, LE, 0.0, mn)
         check("r_pump_hi.ps1.t3.s0", {"qp.ps1.t3.s0": 1.0, "u_pump.ps1.t3.s0": -20.0}, LE, 0.0, mn)
-        assert scenario_tagged(mn, ("psh_commit",)) == [
+        assert scenario_named(mn, ("u_off", "u_gen", "u_pump")) == [
             "u_gen.ps1.t3.s0", "u_off.ps1.t3.s0", "u_pump.ps1.t3.s0"]
         check("r_soc_cross.res1.s0", {"e.res1.t3.s0": 1.0, "e.res1.t3": -1.0}, EQ, 0.0, mn)
         check("r_soc.res1.t3.s0", {

@@ -149,6 +149,23 @@ def test_a_system_field_of_the_wrong_type_is_named(bundle, tmp_path, capsys, edi
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def test_a_load_that_is_not_a_number_is_named_with_its_line(bundle, tmp_path, capsys):
+    # it used to end in a window with "rows from 'r_balance.t3' have a
+    # right-hand side that is not finite", naming neither file nor hour
+    copy = tmp_path / "bundle"
+    shutil.copytree(bundle, copy)
+    path = copy / "load.csv"
+    lines = path.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.split(",")[0] == "5")
+    hour, entity, _ = lines[lineno - 1].split(",")
+    lines[lineno - 1] = f"{hour},{entity},nan"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(copy / "run.json"), "--out", str(tmp_path / "runs"),
+                 "--variant", "current_practice"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line {lineno}: 'nan' is not a finite number\n"
+
+
 def test_parser_requires_a_command(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

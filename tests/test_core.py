@@ -275,6 +275,12 @@ def test_series_csv_rejects_bad_inputs(tmp_path):
     p.write_text("hour,entity_id,value\n1,a,1.0\n3,a,2.0\n")
     with pytest.raises(ValueError, match="not contiguous"):
         read_series_csv(p)
+    # not finite: a nan load used to reach the window model as a row's rhs
+    for value in ("nan", "inf", "-Infinity"):
+        p.write_text(f"hour,entity_id,value\n1,a,1.0\n2,a, {value}\n")
+        with pytest.raises(ValueError) as err:
+            read_series_csv(p)
+        assert str(err.value) == f"{p}: line 3: '{value}' is not a finite number"
 
 
 def test_series_csv_skips_blank_lines(tmp_path):
@@ -311,6 +317,12 @@ def test_scenario_csv_rejects_bad_inputs(tmp_path):
     p.write_text("bad,header,row,x\n0,n1,1,5.0\n")
     with pytest.raises(ValueError, match="expected header"):
         read_scenario_csv(p)
+    # a nan price used to read as a missing combination, an inf one loaded
+    for value in ("nan", "inf"):
+        p.write_text(f"scenario,node,hour,price\n0,n1,1,5.0\n0,n1,2,{value}\n")
+        with pytest.raises(ValueError) as err:
+            read_scenario_csv(p)
+        assert str(err.value) == f"{p}: line 3: '{value}' is not a finite number"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -321,6 +333,12 @@ def test_scenario_csv_rejects_bad_inputs(tmp_path):
     ("scenario,weight\n0,0.5\n\n1\n", "line 4: malformed row ['1']"),
     ("scenario,weight\n0,half\n", "line 2: malformed row ['0', 'half']"),
     ("scenario,weight\nfirst,0.5\n", "line 2: malformed row ['first', '0.5']"),
+    ("scenario,weight\n0,nan\n1,0.5\n", "line 2: 'nan' is not a finite number"),
+    ("scenario,weight\n0,0.5\n1,inf\n", "line 3: 'inf' is not a finite number"),
+    # each scenario once: a repeat used to overwrite, a gap to read as 0.0
+    ("scenario,weight\n0,0.5\n0,0.5\n1,0.5\n", "line 3: scenario 0 is listed twice"),
+    ("scenario,weight\n0,1.0\n", "no weight for scenario 1"),
+    ("scenario,weight\n", "no weight for scenario 0, 1"),
 ])
 def test_weights_csv_rejects_bad_inputs(tmp_path, text, message):
     sp = tmp_path / "scn.csv"

@@ -25,12 +25,12 @@ from pshlac.lac_models import (
     da_reference_from_system,
     extract_da_reference,
 )
-from pshlac.milp import (BRANCH_AND_BOUND, EQ, FROM_LP, GE, LE, OPTIMAL, ROOT_ROUNDING, MilpModel, SolveOptions, Tag,
-                         _highs_lp, solve)
+from pshlac.milp import (BRANCH_AND_BOUND, EQ, FROM_LP, GE, LE, OPTIMAL, ROOT_ROUNDING, MilpModel, SolveOptions, _highs_lp,
+                         solve)
 from pshlac.rolling import RunControl, run_day
 
 from conftest import EXACT, solve_exact
-from oracle_tools import enumerate_objective, full_tail_window, max_violation
+from oracle_tools import columns_named, enumerate_objective, full_tail_window, max_violation, rows_named
 from toys import NODE, rolling_day_setup, two_unit_instance, window_setup
 
 
@@ -191,7 +191,7 @@ def test_balance_and_thermal_rows(basic_window):
     assert (p.kind, p.lb, p.ub) == ("continuous", 0.0, 200.0)
     with pytest.raises(KeyError):
         m.var_index("uT.th1.t1")
-    assert not list(m.rows("thermal_min")) and not list(m.rows("thermal_max"))
+    assert not rows_named(m, "r_pmin.*") and not rows_named(m, "r_pmax.*")
 
 
 def test_reservoir_rows_carry_the_efficiencies():
@@ -214,7 +214,7 @@ def test_reservoir_rows_carry_the_efficiencies():
     check_row(m, "r_tail_max.res1", {"e.res1.t3": 1.0}, LE, 40.0)
     check_row(m, "r_cut.res1.s0.k0", {"theta.res1.s0": 1.0, "e.res1.t3": -120.0}, LE, -600.0 - 120.0 * 5.0)
     check_row(m, "r_cut.res1.s0.k1", {"theta.res1.s0": 1.0, "e.res1.t3": -15.0}, LE, 0.0 - 15.0 * 10.0)
-    assert [r.name for r in m.rows("value_cut")] == ["r_cut.res1.s0.k0", "r_cut.res1.s0.k1"]
+    assert [r.name for r in rows_named(m, "r_cut.*")] == ["r_cut.res1.s0.k0", "r_cut.res1.s0.k1"]
 
 
 def test_end_rule_switches_sense():
@@ -227,7 +227,7 @@ def test_end_rule_switches_sense():
     fixed = window_setup()
     m = build_variant(Variant.STOCHASTIC, fixed.instance, fixed.cfg)
     check_row(m, "r_tail_max.res1", {"e.res1.t3": 1.0}, LE, 30.0)
-    assert [r.name for r in m.rows("value_cut")] == ["r_cut.res1.s0.k0"]
+    assert [r.name for r in rows_named(m, "r_cut.*")] == ["r_cut.res1.s0.k0"]
     # a window that reaches the day end closes on the target itself
     whole_day = window_setup(L=3, end_soc="relax")
     check_row(build_variant(Variant.PERFECT, whole_day.instance, whole_day.cfg), "r_soc_end.res1",
@@ -256,7 +256,7 @@ def test_time_preference_ramps_post_window_prices():
     cfg = replace(ws.cfg, time_preference=0.5)
     m = build_variant(Variant.STOCHASTIC, ws.instance, cfg)
     # unit efficiencies: the cut slopes are the ramped prices 30.5 and 26
-    slopes = [-r.coeffs[m.var_index("e.res1.t3")] for r in m.rows("value_cut")]
+    slopes = [-r.coeffs[m.var_index("e.res1.t3")] for r in rows_named(m, "r_cut.*")]
     assert slopes == [pytest.approx(30.5), pytest.approx(26.0)]
 
 
@@ -503,8 +503,8 @@ def test_extract_rejects_failed_solutions(basic_window):
     sys = basic_window.instance.system
     m = build_da_model(sys, (50.0,) * 3)
     dead = MilpModel("dead")
-    x = dead.add_var("x", lb=2.0, ub=2.0, tag=Tag("aux"))
-    dead.add_row("cap", {x: 1.0}, LE, 1.0, Tag("aux"))
+    x = dead.add_var("x", lb=2.0, ub=2.0)
+    dead.add_row("cap", {x: 1.0}, LE, 1.0)
     bad = solve(dead, EXACT)
     assert not bad.ok
     with pytest.raises(ConfigurationError, match="not solved"):
@@ -649,26 +649,26 @@ _PINNED_BUILDS = {
     "settlement": _settlement_model,
 }
 
-# _highs_digest of each build.  The day-ahead ones were recorded on the
+# _highs_digest of each build.  The day-ahead ones hold since the
 # row-by-row builders that the block builders replaced; the others since
 # thermal units pinned to a plan carry it as bounds on their output
 _PINNED_DIGESTS = {
-    "current_practice": "d8f8ca8a81693a21d3fd4c90d5a54508d6ba41efdf96d2bb4a0a8696409edf37",
-    "da_reserve": "4d06d0c29e20f970281f6a627b904f92f4722245ef9eeffd3548e6333d2d6657",
-    "da_synth_reserve": "372faf514c144fddd8796733074b2d21a131b7c80f6f11a01268bc4970e2f45a",
-    "deterministic": "b7f1bcb253decb35c40a327717d8edabdf243038dd7dc6c1b7e86d5729873112",
-    "perfect": "a84cbc06a60c8afb72eb84e621794e962b94c75df01664858929e75e3eb26485",
-    "robust": "e9224fda932633e8a008442b2a60c62ab536442374c375b68606b75804d2909d",
-    "robust_negative_price": "97e8d0435679f3b91329e0148233f021d6f1385735623db7cb146f0a84344108",
-    "settlement": "9c15474532c1b8525773f86b51c2428d1be7da221a780441168bad14dc98f14b",
-    "stochastic": "3d850bc50ad69f0a7d1c11296289489e715b5dec518c8b29954c2a1d1173bb26",
-    "stochastic_floor": "219dd35e5b6f5863f8ad6b4c92214a44ab9aaf33674fd3f03b344608ccd4cd92",
+    "current_practice": "1bd6746637a05212eaf6c238348fa83bd65bcbac3356af8f8ff107339c8bda7c",
+    "da_reserve": "f1db5450de85c731823096af623e75adeed20b3c8f2672facbfc046e3f6d9517",
+    "da_synth_reserve": "e9022a9558474e0c53e621e9484c1f060fbba308d89ec3bf5f9c9882f7178d73",
+    "deterministic": "37e5727a173854de766a99c8e01aa73f1b5bb64c70c9ce4410de59e29f4b326a",
+    "perfect": "87fffe59b411afe006e0f2d928e7330b6c32214dd0df0b541452d039885b05e0",
+    "robust": "6fa1a5c13d5ef15d4f6743c11d16ed9f18bb58498b5bc06ffa7fb102b21583dc",
+    "robust_negative_price": "bd2f6499e86161df947ec0affb94dbd891521decb96ad5c6ab77df3dee29b1c7",
+    "settlement": "f5db1ab58426c889a50f5b1a9a5dab0892d45597c0156a45f95ad37fe7f4a460",
+    "stochastic": "4a380544a2d700998f84ba806284b80711125abb8240e77ef9e7ba5a6868efc6",
+    "stochastic_floor": "b68fa300a912d412099d613155cf7839ddf5055747e0e92a5a14413fc8b918b0",
 }
 
 
 def _highs_digest(model):
     """What ``solve`` hands HiGHS for ``model`` (with its integrality),
-    plus the name and tag of every column and row, as one digest."""
+    plus the name of every column and row, as one digest."""
     lp = _highs_lp(model, integral=True)
     h = hashlib.sha256()
     for a in (lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_,
@@ -676,7 +676,7 @@ def _highs_digest(model):
               np.array([int(k) for k in lp.integrality_], np.int64)):
         h.update(np.ascontiguousarray(a).tobytes())
     for view in [model.var(i) for i in range(model.n_vars)] + [model.row(i) for i in range(model.n_rows)]:
-        h.update(f"{view.name} {view.tag!r}\n".encode())
+        h.update(f"{view.name}\n".encode())
     return h.hexdigest()
 
 
@@ -697,13 +697,12 @@ _PINNED_THERMAL = sorted(c for c in _PINNED_BUILDS if not c.startswith("da_"))
 @pytest.mark.parametrize("case", _PINNED_THERMAL)
 def test_window_and_settlement_models_pin_thermal_units_by_bounds(case):
     model = _PINNED_BUILDS[case]()
-    assert not [v.name for v in model.variables() if v.tag.kind in ("thermal_commit", "thermal_start",
-                                                                    "thermal_stop")]
-    assert not [r.name for r in model.rows() if r.tag.kind in ("thermal_min", "thermal_max")]
+    assert not [v.name for f in ("uT", "wT", "zT") for v in columns_named(model, f"{f}.*")]
+    assert not [r.name for f in ("r_pmin", "r_pmax") for r in rows_named(model, f"{f}.*")]
     # the toys' units have p_min 0 and segments as wide as p_max in all
     plan = model.meta["commitment"]
     for (uid, t), j in model.meta["thermal_p"].items():
-        width = sum(v.ub for v in model.variables("thermal_segment", hour=t) if v.name.endswith(f".{uid}.t{t}"))
+        width = sum(v.ub for v in columns_named(model, f"pseg*.{uid}.t{t}"))
         assert (model.var(j).lb, model.var(j).ub) == (0.0, plan[uid][t - 1] * width)
 
 

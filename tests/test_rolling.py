@@ -24,7 +24,7 @@ from pshlac.rolling import (
 from pshlac.core import TimeGrid
 
 from conftest import EXACT
-from oracle_tools import causality_check, max_violation
+from oracle_tools import causality_check, columns_named, max_violation, rows_named
 from toys import NODE, full_set_for_day, recorded_windows, rolling_day_setup, window_setup
 
 CONTROL = RunControl(solver=EXACT)
@@ -218,11 +218,11 @@ def _rows_only(model, names):
     """The model's variable bounds, relaxed to continuous, with only the
     named rows and no objective."""
     out = MilpModel()
-    for v in model.variables():
-        out.add_var(v.name, v.lb, v.ub, tag=v.tag)
-    for r in model.rows():
+    for v in columns_named(model):
+        out.add_var(v.name, v.lb, v.ub)
+    for r in rows_named(model):
         if r.name in names:
-            out.add_row(r.name, r.coeffs, r.sense, r.rhs, r.tag)
+            out.add_row(r.name, r.coeffs, r.sense, r.rhs)
     return out
 
 
@@ -425,7 +425,7 @@ def test_carried_perfect_windows_match_a_fresh_solve(seed11_day):
         assert fresh.status == OPTIMAL
         assert abs(w.objective - fresh.objective) <= GAP5.gap_tol * abs(fresh.objective)
         # the first window's values, mapped onto this window's columns by name
-        carried = source.solution.values[[source.model.var_index(n) for n in model.var_names]]
+        carried = source.solution.values[[source.model.var_index(v.name) for v in columns_named(model)]]
         assert max_violation(model, carried) <= 1e-6
 
 

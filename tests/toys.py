@@ -30,7 +30,7 @@ from pshlac.core import (
     TimeGrid,
 )
 from pshlac.lac_models import DaReference, LacInstance, ModelConfig
-from pshlac.milp import BINARY, LE, MilpModel, MilpSolution, Tag
+from pshlac.milp import BINARY, LE, MilpModel, MilpSolution
 
 from oracle_tools import ToyWindow
 
@@ -250,9 +250,8 @@ def knapsack(n: int = 30, capacity: float = 50.0) -> MilpModel:
     """max sum (i+1) x_i with weights i+3: many binaries, so HiGHS cannot
     finish in presolve."""
     m = MilpModel()
-    tag = Tag("test")
-    xs = [m.add_var(f"x{i}", obj=-(i + 1.0), kind=BINARY, tag=tag) for i in range(n)]
-    m.add_row("cap", {x: i + 3.0 for i, x in enumerate(xs)}, LE, capacity, tag)
+    xs = [m.add_var(f"x{i}", obj=-(i + 1.0), kind=BINARY) for i in range(n)]
+    m.add_row("cap", {x: i + 3.0 for i, x in enumerate(xs)}, LE, capacity)
     return m
 
 
