@@ -50,6 +50,7 @@ def full_day_resolve(
     da: DaReference,
     cfg: ModelConfig | None = None,
     options: SolveOptions | None = None,
+    previous: MilpModel | None = None,
 ) -> tuple[MilpModel, MilpSolution]:
     """Fix every commitment to the ledger and re-solve the day as an LP
     under ``options`` (its time limit; the LP has no gap).
@@ -59,7 +60,9 @@ def full_day_resolve(
     are its objective constant; it carries the ledger's PSH modes as
     fixed binaries in its bounds, and the PSH start-up columns are
     continuous and settle at the charges the ledger's mode sequence
-    incurs."""
+    incurs.  ``previous``, the model of an earlier settlement of the same
+    day, is re-dated at shift 0 (``lac_models.build_variant``): the new
+    plan is written in, and every mode bound it fixed is fixed again."""
     options = options or SolveOptions()
     T = system.grid.horizon_end
     by_hour = _ledger_by_hour(ledger, T)
@@ -71,7 +74,7 @@ def full_day_resolve(
         {r.id: float(r.e_initial) for r in system.reservoirs},
         {u.id: u.initial_mode for u in system.psh_units},
     )
-    model = build_variant(Variant.PERFECT, inst, cfg)
+    model = build_variant(Variant.PERFECT, inst, cfg, previous)
     det = model.meta["det_block"]
 
     for u in system.psh_units:
@@ -252,7 +255,11 @@ def settle(
 ) -> VariantOutcome:
     """Settle one ledger: its full-day re-solve (:func:`full_day_resolve`),
     the realized prices, the storage profit and the slack totals."""
-    model, sol = full_day_resolve(system, market_day, ledger, da, cfg, options)
+    return _outcome(system, ledger, da, *full_day_resolve(system, market_day, ledger, da, cfg, options))
+
+
+def _outcome(system: PowerSystem, ledger: SimulationLedger, da: DaReference, model: MilpModel,
+             sol: MilpSolution) -> VariantOutcome:
     lmp = realized_lmp(model, sol)
     profit = lac_profit(ledger, da, lmp, system)
     sh = sum(h.slack_short for h in ledger.hours)
@@ -284,7 +291,12 @@ def evaluate_day(
     cfg: ModelConfig | None = None,
     options: SolveOptions | None = None,
 ) -> DayEvaluation:
-    """Settle every ledger (:func:`settle`), then assemble the day."""
-    outcomes = {name: settle(system, market_day, ledgers[name], da, cfg, options)
-                for name in sorted(ledgers, key=_variant_sort_key)}
+    """Settle every ledger as :func:`settle` does, each settlement model
+    re-dated from the one before (:func:`full_day_resolve`), then
+    assemble the day."""
+    outcomes = {}
+    model = None
+    for name in sorted(ledgers, key=_variant_sort_key):
+        model, sol = full_day_resolve(system, market_day, ledgers[name], da, cfg, options, model)
+        outcomes[name] = _outcome(system, ledgers[name], da, model, sol)
     return assemble_day(system, market_day, outcomes, da)

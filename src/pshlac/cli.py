@@ -307,6 +307,8 @@ def fork_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
 
 
 def cmd_simulate(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, not {args.jobs}")
     cfg = RunConfig.from_file(args.config)
     variants = _parse_variants(args.variant, cfg)
     system = read_system_json(cfg.system)

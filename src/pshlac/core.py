@@ -473,9 +473,9 @@ def read_system_json(path) -> PowerSystem:
 def read_series_csv(path) -> dict[str, list[float]]:
     """Read an ``hour,entity_id,value`` file into per-entity hourly lists.
 
-    Hours must be 1-based and contiguous per entity.  A malformed row,
-    or a value that is not a finite number, raises ValueError naming the
-    offending line.
+    Hours must be 1-based and contiguous per entity.  A malformed row, a
+    value that is not a finite number, or an (hour, entity) listed before
+    raises ValueError naming the offending line.
     """
     series: dict[str, dict[int, float]] = {}
     with open(path, newline="") as fh:
@@ -495,7 +495,10 @@ def read_series_csv(path) -> dict[str, list[float]]:
             if hour < 1:
                 raise ValueError(f"{path}: line {lineno}: hour must be >= 1")
             _require_finite(value, row[2], path, lineno)
-            series.setdefault(entity, {})[hour] = value
+            values = series.setdefault(entity, {})
+            if hour in values:
+                raise ValueError(f"{path}: line {lineno}: hour {hour} of '{entity}' is listed twice")
+            values[hour] = value
     out: dict[str, list[float]] = {}
     for entity, values in series.items():
         hours = sorted(values)
@@ -532,9 +535,11 @@ def _require_finite(value: float, text: str, path, lineno: int) -> None:
 def read_scenario_csv(path, weights_path=None) -> PriceScenarioSet:
     """The scenario set of a ``scenario,node,hour,price`` file, weighted
     by a ``scenario,weight`` file or uniformly.  A malformed row, a price
-    that is not a finite number, or a (scenario, node, hour) the file
-    lacks raises ValueError naming the file (and the line)."""
+    that is not a finite number, a (scenario, node, hour) listed before,
+    or one the file lacks raises ValueError naming the file (and the
+    line)."""
     rows: list[tuple[int, str, int, float]] = []
+    seen: set[tuple[int, str, int]] = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -548,6 +553,11 @@ def read_scenario_csv(path, weights_path=None) -> PriceScenarioSet:
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed row {row!r}") from exc
             _require_finite(rows[-1][3], row[3], path, lineno)
+            key = rows[-1][:3]
+            if key in seen:
+                raise ValueError(f"{path}: line {lineno}: scenario {key[0]}, node '{key[1]}', hour {key[2]} "
+                                 "is listed twice")
+            seen.add(key)
     if not rows:
         raise ValueError(f"{path}: no scenario rows")
     scenarios = sorted({r[0] for r in rows})

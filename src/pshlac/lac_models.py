@@ -29,6 +29,17 @@ in how hours after the window are valued, which is the finish
   shortfall relative to the day-ahead position, one epigraph variable
   per reservoir
 
+Windows of one variant and length differ in their block only by hours
+and data.  Given the window built before (``previous``),
+:func:`build_variant` copies its in-window block, columns, rows, bounds
+and costs, moves its names, column hours and handles to the new hours
+(``MilpModel.redated``), and writes only what the new instance brings
+(:func:`_write_window_data`): the thermal plan, the storage and modes
+entering the window, the end-of-day targets and the load.  The variant's
+finish follows as in a fresh build, and the model equals one element by
+element.  A window that reaches the day end while its predecessor did
+not, or one of another length, is built afresh.
+
 The three scenario variants share one tail builder, :func:`_add_tails`.
 A tail reaches the window only through the storage at the window edge,
 one column ``e.<res>.t<te+1>`` per reservoir, so each scenario's tail is
@@ -73,6 +84,7 @@ from .psh_model import (
     add_soc_dynamics,
     create_psh_block,
     fix_block_to_schedule,
+    set_entry_mode,
     tail_value_functions,
 )
 
@@ -177,12 +189,9 @@ def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours:
 
     ``commitment`` pins each unit to an on/off plan for the whole day,
     one flag per hour from hour 1.  A pinned unit has no commitment
-    column: ``p`` is bounded to ``[c*p_min, c*p_max]``, and the plan's
-    no-load charges over ``hours`` and its start-up charges (an hour on
-    after an hour off; before hour 1 the unit's initial status) join
-    ``model.objective_constant``, and each hour's share of them
-    ``model.meta["thermal_constant"]`` (see :func:`costs_by_hour`).
-    Returns (unit, hour) -> column for each field but the segments.
+    column, and :func:`_write_thermal_plan` writes the plan into ``p``'s
+    bounds and the objective constant.  Returns (unit, hour) -> column
+    for each field but the segments.
     """
     H = len(hours)
     pinned = commitment is not None
@@ -199,20 +208,8 @@ def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours:
         w = len(fields)
         names += [f"{f}.{u.id}.t{t}" for t in hours for f in fields]
         segments = [seg.mw for seg in u.cost_curve]
-        if pinned:
-            plan = commitment[u.id]
-            by_hour = model.meta.setdefault("thermal_constant", {})
-            for t in hours:
-                c = plan[t - 1]
-                was = plan[t - 2] if t > 1 else int(u.initial_status.committed)
-                lb += [c * u.p_min, *[0.0] * K]
-                ub += [c * u.p_max, *segments]
-                charge = c * u.no_load_cost + (u.startup_cost if c > was else 0.0)
-                model.objective_constant += charge
-                by_hour[t] = by_hour.get(t, 0.0) + charge
-        else:
-            lb += [0.0] * (w * H)
-            ub += [1.0, 1.0, 1.0, u.p_max, *segments] * H
+        lb += [0.0] * (w * H)
+        ub += [*(1.0, 1.0, 1.0)[:L], u.p_max, *segments] * H
         obj += [*(u.no_load_cost, u.startup_cost, 0.0)[:L], 0.0, *(seg.price for seg in u.cost_curve)] * H
         kinds += [*(BINARY, CONTINUOUS, CONTINUOUS)[:L], *[CONTINUOUS] * (K + 1)] * H
         col_hours += [t for t in hours for _ in fields]
@@ -227,8 +224,30 @@ def _add_thermal_dispatch(model: MilpModel, units: Sequence[ThermalUnit], hours:
         first += w * H
     model.add_vars(names, lb, ub, obj, kinds, col_hours)
     model.add_rows(row_names, list(itertools.accumulate(lengths, initial=0)), index, value,
-                   [EQ, GE, LE][:R] * (len(units) * H), 0.0)
+                   [EQ, GE, LE][:R] * (len(units) * H), 0.0, [t for _ in units for t in hours for _ in range(R)])
+    if pinned:
+        _write_thermal_plan(model, units, hours, commitment, cols["p"])
     return cols
+
+
+def _write_thermal_plan(model: MilpModel, units: Sequence[ThermalUnit], hours: Sequence[int],
+                        commitment: Mapping[str, Sequence[int]], p: Mapping[tuple[str, int], int]) -> None:
+    """Pin each unit to its day plan ``commitment`` over ``hours``: its
+    output ``p`` is bounded to ``[c*p_min, c*p_max]``, and the plan's
+    no-load charges and start-up charges (an hour on after an hour off;
+    before hour 1 the unit's initial status) join
+    ``model.objective_constant``, and each hour's share of them
+    ``model.meta["thermal_constant"]`` (see :func:`costs_by_hour`)."""
+    by_hour = model.meta.setdefault("thermal_constant", {})
+    for u in units:
+        plan = commitment[u.id]
+        for t in hours:
+            c = plan[t - 1]
+            was = plan[t - 2] if t > 1 else int(u.initial_status.committed)
+            model.set_var_bounds(p[(u.id, t)], c * u.p_min, c * u.p_max)
+            charge = c * u.no_load_cost + (u.startup_cost if c > was else 0.0)
+            model.objective_constant += charge
+            by_hour[t] = by_hour.get(t, 0.0) + charge
 
 
 def costs_by_hour(model: MilpModel, sol: MilpSolution) -> dict[int | None, float]:
@@ -270,7 +289,7 @@ def _add_balance(
     value = [1.0, -1.0] + [1.0] * len(system.thermal_units) + [1.0, -1.0] * len(system.psh_units)
     w = len(value)
     rows = model.add_rows([f"r_balance.t{t}" for t in hours], range(0, w * H + 1, w), index, value * H, EQ,
-                          [float(v) for v in load])
+                          [float(v) for v in load], hours)
     return dict(zip(hours, rows.tolist())), dict(zip(hours, slack))
 
 
@@ -306,8 +325,8 @@ def _base_window_model(
             edge=te == T or with_scenarios,
         )
         if te == T:
-            add_end_target(model, r.id, soc.e_det[(r.id, T + 1)],
-                           float(instance.da.end_soc[r.id]), cfg.end_soc)
+            soc.end_row = add_end_target(model, r.id, soc.e_det[(r.id, T + 1)],
+                                         float(instance.da.end_soc[r.id]), cfg.end_soc)
         soc_by_res[r.id] = soc
 
     balance_rows, slack_vars = _add_balance(model, sys, hours, instance.net_load, thermal_p, det, cfg.voll)
@@ -323,8 +342,80 @@ def _base_window_model(
         balance_rows=balance_rows,
         slack_vars=slack_vars,
         window_hours=tuple(hours),
+        block=_Block(name, sys, cfg, len(hours), te == T, hours[0], model.n_vars, model.n_rows, model.rounding),
     )
     return model
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A window model's in-window block, its first ``n_vars`` columns
+    and ``n_rows`` rows, and what it is built from besides its first
+    hour ``t1`` and the data :func:`_write_window_data` writes."""
+
+    variant: str
+    system: PowerSystem
+    cfg: ModelConfig
+    length: int
+    day_end: bool  # the window reaches the day end: no tail, the end-of-day targets
+    t1: int
+    n_vars: int
+    n_rows: int
+    rounding: ModeRounding  # of the window block's modes; it names only block columns
+
+    def fits(self, variant: Variant, instance: LacInstance, cfg: ModelConfig) -> bool:
+        """Whether ``instance``'s block, under ``variant`` and ``cfg``, is
+        this one some hours later."""
+        hours = instance.window.window_hours()
+        return (self.system is instance.system and self.variant == variant.value and self.cfg == cfg
+                and self.length == len(hours) and self.day_end == (hours[-1] == self.system.grid.horizon_end))
+
+
+def _redated(previous: MilpModel, instance: LacInstance) -> MilpModel:
+    """The in-window block of ``previous`` moved to ``instance``'s hours
+    (``MilpModel.redated``), its handles with it, and ``instance``'s data
+    written in.  The caller checks that the block fits (:meth:`_Block.fits`)."""
+    block: _Block = previous.meta["block"]
+    t1 = instance.window.start_index
+    by = t1 - block.t1
+    model = previous.redated(block.n_vars, block.n_rows, by)
+    old = previous.meta
+    model.meta.update(
+        det_block=old["det_block"].shifted(by),
+        soc={rid: soc.shifted(by) for rid, soc in old["soc"].items()},
+        thermal_p={(uid, t + by): j for (uid, t), j in old["thermal_p"].items()},
+        balance_rows={t + by: i for t, i in old["balance_rows"].items()},
+        slack_vars={t + by: pair for t, pair in old["slack_vars"].items()},
+        window_hours=tuple(t + by for t in old["window_hours"]),
+        block=replace(block, t1=t1),
+    )
+    model.rounding = block.rounding
+    _write_window_data(model, instance)
+    return model
+
+
+def _write_window_data(model: MilpModel, instance: LacInstance) -> None:
+    """Write what a window block takes from ``instance`` into a re-dated
+    one, through the writers the fresh build uses: the thermal plan's
+    bounds and constant (:func:`_write_thermal_plan`), the modes entering
+    the window (``psh_model.set_entry_mode``), the storage entering it,
+    the end-of-day targets of a window that reaches the day end, and the
+    load on the balance rows.  The day-ahead schedule of
+    ``current_practice`` is written by :func:`build_variant` after either
+    build."""
+    sys = instance.system
+    meta = model.meta
+    meta["commitment"] = instance.da.commitment
+    _write_thermal_plan(model, sys.thermal_units, meta["window_hours"], instance.da.commitment, meta["thermal_p"])
+    det = meta["det_block"]
+    for u in sys.psh_units:
+        set_entry_mode(model, det, u, instance.prev_modes[u.id])
+    for r in sys.reservoirs:
+        soc = meta["soc"][r.id]
+        model.set_rhs((soc.init_row,), float(instance.soc_state[r.id]))
+        if soc.end_row is not None:
+            model.set_rhs((soc.end_row,), float(instance.da.end_soc[r.id]))
+    model.set_rhs(list(meta["balance_rows"].values()), instance.net_load)
 
 
 def _has_floor(unit: PshUnit) -> bool:
@@ -492,9 +583,21 @@ def build_variant(
     variant: Variant,
     instance: LacInstance,
     cfg: ModelConfig | None = None,
+    previous: MilpModel | None = None,
 ) -> MilpModel:
     """The window model of ``variant``: the shared in-window structure,
-    then the variant's finish (the module docstring lists them)."""
+    then the variant's finish (the module docstring lists them).
+
+    ``previous`` is a model this function built earlier, or None.  When
+    it has the same variant, system and ``cfg`` and a window of the same
+    length that reaches the day end exactly when this one does, its
+    in-window block is copied and re-dated instead of built
+    (:func:`_redated`), and the result equals a fresh build element by
+    element.  The block is copied as it stands: a caller that changed
+    bounds of ``previous`` outside the instance's data writes them again
+    (as ``accounting.full_day_resolve`` does with the modes it fixes).
+    Any other ``previous`` is ignored.
+    """
     try:
         variant = Variant(variant)
     except ValueError:
@@ -512,7 +615,11 @@ def build_variant(
             raise ConfigurationError("deterministic variant expects exactly one scenario trajectory")
     with_scenarios = variant in SCENARIO_VARIANTS
     _validate_instance(instance, need_scenarios=with_scenarios)
-    model = _base_window_model(variant.value, instance, cfg, with_scenarios)
+    block = None if previous is None else previous.meta.get("block")
+    if block is not None and block.fits(variant, instance, cfg):
+        model = _redated(previous, instance)
+    else:
+        model = _base_window_model(variant.value, instance, cfg, with_scenarios)
     if variant == Variant.CURRENT_PRACTICE:
         det: PshBlock = model.meta["det_block"]
         hours = win.window_hours()
@@ -566,7 +673,7 @@ def build_da_model(
         value[0, 3] = 0.0
         model.add_rows([f"r_commit_flow.{u.id}.t{t}" for t in hours], np.arange(0, 4 * T + 1, 4),
                        np.column_stack([uT, wT, zT, [uT[0], *uT[:-1]]]).ravel(), value.ravel(), EQ,
-                       [float(int(u.initial_status.committed))] + [0.0] * (T - 1))
+                       [float(int(u.initial_status.committed))] + [0.0] * (T - 1), hours)
         # a start in the last min_up hours keeps the unit on, a stop in
         # the last min_down hours keeps it off
         for rule, duration, flips, sign, rhs in (("min_up", u.min_up, wT, -1.0, 0.0),
@@ -576,7 +683,7 @@ def build_da_model(
             recent = [flips[max(0, t - duration):t] for t in hours]
             model.add_rows([f"r_{rule}.{u.id}.t{t}" for t in hours], np.r_[0, np.cumsum([len(r) + 1 for r in recent])],
                            [j for r, t in zip(recent, hours) for j in (*r, uT[t - 1])],
-                           [c for r in recent for c in (*[1.0] * len(r), sign)], LE, rhs)
+                           [c for r in recent for c in (*[1.0] * len(r), sign)], LE, rhs, hours)
         # lock remaining minimum duration from the initial state
         if u.initial_status.committed and u.min_up > u.initial_status.hours:
             for t in range(1, min(T, u.min_up - u.initial_status.hours) + 1):
@@ -601,7 +708,7 @@ def build_da_model(
         model.add_rows([f"r_reserve.t{t}" for t in hours], np.arange(0, n * T + 1, n),
                        [thermal_u[(u.id, t)] for t in hours for u in system.thermal_units],
                        np.tile([u.p_max for u in system.thermal_units], T), GE,
-                       [(1.0 + reserve_margin) * float(da_load[t - 1]) - quick for t in hours])
+                       [(1.0 + reserve_margin) * float(da_load[t - 1]) - quick for t in hours], hours)
     model.meta.update(
         det_block=det, thermal_u=thermal_u, thermal_p=thermal_p, balance_rows=balance_rows,
         window_hours=tuple(hours),

@@ -3,9 +3,11 @@
 Models are plain coefficient containers: variables with bounds and
 objective weights plus sparse rows in one of the three senses
 ``<=``, ``==``, ``>=``.  Rows and columns are found by name, the one
-handle that tests, IIS reports and LP dumps share; only columns keep an
-hour besides, by which :meth:`MilpModel.cost_by_hour` splits the
-objective.
+handle that tests, IIS reports and LP dumps share.  Both keep the hour
+their name carries: a column's is the hour whose cost it is, by which
+:meth:`MilpModel.cost_by_hour` splits the objective, and
+:meth:`MilpModel.redated` moves both to re-use a model's rows and columns
+some hours later.
 
 Every solve runs once through :func:`milp`, an adapter on the HiGHS
 bindings scipy ships, which takes the model's own lists of rows and row
@@ -102,6 +104,28 @@ def _floats(value, k: int, what: str) -> list[float]:
     return out.tolist()
 
 
+def _check_finite(names: Sequence[str], rhs: list[float]) -> None:
+    if not all(map(math.isfinite, rhs)):
+        bad = next(name for name, r in zip(names, rhs) if not math.isfinite(r))
+        raise ValueError(f"row {bad!r} has a right-hand side that is not finite")
+
+
+def _moved(names: list[str], hours: list[int | None], shift: int) -> list[str]:
+    """``names`` of elements with ``hours``, ``shift`` hours later: the
+    hour a dated name ends in is replaced, by position, not by search."""
+    if not shift:
+        return names
+    ends = {t: (-len(str(t)), str(t + shift)) for t in set(hours) if t is not None}
+    out = []
+    for name, t in zip(names, hours):
+        if t is None:
+            out.append(name)
+        else:
+            cut, end = ends[t]
+            out.append(name[:cut] + end)
+    return out
+
+
 def _row_bounds(sense, rhs: list[float]) -> tuple[list[float], list[float]]:
     """The lower and upper bounds of rows with ``sense`` and ``rhs`` (one
     sense for all or one per row), as HiGHS reads a row: ``<=`` leaves it
@@ -132,7 +156,8 @@ class MilpModel:
     row's sense and right-hand side are read back from its bounds, so a
     right-hand side must be finite.  Rows and columns are found by name
     (a column name is unique); :class:`VarView` and :class:`RowView`
-    objects are built only when a row or column is looked at.
+    objects are built only when a row or column is looked at.  A column
+    or row may carry an hour, the one in its name (see :meth:`redated`).
 
     ``rounding`` is the builder's rounding heuristic, or None: given the
     values of the LP relaxation it fixes binary columns, and
@@ -152,8 +177,9 @@ class MilpModel:
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._obj: list[float] = []
-        self._hour: list[int | None] = []  # per column, for cost_by_hour
+        self._hour: list[int | None] = []  # per column, for cost_by_hour and redated
         self._rnames: list[str] = []
+        self._row_hour: list[int | None] = []  # per row, for redated
         # the rows in compressed sparse row form, block after block, and
         # their bounds: -inf below a <= row, +inf above a >= row
         self._start: list[int] = [0]
@@ -170,8 +196,9 @@ class MilpModel:
 
         Every other argument is one value for the whole block or one per
         column (a list, tuple, range or array).  ``hour`` is the hour
-        whose cost a column is (see :meth:`cost_by_hour`), None for
-        none.  A binary column's bounds are clipped to [0, 1].
+        whose cost a column is (see :meth:`cost_by_hour`) and the one its
+        name carries, None for none.  A binary column's bounds are
+        clipped to [0, 1].
         """
         names = list(names)
         k = len(names)
@@ -205,7 +232,7 @@ class MilpModel:
         self._hour.extend(hours)
         return np.arange(n0, n0 + k)
 
-    def add_rows(self, names: Sequence[str], start, index, value, sense, rhs) -> np.ndarray:
+    def add_rows(self, names: Sequence[str], start, index, value, sense, rhs, hour=None) -> np.ndarray:
         """Append a block of rows in compressed sparse row form and return
         their indices.
 
@@ -213,16 +240,16 @@ class MilpModel:
         the columns ``index[start[i]:start[i + 1]]``, in that order; every
         column must exist already.  Zero coefficients are dropped, and a
         column may appear once per row.
-        ``sense`` and ``rhs`` are one value for the block or one per row,
-        as in :meth:`add_vars`.
+        ``sense``, ``rhs`` and ``hour`` (the hour a row's name carries,
+        None for none) are one value for the block or one per row, as in
+        :meth:`add_vars`.
         """
         names = list(names)
         m = len(names)
         rhs = _floats(rhs, m, "rhs")
-        if not all(map(math.isfinite, rhs)):
-            bad = next(name for name, r in zip(names, rhs) if not math.isfinite(r))
-            raise ValueError(f"row {bad!r} has a right-hand side that is not finite")
+        _check_finite(names, rhs)
         row_lo, row_hi = _row_bounds(sense, rhs)
+        hours = _spread(hour, m, "hour")
         # small blocks are the common case: plain lists beat numpy calls
         start, index, value = _as_list(start), _as_list(index), _as_list(value)
         if len(start) != m + 1 or start[0] != 0 or start[-1] != len(index) or len(value) != len(index):
@@ -242,6 +269,7 @@ class MilpModel:
         r0 = len(self._rnames)
         nnz = len(self._index)
         self._rnames.extend(names)
+        self._row_hour.extend(hours)
         self._start.extend([i + nnz for i in start[1:]])
         self._index.extend(index)
         self._value.extend(value)
@@ -266,6 +294,52 @@ class MilpModel:
     def set_var_bounds(self, idx: int, lb: float, ub: float) -> None:
         self._lb[idx] = float(lb)
         self._ub[idx] = float(ub)
+
+    def set_rhs(self, rows: Sequence[int], rhs) -> None:
+        """Move the right-hand side of each of ``rows`` to ``rhs`` (one
+        value for all or one per row); their senses stay."""
+        rhs = _floats(rhs, len(rows), "rhs")
+        _check_finite([self._rnames[i] for i in rows], rhs)
+        lo, hi = self._row_lo, self._row_hi
+        for i, r in zip(rows, rhs):
+            if lo[i] != -math.inf:
+                lo[i] = r
+            if hi[i] != math.inf:
+                hi[i] = r
+
+    def redated(self, n_vars: int, n_rows: int, shift: int) -> MilpModel:
+        """A new model of this one's first ``n_vars`` columns and first
+        ``n_rows`` rows, ``shift`` hours later, under the same name.
+
+        Bounds, costs, kinds and the rows are copied as they stand; each
+        column and row with an hour gets ``hour + shift``, and so does its
+        name, which must end in that hour (``qg.<unit>.t5`` becomes
+        ``qg.<unit>.t6``; a name without an hour, such as ``r_soc_init.
+        <res>``, stays as it is).  The rows must name only those columns.
+        The new model starts with no objective constant, meta or rounding.
+        """
+        out = MilpModel(self.name)
+        nnz = self._start[n_rows]
+        col_hour, row_hour = self._hour[:n_vars], self._row_hour[:n_rows]
+        out._vnames = _moved(self._vnames[:n_vars], col_hour, shift)
+        out._rnames = _moved(self._rnames[:n_rows], row_hour, shift)
+        if shift:
+            col_hour = [t if t is None else t + shift for t in col_hour]
+            row_hour = [t if t is None else t + shift for t in row_hour]
+        out._hour, out._row_hour = col_hour, row_hour
+        out._name_to_var = dict(zip(out._vnames, range(n_vars)))
+        if len(out._name_to_var) != n_vars:
+            raise ValueError(f"{self.name}: moving its names {shift} hours makes two of them equal")
+        out._binary = self._binary[:n_vars]
+        out._lb = self._lb[:n_vars]
+        out._ub = self._ub[:n_vars]
+        out._obj = self._obj[:n_vars]
+        out._start = self._start[:n_rows + 1]
+        out._index = self._index[:nnz]
+        out._value = self._value[:nnz]
+        out._row_lo = self._row_lo[:n_rows]
+        out._row_hi = self._row_hi[:n_rows]
+        return out
 
     def add_obj(self, idx: int, delta: float) -> None:
         self._obj[idx] += float(delta)

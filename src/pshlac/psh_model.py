@@ -81,12 +81,31 @@ class PshBlock:
     start: dict[tuple[str, str, int], int] = field(default_factory=dict)  # (unit, gen|pump, hour)
     q_gen: dict[tuple[str, int], int] = field(default_factory=dict)
     q_pump: dict[tuple[str, int], int] = field(default_factory=dict)
+    # unit -> its gen and pump start-up rows of the first hour, whose
+    # right-hand sides hold the mode before the block (set_entry_mode)
+    entry: dict[str, tuple[int, int]] = field(default_factory=dict)
+
+    def shifted(self, by: int) -> PshBlock:
+        """The same handles ``by`` hours later (see ``MilpModel.redated``)."""
+        return PshBlock(
+            tuple(t + by for t in self.hours), self.scenario,
+            {(uid, m, t + by): j for (uid, m, t), j in self.u.items()},
+            {(uid, m, t + by): j for (uid, m, t), j in self.start.items()},
+            {(uid, t + by): j for (uid, t), j in self.q_gen.items()},
+            {(uid, t + by): j for (uid, t), j in self.q_pump.items()},
+            dict(self.entry),
+        )
 
 
 @dataclass
 class SocVars:
     # (reservoir, hour) -> storage entering the hour, the window edge included
     e_det: dict[tuple[str, int], int] = field(default_factory=dict)
+    init_row: int = -1  # r_soc_init, the storage entering the first hour
+    end_row: int | None = None  # r_soc_end, where the trajectory meets the end-of-day target
+
+    def shifted(self, by: int) -> SocVars:
+        return SocVars({(rid, t + by): j for (rid, t), j in self.e_det.items()}, self.init_row, self.end_row)
 
 
 _OFF, _GEN, _PUMP = MODES
@@ -145,9 +164,9 @@ def add_mode_logic(
     the window block also the start-up rows of gen and pump.
 
     ``prev`` is the unit's mode in the hour before the window block's
-    first hour.  A scenario block takes no ``prev``: it has no start-ups,
-    so only exclusivity ties its modes, and its first hour is free of
-    the window-edge mode.
+    first hour (see :func:`set_entry_mode`).  A scenario block takes no
+    ``prev``: it has no start-ups, so only exclusivity ties its modes,
+    and its first hour is free of the window-edge mode.
     """
     window = blk.scenario is None
     if window and prev is None:
@@ -161,7 +180,7 @@ def add_mode_logic(
     modes = [[blk.u[(uid, m, t)] for m in MODES] for t in hours]
     if not window:
         model.add_rows([f"r_one_mode.{uid}.t{t}{s}" for t in hours], range(0, 3 * H + 1, 3),
-                       [j for cell in modes for j in cell], [1.0] * (3 * H), EQ, 1.0)
+                       [j for cell in modes for j in cell], [1.0] * (3 * H), EQ, 1.0, hours)
         return
     # per hour: sum of modes == 1, then su_m[t] - u_m[t] + u_m[t-1] >= 0
     # for gen and pump, with u_m[first-1] = [prev == m] on the rhs (the
@@ -170,12 +189,21 @@ def add_mode_logic(
     index = [j for h, ((off, gen, pump), (su_gen, su_pump)) in enumerate(zip(modes, su))
              for j in (off, gen, pump, su_gen, gen, modes[h - 1][1], su_pump, pump, modes[h - 1][2])]
     value = [1.0, 1.0, 1.0, 1.0, -1.0, 0.0, 1.0, -1.0, 0.0] + [1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0] * (H - 1)
-    rhs = [1.0, -1.0 if prev == _GEN else 0.0, -1.0 if prev == _PUMP else 0.0] + [1.0, 0.0, 0.0] * (H - 1)
-    model.add_rows(
+    rows = model.add_rows(
         [name for t in hours for name in (f"r_one_mode.{uid}.t{t}", f"r_startup_{_GEN}.{uid}.t{t}",
                                           f"r_startup_{_PUMP}.{uid}.t{t}")],
-        range(0, 9 * H + 1, 3), index, value, [EQ, GE, GE] * H, rhs,
+        range(0, 9 * H + 1, 3), index, value, [EQ, GE, GE] * H, [1.0, 0.0, 0.0] * H,
+        [t for t in hours for _ in range(3)],
     )
+    blk.entry[uid] = (int(rows[1]), int(rows[2]))
+    set_entry_mode(model, blk, unit, prev)
+
+
+def set_entry_mode(model: MilpModel, blk: PshBlock, unit: PshUnit, prev: str) -> None:
+    """Write the unit's mode before the window block's first hour into
+    that hour's start-up rows (see :func:`add_mode_logic`): ``-1`` on the
+    row of the mode it was in, ``0`` on the other."""
+    model.set_rhs(blk.entry[unit.id], [-1.0 if prev == _GEN else 0.0, -1.0 if prev == _PUMP else 0.0])
 
 
 def add_dispatch_boxes(model: MilpModel, blk: PshBlock, unit: PshUnit) -> None:
@@ -195,15 +223,16 @@ def add_dispatch_boxes(model: MilpModel, blk: PshBlock, unit: PshUnit) -> None:
         [f"r_{box}.{uid}.t{t}{s}" for t in hours for box in ("gen_hi", "gen_lo", "pump_hi", "pump_lo")],
         range(0, 8 * H + 1, 2), index,
         [1.0, -unit.gen_max, 1.0, -unit.gen_min, 1.0, -unit.pump_max, 1.0, -unit.pump_min] * H, [LE, GE, LE, GE] * H,
-        0.0,
+        0.0, [t for t in hours for _ in range(4)],
     )
 
 
 def _add_soc_links(model: MilpModel, names: list[str], hours: Sequence[int], e_next: Sequence[int],
-                   e_now: Sequence[int], blk: PshBlock, members: Sequence[PshUnit], dt: float) -> None:
+                   e_now: Sequence[int], blk: PshBlock, members: Sequence[PshUnit], dt: float,
+                   dated: bool = True) -> None:
     """One storage balance per hour of ``hours``: ``e_next - e_now`` minus
     the energy added during the hour, ``eta_pump*qp*dt - qg*dt/eta_gen``
-    per member unit, is zero."""
+    per member unit, is zero.  ``dated`` names carry their hour."""
     H = len(hours)
     if not H:
         return
@@ -211,7 +240,8 @@ def _add_soc_links(model: MilpModel, names: list[str], hours: Sequence[int], e_n
              for j in (after, before, *(q[(u.id, t)] for u in members for q in (blk.q_pump, blk.q_gen)))]
     rates = [c for u in members for c in (-(u.eta_pump * dt), dt / u.eta_gen)]
     w = 2 + len(rates)
-    model.add_rows(names, range(0, w * H + 1, w), index, [1.0, -1.0, *rates] * H, EQ, 0.0)
+    model.add_rows(names, range(0, w * H + 1, w), index, [1.0, -1.0, *rates] * H, EQ, 0.0,
+                   list(hours) if dated else None)
 
 
 def add_soc_dynamics(
@@ -241,12 +271,13 @@ def add_soc_dynamics(
     e = model.add_vars([f"e.{rid}.t{t}" for t in stored], hour=list(stored)).tolist()
     soc.e_det.update(zip(((rid, t) for t in stored), e))
 
-    model.add_row(f"r_soc_init.{rid}", {e[0]: 1.0}, EQ, e_initial)
+    soc.init_row = model.add_row(f"r_soc_init.{rid}", {e[0]: 1.0}, EQ, e_initial)
     _add_soc_links(model, [f"r_soc.{rid}.t{t}" for t in hours[:-1]], hours[:-1], e[1:len(hours)],
                    e[:len(hours) - 1], det_block, members, dt)
     _add_soc_bounds(model, reservoir, soc.e_det, hours, None)
     if edge:
-        _add_soc_links(model, [f"r_soc_cross.{rid}"], (last,), e[-1:], e[-2:-1], det_block, members, dt)
+        _add_soc_links(model, [f"r_soc_cross.{rid}"], (last,), e[-1:], e[-2:-1], det_block, members, dt,
+                       dated=False)
     return soc
 
 
@@ -258,16 +289,16 @@ def _add_soc_bounds(model: MilpModel, reservoir: Reservoir, e: Mapping[tuple[str
     model.add_rows(
         [name for t in hours for name in (f"r_soc_min.{rid}.t{t}{s}", f"r_soc_max.{rid}.t{t}{s}")],
         range(2 * H + 1), [e[(rid, t)] for t in hours for _ in range(2)], [1.0] * (2 * H), [GE, LE] * H,
-        [reservoir.e_min, reservoir.e_max] * H,
+        [reservoir.e_min, reservoir.e_max] * H, [t for t in hours for _ in range(2)],
     )
 
 
 def add_end_target(model: MilpModel, reservoir_id: str, end_var: int, target: float,
-                   end_soc: str = "fix", scenario: int | None = None) -> None:
+                   end_soc: str = "fix", scenario: int | None = None) -> int:
     """End-of-day storage meets ``target``: equality by default, lower
-    bound with ``end_soc='relax'``."""
-    model.add_row(f"r_soc_end.{reservoir_id}{_sfx(scenario)}", {end_var: 1.0}, GE if end_soc == "relax" else EQ,
-                  target)
+    bound with ``end_soc='relax'``.  Returns the row."""
+    return model.add_row(f"r_soc_end.{reservoir_id}{_sfx(scenario)}", {end_var: 1.0},
+                         GE if end_soc == "relax" else EQ, target)
 
 
 def add_block_soc(

@@ -5,7 +5,10 @@ and forecast-derived information beyond it, the first hour's decisions
 are frozen, and the window slides by one hour.  Frozen decisions feed
 the next window through the reservoir state and the previous-hour mode;
 reservoir bookkeeping uses the same energy balance as the models, so
-the ledger trajectory is exact.
+the ledger trajectory is exact.  Each window's model is built from the
+one built before it (``lac_models.build_variant``'s ``previous``), which
+re-dates its in-window block when the two windows have the same length
+and kind; every model is still solved cold, in its own HiGHS session.
 
 A ``perfect`` window runs to the day end on realized load, so after a
 solved one the next windows only re-derive its plan (Bellman's principle
@@ -400,6 +403,7 @@ def run_day(
     prev_modes = {u.id: u.initial_mode for u in system.psh_units}
 
     carry: _Carry | None = None
+    built: MilpModel | None = None  # the window built last, whose block the next may re-date
     last_start = max(1, T - L + 1)
     for w_index, t1 in enumerate(range(1, last_start + 1), start=1):
         length = T - t1 + 1 if variant == Variant.PERFECT else L
@@ -425,7 +429,7 @@ def run_day(
                                   0, 0, 0, 0, certified[1], 0, (), CARRIED)
         else:
             t_build = time.perf_counter()
-            model = build_variant(variant, inst, control.model)
+            model = built = build_variant(variant, inst, control.model, built)
             build_s = time.perf_counter() - t_build
             sol = solve(model, control.solver)
             if sol.status == TIME_LIMIT:

@@ -9,7 +9,8 @@ one helper that builds a model, ``full_tail_window``, puts the window's
 in-window part together with explicit full-binary scenario blocks from
 ``psh_model``'s primitives, so that the cut tails can be checked
 against the structure they replaced.  ``canonical_form`` and
-``causality_check`` compare two models, or two ledgers, structurally.
+``causality_check`` compare two models, or two ledgers, structurally;
+``model_differences`` compares two models element by element.
 """
 
 from __future__ import annotations
@@ -475,6 +476,37 @@ def canonical_form(model: MilpModel):
     rows = tuple(sorted((r.name, r.sense, r.rhs, tuple(sorted((names[j], c) for j, c in r.coeffs.items())))
                         for r in rows_named(model)))
     return cols, rows, model.objective_constant
+
+
+# what a model holds, list by list, and the builder handles a window carries
+_MODEL_LISTS = ("_vnames", "_binary", "_lb", "_ub", "_obj", "_hour", "_rnames", "_row_hour",
+                "_start", "_index", "_value", "_row_lo", "_row_hi")
+_WINDOW_META = ("det_block", "soc", "thermal_p", "balance_rows", "slack_vars", "window_hours", "commitment",
+                "thermal_constant")
+
+
+def model_differences(a: MilpModel, b: MilpModel) -> list[str]:
+    """What differs between two window models, element by element: each
+    list of names, bounds, costs, kinds, hours, rows and row bounds (a
+    float list to the bit, so ``-0.0`` is not ``0.0``), the objective
+    constant, the builder handles in ``meta`` and the rounding's
+    columns.  Empty when they are the same model."""
+
+    def bits(v):
+        if v and isinstance(v[0], float):
+            return np.asarray(v, dtype=np.float64).tobytes()
+        return v
+
+    out = [f for f in _MODEL_LISTS if bits(getattr(a, f)) != bits(getattr(b, f))]
+    if repr(a.objective_constant) != repr(b.objective_constant):
+        out.append("objective_constant")
+    out += [k for k in _WINDOW_META if a.meta.get(k) != b.meta.get(k)]
+    if (a.rounding is None) != (b.rounding is None):
+        out.append("rounding")
+    elif a.rounding is not None:
+        out += [f"rounding.{f}" for f in ("cols", "q_gen", "q_pump")
+                if not np.array_equal(getattr(a.rounding, f), getattr(b.rounding, f))]
+    return out
 
 
 def causality_check(ledger_a, ledger_b, through_hour: int) -> bool:

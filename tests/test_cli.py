@@ -350,6 +350,16 @@ def test_simulate_settles_each_variant_in_its_worker(bundle, tmp_path, capsys, m
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_simulate_refuses_fewer_than_one_job(bundle, tmp_path, capsys, jobs):
+    # --jobs 0 used to run serially and write the run without a word
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(bundle / "run.json"), "--out", str(tmp_path / "runs"),
+                 "--variant", "current_practice", "--jobs", jobs, "--label", "none"]) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be at least 1, not {jobs}\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_report_settles_under_the_run_time_limit(bundle, tmp_path, capsys):
     # simulate and report share the run config's solver limits
     assert main(["simulate", "--config", str(bundle / "run.json"), "--out", str(tmp_path),

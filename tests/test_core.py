@@ -281,6 +281,16 @@ def test_series_csv_rejects_bad_inputs(tmp_path):
         with pytest.raises(ValueError) as err:
             read_series_csv(p)
         assert str(err.value) == f"{p}: line 3: '{value}' is not a finite number"
+    # a repeated (hour, entity) used to overwrite the earlier row: this read as {'a': [5.0, 2.0]}
+    p.write_text("hour,entity_id,value\n1,a,1.0\n1,a,5.0\n2,a,2.0\n")
+    with pytest.raises(ValueError) as err:
+        read_series_csv(p)
+    assert str(err.value) == f"{p}: line 3: hour 1 of 'a' is listed twice"
+    # the same hour of another entity is no repeat
+    p.write_text("hour,entity_id,value\n1,a,1.0\n1,b,5.0\n\n1, a ,2.0\n")
+    with pytest.raises(ValueError) as err:
+        read_series_csv(p)
+    assert str(err.value) == f"{p}: line 5: hour 1 of 'a' is listed twice"
 
 
 def test_series_csv_skips_blank_lines(tmp_path):
@@ -323,6 +333,15 @@ def test_scenario_csv_rejects_bad_inputs(tmp_path):
         with pytest.raises(ValueError) as err:
             read_scenario_csv(p)
         assert str(err.value) == f"{p}: line 3: '{value}' is not a finite number"
+    # a repeated (scenario, node, hour) used to overwrite the earlier price
+    p.write_text("scenario,node,hour,price\n0,n1,1,5.0\n0,n1,2,6.0\n0,n1,1,7.0\n")
+    with pytest.raises(ValueError) as err:
+        read_scenario_csv(p)
+    assert str(err.value) == f"{p}: line 4: scenario 0, node 'n1', hour 1 is listed twice"
+    p.write_text("scenario,node,hour,price\n0,n1,1,5.0\n1,n1,1,5.0\n0,n2,1,5.0\n1, n1 ,1,5.0\n")
+    with pytest.raises(ValueError) as err:
+        read_scenario_csv(p)
+    assert str(err.value) == f"{p}: line 5: scenario 1, node 'n1', hour 1 is listed twice"
 
 
 @pytest.mark.parametrize("text, message", [

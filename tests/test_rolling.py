@@ -432,9 +432,9 @@ def test_carried_perfect_windows_match_a_fresh_solve(seed11_day):
 def test_a_certified_perfect_day_builds_one_window(seed11_day, monkeypatch):
     built = []
 
-    def counted(variant, instance, cfg=None):
+    def counted(variant, instance, cfg=None, previous=None):
         built.append(instance.window.start_index)
-        return build_variant(variant, instance, cfg)
+        return build_variant(variant, instance, cfg, previous)
 
     monkeypatch.setattr(rolling, "build_variant", counted)
     sd = seed11_day

@@ -281,9 +281,9 @@ def recorded_windows() -> Iterator[list[WindowRecord]]:
         records.append(WindowRecord(make(*args, **kwargs)))
         return records[-1].instance
 
-    def built(variant, inst, cfg=None):
+    def built(variant, inst, cfg=None, previous=None):
         assert records[-1].instance is inst, "a window is built from the instance opened last"
-        records[-1].model = build(variant, inst, cfg)
+        records[-1].model = build(variant, inst, cfg, previous)
         return records[-1].model
 
     def solved(model, options=None):
