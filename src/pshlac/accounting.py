@@ -20,7 +20,15 @@ from .lac_models import (
     Variant,
     build_variant,
 )
-from .milp import TIME_LIMIT, MilpModel, MilpSolution, SolveOptions, infeasibility_report, solve
+from .milp import (
+    TIME_LIMIT,
+    MilpModel,
+    MilpSolution,
+    SolveOptions,
+    highs_session,
+    infeasibility_report,
+    solve,
+)
 from .rolling import SimulationLedger
 
 class AccountingError(RuntimeError):
@@ -51,6 +59,7 @@ def full_day_resolve(
     cfg: ModelConfig | None = None,
     options: SolveOptions | None = None,
     previous: MilpModel | None = None,
+    session=None,
 ) -> tuple[MilpModel, MilpSolution]:
     """Fix every commitment to the ledger and re-solve the day as an LP
     under ``options`` (its time limit; the LP has no gap).
@@ -62,7 +71,9 @@ def full_day_resolve(
     continuous and settle at the charges the ledger's mode sequence
     incurs.  ``previous``, the model of an earlier settlement of the same
     day, is re-dated at shift 0 (``lac_models.build_variant``): the new
-    plan is written in, and every mode bound it fixed is fixed again."""
+    plan is written in, and every mode bound it fixed is fixed again.
+    The LP runs in ``session`` (``milp.highs_session``) when one is
+    given, else in a new HiGHS session."""
     options = options or SolveOptions()
     T = system.grid.horizon_end
     by_hour = _ledger_by_hour(ledger, T)
@@ -82,7 +93,7 @@ def full_day_resolve(
             for m in MODES:
                 val = 1.0 if m == by_hour[t].psh_mode[u.id] else 0.0
                 model.set_var_bounds(det.u[(u.id, m, t)], val, val)
-    sol = solve(model, options)
+    sol = solve(model, options, session)
     if sol.status == TIME_LIMIT:
         raise AccountingError(
             f"ledger {ledger.variant}/{ledger.day_label} settlement LP hit its "
@@ -296,7 +307,8 @@ def evaluate_day(
     assemble the day."""
     outcomes = {}
     model = None
+    session = highs_session()
     for name in sorted(ledgers, key=_variant_sort_key):
-        model, sol = full_day_resolve(system, market_day, ledgers[name], da, cfg, options, model)
+        model, sol = full_day_resolve(system, market_day, ledgers[name], da, cfg, options, model, session)
         outcomes[name] = _outcome(system, ledgers[name], da, model, sol)
     return assemble_day(system, market_day, outcomes, da)

@@ -52,6 +52,14 @@ is one-dimensional and known in closed form, the cuts are complete and
 no Benders iteration is needed.  A scenario with a cell where that
 argument fails (a dispatch floor, a negative price) keeps an explicit
 dispatch block tied to the same column.
+
+What a tail needs beyond the model, the ramped prices, the scenarios
+priced by cuts and their cuts, depends only on the window's scenario
+set, the end-of-day targets and ``cfg``.  :func:`plan_tails` works it out
+for all of a day's windows at once, with one backward recursion per
+reservoir, and :func:`build_variant` takes each window's plan
+(``tails``); a window built without one is planned alone, to the same
+model.
 """
 
 from __future__ import annotations
@@ -423,19 +431,76 @@ def _has_floor(unit: PshUnit) -> bool:
     return unit.gen_min > 0.0 or unit.pump_min > 0.0
 
 
-def _scenario_prices(instance: LacInstance, cfg: ModelConfig) -> np.ndarray:
+def _scenario_prices(scn: PriceScenarioSet, cfg: ModelConfig) -> np.ndarray:
     """Post-window prices with the tiny time-preference ramp applied.
 
     The ramp makes later hours marginally dearer, so at equal prices the
     optimizer pumps early and generates late; it keeps solutions unique
     without touching any comparison at reporting precision.
     """
-    scn = instance.scenario_set
     prices = np.array(scn.prices, dtype=float)
     H = prices.shape[2]
     if cfg.time_preference:
         prices = prices + cfg.time_preference * np.arange(1, H + 1)
     return prices
+
+
+@dataclass(frozen=True)
+class TailPlan:
+    """What a window's scenario tails are priced with, worked out before
+    its model is built (:func:`plan_tails`)."""
+
+    scenario_set: PriceScenarioSet  # the window's post-window set
+    prices: np.ndarray  # (S, units, hours): each PSH unit's ramped price
+    mode_cells: np.ndarray  # (S, units, hours): cells that keep mode binaries
+    by_cuts: tuple[int, ...]  # scenarios priced by cuts; the others keep blocks
+    cuts: dict[str, TailCuts]  # reservoir -> cuts of those scenarios, in that order
+
+
+def plan_tails(system: PowerSystem, da: DaReference, sets: Sequence[PriceScenarioSet | None],
+               cfg: ModelConfig | None = None) -> list[TailPlan | None]:
+    """The tail plans of a day's windows, one per post-window scenario
+    set (None where a window has no set or no post-window hour).
+
+    Per window: the ramped price of each PSH unit's node, the cells a
+    dispatch floor or a negative price keeps in mode binaries, and the
+    scenarios without such a cell, which are priced by cuts.  The cuts
+    of every window come from one call of
+    ``psh_model.tail_value_functions`` per reservoir.  A window where
+    no edge storage reaches a reservoir's end-of-day target keeps every
+    scenario as a block, so that its IIS names the storage rows at
+    fault.  A lone window is a day of one window, and its plan is the
+    same to the bit.
+    """
+    cfg = cfg or ModelConfig()
+    units = system.psh_units
+    for r in system.reservoirs:
+        if r.id not in da.end_soc:
+            raise ConfigurationError(f"missing day-ahead end SOC target for reservoir {r.id}")
+    floors = np.array([_has_floor(u) for u in units], dtype=bool)
+    plans: list[TailPlan | None] = []
+    for scn in sets:
+        if scn is None or scn.prices.shape[2] == 0:
+            plans.append(None)
+            continue
+        for u in units:
+            if u.node_id not in scn.nodes:
+                raise ConfigurationError(f"scenario set lacks node {u.node_id}")
+        prices = _scenario_prices(scn, cfg)[:, [scn.nodes.index(u.node_id) for u in units], :]
+        mode_cells = floors[None, :, None] | (prices < 0.0)
+        by_cuts = tuple(int(s) for s in np.flatnonzero(~mode_cells.any(axis=(1, 2))))
+        plans.append(TailPlan(scn, prices, mode_cells, by_cuts, {}))
+    priced = [p for p in plans if p is not None and p.by_cuts]
+    if not priced:
+        return plans
+    for r in system.reservoirs:
+        idx = [i for i, u in enumerate(units) if u.reservoir_id == r.id]
+        found = tail_value_functions(r, [units[i] for i in idx], [p.prices[np.ix_(p.by_cuts, idx)] for p in priced],
+                                     float(da.end_soc[r.id]), cfg.end_soc, system.grid.interval_hours)
+        for p, cuts in zip(priced, found):
+            p.cuts[r.id] = cuts
+    # no edge storage reaches a target: blocks name the rows at fault
+    return [replace(p, by_cuts=(), cuts={}) if p is not None and None in p.cuts.values() else p for p in plans]
 
 
 @dataclass
@@ -468,7 +533,8 @@ class ScenarioTails:
         return tuple(out)
 
 
-def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig, robust: bool) -> None:
+def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig, plan: TailPlan | None,
+               robust: bool) -> None:
     """Price the post-window hours of every scenario.
 
     By default a tail counts by its revenue at the set's weights, the
@@ -488,37 +554,23 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig, robust
     ``r_tail_min.<res>`` and ``r_tail_max.<res>``, so that a window that
     cannot reach it names them in its IIS.  A scenario with a mode cell
     keeps an explicit block tied to ``e``: its revenue in the objective,
-    or its own ``r_risk.<res>.s<s>`` row.
+    or its own ``r_risk.<res>.s<s>`` row.  The prices, the scenarios
+    priced by cuts and their cuts come from ``plan``
+    (:func:`plan_tails`); a window without one has no tail.
     """
-    scn = instance.scenario_set
-    if scn is None or scn.prices.shape[2] == 0:
+    if plan is None:
         return
+    scn = instance.scenario_set
     weights = None if robust else scn.weights
     sys = instance.system
     units = sys.psh_units
     te = model.meta["window_hours"][-1]
     post = list(range(te + 1, sys.grid.horizon_end + 1))
     dt = sys.grid.interval_hours
-    # (S, units, hours): each unit's ramped price
-    prices = _scenario_prices(instance, cfg)[:, [scn.nodes.index(u.node_id) for u in units], :]
-    floors = np.array([_has_floor(u) for u in units], dtype=bool)
-    mode_cells = floors[None, :, None] | (prices < 0.0)
+    prices, mode_cells, by_cuts, cuts = plan.prices, plan.mode_cells, plan.by_cuts, plan.cuts
     members = {r.id: [i for i, u in enumerate(units) if u.reservoir_id == r.id] for r in sys.reservoirs}
     target = {r.id: float(instance.da.end_soc[r.id]) for r in sys.reservoirs}
     edge = {r.id: model.meta["soc"][r.id].e_det[(r.id, te + 1)] for r in sys.reservoirs}
-
-    by_cuts = tuple(int(s) for s in np.flatnonzero(~mode_cells.any(axis=(1, 2))))
-    cuts: dict[str, TailCuts] = {}
-    for r in sys.reservoirs:
-        if not by_cuts:
-            break
-        idx = members[r.id]
-        found = tail_value_functions(r, [units[i] for i in idx], prices[np.ix_(by_cuts, idx)],
-                                     target[r.id], cfg.end_soc, dt)
-        if found is None:  # no edge storage reaches the target: blocks name the rows at fault
-            by_cuts, cuts = (), {}
-            break
-        cuts[r.id] = found
 
     da_net = np.array([np.asarray(instance.da.gen[u.id][te:]) - np.asarray(instance.da.pump[u.id][te:])
                        for u in units]).reshape(len(units), len(post))
@@ -584,6 +636,7 @@ def build_variant(
     instance: LacInstance,
     cfg: ModelConfig | None = None,
     previous: MilpModel | None = None,
+    tails: TailPlan | None = None,
 ) -> MilpModel:
     """The window model of ``variant``: the shared in-window structure,
     then the variant's finish (the module docstring lists them).
@@ -597,6 +650,10 @@ def build_variant(
     bounds of ``previous`` outside the instance's data writes them again
     (as ``accounting.full_day_resolve`` does with the modes it fixes).
     Any other ``previous`` is ignored.
+
+    ``tails`` is the window's entry of :func:`plan_tails`, planned over
+    its own scenario set with the same ``cfg``; a scenario variant
+    without one plans the window alone, to the same model.
     """
     try:
         variant = Variant(variant)
@@ -631,7 +688,11 @@ def build_variant(
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from exc
     elif with_scenarios:
-        _add_tails(model, instance, cfg, robust=variant == Variant.ROBUST)
+        if tails is None:
+            tails = plan_tails(instance.system, instance.da, [scn], cfg)[0]
+        elif tails.scenario_set is not scn:
+            raise ConfigurationError("the tail plan was made for another scenario set")
+        _add_tails(model, instance, cfg, tails, robust=variant == Variant.ROBUST)
     return model
 
 

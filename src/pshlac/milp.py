@@ -11,7 +11,9 @@ some hours later.
 
 Every solve runs once through :func:`milp`, an adapter on the HiGHS
 bindings scipy ships, which takes the model's own lists of rows and row
-bounds (:func:`_highs_lp`).  :func:`solve` is the one entry point: a
+bounds (:func:`_highs_lp`), in a new HiGHS session or in one that a
+caller passes on from solve to solve (:func:`highs_session`), where each
+model still runs as it would in a new one.  :func:`solve` is the one entry point: a
 model with no free binary (each fixed by ``lb == ub``) is solved as the
 LP it is and comes back with its row duals, which is how prices are
 read from a dispatch with its commitments fixed.  A MIP whose builder
@@ -502,13 +504,30 @@ def _highs_lp(model: MilpModel, integral: bool) -> _highs.HighsLp:
     return lp
 
 
+def highs_session() -> _highs._Highs:
+    """A HiGHS session for :func:`solve` and :func:`milp` to run one
+    model after another in (see :func:`milp`)."""
+    return _highs._Highs()
+
+
 def milp(
     lp: _highs.HighsLp,
     options: Mapping[str, float | int],
     rounding: Rounding | None = None,
+    session: _highs._Highs | None = None,
 ) -> tuple[_highs._Highs, float | None]:
     """Run HiGHS on ``lp`` in one session and return the finished
     session, with the bound that certified a root rounding or None.
+
+    The session is ``session`` (from :func:`highs_session`), or a new
+    one when it is None.  A session that ran models before runs ``lp``
+    as a new one would: ``passModel`` drops the last model's basis, so
+    every solve starts cold, and the options go back to HiGHS's defaults
+    before ``options`` are set, so that no ``presolve`` a root rounding
+    turned off is left behind.  HiGHS measures ``time_limit`` on the
+    session's run clock, which adds up over every run in the session and
+    which no ``clear`` resets; so in a used session ``time_limit``
+    counts from the clock's reading as this call starts.
 
     ``rounding`` (a MIP only) must fix every free integer column of
     ``lp`` or return None.  The session then first tries to close the
@@ -534,11 +553,17 @@ def milp(
     ``rounding`` keeps the presolve of ``options`` (HiGHS's default
     unless they set one).
     """
-    highs = _highs._Highs()
+    if session is None:
+        highs = _highs._Highs()
+    else:
+        highs = session
+        highs.resetOptions()
     highs.setOptionValue("output_flag", False)
     for key, val in options.items():
         if highs.setOptionValue(key, val) == _highs.HighsStatus.kError:
             raise SolverError(f"HiGHS rejected option {key}={val!r}")
+    if session is not None and "time_limit" in options:
+        highs.setOptionValue("time_limit", highs.getRunTime() + float(options["time_limit"]))
     if rounding is not None:
         integrality, lp.integrality_ = lp.integrality_, []
         _, presolve = highs.getOptionValue("presolve")
@@ -595,8 +620,10 @@ def _naming_every(rounding: Rounding, free: np.ndarray) -> Rounding:
     return rounded
 
 
-def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution:
-    """Solve the model with HiGHS.
+def solve(model: MilpModel, options: SolveOptions | None = None,
+          session: _highs._Highs | None = None) -> MilpSolution:
+    """Solve the model with HiGHS, in ``session`` when one is given
+    (:func:`highs_session`; see :func:`milp`), else in a new session.
 
     A model with a free binary is a MIP.  Status ``optimal`` implies the
     relative gap is within ``options.gap_tol``; a time-limited run with
@@ -623,7 +650,7 @@ def solve(model: MilpModel, options: SolveOptions | None = None) -> MilpSolution
     rounding = _naming_every(model.rounding, free) if is_mip and model.rounding is not None else None
     lp = _highs_lp(model, integral=is_mip)
     highs, bound = milp(lp, {"mip_rel_gap": float(options.gap_tol), "time_limit": float(options.time_limit)},
-                        rounding)
+                        rounding, session)
     wall = time.perf_counter() - t_start
     status = _status(highs)
     info = highs.getInfo()

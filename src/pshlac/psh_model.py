@@ -46,6 +46,11 @@ solver:
   keeps it concave, so ``V_s = W_{te+1}`` is the minimum of one line
   per piece, each with its exact slope.
 
+Every window of a day prices hours that end at the day end, from the
+same end-of-day target, so :func:`tail_value_functions` runs the
+recursion for all of a day's windows in one backward pass; a window
+leaves it when its first post-window hour is done.
+
 A floor forbids the small single-mode point, and a negative price pays
 for burning water by pumping and generating at once; a scenario with
 such a cell keeps an explicit block (:func:`create_psh_block` with mode
@@ -370,21 +375,34 @@ def _before(a: np.ndarray) -> np.ndarray:
 def tail_value_functions(
     reservoir: Reservoir,
     units: Sequence[PshUnit],
-    prices: np.ndarray,
+    prices: Sequence[np.ndarray],
     target: float,
     end_soc: str = "fix",
     dt: float = 1.0,
-) -> TailCuts | None:
+) -> list[TailCuts | None]:
     """Exact best tail revenue of a reservoir as a function of edge
-    storage, for every scenario at once (the module docstring gives the
-    recursion).
+    storage, for every scenario of every window at once (the module
+    docstring gives the recursion).
 
-    ``prices`` has shape (S, len(units), H): each member unit's price in
-    each post-window hour.  Every unit must be free of dispatch floors
-    and every price non-negative.  Returns None when no edge storage
-    reaches the end-of-day target.
+    ``prices`` holds one array per window, shaped (S_w, len(units), H_w):
+    each member unit's price in each of the window's post-window hours,
+    which end at the day end.  Every unit must be free of dispatch
+    floors and every price non-negative.  Returns one :class:`TailCuts`
+    per window, or None for a window whose edge storage cannot reach
+    the end-of-day target.
+
+    All windows run one backward recursion from the last hour.  Their
+    rows go in by tail length, shortest first, and a window's rows
+    leave the batch as a prefix once its first post-window hour is
+    done, so each row takes the steps, column widths and reductions of
+    a window alone.  The pumping baseline ``p @ pump_max`` is the one
+    product taken per window: numpy's matmul rounds by the array's
+    layout and row count (a BLAS call for a one-hour tail, a dot for a
+    single scenario, an unfused loop otherwise).
     """
-    S, _, H = prices.shape
+    out: list[TailCuts | None] = [None] * len(prices)
+    hours = [p.shape[2] for p in prices]
+    live = sorted(range(len(prices)), key=hours.__getitem__)  # windows still in, by leaving order
     eta_pump = np.array([u.eta_pump for u in units])
     eta_gen = np.array([u.eta_gen for u in units])
     pump_max = np.array([u.pump_max for u in units])
@@ -393,6 +411,7 @@ def tail_value_functions(
     drawn_max = float(length[len(units):].sum())
     pumped_max = float(length[: len(units)].sum())
     lo, hi = reservoir.e_min, reservoir.e_max
+    S = sum(p.shape[0] for p in prices)
     if end_soc == "relax":
         a, b = target, np.inf
         slopes, lens = np.zeros((S, 1)), np.full((S, 1), np.inf)
@@ -400,25 +419,38 @@ def tail_value_functions(
         a = b = target
         slopes, lens = np.zeros((S, 0)), np.zeros((S, 0))
     val = np.zeros(S)  # W at the domain's left end a
-    rows = np.arange(S)[:, None]
-    for h in range(H - 1, -1, -1):
-        p = prices[:, :, h]
+    for step in range(max(hours, default=0) + 1):
+        done = [w for w in live if hours[w] == step]
+        if done:
+            live = live[len(done):]
+            ends = np.cumsum([prices[w].shape[0] for w in done]).tolist()
+            n = ends[-1]
+            x, y, slope = _tail_pieces(a, val[:n], slopes[:n], lens[:n])
+            for w, i, j in zip(done, [0, *ends[:-1]], ends):
+                out[w] = TailCuts(a, b, x[i:j], y[i:j], slope[i:j])
+            val, slopes, lens = val[n:], slopes[n:], lens[n:]
+        if not live:
+            break
+        cols = [prices[w][:, :, hours[w] - 1 - step] for w in live]
+        p = np.concatenate(cols)
+        S = len(val)
         a -= pumped_max
         b = min(b + drawn_max, hi)
-        val = val - p @ pump_max
+        val = val - np.concatenate([c @ pump_max for c in cols])
         slopes = np.concatenate([slopes, p / (eta_pump * dt), p * eta_gen / dt], axis=1)
         lens = np.concatenate([lens, np.broadcast_to(length, (S, length.size))], axis=1)
         order = np.argsort(-slopes, axis=1, kind="stable")
+        rows = np.arange(S)[:, None]
         slopes = slopes[rows, order]
         lens = lens[rows, order]
         start = a + _before(lens)
         left = max(a, lo)
-        if left > b:
-            return None
+        if left > b:  # no edge storage of a window still in reaches the target
+            break
         val = val + (slopes * np.maximum(np.minimum(start + lens, left) - start, 0.0)).sum(axis=1)
         lens = np.maximum(np.minimum(start + lens, b) - np.maximum(start, left), 0.0)
         a = left
-    return TailCuts(a, b, *_tail_pieces(a, val, slopes, lens))
+    return out
 
 
 def _tail_pieces(a: float, val: np.ndarray, slopes: np.ndarray,

@@ -8,7 +8,15 @@ reservoir bookkeeping uses the same energy balance as the models, so
 the ledger trajectory is exact.  Each window's model is built from the
 one built before it (``lac_models.build_variant``'s ``previous``), which
 re-dates its in-window block when the two windows have the same length
-and kind; every model is still solved cold, in its own HiGHS session.
+and kind.
+
+What a window sees beyond its load does not depend on the roll's
+decisions, so a day pays its fixed costs once: before its first window
+it draws every window's scenario set, with the provider calls a window
+would make, and plans all their tails in one pass
+(``lac_models.plan_tails``).  It then solves every window in one HiGHS
+session (``milp.highs_session``), each cold and as a new session would
+(see ``milp.milp``).
 
 A ``perfect`` window runs to the day end on realized load, so after a
 solved one the next windows only re-derive its plan (Bellman's principle
@@ -61,6 +69,7 @@ from .lac_models import (
     build_variant,
     costs_by_hour,
     da_reference_from_system,
+    plan_tails,
 )
 from .milp import (
     BRANCH_AND_BOUND,
@@ -70,6 +79,7 @@ from .milp import (
     MilpModel,
     MilpSolution,
     SolveOptions,
+    highs_session,
     infeasibility_report,
     solve,
 )
@@ -384,6 +394,9 @@ def run_day(
     goes on, logged as a warning.  A system or day that breaks a rule of
     :func:`~pshlac.core.validate_system` raises
     :class:`~pshlac.lac_models.ConfigurationError` naming every breach.
+    Every scenario set is drawn before the first window solves, so a
+    provider that cannot serve one of the day's origins raises its error
+    before any window is built.
     """
     violations = validate_system(system, market_day)
     if violations:
@@ -402,22 +415,27 @@ def run_day(
     soc = {r.id: float(r.e_initial) for r in system.reservoirs}
     prev_modes = {u.id: u.initial_mode for u in system.psh_units}
 
-    carry: _Carry | None = None
-    built: MilpModel | None = None  # the window built last, whose block the next may re-date
-    last_start = max(1, T - L + 1)
-    for w_index, t1 in enumerate(range(1, last_start + 1), start=1):
-        length = T - t1 + 1 if variant == Variant.PERFECT else L
-        win = TimeGrid(t1, T, length, grid.interval_hours)
-        te = win.window_end
+    # what a window sees does not depend on the roll's decisions, so
+    # every window's scenario set is drawn, and its tails planned, up front
+    windows = []
+    for t1 in range(1, max(1, T - L + 1) + 1):
+        win = TimeGrid(t1, T, T - t1 + 1 if variant == Variant.PERFECT else L, grid.interval_hours)
         view = reveal_policy(market_day, win)
         scn = None
-        if needs_scenarios and te < T:
-            t0 = t1 - 1
+        if needs_scenarios and win.window_end < T:
             if variant == Variant.DETERMINISTIC:
-                full = provider.point_set(t0, view.observed_rt_lmp)
+                full = provider.point_set(t1 - 1, view.observed_rt_lmp)
             else:
-                full = provider.full_set(t0, view.observed_rt_lmp)
-            scn = full.slice_hours(te + 1)
+                full = provider.full_set(t1 - 1, view.observed_rt_lmp)
+            scn = full.slice_hours(win.window_end + 1)
+        windows.append((win, view, scn))
+    plans = plan_tails(system, da, [scn for _, _, scn in windows], control.model)
+
+    carry: _Carry | None = None
+    built: MilpModel | None = None  # the window built last, whose block the next may re-date
+    session = highs_session()  # every window solves cold in this one session
+    for w_index, ((win, view, scn), plan) in enumerate(zip(windows, plans), start=1):
+        t1 = win.start_index
         inst = LacInstance(system, win, view.net_load, da, dict(soc), dict(prev_modes), scn)
         certified = None
         if carry is not None:
@@ -429,9 +447,9 @@ def run_day(
                                   0, 0, 0, 0, certified[1], 0, (), CARRIED)
         else:
             t_build = time.perf_counter()
-            model = built = build_variant(variant, inst, control.model, built)
+            model = built = build_variant(variant, inst, control.model, built, plan)
             build_s = time.perf_counter() - t_build
-            sol = solve(model, control.solver)
+            sol = solve(model, control.solver, session)
             if sol.status == TIME_LIMIT:
                 raise WindowTimeoutError(variant.value, w_index, t1, control.solver.time_limit)
             if not sol.ok:

@@ -3,14 +3,16 @@
 Everything here is deliberately written without the package's model
 builders or solver: merit-order dispatch by sorting, window optima by
 exhaustive enumeration over mode strings and a coarse dispatch grid,
-scenario pricing one draw at a time, and a reservoir's tail revenue as
-an LP handed to scipy's ``linprog``.  Slow and obvious on purpose.  The
+scenario pricing one draw at a time, a day's tail plans one window at
+a time, and a reservoir's tail revenue as an LP handed to scipy's
+``linprog``.  Slow and obvious on purpose.  The
 one helper that builds a model, ``full_tail_window``, puts the window's
 in-window part together with explicit full-binary scenario blocks from
 ``psh_model``'s primitives, so that the cut tails can be checked
 against the structure they replaced.  ``canonical_form`` and
 ``causality_check`` compare two models, or two ledgers, structurally;
-``model_differences`` compares two models element by element.
+``model_differences`` compares two models element by element, and
+``same_solution`` two solutions.
 """
 
 from __future__ import annotations
@@ -25,9 +27,17 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import ndtr
 
-from pshlac.lac_models import _base_window_model, _scenario_prices
+from pshlac.lac_models import _base_window_model, _has_floor, _scenario_prices
 from pshlac.milp import EQ, GE, LE, MilpModel, RowView, VarView
-from pshlac.psh_model import add_block_soc, add_dispatch_boxes, add_mode_logic, create_psh_block
+from pshlac.psh_model import (
+    TailCuts,
+    _before,
+    _tail_pieces,
+    add_block_soc,
+    add_dispatch_boxes,
+    add_mode_logic,
+    create_psh_block,
+)
 
 MODES = ("off", "gen", "pump")
 EPS = 1e-6
@@ -376,7 +386,7 @@ def full_tail_window(variant: str, instance, cfg) -> MilpModel:
     units = system.psh_units
     te = model.meta["window_hours"][-1]
     post = list(range(te + 1, system.grid.horizon_end + 1))
-    prices = _scenario_prices(instance, cfg)
+    prices = _scenario_prices(scn, cfg)
     risk = {r.id: model.add_var(f"w_risk.{r.id}", lb=-math.inf, obj=1.0)
             for r in system.reservoirs} if variant == "robust" else {}
     for s in range(scn.count):
@@ -403,6 +413,116 @@ def full_tail_window(variant: str, instance, cfg) -> MilpModel:
                 for i, c in coeffs:
                     model.add_obj(i, -weight * c)
     return model
+
+
+def tail_value_function_alone(reservoir, units: Sequence, prices: np.ndarray, target: float,
+                              end_soc: str = "fix", dt: float = 1.0) -> TailCuts | None:
+    """``psh_model.tail_value_functions`` for one window, as each window's
+    build ran it before the day pass: the same backward recursion over
+    the window's own (S, units, H) array alone."""
+    S, _, H = prices.shape
+    eta_pump = np.array([u.eta_pump for u in units])
+    eta_gen = np.array([u.eta_gen for u in units])
+    pump_max = np.array([u.pump_max for u in units])
+    length = np.concatenate([pump_max * eta_pump * dt, np.array([u.gen_max for u in units]) * dt / eta_gen])
+    drawn_max = float(length[len(units):].sum())
+    pumped_max = float(length[: len(units)].sum())
+    lo, hi = reservoir.e_min, reservoir.e_max
+    if end_soc == "relax":
+        a, b = target, np.inf
+        slopes, lens = np.zeros((S, 1)), np.full((S, 1), np.inf)
+    else:
+        a = b = target
+        slopes, lens = np.zeros((S, 0)), np.zeros((S, 0))
+    val = np.zeros(S)
+    rows = np.arange(S)[:, None]
+    for h in range(H - 1, -1, -1):
+        p = prices[:, :, h]
+        a -= pumped_max
+        b = min(b + drawn_max, hi)
+        val = val - p @ pump_max
+        slopes = np.concatenate([slopes, p / (eta_pump * dt), p * eta_gen / dt], axis=1)
+        lens = np.concatenate([lens, np.broadcast_to(length, (S, length.size))], axis=1)
+        order = np.argsort(-slopes, axis=1, kind="stable")
+        slopes = slopes[rows, order]
+        lens = lens[rows, order]
+        start = a + _before(lens)
+        left = max(a, lo)
+        if left > b:
+            return None
+        val = val + (slopes * np.maximum(np.minimum(start + lens, left) - start, 0.0)).sum(axis=1)
+        lens = np.maximum(np.minimum(start + lens, b) - np.maximum(start, left), 0.0)
+        a = left
+    return TailCuts(a, b, *_tail_pieces(a, val, slopes, lens))
+
+
+def tail_plans_by_window(system, da, sets: Sequence, cfg) -> list[tuple | None]:
+    """The tail plans of ``lac_models.plan_tails``, worked out one window
+    at a time as each window's build once did: per set, the ramped unit
+    prices, the mode cells, the scenarios priced by cuts and their cuts
+    (reservoir by reservoir, by :func:`tail_value_function_alone`, with
+    every scenario kept as a block once a reservoir's target is out of
+    reach).  Returns (prices, mode_cells, by_cuts, cuts) per set, or None
+    for a set that is None or has no hour."""
+    units = system.psh_units
+    plans = []
+    for scn in sets:
+        if scn is None or scn.prices.shape[2] == 0:
+            plans.append(None)
+            continue
+        prices = _scenario_prices(scn, cfg)[:, [scn.nodes.index(u.node_id) for u in units], :]
+        floors = np.array([_has_floor(u) for u in units], dtype=bool)
+        mode_cells = floors[None, :, None] | (prices < 0.0)
+        by_cuts = tuple(int(s) for s in np.flatnonzero(~mode_cells.any(axis=(1, 2))))
+        cuts = {}
+        for r in system.reservoirs:
+            if not by_cuts:
+                break
+            idx = [i for i, u in enumerate(units) if u.reservoir_id == r.id]
+            found = tail_value_function_alone(r, [units[i] for i in idx], prices[np.ix_(by_cuts, idx)],
+                                              float(da.end_soc[r.id]), cfg.end_soc, system.grid.interval_hours)
+            if found is None:
+                by_cuts, cuts = (), {}
+                break
+            cuts[r.id] = found
+        plans.append((prices, mode_cells, by_cuts, cuts))
+    return plans
+
+
+def plan_differences(plan, reference) -> list[str]:
+    """Where a ``lac_models.TailPlan`` differs from an entry of
+    :func:`tail_plans_by_window`, to the bit; empty when they agree."""
+    if plan is None or reference is None:
+        return [] if plan is reference else ["one plan is None"]
+    prices, mode_cells, by_cuts, cuts = reference
+    out = []
+    for name, got, want in (("prices", plan.prices, prices), ("mode_cells", plan.mode_cells, mode_cells)):
+        if got.dtype != want.dtype or not np.array_equal(got, want):
+            out.append(name)
+    if plan.by_cuts != by_cuts:
+        out.append(f"by_cuts {plan.by_cuts} != {by_cuts}")
+    if list(plan.cuts) != list(cuts):
+        return out + [f"cut reservoirs {list(plan.cuts)} != {list(cuts)}"]
+    for rid, want in cuts.items():
+        got = plan.cuts[rid]
+        if (got.lo, got.hi) != (want.lo, want.hi):
+            out.append(f"{rid} domain")
+        for field in ("x", "y", "slope"):
+            a, b = getattr(got, field), getattr(want, field)
+            if len(a) != len(b) or not all(np.array_equal(u, v) and u.dtype == v.dtype for u, v in zip(a, b)):
+                out.append(f"{rid}.{field}")
+    return out
+
+
+def same_solution(a, b) -> bool:
+    """Two ``MilpSolution`` objects equal to the bit, apart from their
+    wall times: status, values, duals, objective, gap, bound, nodes and
+    incumbent."""
+    def same(x, y):
+        return (x is None and y is None) or (x is not None and y is not None and np.array_equal(x, y))
+    return ((a.status, a.objective, a.gap, a.nodes, a.incumbent, a.bound)
+            == (b.status, b.objective, b.gap, b.nodes, b.incumbent, b.bound)
+            and same(a.values, b.values) and same(a.duals, b.duals))
 
 
 def tail_lp(units: Sequence, reservoir, prices: np.ndarray, e_edge: float, target: float,

@@ -44,22 +44,28 @@ def test_tracer_targets_exist_and_restore():
 def test_highs_span_sits_inside_each_window_solve(toy_day):
     # ``milp.highs`` times the one HiGHS call of each ``solve``; matrix
     # assembly stays outside it, in the ``milp.solve`` span's own time.
-    # current_practice solves every window (a perfect day carries its
-    # later windows without a solve)
+    # current_practice and stochastic solve every window (a perfect day
+    # carries its later windows without a solve).  A stochastic day plans
+    # its tails before its first window, in ``rolling.run_day``'s own
+    # time, and builds and solves each window once
     from pshlac.lac_models import Variant
+    from toys import full_set_for_day
 
     system, day, da = toy_day
-    tracer = tracing.Tracer()
-    try:
-        run.install_tracing(tracer)
-        with tracer.operation("day"):
-            rolling.run_day(system, day, Variant.CURRENT_PRACTICE, None, None, da)
-    finally:
-        tracer.restore()
-    solves = {s["id"]: s for s in tracer.spans if s["name"] == "milp.solve"}
-    highs = [s for s in tracer.spans if s["name"] == "milp.highs"]
-    assert len(solves) == 2  # T - L + 1 windows of the toy day
-    assert sorted(s["parent"] for s in highs) == sorted(solves)
-    for s in highs:
-        outer = solves[s["parent"]]
-        assert outer["start"] < s["start"] and s["end"] < outer["end"]
+    provider = rolling.FrozenSetProvider({0: full_set_for_day(((30.0, 30.0, 30.0),))})
+    for variant in (Variant.CURRENT_PRACTICE, Variant.STOCHASTIC):
+        tracer = tracing.Tracer()
+        try:
+            run.install_tracing(tracer)
+            with tracer.operation("day"):
+                rolling.run_day(system, day, variant, provider, None, da)
+        finally:
+            tracer.restore()
+        solves = {s["id"]: s for s in tracer.spans if s["name"] == "milp.solve"}
+        builds = [s for s in tracer.spans if s["name"] == "lac_models.build"]
+        highs = [s for s in tracer.spans if s["name"] == "milp.highs"]
+        assert len(solves) == len(builds) == 2  # T - L + 1 windows of the toy day
+        assert sorted(s["parent"] for s in highs) == sorted(solves)
+        for s in highs:
+            outer = solves[s["parent"]]
+            assert outer["start"] < s["start"] and s["end"] < outer["end"]

@@ -30,7 +30,14 @@ from pshlac.milp import (BRANCH_AND_BOUND, EQ, FROM_LP, GE, LE, OPTIMAL, ROOT_RO
 from pshlac.rolling import RunControl, run_day
 
 from conftest import EXACT, solve_exact
-from oracle_tools import columns_named, enumerate_objective, full_tail_window, max_violation, rows_named
+from oracle_tools import (
+    columns_named,
+    enumerate_objective,
+    full_tail_window,
+    max_violation,
+    rows_named,
+    same_solution,
+)
 from toys import NODE, rolling_day_setup, two_unit_instance, window_setup
 
 
@@ -712,8 +719,8 @@ def test_each_solve_path_keeps_its_presolve(case, monkeypatch):
     seen = []
     inner = milp_module.milp
 
-    def recording(lp, options, rounding=None):
-        highs, bound = inner(lp, options, rounding)
+    def recording(lp, options, rounding=None, session=None):
+        highs, bound = inner(lp, options, rounding, session)
         seen.append(highs.getOptionValue("presolve")[1])
         return highs, bound
 
@@ -724,6 +731,30 @@ def test_each_solve_path_keeps_its_presolve(case, monkeypatch):
     expected = {"da_reserve": BRANCH_AND_BOUND, "perfect": BRANCH_AND_BOUND, "deterministic": ROOT_ROUNDING,
                 "current_practice": FROM_LP, "settlement": FROM_LP}
     assert sol.incumbent == expected.get(case, sol.incumbent)
+
+
+def test_a_used_session_solves_as_a_fresh_one(monkeypatch):
+    # a root rounding leaves its session with presolve off; each later
+    # solve sets HiGHS's options back first, so every model solved after
+    # it in the session, LPs included, matches a fresh solve to the bit,
+    # duals included, and its LPs run with HiGHS's default presolve
+    seen = []
+    inner = milp_module.milp
+    mine = milp_module.highs_session()
+
+    def recording(lp, options, rounding=None, session=None):
+        highs, bound = inner(lp, options, rounding, session)
+        if session is mine:
+            seen.append(highs.getOptionValue("presolve")[1])
+        return highs, bound
+
+    monkeypatch.setattr(milp_module, "milp", recording)
+    cases = ["deterministic", "settlement", "current_practice", "robust", "perfect", "settlement"]
+    for case in cases:
+        model = _PINNED_BUILDS[case]()
+        assert same_solution(solve(model, EXACT, mine), solve(model, EXACT)), case
+    # only the root roundings' LPs skip presolve
+    assert seen == ["off", "choose", "choose", "off", "choose", "choose"]
 
 
 # -- a window solution's cost by hour ------------------------------------------

@@ -26,13 +26,15 @@ from pshlac.milp import (
     RowView,
     SolveOptions,
     SolverError,
+    highs_session,
     infeasibility_report,
     milp,
     solve,
 )
+from pshlac.lac_models import Variant, build_variant
 
 from oracle_tools import canonical_form
-from toys import knapsack
+from toys import knapsack, window_setup
 
 OPTS = SolveOptions(gap_tol=1e-9, time_limit=30.0)
 
@@ -276,6 +278,23 @@ def test_only_the_root_lps_skip_presolve():
     assert presolve(knapsack(), None) == ("choose", False)
     assert presolve(knapsack(), None, integral=False) == ("choose", False)
     assert presolve(knapsack(), _rounded(np.floor), options={**opts, "presolve": "on"}) == ("on", False)
+
+
+def test_a_used_session_times_each_solve_from_its_own_start():
+    # HiGHS's run clock adds up over every run of a session and no clear
+    # resets it, so each solve's time limit counts from the clock's
+    # reading as that solve starts: solves whose summed HiGHS time passes
+    # the limit all end optimal
+    limit = 0.02
+    model = build_variant(Variant.CURRENT_PRACTICE, window_setup(da_gen=(5.0, 0.0, 10.0)).instance)
+    fresh = solve(model, OPTS)
+    session = highs_session()
+    solves = 0
+    while session.getRunTime() < 3 * limit and solves < 20000:
+        sol = solve(model, SolveOptions(time_limit=limit), session)
+        assert (sol.status, sol.objective) == (OPTIMAL, fresh.objective), solves
+        solves += 1
+    assert session.getRunTime() > 3 * limit
 
 
 def test_an_infeasible_mip_with_a_rounding_stays_infeasible():

@@ -358,7 +358,7 @@ def test_tail_cuts_equal_the_explicit_tail_lp(hours, end_soc, dt, seed):
     target = float(rng.uniform(res.e_min, res.e_max))
     prices = rng.choice([0.0, 12.5, 30.0, 41.0], size=(3, 2, hours)) + rng.uniform(0.0, 5.0, (3, 2, hours)) * (
         rng.random((3, 2, hours)) < 0.5)
-    cuts = tail_value_functions(res, units, prices, target, end_soc, dt)
+    [cuts] = tail_value_functions(res, units, [prices], target, end_soc, dt)
     assert cuts is not None  # every target in [e_min, e_max] is reachable from itself
     for s in range(3):
         assert cuts.x[s].size <= 2 * len(units) * hours + 1
@@ -379,15 +379,15 @@ def test_unreachable_target_has_no_tail():
     unit = _unit(pump_max=12.0, eta_pump=0.87)
     res = _res(e_min=0.0, e_max=100.0)
     prices = np.full((1, 1, 2), 20.0)
-    reach = tail_value_functions(res, [unit], prices, 100.0, "fix")
+    [reach] = tail_value_functions(res, [unit], [prices], 100.0, "fix")
     assert (reach.lo, reach.hi) == (pytest.approx(100.0 - 2 * 12.0 * 0.87), 100.0)
-    assert tail_value_functions(res, [unit], prices, 121.0, "fix") is None
+    assert tail_value_functions(res, [unit], [prices], 121.0, "fix") == [None]
 
 
 def test_slope_at_a_breakpoint_is_the_slope_to_its_left():
     # hour 3 at 30 $/MWh, eta 0.5/0.25, to the target 10: slope 120 on
     # [5, 10] (pumping less), 15 on [10, 40] (generating)
-    cuts = tail_value_functions(_res(), [_unit()], np.full((1, 1, 1), 30.0), 10.0)
+    [cuts] = tail_value_functions(_res(), [_unit()], [np.full((1, 1, 1), 30.0)], 10.0)
     assert (cuts.x[0].tolist(), cuts.y[0].tolist(), cuts.slope[0].tolist()) == (
         [5.0, 10.0], [-600.0, 0.0], [120.0, 15.0])
     assert [cuts.slope_at(0, e) for e in (5.0, 7.0, 10.0, 10.0 + 1e-12, 25.0, 40.0)] == [
@@ -452,9 +452,9 @@ def test_tail_pieces_equal_the_loop_over_scenarios(monkeypatch):
     for end_soc in ("fix", "relax"):
         for hours in (1, 2, 4):
             prices = rng.choice([0.0, 12.5, 30.0], size=(40, 2, hours))
-            assert tail_value_functions(res, units, prices, 30.0, end_soc) is not None
-    point = tail_value_functions(_res(e_min=0.0, e_max=40.0), [_unit(pump_max=0.0, gen_max=0.0)],
-                                 np.full((3, 1, 2), 30.0), 10.0)
+            assert tail_value_functions(res, units, [prices], 30.0, end_soc) != [None]
+    [point] = tail_value_functions(_res(e_min=0.0, e_max=40.0), [_unit(pump_max=0.0, gen_max=0.0)],
+                                   [np.full((3, 1, 2), 30.0)], 10.0)
     assert (point.lo, point.hi) == (10.0, 10.0)
     assert len(seen) == 7
     for args in seen:

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from pshlac import accounting, forecast, synth
+from pshlac import accounting
 from pshlac.lac_models import DaReference, ModelConfig, Variant, build_variant
 from pshlac.milp import MilpModel, SolveOptions
 from pshlac.rolling import FrozenSetProvider, PipelineProvider, RunControl, run_day
@@ -78,20 +78,15 @@ def _check_day(system, day, da, provider, control, redates, resolves):
     # one full_day_resolve call per ledger, the benchmark's accounting.resolves;
     # each after the first re-dates the model of the one before
     assert [args[2].variant for args, _ in calls] == [v.value for v in Variant]
-    assert [args[-1] is None for args, _ in calls] == [True] + [False] * (len(calls) - 1)
+    # arguments 7 and 8 are the previous model and the day's HiGHS session
+    assert [args[6] is None for args, _ in calls] == [True] + [False] * (len(calls) - 1)
+    session = calls[0][0][7]
+    assert session is not None and all(args[7] is session for args, _ in calls)
     assert redates == [0] * (len(calls) - 1)
     for args, model in calls:
-        fresh, _ = full_day_resolve(*args[:-1], None)
+        fresh, _ = full_day_resolve(*args[:6])
         assert model_differences(model, fresh) == [], args[2].variant
     return ledgers
-
-
-@pytest.fixture(scope="module")
-def seed11_study():
-    cfg = synth.SynthConfig(seed=11)
-    base = synth.make_system(cfg)
-    pipe = forecast.ForecastPipeline(forecast.ForecastConfig()).fit(synth.make_history(cfg))
-    return pipe, [synth.make_day(cfg, k, base_system=base) for k in (0, 1)]
 
 
 def test_re_dated_windows_and_settlements_equal_fresh_builds(seed11_study, redates, resolves):

@@ -257,7 +257,9 @@ def test_unreachable_end_target_names_the_tail_domain(monkeypatch):
     # most 28, while the tail needs 32 to end at 40 after two more hours
     system, day, da = rolling_day_setup(T=4, loads=(50.0,) * 4, rt_lmp=(20.0,) * 4,
                                         da_gen=(0.0,) * 4, e_target=40.0, pump_max=4.0)
-    provider = FrozenSetProvider({0: full_set_for_day(((30.0,) * 4,))})
+    # the day draws the sets of both its tail-pricing windows (origins 0
+    # and 1) before the first window solves
+    provider = FrozenSetProvider({t0: full_set_for_day(((30.0,) * 4,)) for t0 in (0, 1)})
     with pytest.raises(WindowInfeasibleError) as err:
         run_day(system, day, Variant.STOCHASTIC, provider, CONTROL, da)
     rows = set(err.value.conflict_rows)
@@ -277,11 +279,31 @@ def test_unreachable_end_target_names_the_tail_domain(monkeypatch):
             assert solve(_rows_only(model, conflict - {r}), EXACT).status == OPTIMAL, r
 
 
+def test_a_missing_late_origin_stops_the_day_before_any_window_solves(monkeypatch):
+    # the day draws every window's set before its first window: a file
+    # set that lacks origin 1 raises its KeyError before window 1 solves
+    solves = []
+
+    def counted(model, options=None, session=None):
+        solves.append(model)
+        return solve(model, options, session)
+
+    monkeypatch.setattr(rolling, "solve", counted)
+    system, day, da = rolling_day_setup(T=4, loads=(50.0,) * 4, rt_lmp=(20.0,) * 4, da_gen=(0.0,) * 3 + (10.0,))
+    provider = FrozenSetProvider({0: full_set_for_day(((30.0,) * 4,))})
+    with pytest.raises(KeyError, match="no scenario data for forecast origin 1"):
+        run_day(system, day, Variant.STOCHASTIC, provider, CONTROL, da)
+    assert solves == []
+    # with origin 1 on file the same day rolls: one solve per window
+    provider = FrozenSetProvider({t0: full_set_for_day(((30.0,) * 4,)) for t0 in (0, 1)})
+    assert len(run_day(system, day, Variant.STOCHASTIC, provider, CONTROL, da).windows) == len(solves) == 3
+
+
 def test_time_limited_windows_are_logged(toy_day, monkeypatch, caplog):
     # every window ends as a time-limited search with an incumbent: its
     # optimum, reported as ``feasible`` at a gap HiGHS did not close
-    def stopped(model, options):
-        return replace(solve(model, EXACT), status=FEASIBLE, gap=0.25)
+    def stopped(model, options, session=None):
+        return replace(solve(model, EXACT, session), status=FEASIBLE, gap=0.25)
 
     monkeypatch.setattr(rolling, "solve", stopped)
     system, day, da = toy_day
@@ -432,9 +454,9 @@ def test_carried_perfect_windows_match_a_fresh_solve(seed11_day):
 def test_a_certified_perfect_day_builds_one_window(seed11_day, monkeypatch):
     built = []
 
-    def counted(variant, instance, cfg=None, previous=None):
+    def counted(variant, instance, cfg=None, previous=None, tails=None):
         built.append(instance.window.start_index)
-        return build_variant(variant, instance, cfg, previous)
+        return build_variant(variant, instance, cfg, previous, tails)
 
     monkeypatch.setattr(rolling, "build_variant", counted)
     sd = seed11_day

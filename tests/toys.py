@@ -29,7 +29,7 @@ from pshlac.core import (
     ThermalUnit,
     TimeGrid,
 )
-from pshlac.lac_models import DaReference, LacInstance, ModelConfig
+from pshlac.lac_models import DaReference, LacInstance, ModelConfig, TailPlan
 from pshlac.milp import BINARY, LE, MilpModel, MilpSolution
 
 from oracle_tools import ToyWindow
@@ -258,11 +258,14 @@ def knapsack(n: int = 30, capacity: float = 50.0) -> MilpModel:
 @dataclass
 class WindowRecord:
     """One window of a rolled day: its instance and, when it was solved
-    rather than carried, its model and solution."""
+    rather than carried, its model, the tail plan and HiGHS session it
+    was built and solved with, and its solution."""
 
     instance: LacInstance
     model: MilpModel | None = None
     solution: MilpSolution | None = None
+    tails: TailPlan | None = None
+    session: object = None
 
     @property
     def t1(self) -> int:
@@ -281,14 +284,16 @@ def recorded_windows() -> Iterator[list[WindowRecord]]:
         records.append(WindowRecord(make(*args, **kwargs)))
         return records[-1].instance
 
-    def built(variant, inst, cfg=None, previous=None):
+    def built(variant, inst, cfg=None, previous=None, tails=None):
         assert records[-1].instance is inst, "a window is built from the instance opened last"
-        records[-1].model = build(variant, inst, cfg, previous)
+        records[-1].model = build(variant, inst, cfg, previous, tails)
+        records[-1].tails = tails
         return records[-1].model
 
-    def solved(model, options=None):
+    def solved(model, options=None, session=None):
         assert records[-1].model is model, "a window solves the model built last"
-        records[-1].solution = solve(model, options)
+        records[-1].solution = solve(model, options, session)
+        records[-1].session = session
         return records[-1].solution
 
     rolling.LacInstance, rolling.build_variant, rolling.solve = instance, built, solved
