@@ -112,7 +112,7 @@ def main() -> int:
         wall = time.perf_counter() - t0
         entries.append(ScalingEntry(S, model.n_rows, model.n_vars, model.n_nonzeros, wall))
         tails = model.meta["tails"]
-        counts = [c.x[i].size for c in tails.cuts.values() for i in range(len(tails.scenarios))]
+        counts = [n for c in tails.cuts.values() for n in np.diff(c.start).tolist()]
         print(f"S={S:4d}: rows={model.n_rows:7d} cols={model.n_vars:7d} "
               f"nnz={model.n_nonzeros:8d} {sol.status:>9} build={build:7.3f}s wall={wall:7.3f}s "
               f"cuts={sum(counts)} per scenario {min(counts, default=0)}-{max(counts, default=0)} "

@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 from .accounting import AccountingError, VariantOutcome, assemble_day, evaluate_day, settle
 from .core import (
     MarketDay,
+    PowerSystem,
     read_scenario_csv,
     read_series_csv,
     read_system_json,
@@ -40,6 +41,7 @@ from .forecast import EstimationError, ForecastConfig, ForecastPipeline
 from .lac_models import (
     SCENARIO_VARIANTS,
     ConfigurationError,
+    DaReference,
     ModelConfig,
     Variant,
     da_reference_from_system,
@@ -126,11 +128,19 @@ def _load_day(cfg: RunConfig) -> MarketDay:
     return MarketDay(cfg.label, tuple(load_series), da, rt)
 
 
-def _check_system(system, day) -> None:
+def _read_inputs(cfg: RunConfig) -> tuple[PowerSystem, MarketDay, DaReference]:
+    """The run's system and day, checked, and the day-ahead plan the
+    system carries; a plan the system lacks names the system file."""
+    system = read_system_json(cfg.system)
+    day = _load_day(cfg)
     violations = validate_system(system, day)
     if violations:
         lines = "\n  ".join(str(v) for v in violations)
         raise CliError(f"input validation failed:\n  {lines}")
+    try:
+        return system, day, da_reference_from_system(system)
+    except ConfigurationError as exc:
+        raise CliError(f"{cfg.system}: {exc}")
 
 
 def _forecast_origins(system) -> list[int]:
@@ -311,13 +321,7 @@ def cmd_simulate(args) -> int:
         raise CliError(f"--jobs must be at least 1, not {args.jobs}")
     cfg = RunConfig.from_file(args.config)
     variants = _parse_variants(args.variant, cfg)
-    system = read_system_json(cfg.system)
-    day = _load_day(cfg)
-    _check_system(system, day)
-    try:
-        da = da_reference_from_system(system)
-    except ConfigurationError as exc:
-        raise CliError(f"{cfg.system}: {exc}")
+    system, day, da = _read_inputs(cfg)
 
     needs = [v for v in variants if v in SCENARIO_VARIANTS]
     provider = _load_forecast_dir(args.forecast_dir) if needs else None
@@ -383,9 +387,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    system = read_system_json(cfg.system)
-    day = _load_day(cfg)
-    da = da_reference_from_system(system)
+    system, day, da = _read_inputs(cfg)
     paths = sorted(glob.glob(os.path.join(args.run_dir, "ledger_*.jsonl")))
     if not paths:
         raise CliError(f"no ledger_*.jsonl files in {args.run_dir}")

@@ -249,11 +249,7 @@ def _by_id(items, wanted):
     raise KeyError(wanted)
 
 
-def validate_system(
-    system: PowerSystem,
-    market_day: MarketDay | None = None,
-    scenario_set: PriceScenarioSet | None = None,
-) -> list[Violation]:
+def validate_system(system: PowerSystem, market_day: MarketDay | None = None) -> list[Violation]:
     """Collect rule violations across the whole description.
 
     Total by design: any parsed input yields a (possibly empty) list,
@@ -345,17 +341,6 @@ def validate_system(
         for node in system.psh_nodes():
             if node not in market_day.da_lmp:
                 out.append(Violation(market_day.label, "da_lmp", f"missing series for node {node}"))
-
-    if scenario_set is not None:
-        w = np.asarray(scenario_set.weights, dtype=float)
-        if w.size != scenario_set.count:
-            out.append(Violation("scenarios", "weights", "one weight per trajectory required"))
-        if np.any(w <= 0):
-            out.append(Violation("scenarios", "weights", "weights must be positive"))
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            out.append(Violation("scenarios", "weights", f"weights sum to {float(w.sum()):.12g}, not 1"))
-        if scenario_set.prices.ndim != 3:
-            out.append(Violation("scenarios", "prices", "expected (S, nodes, hours) array"))
 
     return out
 

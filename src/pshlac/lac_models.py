@@ -524,12 +524,11 @@ class ScenarioTails:
         out = []
         for rid, cuts in self.cuts.items():
             e = sol.value(self.edge[rid])
-            slopes = np.array([cuts.slope_at(i, e) for i in range(len(self.scenarios))])
+            slopes = cuts.slopes_at(e)
             if self.weights is None:
-                values = np.array([cuts.value(i, e) for i in range(len(self.scenarios))])
-                out.append(float(slopes[np.argmax(self.da_revenue[rid][list(self.scenarios)] - values)]))
+                out.append(float(slopes[np.argmax(self.da_revenue[rid][list(self.scenarios)] - cuts.values(e))]))
             else:
-                out.append(float(np.dot([self.weights[s] for s in self.scenarios], slopes)))
+                out.append(float(np.dot(np.asarray(self.weights)[list(self.scenarios)], slopes)))
         return tuple(out)
 
 
@@ -586,9 +585,9 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig, plan: 
         model.add_rows([f"r_tail_min.{rid}", f"r_tail_max.{rid}"], (0, 1, 2), (e, e), (1.0, 1.0), (GE, LE),
                        (found.lo, found.hi))
         # one row per piece k of each scenario s, s by s
-        pieces = [x.size for x in found.x]
-        x, y, b = (np.concatenate(a) for a in (found.x, found.y, found.slope))
-        ks = [(s, k) for s, n in zip(by_cuts, pieces) for k in range(n)]
+        x, y, b, pieces = found.x, found.y, found.slope, np.diff(found.start)
+        owner = np.repeat(by_cuts, pieces)  # the scenario of each row
+        ks = list(zip(owner.tolist(), (np.arange(b.size) - np.repeat(found.start[:-1], pieces)).tolist()))
         if weights is not None:
             theta = model.add_vars([f"theta.{rid}.s{s}" for s in by_cuts], -math.inf, math.inf,
                                    [-weights[s] for s in by_cuts])
@@ -597,7 +596,7 @@ def _add_tails(model: MilpModel, instance: LacInstance, cfg: ModelConfig, plan: 
         else:
             names, lead, slope, sense, rhs = ([f"r_risk.{rid}.s{s}.k{k}" for s, k in ks],
                                               np.full(b.size, risk[rid]), b, GE,
-                                              da_revenue[rid][np.repeat(by_cuts, pieces)] - y + b * x)
+                                              da_revenue[rid][owner] - y + b * x)
         model.add_rows(names, np.arange(0, 2 * b.size + 1, 2), np.column_stack([lead, np.full(b.size, e)]).ravel(),
                        np.column_stack([np.ones(b.size), slope]).ravel(), sense, rhs)
 

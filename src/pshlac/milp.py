@@ -520,14 +520,14 @@ def milp(
     session, with the bound that certified a root rounding or None.
 
     The session is ``session`` (from :func:`highs_session`), or a new
-    one when it is None.  A session that ran models before runs ``lp``
-    as a new one would: ``passModel`` drops the last model's basis, so
-    every solve starts cold, and the options go back to HiGHS's defaults
+    one when it is None, and every session runs ``lp`` alike, as a new
+    one would: ``passModel`` drops the last model's basis, so every
+    solve starts cold, and the options go back to HiGHS's defaults
     before ``options`` are set, so that no ``presolve`` a root rounding
     turned off is left behind.  HiGHS measures ``time_limit`` on the
     session's run clock, which adds up over every run in the session and
-    which no ``clear`` resets; so in a used session ``time_limit``
-    counts from the clock's reading as this call starts.
+    which no ``clear`` resets; so ``time_limit`` counts from the clock's
+    reading as this call starts (0 in a new session).
 
     ``rounding`` (a MIP only) must fix every free integer column of
     ``lp`` or return None.  The session then first tries to close the
@@ -553,16 +553,13 @@ def milp(
     ``rounding`` keeps the presolve of ``options`` (HiGHS's default
     unless they set one).
     """
-    if session is None:
-        highs = _highs._Highs()
-    else:
-        highs = session
-        highs.resetOptions()
+    highs = _highs._Highs() if session is None else session
+    highs.resetOptions()
     highs.setOptionValue("output_flag", False)
     for key, val in options.items():
         if highs.setOptionValue(key, val) == _highs.HighsStatus.kError:
             raise SolverError(f"HiGHS rejected option {key}={val!r}")
-    if session is not None and "time_limit" in options:
+    if "time_limit" in options:
         highs.setOptionValue("time_limit", highs.getRunTime() + float(options["time_limit"]))
     if rounding is not None:
         integrality, lp.integrality_ = lp.integrality_, []

@@ -342,26 +342,32 @@ class TailCuts:
     """One reservoir's tail revenue ``V_s(e)`` for each of S scenarios,
     on the edge-storage domain ``[lo, hi]`` they share.
 
-    ``x[s]``, ``y[s]`` and ``slope[s]`` list the pieces of ``V_s`` from
-    left to right, by start, value at the start and slope, so that
+    A compressed-sparse-row table: rows ``start[s]:start[s + 1]`` of
+    ``x``, ``y`` and ``slope`` list the pieces of ``V_s`` from left to
+    right, by start, value at the start and slope, so that
     ``V_s(e) = min_k y_k + slope_k * (e - x_k)`` on the domain.
     """
 
     lo: float
     hi: float
-    x: tuple[np.ndarray, ...]
-    y: tuple[np.ndarray, ...]
-    slope: tuple[np.ndarray, ...]
+    start: np.ndarray  # (S + 1,) row offsets; every scenario has a row
+    x: np.ndarray
+    y: np.ndarray
+    slope: np.ndarray
 
-    def value(self, s: int, e: float) -> float:
-        return float(np.min(self.y[s] + self.slope[s] * (e - self.x[s])))
+    def pieces(self, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(v[self.start[s]:self.start[s + 1]] for v in (self.x, self.y, self.slope))
 
-    def slope_at(self, s: int, e: float) -> float:
-        """Slope of ``V_s`` just left of ``e`` (right of it at the left
-        end): the value of the last MWh stored.  A breakpoint within
+    def values(self, e: float) -> np.ndarray:
+        return np.minimum.reduceat(self.y + self.slope * (e - self.x), self.start[:-1])
+
+    def slopes_at(self, e: float) -> np.ndarray:
+        """Slope of every ``V_s`` just left of ``e`` (right of it at the
+        left end): the value of the last MWh stored.  A breakpoint within
         1e-9 relative of ``e`` counts as ``e``."""
-        k = np.searchsorted(self.x[s], e - 1e-9 * max(1.0, abs(e)), side="left") - 1
-        return float(self.slope[s][max(int(k), 0)])
+        # an integer dtype: the breakpoints left of e are counted, not or-ed
+        left = np.add.reduceat(self.x < e - 1e-9 * max(1.0, abs(e)), self.start[:-1], dtype=np.intp)
+        return self.slope[self.start[:-1] + np.maximum(left - 1, 0)]
 
 
 def _before(a: np.ndarray) -> np.ndarray:
@@ -395,10 +401,11 @@ def tail_value_functions(
     rows go in by tail length, shortest first, and a window's rows
     leave the batch as a prefix once its first post-window hour is
     done, so each row takes the steps, column widths and reductions of
-    a window alone.  The pumping baseline ``p @ pump_max`` is the one
-    product taken per window: numpy's matmul rounds by the array's
-    layout and row count (a BLAS call for a one-hour tail, a dot for a
-    single scenario, an unfused loop otherwise).
+    a window alone, and its table is its slice of the leaving windows'
+    one table.  The pumping baseline ``p @ pump_max`` is the one product
+    taken per window: numpy's matmul rounds by the array's layout and
+    row count (a BLAS call for a one-hour tail, a dot for a single
+    scenario, an unfused loop otherwise).
     """
     out: list[TailCuts | None] = [None] * len(prices)
     hours = [p.shape[2] for p in prices]
@@ -425,9 +432,9 @@ def tail_value_functions(
             live = live[len(done):]
             ends = np.cumsum([prices[w].shape[0] for w in done]).tolist()
             n = ends[-1]
-            x, y, slope = _tail_pieces(a, val[:n], slopes[:n], lens[:n])
+            start, x, y, slope = _tail_pieces(a, val[:n], slopes[:n], lens[:n])
             for w, i, j in zip(done, [0, *ends[:-1]], ends):
-                out[w] = TailCuts(a, b, x[i:j], y[i:j], slope[i:j])
+                out[w] = TailCuts(a, b, start[i:j + 1] - start[i], *(v[start[i]:start[j]] for v in (x, y, slope)))
             val, slopes, lens = val[n:], slopes[n:], lens[n:]
         if not live:
             break
@@ -454,12 +461,12 @@ def tail_value_functions(
 
 
 def _tail_pieces(a: float, val: np.ndarray, slopes: np.ndarray,
-                 lens: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+                 lens: np.ndarray) -> tuple[np.ndarray, ...]:
     """Close :func:`tail_value_functions`: ``W`` of each scenario (row)
     starts at ``a`` with value ``val`` and runs through pieces of the
-    given slopes and lengths.  Returns, per scenario, the start, start
-    value and slope of each piece of positive length, one line per run
-    of equal slopes.  A row with no such piece has a one-point domain
+    given slopes and lengths.  Returns its :class:`TailCuts` table
+    (start, x, y, slope): each piece of positive length, one line per
+    run of equal slopes; a row with no such piece has a one-point domain
     and gets the single piece (a, val, 0)."""
     S = len(val)
     pos = lens > 0.0
@@ -472,13 +479,7 @@ def _tail_pieces(a: float, val: np.ndarray, slopes: np.ndarray,
     keep = np.ones(r.size, bool)
     keep[1:] = (b[1:] != b[:-1]) | (r[1:] != r[:-1])
     r, c = r[keep], c[keep]
-    ends = np.cumsum(np.bincount(r, minlength=S)).tolist()
-    spans = list(zip([0, *ends[:-1]], ends))
-
-    def per_scenario(v: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(v[i:j] for i, j in spans)
-
-    return per_scenario(x[r, c]), per_scenario(y[r, c]), per_scenario(slopes[r, c])
+    return np.concatenate([[0], np.cumsum(np.bincount(r, minlength=S))]), x[r, c], y[r, c], slopes[r, c]
 
 
 class ModeRounding:

@@ -4,8 +4,8 @@ Everything here is deliberately written without the package's model
 builders or solver: merit-order dispatch by sorting, window optima by
 exhaustive enumeration over mode strings and a coarse dispatch grid,
 scenario pricing one draw at a time, a day's tail plans one window at
-a time, and a reservoir's tail revenue as an LP handed to scipy's
-``linprog``.  Slow and obvious on purpose.  The
+a time, a tail's cut values and slopes one scenario at a time, and a
+reservoir's tail revenue as an LP handed to scipy's ``linprog``.  Slow and obvious on purpose.  The
 one helper that builds a model, ``full_tail_window``, puts the window's
 in-window part together with explicit full-binary scenario blocks from
 ``psh_model``'s primitives, so that the cut tails can be checked
@@ -507,11 +507,44 @@ def plan_differences(plan, reference) -> list[str]:
         got = plan.cuts[rid]
         if (got.lo, got.hi) != (want.lo, want.hi):
             out.append(f"{rid} domain")
-        for field in ("x", "y", "slope"):
+        for field in ("start", "x", "y", "slope"):
             a, b = getattr(got, field), getattr(want, field)
-            if len(a) != len(b) or not all(np.array_equal(u, v) and u.dtype == v.dtype for u, v in zip(a, b)):
+            if a.dtype != b.dtype or not np.array_equal(a, b):
                 out.append(f"{rid}.{field}")
     return out
+
+
+def cut_value(cuts, s: int, e: float) -> float:
+    """``V_s(e)`` of a ``psh_model.TailCuts``, scenario ``s`` alone: the
+    lowest of its lines at ``e``."""
+    x, y, slope = cuts.pieces(s)
+    return float(np.min(y + slope * (e - x)))
+
+
+def cut_slope_at(cuts, s: int, e: float) -> float:
+    """Slope of ``V_s`` just left of ``e`` (right of it at the left end),
+    scenario ``s`` alone: a binary search for the last piece that starts
+    more than 1e-9 relative left of ``e``."""
+    x, _, slope = cuts.pieces(s)
+    k = np.searchsorted(x, e - 1e-9 * max(1.0, abs(e)), side="left") - 1
+    return float(slope[max(int(k), 0)])
+
+
+def water_value_by_scenario(tails, sol) -> tuple[float, ...]:
+    """``lac_models.ScenarioTails.water_value`` one scenario at a time,
+    from :func:`cut_value` and :func:`cut_slope_at`."""
+    if tails.blocks:
+        return ()
+    out = []
+    for rid, cuts in tails.cuts.items():
+        e = sol.value(tails.edge[rid])
+        slopes = np.array([cut_slope_at(cuts, i, e) for i in range(len(tails.scenarios))])
+        if tails.weights is None:
+            values = np.array([cut_value(cuts, i, e) for i in range(len(tails.scenarios))])
+            out.append(float(slopes[np.argmax(tails.da_revenue[rid][list(tails.scenarios)] - values)]))
+        else:
+            out.append(float(np.dot([tails.weights[s] for s in tails.scenarios], slopes)))
+    return tuple(out)
 
 
 def same_solution(a, b) -> bool:

@@ -122,11 +122,12 @@ def _deviation_margins(day, windows, mcfg):
             members = [u for u in system.psh_units if u.reservoir_id == res.id]
             w_val = sol.value(model.meta["risk_vars"][res.id])
             shortfalls = []
+            cut_values = tails.cuts[res.id].values(edge[res.id])
             for i, s in enumerate(tails.scenarios):
                 unit_prices = prices[s, [scn.nodes.index(u.node_id) for u in members], :]
                 revenue, qg, qp = tail_lp(members, res, unit_prices, edge[res.id], inst.da.end_soc[res.id],
                                           mcfg.end_soc, system.grid.interval_hours)
-                cut_value = tails.cuts[res.id].value(i, edge[res.id])
+                cut_value = cut_values[i]
                 assert abs(revenue - cut_value) <= 1e-7 * max(1.0, abs(revenue)), (rec.t1, s, revenue, cut_value)
                 da_net = np.array([np.asarray(inst.da.gen[u.id][te:]) - np.asarray(inst.da.pump[u.id][te:])
                                    for u in members])
@@ -204,7 +205,7 @@ def scaling(synth_setup):
             sizes[S] = (model.n_rows, model.n_vars, model.n_nonzeros)
             tails = model.meta["tails"]
             assert not tails.blocks and tails.scenarios == tuple(range(S))
-            cuts[S] = [tails.cuts[r.id].slope[i] for r in day.system.reservoirs for i in range(S)]
+            cuts[S] = [tails.cuts[r.id].pieces(i)[2] for r in day.system.reservoirs for i in range(S)]
             sol = solve(model, opts)
             assert sol.ok, (variant, S, sol.status)
             walltimes[S] = sol.walltime_s

@@ -149,6 +149,23 @@ def test_a_system_field_of_the_wrong_type_is_named(bundle, tmp_path, capsys, edi
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_a_system_without_a_day_ahead_commitment_is_named(bundle, tmp_path, capsys, command):
+    # report read its inputs without naming the file, simulate with it;
+    # both go through one reader now
+    copy = tmp_path / "bundle"
+    shutil.copytree(bundle, copy)
+    path = copy / "system.json"
+    doc = json.loads(path.read_text())
+    unit = doc["thermal_units"][0]
+    unit["da_commitment"] = None
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    where = ["--out", str(tmp_path / "runs")] if command == "simulate" else ["--run-dir", str(tmp_path / "runs")]
+    assert main([command, "--config", str(copy / "run.json"), *where]) == 1
+    assert capsys.readouterr().err == f"error: {path}: thermal unit {unit['id']} lacks a day-ahead commitment\n"
+
+
 def test_a_load_that_is_not_a_number_is_named_with_its_line(bundle, tmp_path, capsys):
     # it used to end in a window with "rows from 'r_balance.t3' have a
     # right-hand side that is not finite", naming neither file nor hour

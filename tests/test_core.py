@@ -129,16 +129,6 @@ def test_market_day_rules(toy_day):
     assert ("bad", "da_lmp") in got           # missing series for the PSH node
 
 
-def test_scenario_weight_rules():
-    sys0 = _toy()
-    scn = PriceScenarioSet(("n1",), 1, np.zeros((2, 1, 3)), (0.9, -0.1))
-    got = _fields(validate_system(sys0, scenario_set=scn))
-    assert ("scenarios", "weights") in got
-    scn2 = PriceScenarioSet(("n1",), 1, np.zeros((2, 1, 3)), (0.6, 0.6))
-    got2 = _fields(validate_system(sys0, scenario_set=scn2))
-    assert ("scenarios", "weights") in got2
-
-
 # -- scenario container ------------------------------------------------------
 
 

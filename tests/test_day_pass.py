@@ -22,7 +22,13 @@ from pshlac.psh_model import tail_value_functions
 from pshlac.rolling import PipelineProvider, RunControl, run_day
 
 from conftest import EXACT
-from oracle_tools import plan_differences, same_solution, tail_plans_by_window, tail_value_function_alone
+from oracle_tools import (
+    plan_differences,
+    same_solution,
+    tail_plans_by_window,
+    tail_value_function_alone,
+    water_value_by_scenario,
+)
 from toys import recorded_windows, window_setup
 
 GAP5 = SolveOptions(gap_tol=1e-5, time_limit=120.0)
@@ -32,24 +38,24 @@ SCENARIO_VARIANTS = (Variant.DETERMINISTIC, Variant.STOCHASTIC, Variant.ROBUST)
 @pytest.fixture(scope="module")
 def seed11_rolled(seed11_study):
     """Every window of seed-11 days 0-1 at S=10 and gap 1e-5, as the
-    benchmark rolls them, recorded per (day, variant)."""
+    benchmark rolls them, recorded per (day, variant), and the ledgers."""
     pipe, days = seed11_study
     control = RunControl(scenario_count=10, seed=11, model=ModelConfig(gap_tol=1e-5), solver=GAP5)
-    rolled = {}
+    rolled, ledgers = {}, {}
     for k, sd in enumerate(days):
         provider = PipelineProvider(pipe, sd.market_day.da_lmp, 24, 10, 11)
         for variant in Variant:
             with recorded_windows() as windows:
-                run_day(sd.system, sd.market_day, variant, provider, control, sd.da)
+                ledgers[k, variant] = run_day(sd.system, sd.market_day, variant, provider, control, sd.da)
             rolled[k, variant] = windows
-    return days, control, rolled
+    return days, control, rolled, ledgers
 
 
 # -- one tails pass per day ----------------------------------------------------
 
 
 def test_the_day_pass_plans_every_seed11_window_as_the_window_alone(seed11_rolled):
-    days, control, rolled = seed11_rolled
+    days, control, rolled, _ = seed11_rolled
     for k, sd in enumerate(days):
         for variant in SCENARIO_VARIANTS:
             windows = rolled[k, variant]
@@ -63,6 +69,21 @@ def test_the_day_pass_plans_every_seed11_window_as_the_window_alone(seed11_rolle
             # the same plans again, from a call of its own
             again = plan_tails(sd.system, sd.da, sets, control.model)
             assert all(plan_differences(p, want) == [] for p, want in zip(again, reference))
+
+
+def test_every_seed11_cut_window_reports_the_reference_water_value(seed11_rolled):
+    # the cut tables are read every scenario at once; the ledger's water
+    # value equals the one-scenario reference to the bit
+    _, _, rolled, ledgers = seed11_rolled
+    for variant in SCENARIO_VARIANTS:
+        windows, metrics = rolled[0, variant], ledgers[0, variant].windows
+        cut = 0
+        for rec, metric in zip(windows, metrics, strict=True):
+            tails = rec.model.meta.get("tails")
+            want = water_value_by_scenario(tails, rec.solution) if tails else ()
+            assert list(map(repr, metric.water_value)) == list(map(repr, want)), (variant.value, rec.t1)
+            cut += bool(want)
+        assert cut == 21, variant.value  # every window but the day-end one
 
 
 @st.composite
@@ -148,8 +169,7 @@ def test_the_day_pass_equals_the_window_by_window_recursion(day):
             assert (f is None) == (g is None)
             if f is not None:
                 assert (f.lo, f.hi) == (g.lo, g.hi)
-                assert all(np.array_equal(u, v) for fx, gx in zip((f.x, f.y, f.slope), (g.x, g.y, g.slope))
-                           for u, v in zip(fx, gx, strict=True))
+                assert all(np.array_equal(getattr(f, k), getattr(g, k)) for k in ("start", "x", "y", "slope"))
 
 
 def test_a_plan_for_another_set_is_refused(basic_window):
@@ -177,7 +197,7 @@ def _check_fresh(windows, options):
 
 
 def test_the_day_session_solves_each_seed11_window_as_a_fresh_one(seed11_rolled):
-    days, control, rolled = seed11_rolled
+    days, control, rolled, _ = seed11_rolled
     counts = {v: _check_fresh(rolled[0, v], control.solver) for v in Variant}
     # one solve per window, the benchmark's count; a perfect day carries all but one
     assert counts == {v: 1 if v == Variant.PERFECT else 22 for v in Variant}

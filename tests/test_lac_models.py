@@ -88,7 +88,7 @@ def test_rejects_misaligned_scenario_hours(basic_window):
 
 def test_rejects_bad_weights_and_missing_node(basic_window):
     arr = np.full((2, 1, 1), 30.0)
-    for weights in ((0.7, 0.7), (float("nan"), 0.5)):
+    for weights in ((0.7, 0.7), (float("nan"), 0.5), (1.2, -0.2)):
         lopsided = PriceScenarioSet((NODE,), 3, arr, weights)
         with pytest.raises(ConfigurationError, match="sum to 1"):
             build_variant(Variant.STOCHASTIC, replace(basic_window.instance, scenario_set=lopsided), basic_window.cfg)
@@ -557,7 +557,7 @@ def test_per_scenario_size_is_what_the_formula_says(variant, kwargs, n_post):
         # stochastic, one tail-value column; at one flat price the
         # revenue is linear in the edge storage: a single cut
         assert len(tails.blocks) == 0
-        b = tails.cuts["res1"].slope[2]  # the added scenario's cut slopes
+        b = tails.cuts["res1"].pieces(2)[2]  # the added scenario's cut slopes
         assert b.tolist() == [30.0]
         expect = (b.size, int(variant is Variant.STOCHASTIC), int(b.size + np.count_nonzero(b)))
     assert delta == expect

@@ -21,7 +21,7 @@ from pshlac.psh_model import (
 )
 from pshlac import psh_model
 
-from oracle_tools import tail_lp
+from oracle_tools import cut_slope_at, cut_value, tail_lp
 
 OPTS = SolveOptions(gap_tol=1e-9, time_limit=30.0)
 
@@ -361,12 +361,13 @@ def test_tail_cuts_equal_the_explicit_tail_lp(hours, end_soc, dt, seed):
     [cuts] = tail_value_functions(res, units, [prices], target, end_soc, dt)
     assert cuts is not None  # every target in [e_min, e_max] is reachable from itself
     for s in range(3):
-        assert cuts.x[s].size <= 2 * len(units) * hours + 1
-        assert np.all(np.diff(cuts.slope[s]) < 0.0)  # concave, one line per slope
+        x, _, slope = cuts.pieces(s)
+        assert x.size <= 2 * len(units) * hours + 1
+        assert np.all(np.diff(slope) < 0.0)  # concave, one line per slope
         for e in (cuts.lo, cuts.hi, *rng.uniform(cuts.lo, cuts.hi, 4)):
             best = tail_lp(units, res, prices[s], e, target, end_soc, dt)
             assert best is not None, (s, e)
-            assert cuts.value(s, e) == pytest.approx(best[0], rel=1e-9, abs=1e-9)
+            assert cuts.values(e)[s] == pytest.approx(best[0], rel=1e-9, abs=1e-9)
         # just outside the domain no tail reaches the end rule
         for e in (cuts.lo - 1e-6, cuts.hi + 1e-6):
             assert e < res.e_min or e > res.e_max or tail_lp(units, res, prices[s], e, target, end_soc, dt) is None
@@ -388,17 +389,65 @@ def test_slope_at_a_breakpoint_is_the_slope_to_its_left():
     # hour 3 at 30 $/MWh, eta 0.5/0.25, to the target 10: slope 120 on
     # [5, 10] (pumping less), 15 on [10, 40] (generating)
     [cuts] = tail_value_functions(_res(), [_unit()], [np.full((1, 1, 1), 30.0)], 10.0)
-    assert (cuts.x[0].tolist(), cuts.y[0].tolist(), cuts.slope[0].tolist()) == (
-        [5.0, 10.0], [-600.0, 0.0], [120.0, 15.0])
-    assert [cuts.slope_at(0, e) for e in (5.0, 7.0, 10.0, 10.0 + 1e-12, 25.0, 40.0)] == [
-        120.0, 120.0, 120.0, 120.0, 15.0, 15.0]
-    assert [cuts.value(0, e) for e in (5.0, 10.0, 40.0)] == [-600.0, 0.0, 450.0]
+    assert (cuts.start.tolist(), cuts.x.tolist(), cuts.y.tolist(), cuts.slope.tolist()) == (
+        [0, 2], [5.0, 10.0], [-600.0, 0.0], [120.0, 15.0])
+    assert [cuts.slopes_at(e).tolist() for e in (5.0, 7.0, 10.0, 10.0 + 1e-12, 25.0, 40.0)] == [
+        [120.0], [120.0], [120.0], [120.0], [15.0], [15.0]]
+    assert [cuts.values(e).tolist() for e in (5.0, 10.0, 40.0)] == [[-600.0], [0.0], [450.0]]
+
+
+@st.composite
+def cut_tables(draw):
+    """A ``TailCuts`` of 1-5 scenarios on a shared domain, with its
+    breakpoints.  Every scenario starts at ``lo`` and has 1-5 concave
+    pieces whose starts and slopes are whole or half numbers, so that
+    ties and zeros are common; a one-point domain gives each scenario
+    the single piece (lo, y, 0)."""
+    S = draw(st.integers(1, 5))
+    lo = draw(st.sampled_from([0.0, -3.5, 12.0, 1e6]))
+    point = draw(st.booleans())
+    halves = st.integers(-400, 400).map(lambda k: k / 2)
+    xs, ys, slopes = [], [], []
+    for _ in range(S):
+        y0 = draw(halves)
+        if point:
+            xs.append([lo]), ys.append([y0]), slopes.append([0.0])
+            continue
+        steps = draw(st.lists(st.integers(1, 40).map(lambda k: k / 2), min_size=0, max_size=4))
+        x = lo + np.cumsum([0.0, *steps])
+        b = np.sort(draw(st.lists(halves, min_size=x.size, max_size=x.size, unique=True)))[::-1]
+        y = y0 + np.concatenate([[0.0], np.cumsum(b[:-1] * np.diff(x))])
+        xs.append(x), ys.append(y), slopes.append(b)
+    hi = lo if point else max(lo + 1.0, max(x[-1] for x in xs) + draw(st.sampled_from([0.0, 2.5])))
+    start = np.concatenate([[0], np.cumsum([len(x) for x in xs])])
+    flat = [np.concatenate(v).astype(float) for v in (xs, ys, slopes)]
+    return psh_model.TailCuts(lo, hi, start, *flat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_tables(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+def test_table_readers_equal_the_per_scenario_reference(cuts, fractions):
+    # values and slopes_at read every scenario of the table at once; they
+    # equal the one-scenario arithmetic to the bit at the domain's ends,
+    # on each breakpoint, within 1e-9 relative of one and past it
+    S = cuts.start.size - 1
+    points = [cuts.lo, cuts.hi, *(cuts.lo + f * (cuts.hi - cuts.lo) for f in fractions)]
+    for x in cuts.x.tolist():
+        tol = 1e-9 * max(1.0, abs(x))
+        points += [x, x - 0.5 * tol, x + 0.5 * tol, x - 2.0 * tol, x + 2.0 * tol]
+    for e in points:
+        e = min(max(e, cuts.lo), cuts.hi)
+        values, slopes = cuts.values(e), cuts.slopes_at(e)
+        assert values.dtype == slopes.dtype == np.float64 and values.shape == slopes.shape == (S,)
+        assert values.tobytes() == np.array([cut_value(cuts, s, e) for s in range(S)]).tobytes(), e
+        assert slopes.tobytes() == np.array([cut_slope_at(cuts, s, e) for s in range(S)]).tobytes(), e
 
 
 def _pieces_by_loop(a, val, slopes, lens):
-    """The per-scenario pieces of ``_tail_pieces`` one scenario at a time:
-    positive lengths only, equal neighbouring slopes merged, and a
-    one-point domain as the single piece (a, val, 0)."""
+    """The table of ``_tail_pieces`` one scenario at a time: positive
+    lengths only, equal neighbouring slopes merged, and a one-point
+    domain as the single piece (a, val, 0); the scenarios' pieces are
+    then joined into (start, x, y, slope)."""
     before = lambda m: np.concatenate([np.zeros((len(m), 1)), np.cumsum(m[:, :-1], axis=1)], axis=1)
     x = a + before(lens)
     y = val[:, None] + before(slopes * lens)
@@ -416,12 +465,12 @@ def _pieces_by_loop(a, val, slopes, lens):
         xs.append(xk[keep])
         ys.append(yk[keep])
         bs.append(bk[keep])
-    return tuple(xs), tuple(ys), tuple(bs)
+    start = np.concatenate([[0], np.cumsum([b.size for b in bs])])
+    return start, np.concatenate(xs), np.concatenate(ys), np.concatenate(bs)
 
 
 def _same_pieces(got, expect):
-    return all(len(g) == len(e) and all(np.array_equal(gi, ei) and gi.dtype == ei.dtype for gi, ei in zip(g, e))
-               for g, e in zip(got, expect))
+    return len(got) == len(expect) and all(np.array_equal(g, e) and g.dtype == e.dtype for g, e in zip(got, expect))
 
 
 def test_tail_pieces_equal_the_loop_over_scenarios(monkeypatch):
