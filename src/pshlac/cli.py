@@ -128,15 +128,21 @@ def _load_day(cfg: RunConfig) -> MarketDay:
     return MarketDay(cfg.label, tuple(load_series), da, rt)
 
 
-def _read_inputs(cfg: RunConfig) -> tuple[PowerSystem, MarketDay, DaReference]:
-    """The run's system and day, checked, and the day-ahead plan the
-    system carries; a plan the system lacks names the system file."""
+def _read_checked(cfg: RunConfig) -> tuple[PowerSystem, MarketDay]:
+    """The run's system and day, checked against each other."""
     system = read_system_json(cfg.system)
     day = _load_day(cfg)
     violations = validate_system(system, day)
     if violations:
         lines = "\n  ".join(str(v) for v in violations)
         raise CliError(f"input validation failed:\n  {lines}")
+    return system, day
+
+
+def _read_inputs(cfg: RunConfig) -> tuple[PowerSystem, MarketDay, DaReference]:
+    """The run's system and day, checked, and the day-ahead plan the
+    system carries; a plan the system lacks names the system file."""
+    system, day = _read_checked(cfg)
     try:
         return system, day, da_reference_from_system(system)
     except ConfigurationError as exc:
@@ -180,8 +186,7 @@ def cmd_forecast(args) -> int:
     cfg = RunConfig.from_file(args.config)
     if cfg.history is None:
         raise CliError("config has no 'history' entry; forecasting needs training data")
-    system = read_system_json(cfg.system)
-    day = _load_day(cfg)
+    system, day = _read_checked(cfg)
     count = args.scenarios if args.scenarios is not None else cfg.scenarios
     seed = args.seed if args.seed is not None else cfg.seed
     history = read_history_csv(cfg.history)
@@ -231,7 +236,7 @@ def _holdout_diagnostics(history, fc_cfg: ForecastConfig, seed: int) -> dict:
         n_days = len(rt) // H
         k = max(fc_cfg.min_train_days, int(n_days * 0.8))
         if k >= n_days:
-            return {node: {"ks_stat": float("nan"), "ks_pvalue": float("nan"),
+            return {node: {"ks_stat": float("nan"), "ks_pvalue": float("nan"), "n_pits": 0,
                            "coverage_90": float("nan"), "n_days": 0}
                     for node in history}
         split[node] = (rt[: k * H], da[: k * H])

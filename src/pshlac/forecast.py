@@ -326,33 +326,81 @@ class QuantileCurve:
         return float(w) if w.ndim == 0 else w
 
 
+_BINS = 4096  # a power of two, so that w * _BINS is exact
+
+
 class _LevelGroup:
     """The curves of a :class:`QuantileTable` that share one level grid,
     stacked: their positions in the table, the grid, the value table and
-    each curve's segment slopes, tail cap and edge slopes."""
+    each curve's segment start values and slopes (flat, curve by curve),
+    tail cap and edge slopes.
+
+    The quantile map finds each level's segment by a bin lookup, not a
+    binary search.  ``k = floor(w * M)`` is exact for the power of two
+    ``M = _BINS``, so ``k / M <= w < (k + 1) / M``.  ``first[k]`` is the
+    segment of ``k / M``, and each of ``steps`` compare-and-step passes
+    moves ``w`` on to the next segment where that segment starts at or
+    below ``w``.  ``steps`` is the most segments one bin spans: 1 for
+    ``DEFAULT_LEVELS``, more for a grid spaced finer than ``1 / M``.
+    Bin 0 (``w < 1 / M``, clamped) starts at the first segment and bin M
+    (``w >= 1``, clamped) counts the levels above 1 in ``steps``, so the
+    lookup is ``searchsorted(levels, w, "right") - 1``, clipped to the
+    segments, for any strictly increasing grid and any ``w`` but NaN,
+    whose map is NaN on any segment.
+    """
 
     def __init__(self, positions: Sequence[int], curves: Sequence[QuantileCurve]):
         self.positions = np.asarray(positions, dtype=np.intp)
-        self.levels = np.asarray(curves[0].levels, dtype=float)
+        L = self.levels = np.asarray(curves[0].levels, dtype=float)
         self.values = np.array([c.values for c in curves], dtype=float)
         # np.interp's own slopes: (y[j+1] - y[j]) / (x[j+1] - x[j])
-        self.slopes = np.diff(self.values, axis=1) / np.diff(self.levels)
+        slopes = np.diff(self.values, axis=1) / np.diff(L)
         self.cap, self.lo_slope, self.hi_slope = np.array([c._tails for c in curves]).T
+        # segment j of curve k at flat index k * (len(L) - 1) + j
+        self.offsets = np.arange(len(curves)) * slopes.shape[1]
+        self.starts = self.values[:, :-1].ravel()
+        self.slopes = slopes.ravel()
+        last = len(L) - 2
+        counts = np.searchsorted(L, np.arange(_BINS + 1) / _BINS, side="right")
+        counts[0] = 0
+        self.first = np.clip(counts - 1, 0, last)
+        self.steps = int(np.max(np.diff(self.first, append=last)))
+        # the level that ends each segment; no w passes the NaN after the last
+        self.ends = np.append(L[1:-1], np.nan)
 
     def quantile(self, w: np.ndarray) -> np.ndarray:
         """Map ``w`` (..., n), column k through curve k, as
         :meth:`QuantileCurve.quantile` documents."""
-        L, V = self.levels, self.values
+        L = self.levels
         n = w.shape[-1]
-        rows = np.arange(n)
+        # fmax and fmin clamp the bin to [0, M] and send NaN to bin 0
+        k = np.fmin(np.fmax(w * _BINS, 0.0), float(_BINS)).astype(np.intp)
+        j = self.first.take(k)
+        for _ in range(self.steps):
+            j += self.ends.take(j) <= w
         # np.interp's arithmetic: the segment with L[j] <= w < L[j + 1],
-        # its start value exactly on a level, else slope * (w - x0) + y0
-        j = np.clip(np.searchsorted(L, w, side="right") - 1, 0, len(L) - 2)
-        x0 = L[j]
-        y0 = V[rows, j]
-        q = np.where(w == x0, y0, self.slopes[rows, j] * (w - x0) + y0)
-        q = np.where(w <= L[0], V[:n, 0] - np.minimum(self.lo_slope[:n] * (L[0] - w), self.cap[:n]), q)
-        return np.where(w >= L[-1], V[:n, -1] + np.minimum(self.hi_slope[:n] * (w - L[-1]), self.cap[:n]), q)
+        # its start value exactly on a level, else slope * (w - x0) + y0.
+        # Off the grid the tails overwrite it, and 0 * inf may make a NaN
+        x0 = L.take(j)
+        i = j + self.offsets[:n]
+        y0 = self.starts.take(i)
+        with np.errstate(invalid="ignore"):
+            q = w - x0
+            q *= self.slopes.take(i)
+            q += y0
+            np.copyto(q, y0, where=w == x0)
+            # the capped tails, written only at the flat indices off the grid
+            at = np.flatnonzero(w <= L[0])
+            if at.size:
+                col = at % n
+                np.put(q, at, self.values[:, 0].take(col)
+                       - np.minimum(self.lo_slope.take(col) * (L[0] - w.take(at)), self.cap.take(col)))
+            at = np.flatnonzero(w >= L[-1])
+            if at.size:
+                col = at % n
+                np.put(q, at, self.values[:, -1].take(col)
+                       + np.minimum(self.hi_slope.take(col) * (w.take(at) - L[-1]), self.cap.take(col)))
+        return q
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         """Map ``x`` (..., n), column k through the inverse of curve k,
@@ -382,10 +430,11 @@ class QuantileTable:
     once so that levels (:meth:`quantile`) or values (:meth:`cdf`) for
     many hours map in one call.
 
-    Curves are grouped by level grid; within a group, one
-    ``searchsorted`` on the shared levels finds every segment of the
-    quantile map, and one comparison with the value table every segment
-    of the CDF.  :meth:`QuantileCurve.quantile` and
+    Curves are grouped by level grid; within a group, a bin lookup on the
+    shared levels finds every segment of the quantile map (see
+    :class:`_LevelGroup`), and one comparison with the value table every
+    segment of the CDF.  A table of one grid maps the whole array in one
+    call.  :meth:`QuantileCurve.quantile` and
     :meth:`QuantileCurve.cdf` are these maps on a table of one curve.
     """
 
@@ -404,6 +453,8 @@ class QuantileTable:
         H = a.shape[-1]
         if H > self.size:
             raise ValueError(f"{H} columns for {self.size} curves")
+        if len(self._groups) == 1:  # one grid: column k is already curve k's
+            return fn(self._groups[0], a)
         out = np.empty_like(a)
         for g in self._groups:
             pos = g.positions[: np.searchsorted(g.positions, H)]
@@ -753,8 +804,8 @@ class ForecastPipeline:
                 scn = generate_scenarios(
                     {node: fc}, {node: nm.table}, nm.tracker, count, (seed, k), start_hour=1
                 )
-                lo = np.quantile(scn.prices[:, 0, :], 0.05, axis=0)
-                hi = np.quantile(scn.prices[:, 0, :], 0.95, axis=0)
+                # both envelope edges from one partition of the trajectories
+                lo, hi = np.quantile(scn.prices[:, 0, :], (0.05, 0.95), axis=0)
                 inside += int(np.sum((day_rt >= lo) & (day_rt <= hi)))
                 total += cfg.horizon
             ks = kstest(pits, "uniform")

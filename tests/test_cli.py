@@ -19,6 +19,7 @@ from pshlac.cli import (
     main,
 )
 from pshlac.core import PriceScenarioSet, read_system_json, write_scenario_csv
+from pshlac.forecast import ForecastConfig
 from pshlac.lac_models import Variant
 from pshlac.milp import BRANCH_AND_BOUND, OPTIMAL, SolveOptions, _highs_lp, milp, solve
 from pshlac.rolling import SimulationLedger, WindowInfeasibleError
@@ -181,6 +182,45 @@ def test_a_load_that_is_not_a_number_is_named_with_its_line(bundle, tmp_path, ca
     assert main(["simulate", "--config", str(copy / "run.json"), "--out", str(tmp_path / "runs"),
                  "--variant", "current_practice"]) == 1
     assert capsys.readouterr().err == f"error: {path}: line {lineno}: 'nan' is not a finite number\n"
+
+
+def test_forecast_checks_its_inputs_as_simulate_does(bundle, tmp_path, capsys):
+    # forecast used to fit and write scenario files for a system that
+    # simulate refuses
+    copy = tmp_path / "bundle"
+    shutil.copytree(bundle, copy)
+    path = copy / "system.json"
+    doc = json.loads(path.read_text())
+    upper = next(r for r in doc["reservoirs"] if r["id"] == "upper")
+    upper["e_initial"] = 2.0 * upper["e_max"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    errors = {}
+    for command, where in (("simulate", "runs"), ("forecast", "fc")):
+        assert main([command, "--config", str(copy / "run.json"), "--out", str(tmp_path / where)]) == 1
+        errors[command] = capsys.readouterr().err
+    assert errors["forecast"] == errors["simulate"]
+    assert errors["forecast"].startswith("error: input validation failed:\n")
+    assert "upper" in errors["forecast"] and "e_initial" in errors["forecast"]
+    assert not (tmp_path / "fc").exists()
+
+
+def _ar_history(n_days, H=8, seed=0):
+    rng = np.random.default_rng(seed)
+    da = np.tile(20.0 + 5.0 * np.sin(np.arange(H) / H * 2 * np.pi), n_days)
+    rt = da + np.convolve(rng.normal(0.0, 1.5, n_days * H), [1.0, 0.6, 0.36])[: n_days * H]
+    return {"bus": (rt, da)}
+
+
+def test_holdout_records_have_one_key_set():
+    # a history too short to hold days out used to write its records
+    # without n_pits
+    fc_cfg = ForecastConfig(horizon=8, min_train_days=52)
+    short = cli._holdout_diagnostics(_ar_history(52), fc_cfg, seed=0)
+    scored = cli._holdout_diagnostics(_ar_history(66), fc_cfg, seed=0)
+    assert short["bus"]["n_days"] == 0 and short["bus"]["n_pits"] == 0
+    assert scored["bus"]["n_days"] == 14 and scored["bus"]["n_pits"] == 14
+    assert sorted(short["bus"]) == sorted(scored["bus"])
 
 
 def test_parser_requires_a_command(capsys):

@@ -1,10 +1,11 @@
 import hashlib
 import math
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pshlac.forecast import (
@@ -463,6 +464,59 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def _same_floats(a, b):
+    """Equal to the bit, any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(_bits(a[~nan]), _bits(b[~nan]))
+
+
+@st.composite
+def _grid_curves(draw):
+    # a strictly increasing grid in (0, 1) of 2-40 levels whose gaps may
+    # lie below the bin width 1/4096, and two curves on it whose values
+    # climb in steps that may be 0, so that flat stretches appear inside
+    # and at the edges, and whose zeros may be -0.0
+    gap = st.one_of(st.floats(1e-9, 2e-4), st.floats(2e-4, 0.02))
+    gaps = draw(st.lists(gap, min_size=1, max_size=39))
+    levels = draw(st.floats(1e-6, 0.2)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    assume(np.all(np.diff(levels) > 0))
+    step = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 100.0))
+    curves = []
+    for _ in range(2):
+        rise = draw(st.lists(step, min_size=len(gaps), max_size=len(gaps)))
+        start = draw(st.one_of(st.sampled_from([-2.0, -1.0]), st.floats(-100.0, 100.0)))
+        values = start + np.concatenate([[0.0], np.cumsum(rise)])
+        values[values == 0.0] = draw(st.sampled_from([0.0, -0.0]))
+        curves.append(QuantileCurve(tuple(levels.tolist()), tuple(values.tolist())))
+    return curves
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_curves(), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_quantile_map_is_the_scalar_branches_to_the_bit(curves, drawn):
+    # the bin lookup finds the segment that a binary search finds, on any
+    # grid: every level, the floats either side of it, the unit interval's
+    # ends and the values beyond it map as the scalar branches map them,
+    # also on a grid that reaches past 0 and 1
+    L = np.array(curves[0].levels)
+    w = np.concatenate([L, np.nextafter(L, -np.inf), np.nextafter(L, np.inf), drawn,
+                        [np.nan, np.inf, -np.inf, -0.5, -0.3, -1e-300, 0.0, 1.0, 1.0 + 1e-12, 1.3, 1.5]])
+    other = QuantileCurve((-0.4, -0.2, 0.5, 1.1, 1.2, 1.4), (-3.0, 0.0, 0.0, 4.0, 5.0, 9.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        one_grid = QuantileTable(curves).quantile(np.column_stack([w, w]))
+        two_grids = QuantileTable([curves[0], other, curves[1]]).quantile(np.column_stack([w, w, w]))
+        single = [c.quantile(w) for c in curves]
+    for k, c in enumerate(curves):
+        want = [quantile_by_branches(c.levels, c.values, x, TAIL_IQR_CAP) for x in w.tolist()]
+        assert _same_floats(one_grid[:, k], want)
+        assert _same_floats(single[k], want)
+    assert _same_floats(two_grids[:, [0, 2]], one_grid)
+    assert _same_floats(two_grids[:, 1], [quantile_by_branches(other.levels, other.values, x, TAIL_IQR_CAP)
+                                          for x in w.tolist()])
+
+
 def test_stacked_cdf_equals_the_scalar_branches():
     curves = _mixed_grid_curves()
     table = QuantileTable(curves)
@@ -656,3 +710,33 @@ def test_seed_11_sets_keep_their_digest():
         h.update(pipe.scenario_set(t0, rt, da, H, 200, 11).prices.tobytes())
         digests[t0] = h.hexdigest()[:16]
     assert digests == {0: "43fd9dc6e55ecc57", 9: "db385eb3df9cd9ff", 20: "27fa5f29549c6723"}
+
+
+def _seed_11_probe():
+    # the holdout probe of the seed-11 study: fitted on days 0-71 of a
+    # 100-day history and scored on days 72-89
+    H = 24
+    history = make_history(SynthConfig(seed=11, history_days=100))
+    pipe = ForecastPipeline(ForecastConfig()).fit({n: (rt[:72 * H], da[:72 * H]) for n, (rt, da) in history.items()})
+    return pipe, {n: (rt[72 * H:90 * H], da[72 * H:90 * H]) for n, (rt, da) in history.items()}
+
+
+def test_envelope_edges_come_from_one_partition():
+    # one np.quantile call for both edges of the 90% envelope gives the
+    # two single-level calls' edges to the bit, so every holdout score
+    # stays what it was: on 432 hours, the inside counts pinned here
+    pipe, test = _seed_11_probe()
+    rt, da = test["bus"]
+    for k in range(18):
+        day = slice(24 * k, 24 * (k + 1))
+        prices = pipe.scenario_set(0, {"bus": rt[day]}, {"bus": da[day]}, 24, 200, k).prices[:, 0, :]
+        lo, hi = np.quantile(prices, (0.05, 0.95), axis=0)
+        assert np.array_equal(_bits(lo), _bits(np.quantile(prices, 0.05, axis=0)))
+        assert np.array_equal(_bits(hi), _bits(np.quantile(prices, 0.95, axis=0)))
+    inside = []
+    for seed in range(10):
+        d = pipe.diagnostics(test, count=200, seed=seed)["bus"]
+        assert (d["n_days"], d["n_pits"]) == (18, 18)
+        assert d["coverage_90"] == round(d["coverage_90"] * 432) / 432
+        inside.append(round(d["coverage_90"] * 432))
+    assert inside == [399, 398, 398, 401, 398, 395, 397, 395, 398, 400]
