@@ -33,6 +33,7 @@ from .core import (
     read_scenario_csv,
     read_series_csv,
     read_system_json,
+    json_mismatch,
     validate_system,
     write_scenario_csv,
     write_weights_csv,
@@ -89,13 +90,19 @@ class RunConfig:
             raise CliError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise CliError(f"config {path} is not valid JSON: {exc}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
+        if not isinstance(raw, dict):
+            raise CliError(f"config {path} is {raw!r}, not a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(raw) - set(types))
         if unknown:
             raise CliError(f"config {path} has unknown keys: {', '.join(unknown)}")
         missing = [k for k in ("system", "load", "da_lmp", "rt_lmp") if k not in raw]
         if missing:
             raise CliError(f"config {path} is missing required keys: {', '.join(missing)}")
+        for key, value in raw.items():
+            mismatch = json_mismatch(value, types[key])
+            if mismatch is not None:
+                raise CliError(f"config {path} field {key!r} {mismatch}")
         cfg = cls(**raw)
         base = os.path.dirname(os.path.abspath(path))
         for key in ("system", "load", "da_lmp", "rt_lmp", "history"):
@@ -325,6 +332,7 @@ def cmd_simulate(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, not {args.jobs}")
     cfg = RunConfig.from_file(args.config)
+    control = cfg.run_control()
     variants = _parse_variants(args.variant, cfg)
     system, day, da = _read_inputs(cfg)
 
@@ -343,8 +351,6 @@ def cmd_simulate(args) -> int:
     outdir = os.path.join(args.out, label)
     os.makedirs(outdir, exist_ok=True)
     shutil.copy(args.config, os.path.join(outdir, "run_config.json"))
-
-    control = cfg.run_control()
 
     # a rolled day is mostly Python, which threads cannot overlap, so the
     # variants go to processes; one worker runs them here and forks none

@@ -367,7 +367,7 @@ _JSON_SCALARS = {
 }
 
 
-def _json_mismatch(value, annotation: str) -> str | None:
+def json_mismatch(value, annotation: str) -> str | None:
     """How ``value`` fails the field annotation ``annotation`` (a scalar,
     or ``tuple[X, ...]`` for a list, either ``| None``), or None where it
     fits.  A record is left to its own :func:`_record`."""
@@ -380,7 +380,7 @@ def _json_mismatch(value, annotation: str) -> str | None:
             return f"is {value!r}, not a list"
         item = annotation.removeprefix("tuple[").removesuffix(", ...]")
         for i, v in enumerate(value):
-            mismatch = _json_mismatch(v, item)
+            mismatch = json_mismatch(v, item)
             if mismatch is not None:
                 return f"item {i} {mismatch}"
     if annotation in _JSON_SCALARS:
@@ -401,7 +401,7 @@ def _record(cls, rec: Mapping, name: str, **convert):
     for f in fields(cls):
         if f.name in rec:
             value = rec[f.name]
-            mismatch = _json_mismatch(value, f.type)
+            mismatch = json_mismatch(value, f.type)
             if mismatch is not None:
                 raise ValueError(f"{name} field {f.name!r} {mismatch}")
             args[f.name] = convert[f.name](value) if f.name in convert else value

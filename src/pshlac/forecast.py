@@ -12,7 +12,6 @@ together for the rolling simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -270,16 +269,16 @@ def _diff_future(exog_history: np.ndarray | None, exog_future: np.ndarray, d: in
 
 
 # ---------------------------------------------------------------------------
-# quantile curves and the PIT
+# quantile curves
 
 
 @dataclass(frozen=True)
 class QuantileCurve:
     """Piecewise-linear quantile function on a fixed level grid.
 
-    ``values`` are non-decreasing by construction.  Beyond the outermost
-    levels the curve extends linearly with the outer segment's slope,
-    but never further than ``TAIL_IQR_CAP`` interquartile ranges.
+    ``values`` are non-decreasing by construction.  A
+    :class:`QuantileTable` of curves on one grid maps levels through
+    them and back.
     """
 
     levels: tuple[float, ...]
@@ -290,72 +289,44 @@ class QuantileCurve:
         V = np.asarray(self.values)
         return float(np.interp(0.75, L, V) - np.interp(0.25, L, V))
 
-    @cached_property
-    def _tails(self) -> tuple[float, float, float]:
-        """The tail cap and the lower and upper edge slopes, once per curve."""
-        L = self.levels
-        V = self.values
-        lo_slope = (V[1] - V[0]) / (L[1] - L[0])
-        hi_slope = (V[-1] - V[-2]) / (L[-1] - L[-2])
-        return TAIL_IQR_CAP * self.iqr(), lo_slope, hi_slope
-
-    @cached_property
-    def _table(self) -> "QuantileTable":
-        return QuantileTable((self,))
-
-    def quantile(self, w: float | np.ndarray) -> float | np.ndarray:
-        """Inverse of the curve at level(s) ``w``, scalar or array.
-
-        An array is mapped element by element in one pass; a scalar
-        level gives a ``float``.
-        """
-        w = np.asarray(w, dtype=float)
-        q = self._table.quantile(w[..., None])[..., 0]
-        return float(q) if q.ndim == 0 else q
-
-    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """The curve's level at value(s) ``x``, scalar or array.
-
-        Between values the level interpolates linearly; a value hit
-        exactly, possibly on a flat stretch, gets the middle of the
-        levels that reach it.  Beyond the outer values the edge slopes
-        extend the levels, clamped to [0, 1]; a flat edge jumps there.
-        """
-        x = np.asarray(x, dtype=float)
-        w = self._table.cdf(x[..., None])[..., 0]
-        return float(w) if w.ndim == 0 else w
-
 
 _BINS = 4096  # a power of two, so that w * _BINS is exact
 
 
-class _LevelGroup:
-    """The curves of a :class:`QuantileTable` that share one level grid,
-    stacked: their positions in the table, the grid, the value table and
-    each curve's segment start values and slopes (flat, curve by curve),
-    tail cap and edge slopes.
+class QuantileTable:
+    """Quantile curves on one level grid, one per look-ahead hour,
+    stacked once so that levels (:meth:`quantile`) or values
+    (:meth:`cdf`) for many hours map in one call; column k of an array
+    maps through curve k.  Curves on different grids raise ValueError:
+    :func:`fit_quantiles` puts all of a node's curves on one.
 
-    The quantile map finds each level's segment by a bin lookup, not a
-    binary search.  ``k = floor(w * M)`` is exact for the power of two
-    ``M = _BINS``, so ``k / M <= w < (k + 1) / M``.  ``first[k]`` is the
-    segment of ``k / M``, and each of ``steps`` compare-and-step passes
-    moves ``w`` on to the next segment where that segment starts at or
-    below ``w``.  ``steps`` is the most segments one bin spans: 1 for
-    ``DEFAULT_LEVELS``, more for a grid spaced finer than ``1 / M``.
-    Bin 0 (``w < 1 / M``, clamped) starts at the first segment and bin M
-    (``w >= 1``, clamped) counts the levels above 1 in ``steps``, so the
-    lookup is ``searchsorted(levels, w, "right") - 1``, clipped to the
-    segments, for any strictly increasing grid and any ``w`` but NaN,
-    whose map is NaN on any segment.
+    The table holds the grid, the value table and each curve's segment
+    start values and slopes (flat, curve by curve), tail cap and edge
+    slopes.  The quantile map finds each level's segment by a bin
+    lookup, not a binary search.  ``k = floor(w * M)`` is exact for the
+    power of two ``M = _BINS``, so ``k / M <= w < (k + 1) / M``.
+    ``first[k]`` is the segment of ``k / M``, and each of ``steps``
+    compare-and-step passes moves ``w`` on to the next segment where
+    that segment starts at or below ``w``.  ``steps`` is the most
+    segments one bin spans: 1 for ``DEFAULT_LEVELS``, more for a grid
+    spaced finer than ``1 / M``.  Bin 0 (``w < 1 / M``, clamped) starts
+    at the first segment and bin M (``w >= 1``, clamped) counts the
+    levels above 1 in ``steps``, so the lookup is
+    ``searchsorted(levels, w, "right") - 1``, clipped to the segments,
+    for any strictly increasing grid and any ``w`` but NaN, whose map is
+    NaN on any segment.
     """
 
-    def __init__(self, positions: Sequence[int], curves: Sequence[QuantileCurve]):
-        self.positions = np.asarray(positions, dtype=np.intp)
+    def __init__(self, curves: Sequence[QuantileCurve]):
+        grids = {c.levels for c in curves}
+        if len(grids) != 1:
+            raise ValueError(f"curves on {len(grids)} level grids; a table takes one")
         L = self.levels = np.asarray(curves[0].levels, dtype=float)
         self.values = np.array([c.values for c in curves], dtype=float)
         # np.interp's own slopes: (y[j+1] - y[j]) / (x[j+1] - x[j])
         slopes = np.diff(self.values, axis=1) / np.diff(L)
-        self.cap, self.lo_slope, self.hi_slope = np.array([c._tails for c in curves]).T
+        self.lo_slope, self.hi_slope = slopes[:, 0], slopes[:, -1]
+        self.cap = TAIL_IQR_CAP * np.array([c.iqr() for c in curves])
         # segment j of curve k at flat index k * (len(L) - 1) + j
         self.offsets = np.arange(len(curves)) * slopes.shape[1]
         self.starts = self.values[:, :-1].ravel()
@@ -368,11 +339,26 @@ class _LevelGroup:
         # the level that ends each segment; no w passes the NaN after the last
         self.ends = np.append(L[1:-1], np.nan)
 
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def _width(self, a: np.ndarray) -> int:
+        """The columns of ``a`` (..., H): H, at most the table's length."""
+        H = a.shape[-1]
+        if H > len(self):
+            raise ValueError(f"{H} columns for {len(self)} curves")
+        return H
+
     def quantile(self, w: np.ndarray) -> np.ndarray:
-        """Map ``w`` (..., n), column k through curve k, as
-        :meth:`QuantileCurve.quantile` documents."""
+        """Map levels ``w`` (..., H) through the curves.
+
+        Between the outer levels the map interpolates linearly, with
+        ``np.interp``'s arithmetic.  Beyond them it extends with the edge
+        segment's slope, but never further than ``TAIL_IQR_CAP``
+        interquartile ranges.
+        """
         L = self.levels
-        n = w.shape[-1]
+        n = self._width(w)
         # fmax and fmin clamp the bin to [0, M] and send NaN to bin 0
         k = np.fmin(np.fmax(w * _BINS, 0.0), float(_BINS)).astype(np.intp)
         j = self.first.take(k)
@@ -403,10 +389,15 @@ class _LevelGroup:
         return q
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        """Map ``x`` (..., n), column k through the inverse of curve k,
-        as :meth:`QuantileCurve.cdf` documents."""
+        """Map values ``x`` (..., H) through the inverses of the curves.
+
+        Between values the level interpolates linearly; a value hit
+        exactly, possibly on a flat stretch, gets the middle of the
+        levels that reach it.  Beyond the outer values the edge slopes
+        extend the levels, clamped to [0, 1]; a flat edge jumps there.
+        """
         L = self.levels
-        n = x.shape[-1]
+        n = self._width(x)
         V = self.values[:n]
         rows = np.arange(n)
         # searchsorted on each curve's non-decreasing values, left and right
@@ -423,54 +414,6 @@ class _LevelGroup:
             below = np.where(lo_slope <= 0, 0.0, np.maximum(L[0] - (V[:, 0] - x) / lo_slope, 0.0))
         w = np.where(x > V[:, -1], above, w)
         return np.where(x < V[:, 0], below, w)
-
-
-class QuantileTable:
-    """A sequence of quantile curves, one per look-ahead hour, stacked
-    once so that levels (:meth:`quantile`) or values (:meth:`cdf`) for
-    many hours map in one call.
-
-    Curves are grouped by level grid; within a group, a bin lookup on the
-    shared levels finds every segment of the quantile map (see
-    :class:`_LevelGroup`), and one comparison with the value table every
-    segment of the CDF.  A table of one grid maps the whole array in one
-    call.  :meth:`QuantileCurve.quantile` and
-    :meth:`QuantileCurve.cdf` are these maps on a table of one curve.
-    """
-
-    def __init__(self, curves: Sequence[QuantileCurve]):
-        self.size = len(curves)
-        by_grid: dict[tuple[float, ...], list[int]] = {}
-        for k, c in enumerate(curves):
-            by_grid.setdefault(c.levels, []).append(k)
-        self._groups = tuple(_LevelGroup(ks, [curves[k] for k in ks]) for ks in by_grid.values())
-
-    def __len__(self) -> int:
-        return self.size
-
-    def _by_group(self, fn, a: np.ndarray) -> np.ndarray:
-        """``fn`` of each level group on its columns of ``a`` (..., H)."""
-        H = a.shape[-1]
-        if H > self.size:
-            raise ValueError(f"{H} columns for {self.size} curves")
-        if len(self._groups) == 1:  # one grid: column k is already curve k's
-            return fn(self._groups[0], a)
-        out = np.empty_like(a)
-        for g in self._groups:
-            pos = g.positions[: np.searchsorted(g.positions, H)]
-            if pos.size:
-                out[..., pos] = fn(g, a[..., pos])
-        return out
-
-    def quantile(self, w: np.ndarray) -> np.ndarray:
-        """Map levels ``w`` of shape (..., H), H at most the table's
-        length, column k through curve k."""
-        return self._by_group(_LevelGroup.quantile, w)
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        """Map values ``x`` of shape (..., H), H at most the table's
-        length, column k through the inverse of curve k."""
-        return self._by_group(_LevelGroup.cdf, x)
 
 
 def fit_quantiles(
@@ -503,11 +446,6 @@ def fit_quantiles(
         vals = np.sort(x[np.clip(ranks, 0, n - 1)])  # rearrangement repair
         curves.append(QuantileCurve(tuple(lv), tuple(vals)))
     return curves
-
-
-def pit_transform(observation: float, curve: QuantileCurve, eps: float = PIT_EPS) -> float:
-    """w = F(observation) clamped away from 0 and 1 for the inverse normal CDF."""
-    return float(np.clip(curve.cdf(observation), eps, 1.0 - eps))
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +532,8 @@ def generate_scenarios(
     than the tracker) and the normal CDF in one call.  Then the levels
     of all scenarios and hours go through the hours' inverse PITs in one
     :class:`QuantileTable` call and are shifted by the point forecast.
-    A node's curves may come as a table, built once; hour h uses the
-    node's curve h.
+    A node's curves share one level grid and may come as a table, built
+    once; hour h uses the node's curve h.
     """
     if count < 1:
         raise ValueError("need at least one scenario")
@@ -789,9 +727,8 @@ class ForecastPipeline:
             rt = np.asarray(rt_raw, dtype=float)
             da = np.asarray(da_raw, dtype=float)
             n_days = len(rt) // cfg.horizon
-            pits: list[float] = []
+            first = np.empty(n_days)  # each day's first-lead residual
             inside = 0
-            total = 0
             for k in range(n_days):
                 o = k * cfg.horizon
                 day_rt = rt[o : o + cfg.horizon]
@@ -799,21 +736,21 @@ class ForecastPipeline:
                 hist = _recent(nm.rt, rt[:o], keep)
                 ehist = _recent(nm.da, da[:o], keep)
                 fc = predict_point(nm.spec, hist, exog_future=day_da[:, None], exog_history=ehist[:, None])
-                resid = day_rt - fc
-                pits.append(pit_transform(resid[0], nm.curves[0]))
+                first[k] = day_rt[0] - fc[0]
                 scn = generate_scenarios(
                     {node: fc}, {node: nm.table}, nm.tracker, count, (seed, k), start_hour=1
                 )
                 # both envelope edges from one partition of the trajectories
                 lo, hi = np.quantile(scn.prices[:, 0, :], (0.05, 0.95), axis=0)
                 inside += int(np.sum((day_rt >= lo) & (day_rt <= hi)))
-                total += cfg.horizon
+            # every day's PIT in one call, clipped as in fit
+            pits = np.clip(nm.table.cdf(first[:, None]), PIT_EPS, 1.0 - PIT_EPS)[:, 0]
             ks = kstest(pits, "uniform")
             out[node] = {
                 "ks_stat": float(ks.statistic),
                 "ks_pvalue": float(ks.pvalue),
                 "n_pits": len(pits),
-                "coverage_90": inside / total if total else float("nan"),
+                "coverage_90": inside / (n_days * cfg.horizon) if n_days else float("nan"),
                 "n_days": n_days,
             }
         return out

@@ -120,6 +120,10 @@ class ModelConfig:
     end_soc: str = "fix"  # "fix" -> equality at the day end, "relax" -> lower bound
     time_preference: float = 1e-5  # $/MWh/h ramp breaking price ties in the post-window range
 
+    def __post_init__(self) -> None:
+        if self.end_soc not in ("fix", "relax"):
+            raise ConfigurationError(f"end_soc is {self.end_soc!r}, not 'fix' or 'relax'")
+
 
 @dataclass(frozen=True)
 class DaReference:

@@ -56,12 +56,36 @@ def test_config_error_catalog(tmp_path):
     broken.write_text("{not json")
     with pytest.raises(CliError, match="not valid JSON"):
         RunConfig.from_file(str(broken))
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1]")
+    with pytest.raises(CliError, match=r"is \[1\], not a JSON object"):
+        RunConfig.from_file(str(listed))
     with pytest.raises(CliError, match="unknown keys: frobnicate"):
         RunConfig.from_file(str(_write_config(tmp_path, "u.json", frobnicate=1)))
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"system": "s.json", "load": "l.csv"}))
     with pytest.raises(CliError, match="missing required keys: da_lmp, rt_lmp"):
         RunConfig.from_file(str(partial))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("time_limit", None, "is None, not a number"),
+    ("voll", "3500", "is '3500', not a number"),
+    ("seed", 1.5, "is 1.5, not an integer"),
+    ("scenarios", True, "is True, not an integer"),
+    ("history", 7, "is 7, not a string"),
+    ("end_soc", ["fix"], "is ['fix'], not a string"),
+])
+def test_a_config_value_of_the_wrong_json_type_is_named(key, value, message, tmp_path, capsys):
+    # a number field may hold an integer, and an optional field null
+    ok = RunConfig.from_file(str(_write_config(tmp_path, "ok.json", voll=3500, history=None)))
+    assert (ok.voll, ok.history) == (3500, None)
+    path = _write_config(tmp_path, **{key: value})
+    with pytest.raises(CliError) as err:
+        RunConfig.from_file(str(path))
+    assert str(err.value) == f"config {path} field {key!r} {message}"
+    assert main(["report", "--config", str(path), "--run-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: config {path} field {key!r} {message}\n"
 
 
 def test_model_config_carries_the_knobs(tmp_path):
@@ -203,6 +227,14 @@ def test_forecast_checks_its_inputs_as_simulate_does(bundle, tmp_path, capsys):
     assert errors["forecast"].startswith("error: input validation failed:\n")
     assert "upper" in errors["forecast"] and "e_initial" in errors["forecast"]
     assert not (tmp_path / "fc").exists()
+
+
+def test_simulate_refuses_an_unknown_end_soc(bundle, tmp_path, capsys):
+    # "relaxed" used to run as "fix", since the models test == "relax" only
+    capsys.readouterr()
+    assert _simulate(bundle, tmp_path, "current_practice", end_soc="relaxed") == 1
+    assert capsys.readouterr().err == "error: end_soc is 'relaxed', not 'fix' or 'relax'\n"
+    assert not (tmp_path / "fail").exists()
 
 
 def _ar_history(n_days, H=8, seed=0):

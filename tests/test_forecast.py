@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstest
 
 from pshlac.forecast import (
     DEFAULT_LEVELS,
@@ -24,7 +25,6 @@ from pshlac.forecast import (
     fit_arimax,
     fit_quantiles,
     generate_scenarios,
-    pit_transform,
     point_scenario_set,
     predict_point,
     update_covariance,
@@ -204,39 +204,53 @@ def _line_curve():
     return QuantileCurve(DEFAULT_LEVELS, tuple(10.0 * a for a in DEFAULT_LEVELS))
 
 
+def _quantile(curve, w):
+    """Levels ``w`` through ``curve`` on a table of its own."""
+    return QuantileTable([curve]).quantile(np.asarray(w, dtype=float)[..., None])[..., 0]
+
+
+def _cdf(curve, x):
+    """Values ``x`` through the inverse of ``curve`` on a table of its own."""
+    return QuantileTable([curve]).cdf(np.asarray(x, dtype=float)[..., None])[..., 0]
+
+
 def test_curve_interpolation_and_tails():
     c = _line_curve()
-    assert c.quantile(0.5) == pytest.approx(5.0, abs=1e-12)
-    assert c.quantile(0.3) == pytest.approx(3.0, abs=1e-12)
     assert c.iqr() == pytest.approx(5.0, abs=1e-12)
     # linear extension below 0.05 and above 0.95 with the edge slope 10
-    assert c.quantile(0.01) == pytest.approx(0.5 - 0.4, abs=1e-12)
-    assert c.quantile(0.99) == pytest.approx(9.5 + 0.4, abs=1e-12)
+    assert _quantile(c, [0.5, 0.3, 0.01, 0.99]) == pytest.approx([5.0, 3.0, 0.5 - 0.4, 9.5 + 0.4], abs=1e-12)
 
 
 def test_steep_tails_are_capped_by_the_iqr():
     # edge slope 5000 but iqr 1, so the extension hits the cap immediately
     c = QuantileCurve((0.05, 0.25, 0.75, 0.95), (-1000.0, 0.0, 1.0, 1001.0))
     assert c.iqr() == pytest.approx(1.0, abs=1e-12)
-    assert c.quantile(1e-12) == pytest.approx(-1000.0 - TAIL_IQR_CAP, abs=1e-9)
-    assert c.quantile(1.0 - 1e-12) == pytest.approx(1001.0 + TAIL_IQR_CAP, abs=1e-9)
+    assert _quantile(c, [1e-12, 1.0 - 1e-12]) == pytest.approx([-1000.0 - TAIL_IQR_CAP, 1001.0 + TAIL_IQR_CAP],
+                                                              abs=1e-9)
 
 
 def test_curve_cdf_inverts_and_handles_flats():
     c = _line_curve()
-    assert c.cdf(5.0) == pytest.approx(0.5, abs=1e-12)
-    assert c.cdf(-100.0) == 0.0
-    assert c.cdf(100.0) == 1.0
+    assert _cdf(c, 5.0) == pytest.approx(0.5, abs=1e-12)
+    assert _cdf(c, [-100.0, 100.0]).tolist() == [0.0, 1.0]
     flat = QuantileCurve((0.25, 0.5, 0.75), (1.0, 1.0, 2.0))
     # exact hit on a flat stretch reports the midpoint of its level span
-    assert flat.cdf(1.0) == pytest.approx((0.25 + 0.5) / 2.0, abs=1e-12)
+    assert _cdf(flat, 1.0) == pytest.approx((0.25 + 0.5) / 2.0, abs=1e-12)
 
 
-def test_pit_transform_clamps():
-    c = _line_curve()
-    assert pit_transform(-1e9, c) == PIT_EPS
-    assert pit_transform(1e9, c) == 1.0 - PIT_EPS
-    assert pit_transform(5.0, c) == pytest.approx(0.5, abs=1e-9)
+def test_diagnostics_clips_each_pit(fitted_pipeline):
+    # a first-lead price far beyond the curve's values has level 0 or 1,
+    # which the holdout scores clip to PIT_EPS or 1 - PIT_EPS as the fit
+    # does: all 12 PITs at one clip give the KS statistic of that sample
+    pipe, cfg = fitted_pipeline
+    rt, da = _toy_history(n_days=12, seed=123)["bus"]
+    for far, clipped in ((-1e9, PIT_EPS), (1e9, 1.0 - PIT_EPS)):
+        test_rt = rt.copy()
+        test_rt[::cfg.horizon] = far
+        d = pipe.diagnostics({"bus": (test_rt, da)}, count=5, seed=1)["bus"]
+        ks = kstest([clipped] * 12, "uniform")
+        assert (d["ks_stat"], d["ks_pvalue"]) == (float(ks.statistic), float(ks.pvalue))
+        assert d["ks_stat"] == 1.0 - PIT_EPS
 
 
 @settings(max_examples=50, deadline=None)
@@ -247,7 +261,7 @@ def test_curve_cdf_quantile_round_trip(vals, w):
     # integer knots keep adjacent values at least 1 apart, so inverting
     # the interpolation cannot amplify rounding error
     c = QuantileCurve(DEFAULT_LEVELS, tuple(float(v) for v in sorted(vals)))
-    assert c.cdf(c.quantile(w)) == pytest.approx(w, abs=1e-9)
+    assert _cdf(c, _quantile(c, w)) == pytest.approx(w, abs=1e-9)
 
 
 # -- recursive covariance ----------------------------------------------------
@@ -374,15 +388,18 @@ def test_generate_scenarios_matches_element_by_element_reference():
                 for h in range(H)]
             for k, n in enumerate(sorted(point))}
     _, w = scenarios_by_element(point, line, sigma, count, seed, TAIL_IQR_CAP)
-    # hour 0 of each node gets a curve whose outer levels are drawn levels,
-    # so some draws sit exactly on levels[0] and levels[-1]; its edge
-    # slopes are steep enough that the tail cap binds
+    # each node's grid has drawn levels of its hour 0 at both ends, so
+    # some draws sit exactly on levels[0] and levels[-1]; hour 0's edge
+    # slopes are steep enough that the tail cap binds, and the gentle
+    # curves of the later hours, on the same grid, stay under it
     curves = {}
     for ni, node in enumerate(sorted(point)):
         col = np.sort(w[:, ni, 0])
         assert col[1] < 0.25 and col[-2] > 0.75
-        steep = QuantileCurve((col[1], 0.25, 0.5, 0.75, col[-2]), (-1e6, -1.0, 0.0, 1.0, 1e6))
-        curves[node] = [steep] + line[node][1:]
+        grid = (col[1], 0.25, 0.5, 0.75, col[-2])
+        steep = QuantileCurve(grid, (-1e6, -1.0, 0.0, 1.0, 1e6))
+        curves[node] = [steep] + [QuantileCurve(grid, tuple((10.0 + h + 30.0 * ni) * a for a in grid))
+                                  for h in range(1, H)]
     expect, _ = scenarios_by_element(point, curves, sigma, count, seed, TAIL_IQR_CAP)
     scn = generate_scenarios(point, curves, trackers, count, seed, start_hour=2)
     assert np.array_equal(scn.prices, expect)
@@ -406,16 +423,16 @@ def test_generate_scenarios_matches_element_by_element_reference():
 
 
 def test_array_quantile_equals_scalar_calls():
+    # a one-curve table maps an array of levels, of any shape, as the
+    # scalar branches map each level
     w = np.random.default_rng(3).uniform(size=300)
     steep = QuantileCurve((0.05, 0.25, 0.75, 0.95), (-1000.0, 0.0, 1.0, 1001.0))
     for c in (_line_curve(), steep):
         levels = np.concatenate([w, [c.levels[0], c.levels[-1], 0.5, 1e-12, 1.0 - 1e-12]])
-        scalar = [c.quantile(float(x)) for x in levels]
-        assert all(type(q) is float for q in scalar)
-        assert np.array_equal(c.quantile(levels), scalar)
-        assert scalar == [quantile_by_branches(c.levels, c.values, float(x), TAIL_IQR_CAP) for x in levels]
+        got = _quantile(c, levels)
+        assert got.tolist() == [quantile_by_branches(c.levels, c.values, float(x), TAIL_IQR_CAP) for x in levels]
         grid = levels.reshape(-1, 5)
-        assert c.quantile(grid).shape == grid.shape
+        assert np.array_equal(_quantile(c, grid), got.reshape(-1, 5))
 
 
 def _mixed_grid_curves():
@@ -436,28 +453,47 @@ def _mixed_grid_curves():
     ]
 
 
-def test_stacked_quantile_map_equals_each_curve_on_mixed_grids():
+def _by_grid(curves):
+    """The curves of each level grid, in order."""
+    grids = {}
+    for c in curves:
+        grids.setdefault(c.levels, []).append(c)
+    return list(grids.values())
+
+
+def test_a_table_takes_one_level_grid():
     curves = _mixed_grid_curves()
-    table = QuantileTable(curves)
+    with pytest.raises(ValueError, match="curves on 3 level grids; a table takes one"):
+        QuantileTable(curves)
+    with pytest.raises(ValueError, match="curves on 0 level grids"):
+        QuantileTable([])
+    point = {"n1": [0.0] * len(curves)}
+    with pytest.raises(ValueError, match="3 level grids"):
+        generate_scenarios(point, {"n1": curves}, CovarianceTracker.identity(len(curves)), 5, 0, start_hour=1)
+    assert [len(QuantileTable(group)) for group in _by_grid(curves)] == [3, 3, 2]
+
+
+def test_stacked_quantile_map_equals_each_curve_on_each_grid():
+    curves = _mixed_grid_curves()
     rng = np.random.default_rng(11)
     # every column sees random levels, each of its own curve's levels and
     # those of the other grids, 0 and 1, and points just inside the edges
     on_levels = sorted({x for c in curves for x in c.levels})
     fixed = on_levels + [0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5]
-    w = np.vstack([rng.uniform(size=(300, len(curves))),
-                   np.repeat(np.array(fixed)[:, None], len(curves), axis=1)])
-    got = table.quantile(w)
-    per_curve = np.column_stack([c.quantile(w[:, k]) for k, c in enumerate(curves)])
-    assert np.array_equal(got, per_curve)
-    for k, c in enumerate(curves):
-        assert got[:, k].tolist() == [quantile_by_branches(c.levels, c.values, x, TAIL_IQR_CAP)
-                                      for x in w[:, k].tolist()]
-    # a shorter horizon maps through the leading curves; more columns
-    # than curves is an error
-    assert np.array_equal(table.quantile(w[:, :5]), got[:, :5])
-    assert np.array_equal(table.quantile(w[:40].reshape(4, 10, -1)), got[:40].reshape(4, 10, -1))
-    with pytest.raises(ValueError, match="9 columns"):
-        table.quantile(np.full((2, 9), 0.5))
+    for group in _by_grid(curves):
+        table = QuantileTable(group)
+        w = np.vstack([rng.uniform(size=(300, len(group))),
+                       np.repeat(np.array(fixed)[:, None], len(group), axis=1)])
+        got = table.quantile(w)
+        for k, c in enumerate(group):
+            assert got[:, k].tolist() == [quantile_by_branches(c.levels, c.values, x, TAIL_IQR_CAP)
+                                          for x in w[:, k].tolist()]
+        # a shorter horizon maps through the leading curves; more columns
+        # than curves is an error
+        assert np.array_equal(table.quantile(w[:, :1]), got[:, :1])
+        assert np.array_equal(table.quantile(w[:40].reshape(4, 10, -1)), got[:40].reshape(4, 10, -1))
+        with pytest.raises(ValueError, match=f"{len(group) + 1} columns for {len(group)} curves"):
+            table.quantile(np.full((2, len(group) + 1), 0.5))
 
 
 def _bits(a):
@@ -498,49 +534,46 @@ def test_quantile_map_is_the_scalar_branches_to_the_bit(curves, drawn):
     # the bin lookup finds the segment that a binary search finds, on any
     # grid: every level, the floats either side of it, the unit interval's
     # ends and the values beyond it map as the scalar branches map them,
-    # also on a grid that reaches past 0 and 1
+    # on a two-curve table and on one-curve tables, also on a grid that
+    # reaches past 0 and 1
     L = np.array(curves[0].levels)
     w = np.concatenate([L, np.nextafter(L, -np.inf), np.nextafter(L, np.inf), drawn,
                         [np.nan, np.inf, -np.inf, -0.5, -0.3, -1e-300, 0.0, 1.0, 1.0 + 1e-12, 1.3, 1.5]])
     other = QuantileCurve((-0.4, -0.2, 0.5, 1.1, 1.2, 1.4), (-3.0, 0.0, 0.0, 4.0, 5.0, 9.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        one_grid = QuantileTable(curves).quantile(np.column_stack([w, w]))
-        two_grids = QuantileTable([curves[0], other, curves[1]]).quantile(np.column_stack([w, w, w]))
-        single = [c.quantile(w) for c in curves]
+        stacked = QuantileTable(curves).quantile(np.column_stack([w, w]))
+        single = [_quantile(c, w) for c in (*curves, other)]
     for k, c in enumerate(curves):
         want = [quantile_by_branches(c.levels, c.values, x, TAIL_IQR_CAP) for x in w.tolist()]
-        assert _same_floats(one_grid[:, k], want)
+        assert _same_floats(stacked[:, k], want)
         assert _same_floats(single[k], want)
-    assert _same_floats(two_grids[:, [0, 2]], one_grid)
-    assert _same_floats(two_grids[:, 1], [quantile_by_branches(other.levels, other.values, x, TAIL_IQR_CAP)
-                                          for x in w.tolist()])
+    assert _same_floats(single[-1], [quantile_by_branches(other.levels, other.values, x, TAIL_IQR_CAP)
+                                     for x in w.tolist()])
 
 
 def test_stacked_cdf_equals_the_scalar_branches():
-    curves = _mixed_grid_curves()
-    table = QuantileTable(curves)
     rng = np.random.default_rng(12)
-    # every column sees random values over and beyond its curve's range,
-    # each of its values (exact hits, flat stretches), the midpoints
-    # between them and values far out in both tails
-    cols = []
-    for c in curves:
-        v = np.array(c.values)
-        span = max(v[-1] - v[0], 1.0)
-        cols.append(np.concatenate([rng.uniform(v[0] - span, v[-1] + span, 200), np.resize(v, 19),
-                                    np.resize((v[:-1] + v[1:]) / 2.0, 18), [v[0] - 1e6, v[-1] + 1e6]]))
-    x = np.column_stack(cols)
-    got = table.cdf(x)
-    want = [[cdf_by_branches(c.levels, c.values, xi) for xi in x[:, k].tolist()] for k, c in enumerate(curves)]
-    assert np.array_equal(_bits(got), _bits(np.array(want).T))
-    for k, c in enumerate(curves):
-        assert np.array_equal(_bits(c.cdf(x[:, k])), _bits(got[:, k]))
-        scalar = [c.cdf(xi) for xi in x[:5, k].tolist()]
-        assert all(type(w) is float for w in scalar) and scalar == got[:5, k].tolist()
-    assert np.array_equal(table.cdf(x[:40].reshape(4, 10, -1)), got[:40].reshape(4, 10, -1))
-    with pytest.raises(ValueError, match="9 columns"):
-        table.cdf(np.zeros((2, 9)))
+    for curves in _by_grid(_mixed_grid_curves()):
+        table = QuantileTable(curves)
+        # every column sees random values over and beyond its curve's
+        # range, each of its values (exact hits, flat stretches), the
+        # midpoints between them and values far out in both tails
+        cols = []
+        for c in curves:
+            v = np.array(c.values)
+            span = max(v[-1] - v[0], 1.0)
+            cols.append(np.concatenate([rng.uniform(v[0] - span, v[-1] + span, 200), np.resize(v, 19),
+                                        np.resize((v[:-1] + v[1:]) / 2.0, 18), [v[0] - 1e6, v[-1] + 1e6]]))
+        x = np.column_stack(cols)
+        got = table.cdf(x)
+        want = [[cdf_by_branches(c.levels, c.values, xi) for xi in x[:, k].tolist()] for k, c in enumerate(curves)]
+        assert np.array_equal(_bits(got), _bits(np.array(want).T))
+        for k, c in enumerate(curves):
+            assert np.array_equal(_bits(_cdf(c, x[:, k])), _bits(got[:, k]))
+        assert np.array_equal(table.cdf(x[:40].reshape(4, 10, -1)), got[:40].reshape(4, 10, -1))
+        with pytest.raises(ValueError, match=f"{len(curves) + 1} columns"):
+            table.cdf(np.zeros((2, len(curves) + 1)))
     # falling edges jump to 0 or 1, and a value below the first value
     # takes the lower tail even where it also lies above the last one
     falling = [QuantileCurve((0.1, 0.5, 0.9), (3.0, 1.0, 2.0)), QuantileCurve((0.1, 0.5, 0.9), (0.0, 2.0, 1.5))]
@@ -551,7 +584,7 @@ def test_stacked_cdf_equals_the_scalar_branches():
 
 
 def test_generate_scenarios_takes_a_prebuilt_table():
-    curves = _mixed_grid_curves()
+    curves = _by_grid(_mixed_grid_curves())[0]
     H = len(curves)
     point = {"n1": [float(h) for h in range(H)]}
     trk = _correlated_trackers(H)["n1"]
@@ -739,4 +772,6 @@ def test_envelope_edges_come_from_one_partition():
         assert (d["n_days"], d["n_pits"]) == (18, 18)
         assert d["coverage_90"] == round(d["coverage_90"] * 432) / 432
         inside.append(round(d["coverage_90"] * 432))
+        # the first-lead PITs draw no trajectories, so no seed moves them
+        assert (repr(d["ks_stat"]), repr(d["ks_pvalue"])) == ("0.25860522630323246", "0.1501842216807725")
     assert inside == [399, 398, 398, 401, 398, 395, 397, 395, 398, 400]
